@@ -65,7 +65,7 @@ from repro.serve import (  # noqa: E402
     CompileService,
 )
 from repro.serve.client import compile_remote  # noqa: E402
-from repro.serve.report import CompilationReport  # noqa: E402
+from repro.artifacts import CompilationReport  # noqa: E402
 
 #: Acceptance floor: warm farm throughput at 4 workers must beat the
 #: PR5-style (per-request-connection, no farm) baseline by this factor.

@@ -62,22 +62,18 @@ def _time_sdppo(graph, order, mode):
     cold, so every mode pays the same precomputation and the timing
     isolates the DP itself.
     """
-    saved = common._np
+    context = common.ChainContext(graph, order)
     if mode == "scalar":
-        common._np = None
-    try:
-        context = common.ChainContext(graph, order)
-        backend = "native" if mode == "native" else "python"
-        t0 = time.perf_counter()
-        result = sdppo(graph, order, context=context, backend=backend)
-        return time.perf_counter() - t0, result
-    finally:
-        common._np = saved
+        context.use_numpy = False
+    backend = "native" if mode == "native" else "python"
+    t0 = time.perf_counter()
+    result = sdppo(graph, order, context=context, backend=backend)
+    return time.perf_counter() - t0, result
 
 
 def bench_dp(report, repeat):
     """The chain-DP sweep; returns the largest size's scalar/native ratio."""
-    modes = ["scalar", "native"] + (["numpy"] if common._np is not None else [])
+    modes = ["scalar", "native"] + (["numpy"] if common._HAVE_NUMPY else [])
     final_speedup = None
     for n in SIZES:
         graph = random_sdf_graph(n, seed=5, max_repetition=6)

@@ -129,14 +129,15 @@ def _cmd_systems(_: argparse.Namespace) -> int:
 
 def _print_profile(report) -> None:
     total = sum(row["wall_s"] for row in report.rows)
+    width = max([10] + [len(row["bench"]) for row in report.rows])
     print("profile:")
     for row in report.rows:
         extra = ""
         if row["meta"]:
             pairs = ", ".join(f"{k}={v}" for k, v in row["meta"].items())
             extra = f"  ({pairs})"
-        print(f"  {row['bench']:>10}: {row['wall_s']:8.4f}s{extra}")
-    print(f"  {'total':>10}: {total:8.4f}s")
+        print(f"  {row['bench']:>{width}}: {row['wall_s']:8.4f}s{extra}")
+    print(f"  {'total':>{width}}: {total:8.4f}s")
 
 
 def _flush_observability(args: argparse.Namespace, report, recorder) -> None:
@@ -157,7 +158,6 @@ def _flush_observability(args: argparse.Namespace, report, recorder) -> None:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     from .scheduling.pipeline import implement
-    from .codegen import emit_c, run_shared_memory_check
 
     _apply_jobs(args)
     if args.memory_budget is not None and not args.vectorize:
@@ -198,12 +198,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         print(f"blocks:     {v.blocks} per period "
               f"({v.firings} firings, amortization {v.amortization:.1f}x, "
               f"baseline {v.baseline_blocks} blocks)")
+    # Code generation loads only under the flags that use it.
     if args.check:
-        vm_class = None
-        if result.vectorize is not None:
-            from .codegen.batched_vm import BatchedVM
+        from .codegen import BatchedVM, run_shared_memory_check
 
-            vm_class = BatchedVM
+        vm_class = BatchedVM if result.vectorize is not None else None
         firings = run_shared_memory_check(
             graph, result.lifetimes, result.allocation, periods=2,
             recorder=recorder, vm_class=vm_class,
@@ -211,6 +210,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         kind = "batched" if vm_class is not None else "scalar"
         print(f"execution check: OK ({firings} firings, {kind} VM)")
     if args.emit_c:
+        from .codegen import emit_c
+
         code = emit_c(graph, result.lifetimes, result.allocation)
         with open(args.emit_c, "w") as handle:
             handle.write(code)

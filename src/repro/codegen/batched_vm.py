@@ -33,20 +33,17 @@ VMs are observationally identical; the check harness therefore keeps
 the scalar VM as the corruption oracle and uses this one to check the
 vectorized execution path itself.
 
-When numpy is unavailable the transfers degrade to per-token Python
-loops with identical semantics (the repo-wide optional-acceleration
-convention).
+numpy is imported by the first constructor call, not with the module,
+so code that only imports :mod:`repro.codegen` (or never executes)
+does not pay for it.  When numpy is unavailable the transfers degrade
+to per-token Python loops with identical semantics (the repo-wide
+optional-acceleration convention).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-try:  # optional acceleration; the VM has a pure-Python path
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 from ..exceptions import CodegenError
 from ..sdf.graph import Edge, SDFGraph
@@ -131,9 +128,15 @@ class BatchedVM:
         self.lifetimes = lifetimes
         self.allocation = allocation
         total = max(allocation.total, 1)
-        if _np is not None:
-            self.mem_edge = _np.full(total, _UNWRITTEN, dtype=_np.int64)
-            self.mem_seq = _np.zeros(total, dtype=_np.int64)
+        try:  # optional acceleration; the VM has a pure-Python path
+            import numpy as np
+        except ImportError:  # pragma: no cover
+            np = None
+        #: numpy, bound once per VM; ``None`` selects the list path.
+        self._np = np
+        if np is not None:
+            self.mem_edge = np.full(total, _UNWRITTEN, dtype=np.int64)
+            self.mem_seq = np.zeros(total, dtype=np.int64)
         else:  # pragma: no cover - exercised only without numpy
             self.mem_edge = [_UNWRITTEN] * total
             self.mem_seq = [0] * total
@@ -322,13 +325,14 @@ class BatchedVM:
     def _indices(self, state: _BufState, start_slot: int, m: int):
         """Word indices of ``m`` consecutive token slots (maybe wrapped)."""
         ts = state.edge.token_size
-        if _np is not None:
-            sl = start_slot + _np.arange(m, dtype=_np.int64)
+        np = self._np
+        if np is not None:
+            sl = start_slot + np.arange(m, dtype=np.int64)
             if state.circular:
                 sl %= state.slots
             return (
                 state.base + sl[:, None] * ts
-                + _np.arange(ts, dtype=_np.int64)[None, :]
+                + np.arange(ts, dtype=np.int64)[None, :]
             ).ravel()
         sl = [start_slot + j for j in range(m)]  # pragma: no cover
         if state.circular:  # pragma: no cover
@@ -357,10 +361,11 @@ class BatchedVM:
         )
         idx = self._indices(state, start, m)
         ts = state.edge.token_size
-        if _np is not None:
-            seqs = state.produced + _np.arange(m, dtype=_np.int64)
+        np = self._np
+        if np is not None:
+            seqs = state.produced + np.arange(m, dtype=np.int64)
             self.mem_edge[idx] = state.eid
-            self.mem_seq[idx] = _np.repeat(seqs, ts)
+            self.mem_seq[idx] = np.repeat(seqs, ts)
         else:  # pragma: no cover - exercised only without numpy
             for j, i in enumerate(idx):
                 self.mem_edge[i] = state.eid
@@ -392,14 +397,13 @@ class BatchedVM:
         """Read ``m`` tokens and verify identity, locating any mismatch."""
         idx = self._indices(state, start, m)
         ts = state.edge.token_size
-        if _np is not None:
-            seqs = _np.repeat(
-                first_seq + _np.arange(m, dtype=_np.int64), ts
-            )
+        np = self._np
+        if np is not None:
+            seqs = np.repeat(first_seq + np.arange(m, dtype=np.int64), ts)
             bad = (self.mem_edge[idx] != expect_eid) | (
                 self.mem_seq[idx] != seqs
             )
-            pos = int(_np.argmax(bad)) if bool(bad.any()) else -1
+            pos = int(np.argmax(bad)) if bool(bad.any()) else -1
         else:  # pragma: no cover - exercised only without numpy
             pos = -1
             for j, i in enumerate(idx):

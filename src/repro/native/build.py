@@ -2,11 +2,12 @@
 
 The kernel binary is a pure function of ``(C source, compiler
 identity, cflags, ABI version)``, so it is content-addressed in the
-same :class:`~repro.serve.cache.ArtifactCache` that stores compilation
-reports — under the cache root's ``kernels/`` area, digest-verified on
-every load, with corrupt binaries evicted and rebuilt.  A farm's
-worker processes (and every CI run with a warm cache) therefore share
-one ``cc`` invocation.
+leaf :class:`~repro.artifacts.cache.ArtifactCache` that also stores
+compilation reports — under the cache root's ``kernels/`` area,
+digest-verified on every load, with corrupt binaries evicted and
+rebuilt.  A farm's worker processes (and every CI run with a warm
+cache) therefore share one ``cc`` invocation.  Loading a kernel never
+imports :mod:`repro.serve`.
 
 Everything here degrades silently: no compiler on ``PATH``,
 ``REPRO_NATIVE=0``, a failed compile, or an unloadable binary all mean
@@ -25,6 +26,7 @@ import subprocess
 import tempfile
 from typing import Optional
 
+from ..artifacts import ArtifactCache
 from .source import KERNEL_ABI_VERSION, KERNEL_SOURCE
 
 __all__ = [
@@ -103,11 +105,6 @@ def build_kernel(cache_root: Optional[str] = None, recorder=None) -> str:
     ``RuntimeError`` when no compiler is available or the compile
     fails — callers treat that as "fall back to Python".
     """
-    # Imported lazily: repro.serve imports the scheduling pipeline,
-    # which dispatches into this package — a module-level import here
-    # would close that cycle at import time.
-    from ..serve.cache import ArtifactCache
-
     cc = find_compiler()
     if cc is None:
         raise RuntimeError("no C compiler (cc) found on PATH")

@@ -19,6 +19,7 @@ Positions are 0-based; a *window* ``(i, j)`` covers actors
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib.util import find_spec
 from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -28,10 +29,11 @@ from ..sdf.repetitions import repetitions_vector, total_tokens_exchanged
 from ..sdf.schedule import Firing, Loop, LoopedSchedule, ScheduleNode
 from ..sdf.topsort import is_topological_order
 
-try:  # optional acceleration; every algorithm has a pure-Python path
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+#: Whether the vectorized DP is available.  numpy is an optional
+#: acceleration (every algorithm has a pure-Python path) that costs
+#: about 100 ms to import, so this only checks that it is installed;
+#: the first :func:`dp_over_context` to run imports it.
+_HAVE_NUMPY = find_spec("numpy") is not None
 
 __all__ = [
     "ChainContext",
@@ -239,7 +241,7 @@ class ChainContext:
         # exceeds the win, so small chains stay pure Python.
         total_w = tws[self.n][self.n] + dws[self.n][self.n]
         self.use_numpy = (
-            _np is not None
+            _HAVE_NUMPY
             and self.n >= 30
             and (total_w + 1) * (self.n + 2) < 2**62
         )
@@ -292,10 +294,12 @@ class ChainContext:
     def _numpy_state(self) -> tuple:
         """int64 copies of the prefix/gcd tables for the vectorized DP."""
         if self._np_state is None:
-            Pt = _np.asarray(self._tw_prefix, dtype=_np.int64)
-            Pd = _np.asarray(self._dw_prefix, dtype=_np.int64)
-            Pp = _np.asarray(self._ptw_prefix, dtype=_np.int64)
-            G = _np.asarray(self._g, dtype=_np.int64) if self.n else None
+            import numpy as np
+
+            Pt = np.asarray(self._tw_prefix, dtype=np.int64)
+            Pd = np.asarray(self._dw_prefix, dtype=np.int64)
+            Pp = np.asarray(self._ptw_prefix, dtype=np.int64)
+            G = np.asarray(self._g, dtype=np.int64) if self.n else None
             self._np_state = (Pt, Pd, Pp, G)
         return self._np_state
 
@@ -447,7 +451,8 @@ def dp_over_context(
     ``factoring`` applies the section 5.1 policy; the non-shared DP
     always factors.
     """
-    np = _np
+    import numpy as np
+
     n = context.n
     Pt, Pd, Pp, G = context._numpy_state()
     s0, s1 = Pt.strides

@@ -251,9 +251,14 @@ def implement(
         if requested == "python":
             eff_backend = "python"
         else:
-            from ..native import resolve_backend
+            # The first call in a process imports, probes and loads the
+            # kernels: a stage of its own, not orphan time in implement.
+            with _stage(report, recorder, "native.resolve"):
+                from ..native import resolve_backend
 
-            eff_backend, _ = resolve_backend(requested, recorder=recorder)
+                eff_backend, _ = resolve_backend(
+                    requested, recorder=recorder
+                )
         if order is not None:
             chosen = list(order)
             method = "given"

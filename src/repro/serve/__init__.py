@@ -5,19 +5,17 @@ schedule/allocation flow on every invocation.  This package turns the
 same :func:`~repro.scheduling.pipeline.implement` machinery into a
 long-running, cache-fronted service:
 
-:mod:`repro.serve.cache`
+:mod:`repro.artifacts` (re-exported here)
     :class:`ArtifactCache` — a content-addressed on-disk store of
     :class:`CompilationReport` payloads, keyed by
-    :func:`~repro.serve.cache.cache_key` (SHA-256 of the canonical
+    :func:`~repro.artifacts.cache.cache_key` (SHA-256 of the canonical
     graph document + strategy options + package version).  Atomic
     writes, hash-verified reads, corrupt entries evicted and
     recomputed rather than served.  ``repro cache {stats,gc,clear}``.
-
-:mod:`repro.serve.report`
-    :class:`CompilationReport` — the plain-data projection of an
+    :class:`CompilationReport` is the plain-data projection of an
     ``ImplementationResult`` that travels over HTTP and into the
-    cache, with a :meth:`~CompilationReport.canonical` form for
-    bit-identity comparisons.
+    cache.  The package is a leaf that :mod:`repro.native` shares for
+    its kernel binaries without importing this one.
 
 :mod:`repro.serve.service`
     :class:`CompileService` — transport-independent cache-then-compile
@@ -57,7 +55,12 @@ The cache can be disabled end to end (``repro serve --no-cache``,
 case the service's outputs are bit-identical to the direct pipeline.
 """
 
-from .cache import ArtifactCache, cache_key, default_cache_dir
+from ..artifacts import (
+    ArtifactCache,
+    CompilationReport,
+    cache_key,
+    default_cache_dir,
+)
 from .client import (
     DEFAULT_URL,
     BatchItemError,
@@ -75,7 +78,6 @@ from .farm import (
     WorkerFarm,
     rendezvous_shard,
 )
-from .report import CompilationReport
 from .server import DEFAULT_PORT, CompileServer
 from .service import CompileOptions, CompileService
 

@@ -4,7 +4,7 @@
 endpoints: it resolves each argument to a graph document (built-in
 system name or ``.json`` file), posts one ``/compile`` request per
 graph (or a single ``/batch`` request), and prints or saves the
-returned :class:`~repro.serve.report.CompilationReport`s.  Transport
+returned :class:`~repro.artifacts.report.CompilationReport`s.  Transport
 failures raise :class:`ServeClientError` with the server's one-line
 ``error`` message when it sent one, so CLI users see the 429/503/504
 reason rather than a traceback.
@@ -28,7 +28,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .report import CompilationReport
+from ..artifacts import CompilationReport
 from .server import DEFAULT_PORT
 
 __all__ = [

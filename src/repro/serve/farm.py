@@ -15,7 +15,7 @@ cache-locality property the session design bought:
   in-memory artifact tier stay hot, and no shard map needs storing.
 * **Tiered cache** — a worker answers from its in-memory report tier
   (:class:`~repro.serve.service.CompileService` ``memory_entries``),
-  then the shared on-disk :class:`~repro.serve.cache.ArtifactCache`,
+  then the shared on-disk :class:`~repro.artifacts.cache.ArtifactCache`,
   and only then compiles.  Every tier returns bit-identical
   ``canonical()`` reports; the benchmark asserts it per round.
 * **Supervision** — each worker is watched both *in-band* (a pipe
@@ -182,7 +182,7 @@ class _Worker:
     def __init__(self, conn, config: Dict[str, Any]) -> None:
         from collections import OrderedDict
 
-        from .cache import ArtifactCache
+        from ..artifacts import ArtifactCache
         from .service import CompileService
         from .. import obs
 

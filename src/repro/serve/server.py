@@ -96,7 +96,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..exceptions import SDFError
 from ..sdf.io import canonical_hash
-from .cache import cache_key
+from ..artifacts import cache_key
 from .farm import (
     FarmError,
     FarmRequestError,
@@ -307,7 +307,17 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path not in ("/compile", "/batch", "/resize"):
             self._reply(404, {"error": f"unknown path {self.path!r}"})
             return
-        length = int(self.headers.get("Content-Length", "0"))
+        declared = self.headers.get("Content-Length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            # Without a valid length the body cannot be framed, so the
+            # connection cannot be reused either: answer and close.
+            self.close_connection = True
+            self._reply_bytes(*owner.bad_request(
+                f"invalid Content-Length {declared!r}: expected a "
+                f"non-negative integer"
+            ))
+            return
+        length = int(declared)
         raw = self.rfile.read(length) if length else b""
         code, body, headers = owner.handle_raw(self.path, raw)
         self._reply_bytes(code, body, headers)
@@ -584,6 +594,12 @@ class CompileServer:
             json.dumps({"error": message}).encode("utf-8"),
             headers or {},
         )
+
+    def bad_request(self, message: str) -> Tuple[int, bytes, Dict[str, str]]:
+        """A counted ``400`` for a request refused before its body."""
+        with self._lock:
+            self._counters["errors"] += 1
+        return self._err(400, message)
 
     def _parse_compile(self, raw: bytes) -> _Memo:
         """Parse + route one ``/compile`` body, memoized on its bytes.

@@ -7,7 +7,7 @@ two methods:
 
 * :meth:`CompileService.compile_document` — one graph document through
   the cache-then-compile flow, returning a
-  :class:`~repro.serve.report.CompilationReport` plus a cache status
+  :class:`~repro.artifacts.report.CompilationReport` plus a cache status
   (``"hit"``, ``"miss"``, or ``"disabled"``);
 * :meth:`CompileService.compile_document_tiered` — the same flow but
   also reporting *which* tier answered (``"memory"``, ``"disk"``, or
@@ -51,8 +51,7 @@ from ..lifetimes.periodic import DEFAULT_OCCURRENCE_CAP
 from ..scheduling.pipeline import implement
 from ..scheduling.session import CompilationSession
 from ..sdf.io import canonical_hash, from_json
-from .cache import ArtifactCache, cache_key
-from .report import CompilationReport
+from ..artifacts import ArtifactCache, CompilationReport, cache_key
 
 __all__ = ["CompileOptions", "CompileService"]
 
@@ -156,7 +155,7 @@ class CompileService:
     Parameters
     ----------
     cache:
-        An :class:`~repro.serve.cache.ArtifactCache`, or ``None`` to
+        An :class:`~repro.artifacts.cache.ArtifactCache`, or ``None`` to
         disable caching entirely (every request recompiles).
     max_sessions:
         Size of the per-graph :class:`CompilationSession` LRU.

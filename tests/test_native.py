@@ -28,7 +28,7 @@ from repro.scheduling.dppo import dppo
 from repro.scheduling.pipeline import implement
 from repro.scheduling.sdppo import sdppo
 from repro.sdf.random_graphs import random_sdf_graph
-from repro.serve.cache import ArtifactCache, cache_key
+from repro.artifacts import ArtifactCache, cache_key
 from repro.serve.service import CompileOptions, CompileService
 from repro.sdf.io import to_json
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import socket
 import threading
 import time
 
@@ -376,6 +377,52 @@ class TestCompileServer:
         names = {e["name"] for e in events}
         assert "serve.request" in names
         assert "implement" in names
+
+
+def _raw_exchange(port: int, request: bytes, timeout: float = 5.0) -> bytes:
+    """Send raw bytes and read until the server closes the connection.
+
+    A handler stuck reading the body never closes it, so the client
+    timeout turns a hung thread into a test failure.
+    """
+    address = ("127.0.0.1", port)
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(request)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return data
+            data += chunk
+
+
+class TestHostileContentLength:
+    """A bad ``Content-Length`` gets a one-line JSON 400, never a hang."""
+
+    @pytest.mark.parametrize("declared", ["abc", "-1", "1_0", "+5", ""])
+    def test_bad_length_400(self, live_server, declared):
+        response = _raw_exchange(
+            live_server.port,
+            b"POST /compile HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: " + declared.encode() + b"\r\n\r\n",
+        )
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\n" not in body
+        assert "Content-Length" in json.loads(body)["error"]
+        assert get_json(live_server.url, "/healthz") == {"status": "ok"}
+        assert live_server.stats()["server"]["errors"] == 1
+
+    def test_valid_length_still_compiles(self, live_server):
+        body = json.dumps({"graph": to_json(small_graph())}).encode()
+        response = _raw_exchange(
+            live_server.port,
+            b"POST /compile HTTP/1.1\r\nHost: test\r\n"
+            b"Connection: close\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+            + body,
+        )
+        assert response.startswith(b"HTTP/1.1 200 ")
 
 
 class _CountingCancel:
