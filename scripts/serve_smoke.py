@@ -12,28 +12,32 @@ serve-smoke``) and in CI, in two phases:
    response is a cache *miss*, the second a *hit*, and that the two
    reports are bit-identical (canonical-form comparison);
 4. assert ``/stats`` agrees (1 hit, 1 miss, 0 rejected);
-5. send SIGTERM; assert the server drains cleanly (exit code 0) and
+5. declare an oversized ``Content-Length`` on a raw socket; assert a
+   one-line JSON 413 that closes the connection and ``/healthz`` "ok"
+   afterwards;
+6. send SIGTERM; assert the server drains cleanly (exit code 0) and
    leaves the trace artifact behind (``serve_trace.json`` by
    default — CI uploads it).
 
 **Farm phase** (``--workers 2``):
 
-6. start ``repro serve --workers 2`` (a two-process compile farm)
+7. start ``repro serve --workers 2`` (a two-process compile farm)
    with its own throwaway cache and trace file;
-7. assert ``/healthz`` reports the farm (size 2, all alive), then
-   miss -> hit with bit-identical reports, exactly as above;
-8. SIGKILL one worker process (pid from ``/stats``); assert the
+8. assert ``/healthz`` reports the farm (size 2, all alive), then
+   miss -> hit with bit-identical reports and the oversized-body 413,
+   exactly as above;
+9. SIGKILL one worker process (pid from ``/stats``); assert the
    supervisor respawns it — ``/healthz`` returns to 2/2 alive with a
    restart counted — and that a subsequent submit still hits,
    bit-identical;
-9. ``/batch`` through the farm: a mixed cold batch then the same
+10. ``/batch`` through the farm: a mixed cold batch then the same
    batch warm, every item bit-identical across the two; a batch with
    one malformed document yields a per-item 400 entry with the good
    items untouched;
-10. live resize 2 -> 4 -> 2 via ``POST /resize`` with ``/healthz``
+11. live resize 2 -> 4 -> 2 via ``POST /resize`` with ``/healthz``
     green at every step and the same batch still bit-identical after
     each move;
-11. SIGTERM; assert a clean drain and that the merged trace artifact
+12. SIGTERM; assert a clean drain and that the merged trace artifact
     (``serve_farm_trace.json``) contains worker-side request spans.
 
 Exit code 0 only when every step held.
@@ -47,8 +51,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -68,6 +74,7 @@ from repro.serve.client import (  # noqa: E402
     get_json,
     resize_remote,
 )
+from repro.serve.server import MAX_BODY_BYTES  # noqa: E402
 
 
 def fail(message: str) -> "NoReturn":  # noqa: F821 (py3.10 typing)
@@ -120,6 +127,31 @@ def submit_twice(url):
     return second
 
 
+def oversized_body_step(url) -> None:
+    """An oversized ``Content-Length``: a one-line JSON 413, then "ok"."""
+    host, port = url.rsplit("/", 1)[-1].rsplit(":", 1)
+    declared = MAX_BODY_BYTES + 1
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(
+            f"POST /compile HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {declared}\r\n\r\n".encode("latin-1")
+        )
+        response = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    if not head.startswith(b"HTTP/1.1 413 "):
+        fail(f"oversized body not refused with 413: {head[:80]!r}")
+    if b"\n" in body or "error" not in json.loads(body):
+        fail(f"oversized-body reply is not one-line JSON: {body!r}")
+    health = get_json(url, "/healthz", timeout=5)
+    if health.get("status") != "ok":
+        fail(f"server left 'ok' after an oversized body: {health}")
+
+
 def terminate_cleanly(proc, trace, timeout):
     """SIGTERM; assert exit 0, a clean-drain message, and the trace."""
     proc.send_signal(signal.SIGTERM)
@@ -142,13 +174,15 @@ def threaded_phase(args, env) -> None:
             if (server_stats.get("hits"), server_stats.get("misses"),
                     server_stats.get("rejected")) != (1, 1, 0):
                 fail(f"unexpected /stats counters: {server_stats}")
+            oversized_body_step(url)
             terminate_cleanly(proc, args.trace, args.timeout)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
     print("serve-smoke: threaded phase OK "
-          f"(cold miss -> warm hit, bit-identical; trace at {args.trace})")
+          "(cold miss -> warm hit, bit-identical; oversized body -> 413; "
+          f"trace at {args.trace})")
 
 
 def batch_docs():
@@ -173,7 +207,7 @@ def batch_canonicals(url, docs):
 
 
 def farm_batch_steps(url) -> list:
-    """Steps 9: batch miss -> hit bit-identity + per-item isolation."""
+    """Step 10: batch miss -> hit bit-identity + per-item isolation."""
     docs = batch_docs()
     cold = batch_canonicals(url, docs)
     warm = batch_canonicals(url, docs)
@@ -200,7 +234,7 @@ def farm_batch_steps(url) -> list:
 
 
 def resize_steps(url, expected) -> None:
-    """Step 10: live resize 2 -> 4 -> 2, /healthz green throughout."""
+    """Step 11: live resize 2 -> 4 -> 2, /healthz green throughout."""
     docs = batch_docs()
     for size in (4, 2):
         info = resize_remote(size, url=url, timeout=30)
@@ -226,6 +260,7 @@ def farm_phase(args, env) -> None:
             if not farm or (farm.get("size"), farm.get("alive")) != (2, 2):
                 fail(f"farm not reported 2/2 alive on /healthz: {farm}")
             warm = submit_twice(url)
+            oversized_body_step(url)
 
             # Kill one worker; the supervisor must respawn it without
             # the server ever leaving "ok".
@@ -269,7 +304,8 @@ def farm_phase(args, env) -> None:
                 proc.kill()
                 proc.wait(timeout=10)
     print("serve-smoke: farm phase OK "
-          "(2 workers, kill -> respawn -> healthy; farm batch "
+          "(2 workers, oversized body -> 413, kill -> respawn -> "
+          "healthy; farm batch "
           "miss -> hit bit-identical, poisoned item isolated, live "
           "resize 2 -> 4 -> 2 green; "
           f"merged trace at {args.farm_trace})")

@@ -20,89 +20,46 @@ See ``examples/`` for complete scenarios and ``DESIGN.md`` for the
 module map.
 """
 
-from .exceptions import (
-    AllocationError,
-    CodegenError,
-    GraphStructureError,
-    InconsistentGraphError,
-    ScheduleError,
-    SDFError,
-)
-from .sdf import (
-    Actor,
-    Edge,
-    Firing,
-    Loop,
-    LoopedSchedule,
-    SDFGraph,
-    bmlb,
-    buffer_memory_nonshared,
-    flat_single_appearance_schedule,
-    is_consistent,
-    is_valid_schedule,
-    max_tokens,
-    parse_schedule,
-    repetitions_vector,
-    validate_schedule,
-)
-from .scheduling import (
-    apgan,
-    chain_sdppo,
-    dppo,
-    implement,
-    implement_best,
-    rpmc,
-    sdppo,
-)
-from .lifetimes import PeriodicLifetime, ScheduleTree, extract_lifetimes
-from .allocation import (
-    ffdur,
-    ffstart,
-    first_fit,
-    mcw_optimistic,
-    mcw_pessimistic,
-    verify_allocation,
-)
+from ._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SDFError",
-    "GraphStructureError",
-    "InconsistentGraphError",
-    "ScheduleError",
-    "AllocationError",
-    "CodegenError",
-    "Actor",
-    "Edge",
-    "SDFGraph",
-    "Firing",
-    "Loop",
-    "LoopedSchedule",
-    "parse_schedule",
-    "flat_single_appearance_schedule",
-    "repetitions_vector",
-    "is_consistent",
-    "validate_schedule",
-    "is_valid_schedule",
-    "max_tokens",
-    "buffer_memory_nonshared",
-    "bmlb",
-    "dppo",
-    "sdppo",
-    "chain_sdppo",
-    "apgan",
-    "rpmc",
-    "implement",
-    "implement_best",
-    "PeriodicLifetime",
-    "ScheduleTree",
-    "extract_lifetimes",
-    "ffdur",
-    "ffstart",
-    "first_fit",
-    "mcw_optimistic",
-    "mcw_pessimistic",
-    "verify_allocation",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "SDFError": ".exceptions",
+    "GraphStructureError": ".exceptions",
+    "InconsistentGraphError": ".exceptions",
+    "ScheduleError": ".exceptions",
+    "AllocationError": ".exceptions",
+    "CodegenError": ".exceptions",
+    "Actor": ".sdf.graph",
+    "Edge": ".sdf.graph",
+    "SDFGraph": ".sdf.graph",
+    "Firing": ".sdf.schedule",
+    "Loop": ".sdf.schedule",
+    "LoopedSchedule": ".sdf.schedule",
+    "parse_schedule": ".sdf.schedule",
+    "flat_single_appearance_schedule": ".sdf.schedule",
+    "repetitions_vector": ".sdf.repetitions",
+    "is_consistent": ".sdf.repetitions",
+    "validate_schedule": ".sdf.simulate",
+    "is_valid_schedule": ".sdf.simulate",
+    "max_tokens": ".sdf.simulate",
+    "buffer_memory_nonshared": ".sdf.simulate",
+    "bmlb": ".sdf.bounds",
+    "dppo": ".scheduling.dppo",
+    "sdppo": ".scheduling.sdppo",
+    "chain_sdppo": ".scheduling.chain_sdppo",
+    "apgan": ".scheduling.apgan",
+    "rpmc": ".scheduling.rpmc",
+    "implement": ".scheduling.pipeline",
+    "implement_best": ".scheduling.pipeline",
+    "PeriodicLifetime": ".lifetimes.periodic",
+    "ScheduleTree": ".lifetimes.schedule_tree",
+    "extract_lifetimes": ".lifetimes.intervals",
+    "ffdur": ".allocation.first_fit",
+    "ffstart": ".allocation.first_fit",
+    "first_fit": ".allocation.first_fit",
+    "mcw_optimistic": ".allocation.clique",
+    "mcw_pessimistic": ".allocation.clique",
+    "verify_allocation": ".allocation.verify",
+}, extra=("__version__",))

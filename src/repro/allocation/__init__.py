@@ -1,28 +1,21 @@
 """Dynamic storage allocation: WIG, first-fit, clique bounds, verification."""
 
-from .intersection_graph import IntersectionGraph, build_intersection_graph
-from .first_fit import Allocation, ffdur, ffstart, first_fit
-from .clique import (
-    clique_weight_at,
-    mcw_exact_occurrences,
-    mcw_optimistic,
-    mcw_pessimistic,
-)
-from .verify import find_conflicts, verify_allocation
-from .optimal import optimal_allocation
+from .._lazy import attach
 
-__all__ = [
-    "optimal_allocation",
-    "IntersectionGraph",
-    "build_intersection_graph",
-    "Allocation",
-    "first_fit",
-    "ffdur",
-    "ffstart",
-    "clique_weight_at",
-    "mcw_optimistic",
-    "mcw_pessimistic",
-    "mcw_exact_occurrences",
-    "find_conflicts",
-    "verify_allocation",
-]
+# ``first_fit`` shares its submodule's name, so ``attach`` binds it
+# eagerly.
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "optimal_allocation": ".optimal",
+    "IntersectionGraph": ".intersection_graph",
+    "build_intersection_graph": ".intersection_graph",
+    "Allocation": ".first_fit",
+    "first_fit": ".first_fit",
+    "ffdur": ".first_fit",
+    "ffstart": ".first_fit",
+    "clique_weight_at": ".clique",
+    "mcw_optimistic": ".clique",
+    "mcw_pessimistic": ".clique",
+    "mcw_exact_occurrences": ".clique",
+    "find_conflicts": ".verify",
+    "verify_allocation": ".verify",
+})

@@ -1,66 +1,61 @@
 """Benchmark application graphs (Table 1 systems and worked examples)."""
 
-from typing import Callable, Dict, List
+from functools import partial
+from importlib import import_module
+from typing import Any, Callable, Dict
 
+from .._lazy import attach
 from ..sdf.graph import SDFGraph
-from .filterbanks import (
-    filterbank_by_name,
-    one_sided_filterbank,
-    two_sided_filterbank,
-)
-from .homogeneous import (
-    depth_first_order,
-    homogeneous_graph,
-    nonshared_requirement,
-    shared_lower_bound,
-)
-from .satellite import SATREC_REPETITIONS, satellite_receiver
-from .ptolemy_demos import (
-    block_vocoder,
-    cd_to_dat,
-    overlap_add_fft,
-    pam4_transmitter_receiver,
-    phased_array,
-    qam16_modem,
-)
 
-__all__ = [
-    "two_sided_filterbank",
-    "one_sided_filterbank",
-    "filterbank_by_name",
-    "homogeneous_graph",
-    "depth_first_order",
-    "shared_lower_bound",
-    "nonshared_requirement",
-    "satellite_receiver",
-    "SATREC_REPETITIONS",
-    "cd_to_dat",
-    "qam16_modem",
-    "pam4_transmitter_receiver",
-    "block_vocoder",
-    "overlap_add_fft",
-    "phased_array",
-    "TABLE1_SYSTEMS",
-    "table1_graph",
-]
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "two_sided_filterbank": ".filterbanks",
+    "one_sided_filterbank": ".filterbanks",
+    "filterbank_by_name": ".filterbanks",
+    "homogeneous_graph": ".homogeneous",
+    "depth_first_order": ".homogeneous",
+    "shared_lower_bound": ".homogeneous",
+    "nonshared_requirement": ".homogeneous",
+    "satellite_receiver": ".satellite",
+    "SATREC_REPETITIONS": ".satellite",
+    "cd_to_dat": ".ptolemy_demos",
+    "qam16_modem": ".ptolemy_demos",
+    "pam4_transmitter_receiver": ".ptolemy_demos",
+    "block_vocoder": ".ptolemy_demos",
+    "overlap_add_fft": ".ptolemy_demos",
+    "phased_array": ".ptolemy_demos",
+}, extra=("TABLE1_SYSTEMS", "table1_graph"))
+
+
+def _build(module: str, builder: str, *args: Any, **kwargs: Any) -> SDFGraph:
+    """Import ``module`` and call its ``builder``: a deferred constructor."""
+    return getattr(import_module(module, __name__), builder)(*args, **kwargs)
+
+
+def _system(module: str, builder: str) -> Callable[[], SDFGraph]:
+    return partial(_build, module, builder)
+
+
+def _filterbank(builder: str, depth: int, ratios: str, name: str):
+    return partial(_build, ".filterbanks", builder, depth, ratios, name=name)
+
 
 #: The Table 1 benchmark suite: name -> constructor.
 TABLE1_SYSTEMS: Dict[str, Callable[[], SDFGraph]] = {
-    "nqmf23_4d": lambda: one_sided_filterbank(4, "23", name="nqmf23_4d"),
-    "qmf23_2d": lambda: two_sided_filterbank(2, "23", name="qmf23_2d"),
-    "qmf12_2d": lambda: two_sided_filterbank(2, "12", name="qmf12_2d"),
-    "qmf12_3d": lambda: two_sided_filterbank(3, "12", name="qmf12_3d"),
-    "qmf12_5d": lambda: two_sided_filterbank(5, "12", name="qmf12_5d"),
-    "qmf23_3d": lambda: two_sided_filterbank(3, "23", name="qmf23_3d"),
-    "qmf235_2d": lambda: two_sided_filterbank(2, "235", name="qmf235_2d"),
-    "qmf235_3d": lambda: two_sided_filterbank(3, "235", name="qmf235_3d"),
-    "qmf235_5d": lambda: two_sided_filterbank(5, "235", name="qmf235_5d"),
-    "satrec": satellite_receiver,
-    "16qamModem": qam16_modem,
-    "4pamxmitrec": pam4_transmitter_receiver,
-    "blockVox": block_vocoder,
-    "overAddFFT": overlap_add_fft,
-    "phasedArray": phased_array,
+    "nqmf23_4d": _filterbank("one_sided_filterbank", 4, "23", "nqmf23_4d"),
+    "qmf23_2d": _filterbank("two_sided_filterbank", 2, "23", "qmf23_2d"),
+    "qmf12_2d": _filterbank("two_sided_filterbank", 2, "12", "qmf12_2d"),
+    "qmf12_3d": _filterbank("two_sided_filterbank", 3, "12", "qmf12_3d"),
+    "qmf12_5d": _filterbank("two_sided_filterbank", 5, "12", "qmf12_5d"),
+    "qmf23_3d": _filterbank("two_sided_filterbank", 3, "23", "qmf23_3d"),
+    "qmf235_2d": _filterbank("two_sided_filterbank", 2, "235", "qmf235_2d"),
+    "qmf235_3d": _filterbank("two_sided_filterbank", 3, "235", "qmf235_3d"),
+    "qmf235_5d": _filterbank("two_sided_filterbank", 5, "235", "qmf235_5d"),
+    "satrec": _system(".satellite", "satellite_receiver"),
+    "16qamModem": _system(".ptolemy_demos", "qam16_modem"),
+    "4pamxmitrec": _system(".ptolemy_demos", "pam4_transmitter_receiver"),
+    "blockVox": _system(".ptolemy_demos", "block_vocoder"),
+    "overAddFFT": _system(".ptolemy_demos", "overlap_add_fft"),
+    "phasedArray": _system(".ptolemy_demos", "phased_array"),
 }
 
 

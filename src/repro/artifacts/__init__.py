@@ -17,12 +17,11 @@ native kernels or the compile service, so :mod:`repro.native` and
 each other.
 """
 
-from .cache import ArtifactCache, cache_key, default_cache_dir
-from .report import CompilationReport
+from .._lazy import attach
 
-__all__ = [
-    "ArtifactCache",
-    "CompilationReport",
-    "cache_key",
-    "default_cache_dir",
-]
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "ArtifactCache": ".cache",
+    "CompilationReport": ".report",
+    "cache_key": ".cache",
+    "default_cache_dir": ".cache",
+})

@@ -47,10 +47,12 @@ import json
 import os
 import tempfile
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from .. import __version__
-from .report import CompilationReport
+
+if TYPE_CHECKING:
+    from .report import CompilationReport
 
 __all__ = ["ArtifactCache", "cache_key", "default_cache_dir"]
 
@@ -243,6 +245,8 @@ class ArtifactCache:
         evicts the entry and counts as a miss — corruption is repaired
         by recomputation, never served.
         """
+        from .report import CompilationReport
+
         path = self.path_for(key)
         try:
             with open(path, encoding="utf-8") as handle:

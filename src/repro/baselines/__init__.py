@@ -1,14 +1,12 @@
 """Comparison baselines: flat-SAS sharing, dynamic scheduling, random search."""
 
-from .flat_sharing import FlatSharingResult, flat_shared_implementation
-from .dynamic_scheduler import DynamicScheduleResult, demand_driven_schedule
-from .random_search import RandomSearchResult, random_search
+from .._lazy import attach
 
-__all__ = [
-    "FlatSharingResult",
-    "flat_shared_implementation",
-    "DynamicScheduleResult",
-    "demand_driven_schedule",
-    "RandomSearchResult",
-    "random_search",
-]
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "FlatSharingResult": ".flat_sharing",
+    "flat_shared_implementation": ".flat_sharing",
+    "DynamicScheduleResult": ".dynamic_scheduler",
+    "demand_driven_schedule": ".dynamic_scheduler",
+    "RandomSearchResult": ".random_search",
+    "random_search": ".random_search",
+})

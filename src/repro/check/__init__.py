@@ -32,35 +32,21 @@ Entry points: ``python -m repro check [--trials N --seed S --inject]``
 and ``make check``.
 """
 
-from .harness import DEFAULT_FAMILIES, CheckFailure, CheckReport, run_check
-from .fault_injection import (
-    InjectionOutcome,
-    InjectionReport,
-    MUTATION_CLASSES,
-    run_injection_selftest,
-)
-from .oracles import (
-    PipelineArtifacts,
-    broadcast_oracles,
-    build_artifacts,
-    cyclic_oracles,
-    run_oracles,
-)
-from .shrink import shrink_graph
+from .._lazy import attach
 
-__all__ = [
-    "CheckFailure",
-    "CheckReport",
-    "DEFAULT_FAMILIES",
-    "InjectionOutcome",
-    "InjectionReport",
-    "MUTATION_CLASSES",
-    "PipelineArtifacts",
-    "broadcast_oracles",
-    "build_artifacts",
-    "cyclic_oracles",
-    "run_check",
-    "run_injection_selftest",
-    "run_oracles",
-    "shrink_graph",
-]
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "CheckFailure": ".harness",
+    "CheckReport": ".harness",
+    "DEFAULT_FAMILIES": ".harness",
+    "InjectionOutcome": ".fault_injection",
+    "InjectionReport": ".fault_injection",
+    "MUTATION_CLASSES": ".fault_injection",
+    "PipelineArtifacts": ".oracles",
+    "broadcast_oracles": ".oracles",
+    "build_artifacts": ".oracles",
+    "cyclic_oracles": ".oracles",
+    "run_check": ".harness",
+    "run_injection_selftest": ".fault_injection",
+    "run_oracles": ".oracles",
+    "shrink_graph": ".shrink",
+})

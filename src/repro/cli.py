@@ -56,7 +56,6 @@ from typing import List, Optional
 from .apps import TABLE1_SYSTEMS, table1_graph
 from .exceptions import GraphStructureError
 from .sdf.graph import SDFGraph
-from .sdf.io import load_graph, to_dot
 
 __all__ = ["main"]
 
@@ -102,6 +101,8 @@ def _resolve_graph(spec: str) -> SDFGraph:
     if spec in extra:
         return extra[spec]()
     if spec.endswith(".json"):
+        from .sdf.io import load_graph
+
         try:
             return load_graph(spec)
         except OSError as exc:
@@ -377,6 +378,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
+    from .sdf.io import to_dot
+
     sys.stdout.write(to_dot(_resolve_graph(args.graph)))
     return 0
 

@@ -1,15 +1,12 @@
 """Code generation: inline C emission and shared-memory execution checks."""
 
-from .c_emitter import emit_c
-from .py_emitter import compile_python, emit_python
-from .vm import SharedMemoryVM, run_shared_memory_check
-from .batched_vm import BatchedVM
+from .._lazy import attach
 
-__all__ = [
-    "emit_c",
-    "emit_python",
-    "compile_python",
-    "SharedMemoryVM",
-    "BatchedVM",
-    "run_shared_memory_check",
-]
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "emit_c": ".c_emitter",
+    "emit_python": ".py_emitter",
+    "compile_python": ".py_emitter",
+    "SharedMemoryVM": ".vm",
+    "BatchedVM": ".batched_vm",
+    "run_shared_memory_check": ".vm",
+})

@@ -10,29 +10,18 @@
   memory (section 11.1.4, after Sung et al. [25]).
 """
 
-from .buffer_merging import (
-    MergeCandidate,
-    find_merge_candidates,
-    merged_allocation,
-)
-from .regularity import (
-    compress_firing_sequence,
-    optimal_looping,
-    strip_instance_suffix,
-)
-from .higher_order import SubgraphTemplate, chain_expand, fir_graph
-from .nas import TwoAppearanceResult, two_appearance_search
+from .._lazy import attach
 
-__all__ = [
-    "MergeCandidate",
-    "find_merge_candidates",
-    "merged_allocation",
-    "optimal_looping",
-    "compress_firing_sequence",
-    "strip_instance_suffix",
-    "SubgraphTemplate",
-    "chain_expand",
-    "fir_graph",
-    "TwoAppearanceResult",
-    "two_appearance_search",
-]
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "MergeCandidate": ".buffer_merging",
+    "find_merge_candidates": ".buffer_merging",
+    "merged_allocation": ".buffer_merging",
+    "optimal_looping": ".regularity",
+    "compress_firing_sequence": ".regularity",
+    "strip_instance_suffix": ".regularity",
+    "SubgraphTemplate": ".higher_order",
+    "chain_expand": ".higher_order",
+    "fir_graph": ".higher_order",
+    "TwoAppearanceResult": ".nas",
+    "two_appearance_search": ".nas",
+})

@@ -1,18 +1,15 @@
 """Lifetime analysis: schedule trees, periodic intervals, extraction."""
 
-from .periodic import DEFAULT_OCCURRENCE_CAP, PeriodicLifetime
-from .schedule_tree import ScheduleTree, ScheduleTreeNode
-from .intervals import LifetimeSet, extract_lifetimes, lifetime_for_edge
-from .granularity import fine_grained_peak, granularity_levels
+from .._lazy import attach
 
-__all__ = [
-    "DEFAULT_OCCURRENCE_CAP",
-    "fine_grained_peak",
-    "granularity_levels",
-    "PeriodicLifetime",
-    "ScheduleTree",
-    "ScheduleTreeNode",
-    "LifetimeSet",
-    "extract_lifetimes",
-    "lifetime_for_edge",
-]
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "DEFAULT_OCCURRENCE_CAP": ".periodic",
+    "fine_grained_peak": ".granularity",
+    "granularity_levels": ".granularity",
+    "PeriodicLifetime": ".periodic",
+    "ScheduleTree": ".schedule_tree",
+    "ScheduleTreeNode": ".schedule_tree",
+    "LifetimeSet": ".intervals",
+    "extract_lifetimes": ".intervals",
+    "lifetime_for_edge": ".intervals",
+})

@@ -19,37 +19,21 @@ entry point silently takes the Python path — zero behavior change,
 counted as ``native.fallback`` via :mod:`repro.obs`.
 """
 
-from .build import (
-    CFLAGS,
-    build_kernel,
-    compiler_identity,
-    find_compiler,
-    kernel_key,
-    native_enabled,
-)
-from .kernels import (
-    BACKENDS,
-    NativeKernels,
-    get_kernels,
-    kernel_fault,
-    reset,
-    resolve_backend,
-)
-from .source import KERNEL_ABI_VERSION, KERNEL_SOURCE
+from .._lazy import attach
 
-__all__ = [
-    "BACKENDS",
-    "CFLAGS",
-    "KERNEL_ABI_VERSION",
-    "KERNEL_SOURCE",
-    "NativeKernels",
-    "build_kernel",
-    "compiler_identity",
-    "find_compiler",
-    "get_kernels",
-    "kernel_fault",
-    "kernel_key",
-    "native_enabled",
-    "reset",
-    "resolve_backend",
-]
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "BACKENDS": ".kernels",
+    "CFLAGS": ".build",
+    "KERNEL_ABI_VERSION": ".source",
+    "KERNEL_SOURCE": ".source",
+    "NativeKernels": ".kernels",
+    "build_kernel": ".build",
+    "compiler_identity": ".build",
+    "find_compiler": ".build",
+    "get_kernels": ".kernels",
+    "kernel_fault": ".kernels",
+    "kernel_key": ".build",
+    "native_enabled": ".build",
+    "reset": ".kernels",
+    "resolve_backend": ".kernels",
+})

@@ -34,35 +34,20 @@ format, surfaced as ``repro compile --trace``, ``repro check --trace``
 and ``repro stats``.
 """
 
-from .recorder import (
-    NULL_RECORDER,
-    NullRecorder,
-    Recorder,
-    Span,
-    TraceRecorder,
-    active,
-)
-from .runtime import activate, current
-from .export import (
-    chrome_trace_events,
-    format_stats,
-    write_chrome_trace,
-    write_jsonl,
-    write_trace,
-)
+from .._lazy import attach
 
-__all__ = [
-    "Recorder",
-    "Span",
-    "NullRecorder",
-    "NULL_RECORDER",
-    "TraceRecorder",
-    "active",
-    "activate",
-    "current",
-    "chrome_trace_events",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_trace",
-    "format_stats",
-]
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "Recorder": ".recorder",
+    "Span": ".recorder",
+    "NullRecorder": ".recorder",
+    "NULL_RECORDER": ".recorder",
+    "TraceRecorder": ".recorder",
+    "active": ".recorder",
+    "activate": ".runtime",
+    "current": ".runtime",
+    "chrome_trace_events": ".export",
+    "write_chrome_trace": ".export",
+    "write_jsonl": ".export",
+    "write_trace": ".export",
+    "format_stats": ".export",
+})

@@ -1,49 +1,36 @@
 """Scheduling algorithms: DPPO, SDPPO, chain DP, APGAN, RPMC, pipeline."""
 
-from .common import ChainContext, SplitTable, build_schedule_from_splits
-from .dppo import DPPOResult, dppo
-from .sdppo import SDPPOResult, sdppo
-from .chain_sdppo import ChainSDPPOResult, CostTriple, chain_sdppo, combine_triples
-from .apgan import APGANResult, apgan
-from .rpmc import RPMCResult, rpmc
-from .session import CompilationSession
-from .pipeline import BestResult, ImplementationResult, implement, implement_best
-from .cyclic import (
-    CyclicScheduleResult,
-    cluster_cycles,
-    schedule_cyclic,
-    strongly_connected_components,
-)
-from .exhaustive import OptimalSASResult, optimal_sas
-from .vectorize import VectorizeResult, vectorize_schedule
+from .._lazy import attach
 
-__all__ = [
-    "OptimalSASResult",
-    "optimal_sas",
-    "CyclicScheduleResult",
-    "cluster_cycles",
-    "schedule_cyclic",
-    "strongly_connected_components",
-    "ChainContext",
-    "SplitTable",
-    "build_schedule_from_splits",
-    "DPPOResult",
-    "dppo",
-    "SDPPOResult",
-    "sdppo",
-    "ChainSDPPOResult",
-    "CostTriple",
-    "chain_sdppo",
-    "combine_triples",
-    "APGANResult",
-    "apgan",
-    "RPMCResult",
-    "rpmc",
-    "CompilationSession",
-    "ImplementationResult",
-    "BestResult",
-    "implement",
-    "implement_best",
-    "VectorizeResult",
-    "vectorize_schedule",
-]
+# ``dppo``, ``sdppo``, ``chain_sdppo``, ``apgan`` and ``rpmc`` share
+# their submodule's name, so ``attach`` binds them eagerly.
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "OptimalSASResult": ".exhaustive",
+    "optimal_sas": ".exhaustive",
+    "CyclicScheduleResult": ".cyclic",
+    "cluster_cycles": ".cyclic",
+    "schedule_cyclic": ".cyclic",
+    "strongly_connected_components": ".cyclic",
+    "ChainContext": ".common",
+    "SplitTable": ".common",
+    "build_schedule_from_splits": ".common",
+    "DPPOResult": ".dppo",
+    "dppo": ".dppo",
+    "SDPPOResult": ".sdppo",
+    "sdppo": ".sdppo",
+    "ChainSDPPOResult": ".chain_sdppo",
+    "CostTriple": ".chain_sdppo",
+    "chain_sdppo": ".chain_sdppo",
+    "combine_triples": ".chain_sdppo",
+    "APGANResult": ".apgan",
+    "apgan": ".apgan",
+    "RPMCResult": ".rpmc",
+    "rpmc": ".rpmc",
+    "CompilationSession": ".session",
+    "ImplementationResult": ".pipeline",
+    "BestResult": ".pipeline",
+    "implement": ".pipeline",
+    "implement_best": ".pipeline",
+    "VectorizeResult": ".vectorize",
+    "vectorize_schedule": ".vectorize",
+})

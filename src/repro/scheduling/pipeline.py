@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..exceptions import GraphStructureError
 from ..sdf.graph import SDFGraph
@@ -32,12 +34,13 @@ from ..allocation.first_fit import Allocation, ffdur, ffstart
 from ..allocation.intersection_graph import build_intersection_graph
 from ..allocation.verify import verify_allocation
 from ..obs.recorder import active as _active_recorder
-from .apgan import apgan
 from .dppo import dppo
 from .rpmc import rpmc
 from .sdppo import sdppo
 from .session import CompilationSession
-from .vectorize import VectorizeResult, vectorize_schedule
+
+if TYPE_CHECKING:
+    from .vectorize import VectorizeResult
 
 __all__ = ["ImplementationResult", "implement", "implement_best", "BestResult"]
 
@@ -93,6 +96,8 @@ def _topological_order_for(
     if method == "rpmc":
         return rpmc(graph, q=q, seed=seed, recorder=recorder).order
     if method == "apgan":
+        from .apgan import apgan
+
         return apgan(graph, q=q, recorder=recorder).order
     if method == "natural":
         return graph.topological_order()
@@ -324,6 +329,8 @@ def implement(
         exec_schedule = sdppo_schedule
         if vectorize:
             with _stage(report, recorder, "vectorize") as meta:
+                from .vectorize import vectorize_schedule
+
                 vec_result = vectorize_schedule(
                     graph, sdppo_schedule, q,
                     memory_budget=memory_budget,

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sdf.bounds import bmlb
 from ..sdf.graph import SDFGraph
-from ..sdf.io import canonical_hash
 from ..sdf.repetitions import repetitions_vector
 from .chain_sdppo import ChainSDPPOResult, chain_sdppo
 from .common import (
@@ -93,6 +92,8 @@ class CompilationSession:
         entries, and its LRU slot always agree on identity.
         """
         if self._graph_digest is None:
+            from ..sdf.io import canonical_hash
+
             self._graph_digest = canonical_hash(self.graph)
         return self._graph_digest
 

@@ -55,52 +55,28 @@ The cache can be disabled end to end (``repro serve --no-cache``,
 case the service's outputs are bit-identical to the direct pipeline.
 """
 
-from ..artifacts import (
-    ArtifactCache,
-    CompilationReport,
-    cache_key,
-    default_cache_dir,
-)
-from .client import (
-    DEFAULT_URL,
-    BatchItemError,
-    ServeClientError,
-    compile_batch_remote,
-    compile_remote,
-    get_json,
-    resize_remote,
-)
-from .farm import (
-    FarmError,
-    FarmRequestError,
-    FarmTimeout,
-    FarmWorkerCrashed,
-    WorkerFarm,
-    rendezvous_shard,
-)
-from .server import DEFAULT_PORT, CompileServer
-from .service import CompileOptions, CompileService
+from .._lazy import attach
 
-__all__ = [
-    "ArtifactCache",
-    "cache_key",
-    "default_cache_dir",
-    "BatchItemError",
-    "CompilationReport",
-    "CompileOptions",
-    "CompileService",
-    "CompileServer",
-    "DEFAULT_PORT",
-    "DEFAULT_URL",
-    "FarmError",
-    "FarmRequestError",
-    "FarmTimeout",
-    "FarmWorkerCrashed",
-    "ServeClientError",
-    "WorkerFarm",
-    "compile_remote",
-    "compile_batch_remote",
-    "get_json",
-    "rendezvous_shard",
-    "resize_remote",
-]
+__getattr__, __dir__, __all__ = attach(__name__, globals(), {
+    "ArtifactCache": "..artifacts.cache",
+    "cache_key": "..artifacts.cache",
+    "default_cache_dir": "..artifacts.cache",
+    "BatchItemError": ".client",
+    "CompilationReport": "..artifacts.report",
+    "CompileOptions": ".service",
+    "CompileService": ".service",
+    "CompileServer": ".server",
+    "DEFAULT_PORT": ".server",
+    "DEFAULT_URL": ".client",
+    "FarmError": ".farm",
+    "FarmRequestError": ".farm",
+    "FarmTimeout": ".farm",
+    "FarmWorkerCrashed": ".farm",
+    "ServeClientError": ".client",
+    "WorkerFarm": ".farm",
+    "compile_remote": ".client",
+    "compile_batch_remote": ".client",
+    "get_json": ".client",
+    "rendezvous_shard": ".farm",
+    "resize_remote": ".client",
+})

@@ -121,6 +121,10 @@ _SINGLE_FLIGHT_CAP_S = 600.0
 _MEMO_MAX_BODY = 1 << 20
 _MEMO_MAX_ENTRIES = 512
 
+#: Largest request body read: a longer declared ``Content-Length`` is
+#: refused with a 413 before any of the body is read.
+MAX_BODY_BYTES = 64 << 20
+
 
 class _FastHeaders:
     """Case-insensitive header lookup over a plain dict.
@@ -317,7 +321,19 @@ class _Handler(BaseHTTPRequestHandler):
                 f"non-negative integer"
             ))
             return
-        length = int(declared)
+        # ``int`` refuses strings of over 4300 digits, so a length with
+        # more digits than the cap is refused before it is converted.
+        digits = declared.lstrip("0") or "0"
+        if (len(digits) > len(str(MAX_BODY_BYTES))
+                or int(digits) > MAX_BODY_BYTES):
+            # The unread body would be taken for the next request.
+            self.close_connection = True
+            self._reply_bytes(*owner.bad_request(
+                f"Content-Length exceeds the {MAX_BODY_BYTES}-byte "
+                f"body limit", code=413,
+            ))
+            return
+        length = int(digits)
         raw = self.rfile.read(length) if length else b""
         code, body, headers = owner.handle_raw(self.path, raw)
         self._reply_bytes(code, body, headers)
@@ -595,11 +611,13 @@ class CompileServer:
             headers or {},
         )
 
-    def bad_request(self, message: str) -> Tuple[int, bytes, Dict[str, str]]:
-        """A counted ``400`` for a request refused before its body."""
+    def bad_request(
+        self, message: str, code: int = 400
+    ) -> Tuple[int, bytes, Dict[str, str]]:
+        """A counted error reply for a request refused before its body."""
         with self._lock:
             self._counters["errors"] += 1
-        return self._err(400, message)
+        return self._err(code, message)
 
     def _parse_compile(self, raw: bytes) -> _Memo:
         """Parse + route one ``/compile`` body, memoized on its bytes.

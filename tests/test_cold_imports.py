@@ -5,8 +5,10 @@ stay out of a plain compile: numpy loads on first use by the
 vectorized DP or :class:`~repro.codegen.batched_vm.BatchedVM`, the
 native kernels reach the artifact cache through the leaf
 :mod:`repro.artifacts`, and the CLI imports codegen only under
-``--check``/``--emit-c``.  Each check runs in a fresh interpreter,
-since the test process itself has long since imported everything.
+``--check``/``--emit-c``.  Package ``__init__`` files re-export
+lazily, so sibling modules the compile never runs stay unloaded too.
+Each check runs in a fresh interpreter, since the test process itself
+has long since imported everything.
 """
 
 from __future__ import annotations
@@ -26,6 +28,39 @@ SERVICE_MODULES = (
     "repro.serve.farm",
     "repro.serve.client",
     "repro.serve.service",
+)
+
+#: Modules whose code a plain compile never runs; each loaded only
+#: through an eager package re-export before those became lazy.
+NEVER_LOADED = (
+    "repro.sdf.simulate",
+    "repro.sdf.random_graphs",
+    "repro.sdf.io",
+    "repro.sdf.transformations",
+    "repro.scheduling.vectorize",
+    "repro.scheduling.cyclic",
+    "repro.scheduling.exhaustive",
+    "repro.allocation.optimal",
+    "repro.lifetimes.granularity",
+    "repro.obs.export",
+    "repro.artifacts.report",
+    "repro.apps.filterbanks",
+    "repro.apps.homogeneous",
+    "repro.experiments",
+)
+
+#: The experiment harnesses ``repro.experiments`` used to load eagerly.
+HARNESS_MODULES = (
+    "repro.experiments.table1",
+    "repro.experiments.fig25",
+    "repro.experiments.random_graphs",
+    "repro.experiments.homogeneous_exp",
+    "repro.experiments.satrec_comparison",
+    "repro.experiments.cddat_io",
+    "repro.experiments.optimality_gap",
+    "repro.experiments.ablations",
+    "repro.baselines",
+    "repro.extensions",
 )
 
 
@@ -61,6 +96,18 @@ class TestColdCompile:
             assert name not in loaded
         assert "repro.serve" not in loaded
         assert "repro.codegen" not in loaded
+
+    @pytest.mark.parametrize("system", ["satrec", "16qamModem"])
+    def test_plain_compile_skips_unexecuted_modules(self, system):
+        loaded = _modules_after_compile(system)
+        assert sorted(set(NEVER_LOADED) & loaded) == []
+
+    def test_profile_and_jobs_load_only_the_runner(self):
+        loaded = _modules_after_compile(
+            "satrec", "--profile", "--jobs", "1"
+        )
+        assert "repro.experiments.runner" in loaded
+        assert sorted(set(HARNESS_MODULES) & loaded) == []
 
     def test_check_still_loads_codegen(self):
         loaded = _modules_after_compile("satrec", "--check")

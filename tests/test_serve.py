@@ -30,6 +30,7 @@ from repro.serve.client import (
     compile_remote,
     get_json,
 )
+from repro.serve.server import MAX_BODY_BYTES
 
 import random
 
@@ -397,7 +398,7 @@ def _raw_exchange(port: int, request: bytes, timeout: float = 5.0) -> bytes:
 
 
 class TestHostileContentLength:
-    """A bad ``Content-Length`` gets a one-line JSON 400, never a hang."""
+    """A bad or oversized ``Content-Length`` gets a one-line JSON error."""
 
     @pytest.mark.parametrize("declared", ["abc", "-1", "1_0", "+5", ""])
     def test_bad_length_400(self, live_server, declared):
@@ -410,6 +411,25 @@ class TestHostileContentLength:
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"\n" not in body
         assert "Content-Length" in json.loads(body)["error"]
+        assert get_json(live_server.url, "/healthz") == {"status": "ok"}
+        assert live_server.stats()["server"]["errors"] == 1
+
+    @pytest.mark.parametrize(
+        "declared", [str(MAX_BODY_BYTES + 1), "100000000000", "9" * 5000],
+        ids=["cap+1", "100GB", "5000-digits"],
+    )
+    def test_oversized_length_413(self, live_server, declared):
+        # The body is never sent: the reply must come from the header.
+        response = _raw_exchange(
+            live_server.port,
+            b"POST /compile HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: " + declared.encode() + b"\r\n\r\n",
+        )
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in head
+        assert b"\n" not in body
+        assert "body limit" in json.loads(body)["error"]
         assert get_json(live_server.url, "/healthz") == {"status": "ok"}
         assert live_server.stats()["server"]["errors"] == 1
 
