@@ -1,18 +1,13 @@
-"""Native kernel speedups: the cc-compiled hot core vs the Python paths.
+"""Native kernel speedups: the cc-compiled chain DP vs the Python path.
 
 Writes the ``BENCH_PR8.json`` perf trajectory file.  Three comparisons:
 
 * **chain-DP stage** — the SDPPO dynamic program (EQ 5) over one fixed
-  lexical order, timed three ways on random graphs of growing size:
-  ``scalar`` (the pure-Python loops, numpy disabled — the pre-numpy
-  baseline the 10x acceptance bar is anchored on), ``numpy`` (the
-  vectorized path the eligible sizes normally take), and ``native``
-  (the cc-compiled kernel).  Every mode must produce bit-identical
-  costs, tables and schedules; the native kernel must be >= 10x faster
-  than scalar at the largest size.
-* **first-fit** — the probe loop over the largest instance's extracted
-  lifetimes, python vs native (informational; the loop is rarely the
-  bottleneck but must not regress).
+  lexical order, timed two ways on random graphs of growing size:
+  ``scalar`` (the pure-Python recurrence the 10x acceptance bar is
+  anchored on) and ``native`` (the cc-compiled kernel).  Both modes
+  must produce bit-identical costs, tables and schedules; the native
+  kernel must be >= 10x faster than scalar at the largest size.
 * **kernel artifact cache** — one cold ``cc`` build into a throwaway
   cache vs the content-addressed reload every later process pays.
 * **end-to-end cold compile** — the same large document through an
@@ -40,10 +35,8 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import repro.scheduling.common as common  # noqa: E402
-from repro.allocation.first_fit import ffdur  # noqa: E402
 from repro.experiments.runner import TimingReport  # noqa: E402
 from repro.native import build_kernel, get_kernels  # noqa: E402
-from repro.scheduling.pipeline import implement  # noqa: E402
 from repro.scheduling.sdppo import sdppo  # noqa: E402
 from repro.sdf.io import to_json  # noqa: E402
 from repro.sdf.random_graphs import random_sdf_graph  # noqa: E402
@@ -63,8 +56,6 @@ def _time_sdppo(graph, order, mode):
     isolates the DP itself.
     """
     context = common.ChainContext(graph, order)
-    if mode == "scalar":
-        context.use_numpy = False
     backend = "native" if mode == "native" else "python"
     t0 = time.perf_counter()
     result = sdppo(graph, order, context=context, backend=backend)
@@ -73,7 +64,7 @@ def _time_sdppo(graph, order, mode):
 
 def bench_dp(report, repeat):
     """The chain-DP sweep; returns the largest size's scalar/native ratio."""
-    modes = ["scalar", "native"] + (["numpy"] if common._HAVE_NUMPY else [])
+    modes = ["scalar", "native"]
     final_speedup = None
     for n in SIZES:
         graph = random_sdf_graph(n, seed=5, max_repetition=6)
@@ -97,9 +88,6 @@ def bench_dp(report, repeat):
             "scalar_wall_s": round(best["scalar"], 6),
             "speedup_vs_scalar": round(speedup_scalar, 2),
         }
-        if "numpy" in best:
-            row["numpy_wall_s"] = round(best["numpy"], 6)
-            row["speedup_vs_numpy"] = round(best["numpy"] / best["native"], 2)
         report.record(f"sdppo_native_n{n}", best["native"], **row)
         print(
             f"  sdppo n={n}: scalar {1000 * best['scalar']:8.1f}ms  "
@@ -108,35 +96,6 @@ def bench_dp(report, repeat):
         )
         final_speedup = speedup_scalar
     return final_speedup
-
-
-def bench_first_fit(report, repeat):
-    """Python vs native probe loop over a large extracted instance."""
-    graph = random_sdf_graph(SIZES[-1], seed=5, max_repetition=6)
-    result = implement(graph, "apgan", verify=False, backend="python")
-    buffers = result.lifetimes.as_list()
-    wig = result.allocation.graph
-    best = {"python": None, "native": None}
-    totals = set()
-    for _ in range(max(1, repeat)):
-        for mode in ("python", "native"):
-            t0 = time.perf_counter()
-            alloc = ffdur(buffers, graph=wig, backend=mode)
-            wall = time.perf_counter() - t0
-            totals.add((alloc.total, tuple(sorted(alloc.offsets.items()))))
-            if best[mode] is None or wall < best[mode]:
-                best[mode] = wall
-    assert len(totals) == 1, "first-fit backends disagree"
-    report.record(
-        "first_fit_native", best["native"],
-        buffers=len(buffers),
-        python_wall_s=round(best["python"], 6),
-        speedup_vs_python=round(best["python"] / best["native"], 2),
-    )
-    print(
-        f"  first_fit ({len(buffers)} buffers): python "
-        f"{1000 * best['python']:.2f}ms  native {1000 * best['native']:.2f}ms"
-    )
 
 
 def bench_kernel_cache(report):
@@ -206,8 +165,6 @@ def main(argv=None):
     report = TimingReport()
     print("chain-DP stage:")
     dp_speedup = bench_dp(report, args.repeat)
-    print("first-fit stage:")
-    bench_first_fit(report, args.repeat)
     print("kernel artifact cache:")
     bench_kernel_cache(report)
     print("end-to-end:")

@@ -50,7 +50,6 @@ def first_fit(
     graph: Optional[IntersectionGraph] = None,
     occurrence_cap: int = DEFAULT_OCCURRENCE_CAP,
     recorder=None,
-    backend: str = "python",
 ) -> Allocation:
     """First-fit allocation of an enumerated instance (figure 19).
 
@@ -68,11 +67,6 @@ def first_fit(
         Optional :class:`repro.obs.Recorder`; receives one
         ``first_fit.probes`` count per placed-neighbour comparison —
         the heuristic's unit of work.
-    backend:
-        ``"native"``/``"auto"`` run the cc-compiled probe loop where
-        available (bit-identical offsets and probe counts; falls
-        through silently otherwise); ``"python"`` (default) never
-        dispatches.
     """
     names = [b.name for b in buffers]
     if len(set(names)) != len(names):
@@ -84,45 +78,25 @@ def first_fit(
     if sorted(order) != list(range(len(buffers))):
         raise AllocationError("order must be a permutation of the instance")
 
-    offsets: Optional[Dict[int, int]] = None
-    if backend != "python" and buffers:
-        from ..native import resolve_backend
-
-        _, kernels = resolve_backend(backend)
-        if kernels is not None:
-            native = kernels.first_fit(
-                [graph.buffers[i].size for i in range(len(buffers))],
-                list(order),
-                graph.neighbors,
-            )
-            if native is not None:
-                placed_at, probes = native
-                # Insert in placement order so the name->offset dict
-                # below iterates exactly like the Python loop's.
-                offsets = {i: placed_at[i] for i in order}
-                if recorder is not None:
-                    recorder.count("first_fit.probes", probes)
-                    recorder.count("native.first_fit")
-    if offsets is None:
-        probes = 0
-        offsets = {}
-        for i in order:
-            b = buffers[i]
-            placed = [
-                (offsets[j], graph.buffers[j].size)
-                for j in graph.neighbors[i]
-                if j in offsets and graph.buffers[j].size > 0
-            ]
-            placed.sort()
-            candidate = 0
-            for base, size in placed:
-                probes += 1
-                if candidate + b.size <= base:
-                    break  # fits in the gap before this neighbour
-                candidate = max(candidate, base + size)
-            offsets[i] = candidate
-        if recorder is not None:
-            recorder.count("first_fit.probes", probes)
+    probes = 0
+    offsets: Dict[int, int] = {}
+    for i in order:
+        b = buffers[i]
+        placed = [
+            (offsets[j], graph.buffers[j].size)
+            for j in graph.neighbors[i]
+            if j in offsets and graph.buffers[j].size > 0
+        ]
+        placed.sort()
+        candidate = 0
+        for base, size in placed:
+            probes += 1
+            if candidate + b.size <= base:
+                break  # fits in the gap before this neighbour
+            candidate = max(candidate, base + size)
+        offsets[i] = candidate
+    if recorder is not None:
+        recorder.count("first_fit.probes", probes)
 
     total = max(
         (offsets[i] + buffers[i].size for i in range(len(buffers))), default=0
@@ -140,21 +114,21 @@ def ffdur(
     graph: Optional[IntersectionGraph] = None,
     occurrence_cap: int = DEFAULT_OCCURRENCE_CAP,
     recorder=None,
-    backend: str = "python",
+    backend: Optional[str] = None,
 ) -> Allocation:
     """First-fit ordered by decreasing duration (ties: larger size first).
 
     The reference study found duration ordering the best performer;
     long-lived buffers placed early end up at low addresses, letting
-    short-lived ones fill gaps above them.
+    short-lived ones fill gaps above them.  ``backend`` is accepted and
+    ignored (first-fit has one implementation); ``perfbench`` still
+    passes it.
     """
     order = sorted(
         range(len(buffers)),
         key=lambda i: (-buffers[i].duration, -buffers[i].size, buffers[i].start),
     )
-    return first_fit(
-        buffers, order, graph, occurrence_cap, recorder=recorder, backend=backend
-    )
+    return first_fit(buffers, order, graph, occurrence_cap, recorder=recorder)
 
 
 def ffstart(
@@ -162,13 +136,14 @@ def ffstart(
     graph: Optional[IntersectionGraph] = None,
     occurrence_cap: int = DEFAULT_OCCURRENCE_CAP,
     recorder=None,
-    backend: str = "python",
+    backend: Optional[str] = None,
 ) -> Allocation:
-    """First-fit ordered by increasing earliest start time."""
+    """First-fit ordered by increasing earliest start time.
+
+    ``backend`` is ignored, as in :func:`ffdur`.
+    """
     order = sorted(
         range(len(buffers)),
         key=lambda i: (buffers[i].start, -buffers[i].size),
     )
-    return first_fit(
-        buffers, order, graph, occurrence_cap, recorder=recorder, backend=backend
-    )
+    return first_fit(buffers, order, graph, occurrence_cap, recorder=recorder)

@@ -682,18 +682,17 @@ def inject_cyclic_schedule(
 def inject_native_kernel(
     art: PipelineArtifacts, rng: random.Random
 ) -> Optional[InjectionOutcome]:
-    """Arm a seeded fault inside the compiled kernels; the differential
+    """Arm a fault inside the compiled DP kernel; the differential
     comparison against the Python pipeline must notice.
 
-    Two fault kinds, the shapes of real kernel bugs: ``dp_cell`` skews
-    one cell of the DP cost table (a bad index or combiner in the C
-    loop), ``probe`` shifts one first-fit placement (an off-by-one in
-    the probe scan).  Caught means the faulted native run's outputs
-    differ from the clean pipeline's — exactly what the
-    ``oracle.native`` bit-identity comparison checks on every trial.
-    Without a usable kernel (no compiler, ``REPRO_NATIVE=0``) the
-    armed contract is the *fallback*: a native-requested compile must
-    silently produce the Python result bit for bit.
+    The ``dp_cell`` fault skews one cell of the DP cost table, the shape
+    of a real kernel bug (a bad index or combiner in the C loop).
+    Caught means the faulted native run's outputs differ from the clean
+    pipeline's — exactly what the ``oracle.native`` bit-identity
+    comparison checks on every trial.  Without a usable kernel (no
+    compiler, ``REPRO_NATIVE=0``) the armed contract is the *fallback*:
+    a native-requested compile must silently produce the Python result
+    bit for bit.
     """
     from ..native import get_kernels, kernel_fault
     from ..scheduling.pipeline import implement
@@ -716,8 +715,7 @@ def inject_native_kernel(
                 + ("bit-identical to python" if identical else "DIVERGED")
             ),
         )
-    kind = rng.choice(("dp_cell", "probe"))
-    with kernel_fault(kind):
+    with kernel_fault("dp_cell"):
         mutated = implement(
             art.graph, art.method, seed=art.seed,
             occurrence_cap=art.occurrence_cap, verify=False,
@@ -731,7 +729,7 @@ def inject_native_kernel(
         graph_seed=art.seed,
         caught=caught,
         detail=(
-            f"armed {kind!r} kernel fault; "
+            "armed 'dp_cell' kernel fault; "
             + (
                 f"differential caught it on {', '.join(differing)}"
                 if caught

@@ -349,8 +349,7 @@ def run_check(
         def violations_for(candidate: SDFGraph, rec=None) -> List[str]:
             if family == "cyclic":
                 return cyclic_oracles(
-                    candidate, occurrence_cap=occurrence_cap, recorder=rec,
-                    backend=backend,
+                    candidate, occurrence_cap=occurrence_cap, recorder=rec
                 )
             return _violations_for(
                 candidate, method, seed, occurrence_cap, recorder=rec,

@@ -757,8 +757,7 @@ def vectorize_oracles(
             continue
         lifetimes = extract_lifetimes(art.graph, vec.schedule, art.q)
         allocation = first_fit(
-            lifetimes.as_list(), occurrence_cap=art.occurrence_cap,
-            backend=art.backend,
+            lifetimes.as_list(), occurrence_cap=art.occurrence_cap
         )
         engines = {}
         for label, vm_class in (
@@ -800,7 +799,6 @@ def cyclic_oracles(
     graph: SDFGraph,
     occurrence_cap: int = DEFAULT_OCCURRENCE_CAP,
     recorder: Optional[object] = None,
-    backend: str = "auto",
 ) -> List[str]:
     """``schedule_cyclic`` output against the token interpreter.
 
@@ -849,33 +847,10 @@ def cyclic_oracles(
         try:
             lifetimes = extract_lifetimes(graph, schedule, q)
             buffers = lifetimes.as_list()
-            allocation = first_fit(
-                buffers, occurrence_cap=occurrence_cap, backend=backend
-            )
+            allocation = first_fit(buffers, occurrence_cap=occurrence_cap)
             verify_allocation(buffers, allocation, occurrence_cap)
         except SDFError as exc:
             return bad + [f"cyclic: downstream pipeline failed: {exc}"]
-        if backend != "python":
-            # Differential leg for the cyclic family, which never goes
-            # through implement(): the native probe loop must place the
-            # cyclic instance exactly like the Python loop.
-            from ..native import get_kernels
-
-            if get_kernels() is not None:
-                pure = first_fit(
-                    buffers, occurrence_cap=occurrence_cap,
-                    backend="python",
-                )
-                if (
-                    allocation.offsets != pure.offsets
-                    or allocation.total != pure.total
-                ):
-                    bad.append(
-                        f"cyclic: native first-fit placement "
-                        f"({allocation.offsets}, total "
-                        f"{allocation.total}) differs from python "
-                        f"({pure.offsets}, total {pure.total})"
-                    )
         bad.extend(
             _execution_checks(
                 graph, q, lifetimes, allocation, recorder=recorder

@@ -590,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--backend", default="auto", choices=["auto", "python", "native"],
-        help="kernel backend for the DP/first-fit hot loops (auto: "
-             "cc-compiled native kernels when a compiler is available, "
+        help="kernel backend for the chain DP (auto: "
+             "the cc-compiled native kernel when a compiler is available, "
              "silently falling back to python; results are "
              "bit-identical either way)",
     )
@@ -612,8 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check", action="store_true",
         help="execute the schedule against the allocation (batched "
-             "numpy VM when --vectorize is active, scalar VM "
-             "otherwise)",
+             "VM when --vectorize is active, scalar VM otherwise)",
     )
     p.add_argument(
         "--profile", action="store_true",
@@ -655,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--backend", default="auto", choices=["auto", "python", "native"],
-        help="kernel backend for the DP/first-fit hot loops "
+        help="kernel backend for the chain DP "
              "(bit-identical results; native counters show up in the "
              "stats table)",
     )
@@ -748,9 +747,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend", default="auto", choices=["auto", "python", "native"],
-        help="kernel backend the trial pipelines compile with; when "
-             "native kernels are available the oracle.native group "
-             "cross-checks both backends regardless",
+        help="kernel backend for the chain DP the trial pipelines "
+             "compile with; when the native kernel is available the "
+             "oracle.native group cross-checks both backends regardless",
     )
     p.add_argument(
         "--bench-out", metavar="FILE", default=None,

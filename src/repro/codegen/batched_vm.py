@@ -1,16 +1,21 @@
-"""Vectorized shared-memory execution: one array op per firing block.
+"""Vectorized shared-memory execution: one slice op per firing block.
 
 :class:`BatchedVM` runs the same memory discipline as
 :class:`repro.codegen.vm.SharedMemoryVM` — linear per-episode cursors
 reset at the buffer's least-parent loop, circular cursors for delayed
 edges, one physical write per broadcast group — but executes each
 schedule-tree leaf (a counted firing block) as one batched transfer
-instead of ``residual`` scalar firings.  Token identity lives in two
-parallel int64 arrays (``mem_edge``/``mem_seq``) over the shared
-address space, so a whole block's writes are one fancy-indexed store
-and a whole block's reads are one gather-and-compare; slot positions
-come from the closed form of the scalar VM's wrap rule (a cursor that
-only ever advances by ``token_size`` from zero wraps exactly every
+instead of ``residual`` scalar firings.  Token identity lives in one
+plain list (``memory``) over the shared address space, each word
+holding the integer code ``seq * buffers + eid`` of the token written
+there, so consecutive tokens of one buffer carry an arithmetic
+progression of codes.  A block covers at most a few contiguous runs of
+words — one for a linear buffer, a new one at each wrap of a circular
+buffer — so its writes are one slice assignment per run and its reads
+one slice comparison per run, with a per-word scan only on a mismatch
+to locate the first bad token.  Slot positions come from the closed
+form of the scalar VM's wrap rule (a cursor that only ever advances by
+``token_size`` from zero wraps exactly every
 ``size_words // token_size`` tokens).
 
 The observable contract is the scalar VM's: the same ``firings`` and
@@ -32,12 +37,6 @@ the scalar VM catches it.  On allocations that verify cleanly the two
 VMs are observationally identical; the check harness therefore keeps
 the scalar VM as the corruption oracle and uses this one to check the
 vectorized execution path itself.
-
-numpy is imported by the first constructor call, not with the module,
-so code that only imports :mod:`repro.codegen` (or never executes)
-does not pay for it.  When numpy is unavailable the transfers degrade
-to per-token Python loops with identical semantics (the repo-wide
-optional-acceleration convention).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ __all__ = ["BatchedVM"]
 
 Key = Tuple[str, str, int]
 
-#: ``mem_edge`` value for never-written words (the scalar VM's None).
+#: ``memory`` value for never-written words (the scalar VM's None).
 _UNWRITTEN = -1
 
 
@@ -127,19 +126,6 @@ class BatchedVM:
         self.graph = graph
         self.lifetimes = lifetimes
         self.allocation = allocation
-        total = max(allocation.total, 1)
-        try:  # optional acceleration; the VM has a pure-Python path
-            import numpy as np
-        except ImportError:  # pragma: no cover
-            np = None
-        #: numpy, bound once per VM; ``None`` selects the list path.
-        self._np = np
-        if np is not None:
-            self.mem_edge = np.full(total, _UNWRITTEN, dtype=np.int64)
-            self.mem_seq = np.zeros(total, dtype=np.int64)
-        else:  # pragma: no cover - exercised only without numpy
-            self.mem_edge = [_UNWRITTEN] * total
-            self.mem_seq = [0] * total
         self._edges: Dict[Key, _BufState] = {}
         self._groups: Dict[str, _BGroup] = {}
         self._reset_at: Dict[int, List] = {}
@@ -185,6 +171,21 @@ class BatchedVM:
                     [first.source] + [m.sink for m in members],
                 )
                 self._reset_at.setdefault(id(lp), []).append(group)
+
+        #: Token code stride: ``seq * stride + eid`` is unique per
+        #: (buffer, sequence number) and decodes with one divmod.
+        self._stride = len(self._eid_key)
+        #: Token code per shared-memory word.  It spans every buffer's
+        #: extent, so a buffer placed past ``allocation.total`` shows
+        #: up as ``peak_address`` beyond the pool (the harness's check).
+        states = list(self._edges.values()) + [
+            g.write for g in self._groups.values()
+        ]
+        extent = max(
+            [allocation.total, 1]
+            + [st.base + st.size_words for st in states]
+        )
+        self.memory: List[int] = [_UNWRITTEN] * extent
 
         # Actors whose blocks must run firing-at-a-time: a self-loop
         # (or a broadcast group the actor both feeds and consumes)
@@ -322,24 +323,34 @@ class BatchedVM:
             )
         return k_reset
 
-    def _indices(self, state: _BufState, start_slot: int, m: int):
-        """Word indices of ``m`` consecutive token slots (maybe wrapped)."""
+    def _runs(
+        self, state: _BufState, start_slot: int, m: int
+    ) -> List[Tuple[int, int, int]]:
+        """``(first token, first word, tokens)`` per contiguous run.
+
+        A linear block is one run; a circular block starts a new run
+        at each wrap of its buffer.
+        """
         ts = state.edge.token_size
-        np = self._np
-        if np is not None:
-            sl = start_slot + np.arange(m, dtype=np.int64)
-            if state.circular:
-                sl %= state.slots
-            return (
-                state.base + sl[:, None] * ts
-                + np.arange(ts, dtype=np.int64)[None, :]
-            ).ravel()
-        sl = [start_slot + j for j in range(m)]  # pragma: no cover
-        if state.circular:  # pragma: no cover
-            sl = [s % state.slots for s in sl]
-        return [  # pragma: no cover
-            state.base + s * ts + w for s in sl for w in range(ts)
-        ]
+        if not state.circular:
+            return [(0, state.base + start_slot * ts, m)]
+        slots = state.slots or 1
+        runs = []
+        j, slot = 0, start_slot
+        while j < m:
+            k = min(m - j, slots - slot)
+            runs.append((j, state.base + slot * ts, k))
+            j += k
+            slot = 0
+        return runs
+
+    def _codes(self, first: int, k: int, ts: int) -> List[int]:
+        """Word codes of ``k`` consecutive tokens from code ``first``."""
+        step = self._stride
+        codes = range(first, first + k * step, step)
+        if ts == 1:
+            return list(codes)
+        return [c for c in codes for _ in range(ts)]
 
     def _bump_peak(self, state: _BufState, start_slot: int, m: int) -> None:
         # The highest write top over the block: linear runs end at the
@@ -359,17 +370,13 @@ class BatchedVM:
         start = self._slot_start(
             state, m, state.wr_k, state.produced, True, base_firings, rate
         )
-        idx = self._indices(state, start, m)
         ts = state.edge.token_size
-        np = self._np
-        if np is not None:
-            seqs = state.produced + np.arange(m, dtype=np.int64)
-            self.mem_edge[idx] = state.eid
-            self.mem_seq[idx] = np.repeat(seqs, ts)
-        else:  # pragma: no cover - exercised only without numpy
-            for j, i in enumerate(idx):
-                self.mem_edge[i] = state.eid
-                self.mem_seq[i] = state.produced + j // ts
+        first = state.produced * self._stride + state.eid
+        memory = self.memory
+        for j, word, k in self._runs(state, start, m):
+            memory[word:word + k * ts] = self._codes(
+                first + j * self._stride, k, ts
+            )
         self._bump_peak(state, start, m)
         state.produced += m
         if not state.circular:
@@ -378,10 +385,11 @@ class BatchedVM:
 
     def _found_token(self, address: int) -> Optional[Tuple[Key, int]]:
         """Reconstruct the scalar VM's token value at one address."""
-        eid = int(self.mem_edge[address])
-        if eid == _UNWRITTEN:
+        code = self.memory[address]
+        if code == _UNWRITTEN:
             return None
-        return (self._eid_key[eid], int(self.mem_seq[address]))
+        seq, eid = divmod(code, self._stride)
+        return (self._eid_key[eid], seq)
 
     def _gather_compare(
         self,
@@ -395,27 +403,20 @@ class BatchedVM:
         rate: int,
     ) -> None:
         """Read ``m`` tokens and verify identity, locating any mismatch."""
-        idx = self._indices(state, start, m)
         ts = state.edge.token_size
-        np = self._np
-        if np is not None:
-            seqs = np.repeat(first_seq + np.arange(m, dtype=np.int64), ts)
-            bad = (self.mem_edge[idx] != expect_eid) | (
-                self.mem_seq[idx] != seqs
+        step = self._stride
+        first = first_seq * step + expect_eid
+        memory = self.memory
+        for j, word, k in self._runs(state, start, m):
+            end = word + k * ts
+            codes = self._codes(first + j * step, k, ts)
+            if memory[word:end] == codes:
+                continue
+            pos = next(
+                p for p, c in enumerate(codes) if memory[word + p] != c
             )
-            pos = int(np.argmax(bad)) if bool(bad.any()) else -1
-        else:  # pragma: no cover - exercised only without numpy
-            pos = -1
-            for j, i in enumerate(idx):
-                if (
-                    self.mem_edge[i] != expect_eid
-                    or self.mem_seq[i] != first_seq + j // ts
-                ):
-                    pos = j
-                    break
-        if pos >= 0:
-            tok = pos // ts
-            address = int(idx[pos])
+            tok = j + pos // ts
+            address = word + pos
             firing = base_firings + tok // rate + 1
             raise CodegenError(
                 f"token corruption on {describe}: expected token "

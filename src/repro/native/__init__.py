@@ -1,16 +1,15 @@
-"""cc-compiled native kernels for the scheduler's hot core.
+"""cc-compiled native kernel for the scheduler's hot core.
 
-The chain DP (``dp_over_context`` — DPPO's EQ 2 and SDPPO's EQ 5,
-including the episodic/persistent split for delayed graphs) and the
-first-fit probe loop are the compile path's inner loops.  This package
-compiles them once with the system C compiler into a small shared
-object, content-addressed in the artifact cache (keyed by kernel
-source + compiler identity + cflags + ABI), loads it via ctypes, and
-dispatches to it behind ``backend="auto"|"python"|"native"`` at the
+The chain DP (DPPO's EQ 2 and SDPPO's EQ 5, including the
+episodic/persistent split for delayed graphs) is the compile path's
+inner loop.  This package compiles it once with the system C compiler
+into a small shared object, content-addressed in the artifact cache
+(keyed by kernel source + compiler identity + cflags + ABI), loads it
+via ctypes, and dispatches to it behind ``backend="auto"|"python"|"native"`` at the
 ``implement``/``CompilationSession`` level.
 
-The contract is *bit-identity*: the native kernels produce exactly the
-bytes the pure-Python paths produce (same first-minimum tie-breaks,
+The contract is *bit-identity*: the native kernel produces exactly the
+bytes the scalar Python DP produces (same first-minimum tie-breaks,
 same exact integer arithmetic, same factoring decisions), pinned by
 the differential harness across the acyclic, broadcast, and cyclic
 trial families and by a dedicated ``native_kernel`` fault-injection

@@ -1,12 +1,10 @@
 """ctypes bindings over the compiled kernel shared object.
 
-:class:`NativeKernels` wraps the loaded library with Python-shaped
-entry points mirroring the pure paths they replace:
-:meth:`NativeKernels.dp_over_context` returns the same
-``(b, split, factored)`` triple as
-:func:`repro.scheduling.common.dp_over_context`, and
-:meth:`NativeKernels.first_fit` the same ``(offsets, probes)`` the
-probe loop in :func:`repro.allocation.first_fit.first_fit` produces.
+:class:`NativeKernels` wraps the loaded library with a Python-shaped
+entry point mirroring the pure path it replaces:
+:meth:`NativeKernels.dp_over_context` returns the ``(b, split,
+factored)`` triple the scalar DP in :func:`repro.scheduling.dppo.dppo`
+and :func:`repro.scheduling.sdppo.sdppo` builds.
 
 Loading is memoized per process (one ``dlopen`` however many
 ``implement`` calls run) behind :func:`get_kernels`; a failed build is
@@ -16,9 +14,8 @@ mid-process (tests, operators) takes effect immediately.
 
 The module also hosts the ``native_kernel`` fault-injection hook
 (:func:`kernel_fault`): while armed, each kernel invocation perturbs
-one result cell — one DP cost or one placement — the way a real
-miscompiled kernel would, so the differential harness can prove it
-notices.
+one DP cost cell the way a real miscompiled kernel would, so the
+differential harness can prove it notices.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import ctypes
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .build import build_kernel, native_enabled
 from .source import KERNEL_ABI_VERSION
@@ -44,10 +41,6 @@ __all__ = [
 #: The dispatch vocabulary accepted everywhere a backend is chosen.
 BACKENDS = ("auto", "python", "native")
 
-#: int64 bound on DP accumulations / total placed extent, matching the
-#: numpy guard in :class:`ChainContext`.
-_INT64_SAFE = 2 ** 62
-
 _FACTORING_CODES = {"auto": 0, "always": 1, "never": 2}
 
 #: Armed fault kind for the ``native_kernel`` mutation class, or None.
@@ -58,12 +51,10 @@ _FAULT: Dict[str, Optional[str]] = {"kind": None}
 def kernel_fault(kind: str):
     """Arm the native fault hook for the enclosed block.
 
-    ``kind`` is ``"dp_cell"`` (each DP invocation's final cost cell is
-    bumped by one word) or ``"probe"`` (each first-fit invocation
-    mis-places its last buffer by one word — the effect of one wrong
-    probe verdict).  Only the fault-injection self-test uses this.
+    ``kind`` is ``"dp_cell"``: each DP invocation's final cost cell is
+    bumped by one word.  Only the fault-injection self-test uses this.
     """
-    if kind not in ("dp_cell", "probe"):
+    if kind != "dp_cell":
         raise ValueError(f"unknown native fault kind {kind!r}")
     previous = _FAULT["kind"]
     _FAULT["kind"] = kind
@@ -118,19 +109,13 @@ class NativeKernels:
             ctypes.c_int32, ctypes.c_int32, ctypes.c_int32,
             i64p, i64p, u8p, i64p, i64p,
         )
-        lib.repro_first_fit.restype = ctypes.c_int
-        lib.repro_first_fit.argtypes = (
-            ctypes.c_int64,
-            i64p, i64p, i64p, i64p,
-            i64p, i64p, i64p,
-        )
 
     # -- chain DP -------------------------------------------------------
     def _context_state(self, context) -> tuple:
         """Flattened int64 ctypes copies of the context's prefix/gcd grids.
 
-        Cached on the context (like ``_numpy_state``) so the DPPO and
-        SDPPO runs over one order flatten the tables once.
+        Cached on the context so the DPPO and SDPPO runs over one order
+        flatten the tables once.
         """
         state = context._native_state
         if state is None:
@@ -161,10 +146,10 @@ class NativeKernels:
     ) -> Tuple[
         List[List[int]], Dict[Tuple[int, int], int], Dict[Tuple[int, int], bool]
     ]:
-        """EQ 2 / EQ 5 DP in C; same contract as ``dp_over_context``.
+        """EQ 2 / EQ 5 DP in C: ``(b rows, split, factored)``.
 
         The caller must have checked ``context.use_native`` (the int64
-        overflow guard); results are bit-identical to both pure paths.
+        overflow guard); results are bit-identical to the scalar DP.
         """
         n = context.n
         pt, pd, pp, g = self._context_state(context)
@@ -202,48 +187,6 @@ class NativeKernels:
                 zip(keys, map(_TRUTH.__getitem__, map(facts.__getitem__, idx)))
             )
         return rows, split, factored
-
-    # -- first fit ------------------------------------------------------
-    def first_fit(
-        self,
-        sizes: Sequence[int],
-        order: Sequence[int],
-        neighbors: Sequence[Union[set, frozenset, Sequence[int]]],
-    ) -> Optional[Tuple[List[int], int]]:
-        """The probe loop in C: ``(offsets by buffer index, probes)``.
-
-        Returns ``None`` when the instance is not int64-safe (total
-        placed extent could exceed the bound) — the caller then runs
-        the Python loop, exactly like the DP's overflow bail-out.
-        """
-        nb = len(sizes)
-        if nb == 0:
-            return [], 0
-        if sum(sizes) + max(sizes) >= _INT64_SAFE:
-            return None
-        sizes_arr = (ctypes.c_int64 * nb)(*sizes)
-        order_arr = (ctypes.c_int64 * nb)(*order)
-        indptr = (ctypes.c_int64 * (nb + 1))()
-        flat: List[int] = []
-        for i in range(nb):
-            flat.extend(sorted(neighbors[i]))
-            indptr[i + 1] = len(flat)
-        indices = (ctypes.c_int64 * max(1, len(flat)))(*flat)
-        scratch = (ctypes.c_int64 * (2 * nb))()
-        offsets = (ctypes.c_int64 * nb)()
-        probes = ctypes.c_int64(0)
-        rc = self._lib.repro_first_fit(
-            nb, sizes_arr, order_arr, indptr, indices,
-            scratch, offsets, ctypes.byref(probes),
-        )
-        if rc != 0:
-            raise RuntimeError(f"repro_first_fit returned {rc}")
-        out = list(offsets)
-        if _fault_armed("probe"):
-            # The injected bug: the last placement lands one word high,
-            # as one wrong gap-fit verdict would leave it.
-            out[order[-1]] += 1
-        return out, probes.value
 
 
 # -- process-wide loader ------------------------------------------------

@@ -1,16 +1,12 @@
-"""The C source for the native hot-core kernels.
+"""The C source for the native chain-DP kernel.
 
-The kernels mirror, statement for statement, the pure-Python inner
-loops they replace:
-
-* ``repro_dp`` — the O(n^3) chain DP over a :class:`ChainContext`
-  (EQ 2 non-shared sum combiner, EQ 5 shared max combiner, and the
-  shared episodic/persistent split for delayed graphs), including the
-  crossing-cost window evaluation as inline prefix-rectangle queries
-  and the section 5.1 auto-factoring decision;
-* ``repro_first_fit`` — the first-fit probe loop over periodic
-  lifetimes (figure 19), including the probe counter the observability
-  layer reports.
+``repro_dp`` mirrors, statement for statement, the pure-Python chain
+DP of :func:`repro.scheduling.dppo.dppo` and
+:func:`repro.scheduling.sdppo.sdppo`: the O(n^3) recurrence over a
+:class:`ChainContext` (EQ 2 non-shared sum combiner, EQ 5 shared max
+combiner, and the shared episodic/persistent split for delayed graphs),
+including the crossing-cost window evaluation as inline
+prefix-rectangle queries and the section 5.1 auto-factoring decision.
 
 Bit-identity contract
 ---------------------
@@ -20,11 +16,7 @@ Every arithmetic step matches the Python path exactly:
   Python's ``//`` (the caller guards against overflow before
   dispatching here — see ``ChainContext.use_native``);
 * the split scan keeps the *first* minimum (strict ``<`` while walking
-  ``k`` ascending), matching both ``list.index(min(...))`` and
-  ``numpy.argmin``;
-* first-fit sorts placed neighbours by ``(base, size)``; ties are
-  fully identical pairs, so an unstable ``qsort`` cannot reorder
-  observably.
+  ``k`` ascending), matching ``list.index(min(...))``.
 
 The source string is part of the kernel's content address
 (:func:`repro.native.build.kernel_key`): editing it here produces a
@@ -39,10 +31,10 @@ __all__ = ["KERNEL_SOURCE", "KERNEL_ABI_VERSION"]
 #: Bumped whenever an exported signature changes shape; the loader
 #: refuses a binary whose baked-in version disagrees (belt-and-braces
 #: on top of content addressing).
-KERNEL_ABI_VERSION = 1
+KERNEL_ABI_VERSION = 2
 
 KERNEL_SOURCE = r"""
-/* repro native kernels: chain DP + first-fit probe loop.
+/* repro native kernel: the chain DP.
  *
  * Generated/maintained as a template string in repro/native/source.py;
  * compiled on demand with `cc -O2 -fPIC -shared` and content-addressed
@@ -54,9 +46,8 @@ KERNEL_SOURCE = r"""
  */
 
 #include <stdint.h>
-#include <stdlib.h>
 
-#define REPRO_ABI_VERSION 1
+#define REPRO_ABI_VERSION 2
 
 int64_t repro_abi_version(void) { return REPRO_ABI_VERSION; }
 
@@ -66,7 +57,7 @@ int64_t repro_abi_version(void) { return REPRO_ABI_VERSION; }
     ((P)[((r1) + 1) * (m) + (c1) + 1] - (P)[(r0) * (m) + (c1) + 1]   \
      - (P)[((r1) + 1) * (m) + (c0)] + (P)[(r0) * (m) + (c0)])
 
-/* The chain DP of dppo/sdppo/dp_over_context.
+/* The chain DP of dppo/sdppo.
  *
  *   n          actors in the lexical order
  *   pt, pd, pp (n+1)^2 row-major prefix grids: TNSE words, delay
@@ -117,7 +108,7 @@ int repro_dp(int64_t n,
                             + cost;
                 }
                 /* strict < after the first candidate: first minimum,
-                 * matching list.index(min(...)) and numpy argmin. */
+                 * matching list.index(min(...)). */
                 if (best_k < 0 || total < best) {
                     best = total;
                     best_cost = cost;
@@ -143,73 +134,6 @@ int repro_dp(int64_t n,
             }
         }
     }
-    return 0;
-}
-
-/* One placed neighbour: its base offset and size, sorted ascending by
- * (base, size) exactly like Python's tuple sort.  Equal pairs are
- * indistinguishable, so qsort's instability cannot change the scan. */
-typedef struct {
-    int64_t base;
-    int64_t size;
-} repro_ff_pair;
-
-static int repro_ff_cmp(const void *pa, const void *pb)
-{
-    const repro_ff_pair *a = (const repro_ff_pair *)pa;
-    const repro_ff_pair *b = (const repro_ff_pair *)pb;
-    if (a->base != b->base)
-        return a->base < b->base ? -1 : 1;
-    if (a->size != b->size)
-        return a->size < b->size ? -1 : 1;
-    return 0;
-}
-
-/* First-fit over an enumerated instance (figure 19).
- *
- *   nb         number of buffers
- *   sizes      per-buffer word sizes
- *   order      placement order (a permutation of 0..nb-1)
- *   indptr     CSR row pointers into indices (nb+1 entries)
- *   indices    flattened intersection-graph adjacency lists
- *   scratch    caller-allocated 2*nb int64 (pair sort buffer)
- *   offsets    out nb chosen base offsets
- *   probes_out out total placed-neighbour comparisons
- */
-int repro_first_fit(int64_t nb,
-                    const int64_t *sizes, const int64_t *order,
-                    const int64_t *indptr, const int64_t *indices,
-                    int64_t *scratch,
-                    int64_t *offsets, int64_t *probes_out)
-{
-    repro_ff_pair *pairs = (repro_ff_pair *)scratch;
-    int64_t probes = 0;
-    int64_t t, p;
-    for (t = 0; t < nb; t++)
-        offsets[t] = -1; /* -1 = not yet placed */
-    for (t = 0; t < nb; t++) {
-        int64_t i = order[t];
-        int64_t cnt = 0;
-        int64_t candidate = 0;
-        for (p = indptr[i]; p < indptr[i + 1]; p++) {
-            int64_t jn = indices[p];
-            if (offsets[jn] >= 0 && sizes[jn] > 0) {
-                pairs[cnt].base = offsets[jn];
-                pairs[cnt].size = sizes[jn];
-                cnt++;
-            }
-        }
-        qsort(pairs, (size_t)cnt, sizeof(repro_ff_pair), repro_ff_cmp);
-        for (p = 0; p < cnt; p++) {
-            probes++;
-            if (candidate + sizes[i] <= pairs[p].base)
-                break; /* fits in the gap before this neighbour */
-            if (pairs[p].base + pairs[p].size > candidate)
-                candidate = pairs[p].base + pairs[p].size;
-        }
-        offsets[i] = candidate;
-    }
-    *probes_out = probes;
     return 0;
 }
 """

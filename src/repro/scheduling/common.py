@@ -19,7 +19,6 @@ Positions are 0-based; a *window* ``(i, j)`` covers actors
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib.util import find_spec
 from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -29,19 +28,12 @@ from ..sdf.repetitions import repetitions_vector, total_tokens_exchanged
 from ..sdf.schedule import Firing, Loop, LoopedSchedule, ScheduleNode
 from ..sdf.topsort import is_topological_order
 
-#: Whether the vectorized DP is available.  numpy is an optional
-#: acceleration (every algorithm has a pure-Python path) that costs
-#: about 100 ms to import, so this only checks that it is installed;
-#: the first :func:`dp_over_context` to run imports it.
-_HAVE_NUMPY = find_spec("numpy") is not None
-
 __all__ = [
     "ChainContext",
     "build_schedule_from_splits",
     "SplitTable",
     "aggregate_pair_weights",
     "broadcast_group_weights",
-    "dp_over_context",
 ]
 
 
@@ -54,7 +46,7 @@ def aggregate_pair_weights(
     to edges carrying initial tokens — the *persistent* edges whose
     circular buffers stay live across the whole period and therefore
     cannot share memory with anything (see EQ 5's episodic/persistent
-    split in :func:`dp_over_context`).
+    split in :func:`repro.scheduling.sdppo.sdppo`).
 
     Order-invariant, so a compilation session computes it once per graph
     and every per-order :class:`ChainContext` reuses it.
@@ -233,23 +225,11 @@ class ChainContext:
         #: shared DP reduces to the plain EQ 5 recurrence.
         self.has_delays = dws[self.n][self.n] > 0
         self._scan_arrays: Optional[tuple] = None
-        self._np_state: Optional[tuple] = None
-        # The vectorized DP stores prefix sums in int64; bail out to the
-        # pure-Python path (exact big ints) if DP accumulations could
-        # overflow: costs are bounded by the total weight times the
-        # nesting depth.  Below ~30 actors the per-length array overhead
-        # exceeds the win, so small chains stay pure Python.
+        #: Whether the cc-compiled DP kernel may run.  It accumulates
+        #: in int64, so contexts whose costs could overflow (bounded by
+        #: the total weight times the nesting depth) take the exact
+        #: big-int Python path instead.
         total_w = tws[self.n][self.n] + dws[self.n][self.n]
-        self.use_numpy = (
-            _HAVE_NUMPY
-            and self.n >= 30
-            and (total_w + 1) * (self.n + 2) < 2**62
-        )
-        #: Whether the cc-compiled DP kernel may run: same int64
-        #: accumulation bound as the numpy path but no size floor — a
-        #: C call is cheap enough for small windows, and running native
-        #: everywhere maximizes differential coverage.  Ineligible
-        #: contexts (big-int weights) silently take the Python path.
         self.use_native = (
             self.n >= 2 and (total_w + 1) * (self.n + 2) < 2**62
         )
@@ -273,7 +253,7 @@ class ChainContext:
         diagonal (T = twT - diag_t, D = dwT - diag_d, A = T + D), and
         per row the tw/dw prefix sum, so the scan zips two (gcd 1) or
         four contiguous slices instead of six.  Built lazily — the
-        vectorized DP never needs them.
+        native DP never needs them.
         """
         if self._scan_arrays is None:
             tws, dws = self._tw_prefix, self._dw_prefix
@@ -290,18 +270,6 @@ class ChainContext:
             ]
             self._scan_arrays = (colT, colD, colA, sum_prefix)
         return self._scan_arrays
-
-    def _numpy_state(self) -> tuple:
-        """int64 copies of the prefix/gcd tables for the vectorized DP."""
-        if self._np_state is None:
-            import numpy as np
-
-            Pt = np.asarray(self._tw_prefix, dtype=np.int64)
-            Pd = np.asarray(self._dw_prefix, dtype=np.int64)
-            Pp = np.asarray(self._ptw_prefix, dtype=np.int64)
-            G = np.asarray(self._g, dtype=np.int64) if self.n else None
-            self._np_state = (Pt, Pd, Pp, G)
-        return self._np_state
 
     # ------------------------------------------------------------------
     def window_gcd(self, i: int, j: int) -> int:
@@ -416,103 +384,6 @@ class ChainContext:
         ptw = self._rect(self._ptw_prefix, k, k, k + 1, k + 1)
         dw = self._rect(self._dw_prefix, k, k, k + 1, k + 1)
         return ptw // g + dw
-
-
-def dp_over_context(
-    context: ChainContext,
-    shared: bool,
-    factoring: str = "auto",
-) -> Tuple[List[List[int]], Dict[Tuple[int, int], int], Dict[Tuple[int, int], bool]]:
-    """Vectorized EQ 2 / EQ 5 DP over ``context`` (requires numpy).
-
-    Processes one window length per step: all windows of that length
-    are strided views into the DP table and the weight prefix sums, so
-    each anti-diagonal costs a constant number of array operations.
-    Returns ``(b, split, factored)`` with ``b`` the dense cost table
-    (rows of plain ints), matching the pure-Python DP bit for bit —
-    ``argmin`` and ``list.index`` both take the first minimum, and all
-    arithmetic is exact int64 (guarded by ``context.use_numpy``).
-
-    ``shared`` selects the combiner.  Non-shared (EQ 2) sums the
-    halves.  Shared (EQ 5) splits every cost into an *episodic* part
-    (delayless buffers, live only during their episode — combined with
-    ``max``) and a *persistent* part (delayed-edge circular buffers,
-    live across the whole period — always summed):
-
-        total = max(ep_l, ep_r) + pers_l + pers_r + c_ij[k]
-
-    The persistent part of the crossing cost cancels in the total (it
-    is included in ``c_ij[k]``), so only the episodic/persistent book
-    tables need the extra rectangle query.  On a delayless graph every
-    persistent term is zero and the recurrence collapses to the plain
-    ``max(left, right) + c`` form, so that path skips the bookkeeping.
-
-    ``factored`` is only meaningful for the shared DP, where
-    ``factoring`` applies the section 5.1 policy; the non-shared DP
-    always factors.
-    """
-    import numpy as np
-
-    n = context.n
-    Pt, Pd, Pp, G = context._numpy_state()
-    s0, s1 = Pt.strides
-    b = np.zeros((n, n), dtype=np.int64)
-    bs0, bs1 = b.strides
-    split: Dict[Tuple[int, int], int] = {}
-    factored: Dict[Tuple[int, int], bool] = {}
-    strided = np.lib.stride_tricks.as_strided
-    pers_split = shared and context.has_delays
-    if pers_split:
-        ep = np.zeros((n, n), dtype=np.int64)
-        pers = np.zeros((n, n), dtype=np.int64)
-
-    def rect(P, L, W, K):
-        # Crossing cost rectangles with r = i+d+1, jj = i+L:
-        # x = P[r][jj] - P[i][jj] - P[r][r] + P[i][r].
-        return (
-            strided(P[1:, L:], shape=(W, K), strides=(s0 + s1, s0))
-            - np.diagonal(P, offset=L)[:W, None]
-            - strided(P[1:, 1:], shape=(W, K), strides=(s0 + s1, s0 + s1))
-            + strided(P[:, 1:], shape=(W, K), strides=(s0 + s1, s1))
-        )
-
-    for L in range(2, n + 1):
-        W = n - L + 1  # windows of this length
-        K = L - 1  # splits per window; d = k - i below
-        rows = np.arange(W)
-        tw = rect(Pt, L, W, K)
-        dw = rect(Pd, L, W, K)
-        g = np.diagonal(G, offset=L - 1)[:W, None]  # g[i][i+L-1]
-        cost = tw // g + dw
-        if pers_split:
-            # ep_l[i, d] = ep[i, i+d]; ep_r[i, d] = ep[i+d+1, i+L-1],
-            # likewise the persistent halves.
-            ep_l = strided(ep, shape=(W, K), strides=(bs0 + bs1, bs1))
-            ep_r = strided(ep[1:, L - 1:], shape=(W, K), strides=(bs0 + bs1, bs0))
-            p_l = strided(pers, shape=(W, K), strides=(bs0 + bs1, bs1))
-            p_r = strided(pers[1:, L - 1:], shape=(W, K), strides=(bs0 + bs1, bs0))
-            total = np.maximum(ep_l, ep_r) + p_l + p_r + cost
-        else:
-            # left[i, d] = b[i, i+d]; right[i, d] = b[i+d+1, i+L-1].
-            left = strided(b, shape=(W, K), strides=(bs0 + bs1, bs1))
-            right = strided(b[1:, L - 1:], shape=(W, K), strides=(bs0 + bs1, bs0))
-            total = (np.maximum(left, right) if shared else left + right) + cost
-        kd = np.argmin(total, axis=1)
-        b[rows, rows + K] = total[rows, kd]
-        if pers_split:
-            p_cost = rect(Pp, L, W, K) // g + dw
-            new_pers = p_l[rows, kd] + p_r[rows, kd] + p_cost[rows, kd]
-            pers[rows, rows + K] = new_pers
-            ep[rows, rows + K] = total[rows, kd] - new_pers
-        keys = list(zip(rows.tolist(), (rows + K).tolist()))
-        split.update(zip(keys, (rows + kd).tolist()))
-        if shared:
-            if factoring == "auto":
-                flags = (cost[rows, kd] > 0).tolist()
-            else:
-                flags = [factoring == "always"] * W
-            factored.update(zip(keys, flags))
-    return b.tolist(), split, factored
 
 
 @dataclass

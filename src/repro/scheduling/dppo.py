@@ -24,12 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sdf.graph import SDFGraph
 from ..sdf.schedule import LoopedSchedule
-from .common import (
-    ChainContext,
-    SplitTable,
-    build_schedule_from_splits,
-    dp_over_context,
-)
+from .common import ChainContext, SplitTable, build_schedule_from_splits
 
 __all__ = ["DPPOResult", "dppo"]
 
@@ -50,12 +45,15 @@ class DPPOResult:
         The full DP cost table ``b[(i, j)]`` (useful for diagnostics and
         for the optimality proofs exercised in tests); derived on demand
         from the raw DP rows so the hot path never pays for it.
+    split:
+        The chosen split ``k`` per window ``(i, j)``.
     """
 
     cost: int
     schedule: LoopedSchedule
     order: List[str]
     b: List[List[int]]
+    split: Dict[Tuple[int, int], int]
 
     @property
     def table(self) -> Dict[Tuple[int, int], int]:
@@ -80,10 +78,10 @@ def dppo(
     same order share one precomputation.
 
     ``backend`` selects the DP implementation: ``"python"`` (the
-    default; vectorizes with numpy on large eligible contexts),
-    ``"native"`` or ``"auto"`` to run the cc-compiled kernel where
-    available and eligible — bit-identical results either way, with a
-    silent fall-through to the Python path when the kernel cannot run.
+    default) runs the scalar recurrence below, ``"native"`` or
+    ``"auto"`` the cc-compiled kernel where available and eligible —
+    bit-identical results either way, with a silent fall-through to
+    the Python path when the kernel cannot run.
 
     Examples
     --------
@@ -111,9 +109,7 @@ def dppo(
         _, kernels = resolve_backend(backend)
         if kernels is not None:
             b, split, _ = kernels.dp_over_context(context, shared=False)
-    if b is None and context.use_numpy:
-        b, split, _ = dp_over_context(context, shared=False)
-    elif b is None:
+    if b is None:
         # b[i][j] = optimal cost of window (i, j), kept both row-major
         # and transposed so the split scan zips two contiguous slices:
         # the left halves b[i][i..j-1] and the right halves b[i+1..j][j].
@@ -143,4 +139,5 @@ def dppo(
         schedule=schedule,
         order=list(order),
         b=b,
+        split=split,
     )

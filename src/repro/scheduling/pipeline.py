@@ -198,12 +198,11 @@ def implement(
         counters (DP cells, window-cache hits, first-fit probes...).
         The default ``None`` takes the uninstrumented code path.
     backend:
-        Kernel backend for the hot loops: ``"python"`` runs the pure
-        interpreter (and numpy, when eligible) paths only; ``"native"``
-        and ``"auto"`` run the cc-compiled DP and first-fit kernels
-        (:mod:`repro.native`) when a compiler is available —
-        bit-identical results, with a silent fall-through to Python
-        (counted as ``native.fallback``) otherwise.  ``None`` (the
+        Kernel backend for the DPPO/SDPPO chain DP: ``"python"`` runs
+        the scalar recurrence only; ``"native"`` and ``"auto"`` run the
+        cc-compiled DP kernel (:mod:`repro.native`) when a compiler is
+        available — bit-identical results, with a silent fall-through
+        to Python (counted as ``native.fallback``) otherwise.  ``None`` (the
         default) inherits the session's backend, itself ``"auto"`` by
         default.  The section 6 chain DP always runs in Python.
     vectorize:
@@ -335,7 +334,6 @@ def implement(
                     graph, sdppo_schedule, q,
                     memory_budget=memory_budget,
                     occurrence_cap=occurrence_cap,
-                    backend=eff_backend,
                     recorder=recorder,
                 )
                 exec_schedule = vec_result.schedule
@@ -352,11 +350,11 @@ def implement(
         with _stage(report, recorder, "first_fit"):
             alloc_dur = ffdur(
                 buffers, graph=wig, occurrence_cap=occurrence_cap,
-                recorder=recorder, backend=eff_backend,
+                recorder=recorder,
             )
             alloc_start = ffstart(
                 buffers, graph=wig, occurrence_cap=occurrence_cap,
-                recorder=recorder, backend=eff_backend,
+                recorder=recorder,
             )
             best = (
                 alloc_dur if alloc_dur.total <= alloc_start.total

@@ -39,12 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sdf.graph import SDFGraph
 from ..sdf.schedule import LoopedSchedule
-from .common import (
-    ChainContext,
-    SplitTable,
-    build_schedule_from_splits,
-    dp_over_context,
-)
+from .common import ChainContext, SplitTable, build_schedule_from_splits
 
 __all__ = ["SDPPOResult", "sdppo"]
 
@@ -55,14 +50,15 @@ class SDPPOResult:
 
     ``cost`` is the shared-model buffer memory *estimate* in words;
     ``schedule`` the chosen nested SAS; ``table`` the DP cost table
-    (derived on demand from the raw DP rows ``b``); ``factored`` the
-    per-window factoring decisions.
+    (derived on demand from the raw DP rows ``b``); ``split`` the chosen
+    split per window; ``factored`` the per-window factoring decisions.
     """
 
     cost: int
     schedule: LoopedSchedule
     order: List[str]
     b: List[List[int]]
+    split: Dict[Tuple[int, int], int]
     factored: Dict[Tuple[int, int], bool]
 
     @property
@@ -126,15 +122,7 @@ def sdppo(
             b, split, factored = kernels.dp_over_context(
                 context, shared=True, factoring=factoring
             )
-    if b is not None:
-        pass
-    elif context.use_numpy:
-        # Section 5.1 heuristic ("auto"): factor iff the merge has
-        # internal edges — crossing cost positive at the chosen split.
-        b, split, factored = dp_over_context(
-            context, shared=True, factoring=factoring
-        )
-    elif not context.has_delays:
+    if b is None and not context.has_delays:
         # Delayless graphs: every buffer is episodic, so EQ 5 is the
         # plain max-combiner recurrence.  b[i][j] = optimal cost of
         # window (i, j), kept both row-major and transposed so the
@@ -167,7 +155,7 @@ def sdppo(
                     factored[(i, j)] = costs[best_k - i] > 0
                 else:
                     factored[(i, j)] = factoring == "always"
-    else:
+    elif b is None:
         # Delayed edges hold live tokens across the whole period, so
         # their circular buffers are *persistent* — they can never
         # share memory — while delayless buffers stay episodic and
@@ -227,5 +215,6 @@ def sdppo(
         schedule=schedule,
         order=list(order),
         b=b,
+        split=split,
         factored=factored,
     )

@@ -188,7 +188,6 @@ def blocked_cost(
     schedule: LoopedSchedule,
     q: Optional[Dict[str, int]] = None,
     occurrence_cap: int = DEFAULT_OCCURRENCE_CAP,
-    backend: str = "python",
 ) -> int:
     """Honest shared-memory cost of a (blocked) SAS, in words.
 
@@ -207,12 +206,8 @@ def blocked_cost(
     lifetimes = extract_lifetimes(graph, schedule, q)
     buffers = lifetimes.as_list()
     wig = build_intersection_graph(buffers, occurrence_cap=occurrence_cap)
-    dur = ffdur(
-        buffers, graph=wig, occurrence_cap=occurrence_cap, backend=backend
-    )
-    start = ffstart(
-        buffers, graph=wig, occurrence_cap=occurrence_cap, backend=backend
-    )
+    dur = ffdur(buffers, graph=wig, occurrence_cap=occurrence_cap)
+    start = ffstart(buffers, graph=wig, occurrence_cap=occurrence_cap)
     return min(dur.total, start.total)
 
 
@@ -259,7 +254,7 @@ def vectorize_schedule(
     q: Optional[Dict[str, int]] = None,
     memory_budget: Optional[int] = None,
     occurrence_cap: int = DEFAULT_OCCURRENCE_CAP,
-    backend: str = "python",
+    backend: Optional[str] = None,
     recorder=None,
 ) -> VectorizeResult:
     """Block consecutive firings of ``schedule`` under a memory budget.
@@ -278,7 +273,8 @@ def vectorize_schedule(
     The result's schedule is always validated against the token
     interpreter before being returned; schedules the cost model cannot
     process (non-single-appearance cyclic expansions) fall back to the
-    identity with ``cost=None``.
+    identity with ``cost=None``.  ``backend`` is ignored, as in
+    :func:`repro.allocation.first_fit.ffdur`.
     """
     if q is None:
         q = repetitions_vector(graph)
@@ -301,7 +297,7 @@ def vectorize_schedule(
 
     try:
         baseline_cost = blocked_cost(
-            graph, base, q, occurrence_cap=occurrence_cap, backend=backend
+            graph, base, q, occurrence_cap=occurrence_cap
         )
     except SDFError:
         # The cost model needs a single appearance schedule; cyclic
@@ -326,8 +322,7 @@ def vectorize_schedule(
             steps += 1
         if steps:
             current_cost = blocked_cost(
-                graph, current, q,
-                occurrence_cap=occurrence_cap, backend=backend,
+                graph, current, q, occurrence_cap=occurrence_cap
             )
             current_blocks = dispatch_blocks(current)[0]
     else:
@@ -336,8 +331,7 @@ def vectorize_schedule(
             for cand in fission_candidates(graph, current):
                 try:
                     cost = blocked_cost(
-                        graph, cand, q,
-                        occurrence_cap=occurrence_cap, backend=backend,
+                        graph, cand, q, occurrence_cap=occurrence_cap
                     )
                 except SDFError:
                     continue

@@ -124,7 +124,7 @@ def _negate(x):
 
 
 class TestVectorizedDPEquivalence:
-    """The numpy DP path must match the pure-Python DP bit for bit."""
+    """The native DP kernel must match the scalar Python DP bit for bit."""
 
     def _cases(self):
         for name in ("satrec", "qmf12_3d", "16qamModem"):
@@ -133,34 +133,39 @@ class TestVectorizedDPEquivalence:
             for seed in (0, 7):
                 yield f"rand{size}_{seed}", random_sdf_graph(size, seed=seed)
 
-    def test_numpy_matches_pure_python(self):
-        pytest.importorskip("numpy")
+    def test_native_matches_pure_python(self):
+        from repro.native import get_kernels
         from repro.scheduling.common import ChainContext
         from repro.scheduling.dppo import dppo
         from repro.scheduling.sdppo import sdppo
         from repro.sdf.repetitions import repetitions_vector
 
+        if get_kernels() is None:
+            pytest.skip("native kernel unavailable (no cc, or REPRO_NATIVE=0)")
         for name, graph in self._cases():
             q = repetitions_vector(graph)
             order = graph.topological_order()
             fast = ChainContext(graph, order, q, trusted=True)
             slow = ChainContext(graph, order, q, trusted=True)
-            fast.use_numpy = True
-            slow.use_numpy = False
-            d_fast = dppo(graph, order, q, context=fast)
-            d_slow = dppo(graph, order, q, context=slow)
+            assert fast.use_native, name
+            d_fast = dppo(graph, order, q, context=fast, backend="native")
+            d_slow = dppo(graph, order, q, context=slow, backend="python")
             assert d_fast.cost == d_slow.cost, name
             assert d_fast.b == d_slow.b, name
+            assert d_fast.split == d_slow.split, name
             assert str(d_fast.schedule) == str(d_slow.schedule), name
             for factoring in ("auto", "always", "never"):
                 s_fast = sdppo(
-                    graph, order, q, factoring=factoring, context=fast
+                    graph, order, q, factoring=factoring, context=fast,
+                    backend="native",
                 )
                 s_slow = sdppo(
-                    graph, order, q, factoring=factoring, context=slow
+                    graph, order, q, factoring=factoring, context=slow,
+                    backend="python",
                 )
                 assert s_fast.cost == s_slow.cost, (name, factoring)
                 assert s_fast.b == s_slow.b, (name, factoring)
+                assert s_fast.split == s_slow.split, (name, factoring)
                 assert s_fast.factored == s_slow.factored, (name, factoring)
                 assert str(s_fast.schedule) == str(s_slow.schedule), (
                     name,

@@ -9,12 +9,16 @@ observables *and* byte-identical errors), the block-at-a-time
 (``implement(..., vectorize=True)``).
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.allocation.first_fit import Allocation, first_fit
 from repro.apps import cd_to_dat
 from repro.codegen.batched_vm import BatchedVM
 from repro.codegen.vm import SharedMemoryVM, run_shared_memory_check
-from repro.exceptions import ScheduleError
+from repro.exceptions import CodegenError, ScheduleError
+from repro.lifetimes.intervals import extract_lifetimes
 from repro.scheduling.pipeline import implement
 from repro.scheduling.vectorize import (
     blocked_cost,
@@ -277,6 +281,117 @@ class TestBatchedVM:
             g, result.lifetimes, result.allocation,
             periods=3, vm_class=BatchedVM,
         )
+
+
+class _WrapCountingVM(BatchedVM):
+    """BatchedVM that counts block runs split at a circular wrap."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.wraps = 0
+
+    def _runs(self, state, start_slot, m):
+        runs = super()._runs(state, start_slot, m)
+        self.wraps += len(runs) - 1
+        return runs
+
+
+def _artifacts(graph, text):
+    """Lifetimes and a first-fit allocation for schedule ``text``."""
+    lifetimes = extract_lifetimes(
+        graph, parse_schedule(text), repetitions_vector(graph)
+    )
+    return lifetimes, first_fit(lifetimes.as_list())
+
+
+def _outcomes(graph, lifetimes, allocation, periods=2):
+    """Per VM (scalar, batched): its counters, or its error message."""
+    outcomes = []
+    for vm_class in (SharedMemoryVM, _WrapCountingVM):
+        vm = vm_class(graph, lifetimes, allocation)
+        try:
+            vm.run(periods=periods)
+        except CodegenError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append(
+                (vm.firings, vm.firings_per_actor, vm.peak_address)
+            )
+    return outcomes, vm
+
+
+def _sized_chain(token_size):
+    """``chain_graph`` with every edge carrying ``token_size`` words."""
+    g = SDFGraph("chain")
+    g.add_actors("ABC")
+    g.add_edge("A", "B", 2, 1, token_size=token_size)
+    g.add_edge("B", "C", 1, 3, token_size=token_size)
+    return g
+
+
+@pytest.mark.parametrize("token_size", [1, 3])
+class TestBatchedVMAgainstScalar:
+    """Block transfers reproduce the scalar VM's counters and errors."""
+
+    def test_token_sizes(self, token_size):
+        g = _sized_chain(token_size)
+        (scalar, batched), _ = _outcomes(g, *_artifacts(g, "(3A)(6B)(2C)"))
+        assert batched == scalar
+        assert scalar[0] == 2 * 11
+
+    def test_delayed_block_wraps_circular_buffer(self, token_size):
+        g = SDFGraph("wrap")
+        g.add_actors("AB")
+        g.add_edge("A", "B", 2, 1, delay=1, token_size=token_size)
+        (scalar, batched), vm = _outcomes(
+            g, *_artifacts(g, "A(2B)"), periods=3
+        )
+        assert batched == scalar
+        assert vm.wraps > 0
+
+    def test_forged_overlay_raises_scalar_corruption(self, token_size):
+        # B's output buffer forged one word into A->C's, which is still
+        # live until C runs: both VMs must fail at C's first firing on
+        # the same word.
+        g = SDFGraph("fork")
+        g.add_actors("ABC")
+        g.add_edge("A", "B", 4, 1, token_size=token_size)
+        g.add_edge("B", "C", 1, 2, token_size=token_size)
+        ac = g.add_edge("A", "C", 4, 2, token_size=token_size)
+        lifetimes, allocation = _artifacts(g, "A(4B)(2C)")
+        offsets = dict(allocation.offsets)
+        ac_name = lifetimes.lifetimes[ac.key].name
+        bc_name = lifetimes.lifetimes[("B", "C", 0)].name
+        offsets[bc_name] = offsets[ac_name] + 1
+        sizes = {b.name: b.size for b in lifetimes.as_list()}
+        forged = Allocation(
+            offsets=offsets,
+            total=max(offsets[n] + sizes[n] for n in offsets),
+            order=allocation.order,
+            graph=allocation.graph,
+        )
+        (scalar, batched), _ = _outcomes(g, lifetimes, forged)
+        assert scalar.startswith(f"token corruption on {ac}:")
+        assert f"at address {offsets[ac_name] + 1} " in scalar
+        assert batched == scalar
+
+    def test_shrunk_buffer_raises_scalar_overrun(self, token_size):
+        # A->B shrunk from 6 token slots to 4 (plus a stray word): the
+        # fifth token overruns it, the first write of A's third firing.
+        g = _sized_chain(token_size)
+        lifetimes, _ = _artifacts(g, "(3A)(6B)(2C)")
+        key = ("A", "B", 0)
+        lt = lifetimes.lifetimes[key]
+        size = lt.size - token_size - 1
+        shrunk = replace(
+            lifetimes,
+            lifetimes={**lifetimes.lifetimes, key: replace(lt, size=size)},
+        )
+        allocation = first_fit(shrunk.as_list())
+        (scalar, batched), _ = _outcomes(g, shrunk, allocation)
+        assert "overruns its array" in scalar
+        assert scalar.endswith("(firing 3)")
+        assert batched == scalar
 
 
 class TestVectorizedPipeline:
