@@ -26,8 +26,9 @@ check:
 check-docs:
 	$(PYTHON) scripts/check_docs.py
 
-# End-to-end service smoke test, two phases: threaded server (CD-DAT
-# cold miss -> bit-identical warm hit, clean SIGTERM drain, trace in
+# End-to-end service smoke test, two phases: in-process server (CD-DAT
+# cold miss -> bit-identical warm hit, oversized/truncated/stalled
+# bodies -> 413/400/408, clean SIGTERM drain, trace in
 # serve_trace.json) and a --workers 2 compile farm (same bit-identity,
 # worker SIGKILL -> supervisor respawn -> /healthz stays ok, farm
 # /batch miss -> hit bit-identical with a poisoned document isolated
@@ -41,9 +42,6 @@ bench:
 		--baseline benchmarks/seed_baseline.json
 	$(PYTHON) benchmarks/bench_symbolic.py --out BENCH_PR3.json
 	$(PYTHON) benchmarks/bench_obs.py --out BENCH_PR4.json
-	$(PYTHON) benchmarks/bench_serve.py --out BENCH_PR5.json
-	$(PYTHON) benchmarks/bench_farm.py --out BENCH_PR6.json \
-		--batch-out BENCH_PR9.json
 	$(PYTHON) benchmarks/bench_native.py --out BENCH_PR8.json
 	$(PYTHON) benchmarks/bench_vectorize.py --out BENCH_PR10.json
 

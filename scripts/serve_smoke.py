@@ -3,7 +3,7 @@
 The end-to-end acceptance ritual, runnable locally (``make
 serve-smoke``) and in CI, in two phases:
 
-**Threaded phase** (the pre-farm default):
+**In-process phase** (the default ``--workers 0``: one local shard):
 
 1. start ``repro serve`` as a subprocess on an ephemeral port with a
    throwaway cache directory and ``--trace`` enabled;
@@ -12,9 +12,10 @@ serve-smoke``) and in CI, in two phases:
    response is a cache *miss*, the second a *hit*, and that the two
    reports are bit-identical (canonical-form comparison);
 4. assert ``/stats`` agrees (1 hit, 1 miss, 0 rejected);
-5. declare an oversized ``Content-Length`` on a raw socket; assert a
-   one-line JSON 413 that closes the connection and ``/healthz`` "ok"
-   afterwards;
+5. on raw sockets: an oversized ``Content-Length`` gets a one-line
+   JSON 413, a body cut short by EOF a 400, and a body that stalls a
+   408 within the body-read deadline — each closes the connection, and
+   ``/healthz`` stays "ok" afterwards;
 6. send SIGTERM; assert the server drains cleanly (exit code 0) and
    leaves the trace artifact behind (``serve_trace.json`` by
    default — CI uploads it).
@@ -74,7 +75,10 @@ from repro.serve.client import (  # noqa: E402
     get_json,
     resize_remote,
 )
-from repro.serve.server import MAX_BODY_BYTES  # noqa: E402
+from repro.serve.server import (  # noqa: E402
+    BODY_READ_TIMEOUT_S,
+    MAX_BODY_BYTES,
+)
 
 
 def fail(message: str) -> "NoReturn":  # noqa: F821 (py3.10 typing)
@@ -127,29 +131,53 @@ def submit_twice(url):
     return second
 
 
-def oversized_body_step(url) -> None:
-    """An oversized ``Content-Length``: a one-line JSON 413, then "ok"."""
+def raw_post(url, head, body=b"", half_close=False, timeout=10.0):
+    """POST ``head`` + ``body`` on a raw socket; read until the server
+    closes.  Returns ``(status line + headers, body, seconds)``."""
     host, port = url.rsplit("/", 1)[-1].rsplit(":", 1)
-    declared = MAX_BODY_BYTES + 1
-    with socket.create_connection((host, int(port)), timeout=10) as sock:
+    start = time.monotonic()
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
         sock.sendall(
-            f"POST /compile HTTP/1.1\r\nHost: {host}\r\n"
-            f"Content-Length: {declared}\r\n\r\n".encode("latin-1")
+            f"POST /compile HTTP/1.1\r\nHost: {host}\r\n{head}\r\n"
+            .encode("latin-1") + body
         )
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         response = b""
         while True:
             chunk = sock.recv(65536)
             if not chunk:
                 break
             response += chunk
-    head, _, body = response.partition(b"\r\n\r\n")
-    if not head.startswith(b"HTTP/1.1 413 "):
-        fail(f"oversized body not refused with 413: {head[:80]!r}")
-    if b"\n" in body or "error" not in json.loads(body):
-        fail(f"oversized-body reply is not one-line JSON: {body!r}")
+    head_out, _, body_out = response.partition(b"\r\n\r\n")
+    return head_out, body_out, time.monotonic() - start
+
+
+def expect_refusal(url, what, code, head, body=b"", half_close=False,
+                   within=10.0) -> None:
+    """One raw request must get a one-line JSON ``code`` and a close."""
+    got_head, got_body, seconds = raw_post(
+        url, head, body, half_close, timeout=within
+    )
+    if not got_head.startswith(f"HTTP/1.1 {code} ".encode()):
+        fail(f"{what} not refused with {code}: {got_head[:80]!r}")
+    if b"\n" in got_body or "error" not in json.loads(got_body):
+        fail(f"{what} reply is not one-line JSON: {got_body!r}")
+    if seconds > within:
+        fail(f"{what} took {seconds:.1f}s, over {within}s")
+
+
+def hostile_body_steps(url) -> None:
+    """Oversized, truncated and stalled bodies; then /healthz "ok"."""
+    expect_refusal(url, "oversized body", 413,
+                   f"Content-Length: {MAX_BODY_BYTES + 1}\r\n")
+    expect_refusal(url, "truncated body", 400, "Content-Length: 100\r\n",
+                   b'{"graph": {}}', half_close=True)
+    expect_refusal(url, "stalled body", 408, "Content-Length: 100\r\n",
+                   b"12345", within=BODY_READ_TIMEOUT_S + 5.0)
     health = get_json(url, "/healthz", timeout=5)
     if health.get("status") != "ok":
-        fail(f"server left 'ok' after an oversized body: {health}")
+        fail(f"server left 'ok' after hostile bodies: {health}")
 
 
 def terminate_cleanly(proc, trace, timeout):
@@ -164,7 +192,7 @@ def terminate_cleanly(proc, trace, timeout):
         fail(f"trace artifact {trace!r} was not written")
 
 
-def threaded_phase(args, env) -> None:
+def in_process_phase(args, env) -> None:
     with tempfile.TemporaryDirectory(prefix="repro-smoke-cache-") as root:
         proc, url = launch(["--cache-dir", root], args.trace, env)
         try:
@@ -174,14 +202,15 @@ def threaded_phase(args, env) -> None:
             if (server_stats.get("hits"), server_stats.get("misses"),
                     server_stats.get("rejected")) != (1, 1, 0):
                 fail(f"unexpected /stats counters: {server_stats}")
-            oversized_body_step(url)
+            hostile_body_steps(url)
             terminate_cleanly(proc, args.trace, args.timeout)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
-    print("serve-smoke: threaded phase OK "
-          "(cold miss -> warm hit, bit-identical; oversized body -> 413; "
+    print("serve-smoke: in-process phase OK "
+          "(cold miss -> warm hit, bit-identical; oversized body -> 413, "
+          "truncated -> 400, stalled -> 408; "
           f"trace at {args.trace})")
 
 
@@ -260,7 +289,8 @@ def farm_phase(args, env) -> None:
             if not farm or (farm.get("size"), farm.get("alive")) != (2, 2):
                 fail(f"farm not reported 2/2 alive on /healthz: {farm}")
             warm = submit_twice(url)
-            oversized_body_step(url)
+            expect_refusal(url, "oversized body", 413,
+                           f"Content-Length: {MAX_BODY_BYTES + 1}\r\n")
 
             # Kill one worker; the supervisor must respawn it without
             # the server ever leaving "ok".
@@ -314,7 +344,7 @@ def farm_phase(args, env) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trace", default="serve_trace.json",
-                        help="threaded-phase trace artifact path")
+                        help="in-process-phase trace artifact path")
     parser.add_argument("--farm-trace", default="serve_farm_trace.json",
                         help="farm-phase merged trace artifact path")
     parser.add_argument("--timeout", type=float, default=60.0,
@@ -330,7 +360,7 @@ def main(argv=None) -> int:
         if os.path.exists(trace):
             os.unlink(trace)
 
-    threaded_phase(args, env)
+    in_process_phase(args, env)
     farm_phase(args, env)
     print("serve-smoke: OK")
     return 0

@@ -404,7 +404,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .serve import ArtifactCache, CompileServer, CompileService
 
-    _apply_jobs(args)
     cache = None if args.no_cache else ArtifactCache(args.cache_dir)
     server = CompileServer(
         CompileService(cache=cache),
@@ -482,7 +481,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         else:
             results = compile_batch_remote(
                 documents, url=args.url, options=options,
-                use_cache=not args.no_cache, jobs=args.jobs,
+                use_cache=not args.no_cache,
                 timeout=args.timeout, retries=args.retries,
             )
     except ServeClientError as exc:
@@ -788,9 +787,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="compile-farm worker processes serving /compile, "
-             "sharded by graph digest (0 = no farm, compile on the "
-             "in-process thread pool)",
+        help="compile-farm worker processes serving /compile and "
+             "/batch, sharded by graph digest (0 = no farm, compile "
+             "in-process on --threads threads)",
     )
     p.add_argument(
         "--shard-by", default="digest", choices=["digest", "key"],
@@ -800,8 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--threads", type=int, default=2, metavar="N",
-        help="in-process worker threads (used for /batch, and for "
-             "/compile when --workers is 0)",
+        help="in-process compile threads (used when --workers is 0)",
     )
     p.add_argument(
         "--queue-limit", type=int, default=8, metavar="N",
@@ -833,11 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true",
         help="suppress per-request access logging",
     )
-    p.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for /batch fan-out "
-             "(overrides REPRO_JOBS; 0 = all cores)",
-    )
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -864,10 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-cache", action="store_true",
         help="ask the server to bypass its artifact cache",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="server-side worker processes for multi-graph batches",
     )
     p.add_argument(
         "--timeout", type=float, default=60.0, metavar="SECONDS",

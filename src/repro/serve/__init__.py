@@ -19,8 +19,7 @@ long-running, cache-fronted service:
 
 :mod:`repro.serve.service`
     :class:`CompileService` — transport-independent cache-then-compile
-    core with a per-graph :class:`CompilationSession` LRU and a
-    :func:`~repro.experiments.runner.parallel_map` batch path.
+    core with a per-graph :class:`CompilationSession` LRU.
 
 :mod:`repro.serve.farm`
     :class:`WorkerFarm` — a supervised pool of compile worker
@@ -28,16 +27,18 @@ long-running, cache-fronted service:
     hashing (:func:`~repro.serve.farm.rendezvous_shard`) so each
     worker's session LRU and in-memory report tier stay hot.  Crashed
     workers are respawned; their in-flight request fails with a
-    one-line 503 rather than hanging.
+    one-line 503 rather than hanging.  :class:`LocalShard` runs the
+    same worker core in-process for a server without a farm.
 
 :mod:`repro.serve.server`
     :class:`CompileServer` — the ``repro serve`` JSON-over-HTTP
-    front end (stdlib ``http.server``): compile farm or in-process
-    thread pool, single-flight coalescing of identical concurrent
-    requests, bounded queue with 429 backpressure, per-request
-    timeouts, latency percentiles on ``/stats``, graceful SIGTERM
-    drain, per-request ``repro.obs`` spans (including farm-worker
-    subtrees) exported through the Chrome-trace path.
+    front end (stdlib ``http.server``): one request path to a compile
+    farm or the local shard, single-flight coalescing of identical
+    concurrent requests, bounded queue with 429 backpressure, bounded
+    body reads, per-request timeouts, latency percentiles on
+    ``/stats``, graceful SIGTERM drain, per-request ``repro.obs``
+    spans (including shard-side subtrees) exported through the
+    Chrome-trace path.
 
 :mod:`repro.serve.client`
     ``repro submit`` — submit one or many graphs to a running server

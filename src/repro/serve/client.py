@@ -247,7 +247,6 @@ def compile_batch_remote(
     url: str = DEFAULT_URL,
     options: Optional[Dict[str, Any]] = None,
     use_cache: bool = True,
-    jobs: Optional[int] = None,
     timeout: Optional[float] = None,
     retries: int = 0,
 ) -> List[Tuple[Union[CompilationReport, BatchItemError], str]]:
@@ -264,8 +263,6 @@ def compile_batch_remote(
         "options": dict(options or {}),
         "cache": use_cache,
     }
-    if jobs is not None:
-        payload["jobs"] = jobs
     response = _post_retrying(
         url, "/batch", payload, timeout=timeout, retries=retries
     )

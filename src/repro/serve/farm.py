@@ -1,8 +1,12 @@
-"""Multi-process compile farm: digest-sharded, supervised workers.
+"""Compile shards: a supervised multi-process farm, or one local shard.
 
-``repro serve`` used to run every compilation on the front end's own
-threads — one Python process, one GIL, one session LRU.  This module
-scales the service across worker *processes* while keeping every
+The server dispatches every item to a *shard* through one interface
+(``compile``, ``compile_many``, ``shard_for``).  What a shard does with
+an item — probe the cache tiers by key, ask for the document only when
+they miss, compile — is :class:`ShardCore`.  :class:`WorkerFarm` runs
+one core per worker *process* behind a pipe; :class:`LocalShard` runs
+one core in-process on a thread pool, for a server without a farm.
+The farm scales the service across processes while keeping every
 cache-locality property the session design bought:
 
 * **Sharding** — each request is routed by :func:`rendezvous_shard`
@@ -82,9 +86,11 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 
 __all__ = [
     "FarmError",
@@ -92,9 +98,16 @@ __all__ = [
     "FarmTimeout",
     "FarmWorkerCrashed",
     "FarmResponse",
+    "LocalShard",
+    "ShardCore",
     "WorkerFarm",
+    "http_error",
     "rendezvous_shard",
 ]
+
+#: Returns one item's full parsed request; called only when a cache
+#: tier cannot answer by key alone.
+Fetch = Callable[[], Dict[str, Any]]
 
 
 def rendezvous_shard(digest: str, size: int) -> int:
@@ -166,8 +179,136 @@ class FarmResponse:
 
 
 # --------------------------------------------------------------------------
-# Worker process
+# Shard core (transport-free) and the worker process around it
 # --------------------------------------------------------------------------
+
+def http_error(exc: BaseException) -> Tuple[int, str]:
+    """The one exception -> ``(HTTP code, one-line message)`` mapping.
+
+    Malformed documents and options (``SDFError``, ``ValueError``,
+    ``KeyError``, ``TypeError``) are the client's fault: 400.  Anything
+    else is ours: 500.
+    """
+    from ..exceptions import SDFError
+
+    if isinstance(exc, (SDFError, ValueError, KeyError, TypeError)):
+        return 400, f"bad request: {exc}"
+    return 500, f"internal error: {exc!r}"
+
+
+class ShardCore:
+    """What one shard does with an item, minus the transport.
+
+    Probes the render memo and the service's cache tiers by key, then
+    compiles.  Farm worker processes run it behind a pipe
+    (:class:`_Worker`); the in-process server runs it directly
+    (:class:`LocalShard`), so both answer byte-for-byte alike.  Safe to
+    call from several threads: ``_lock`` guards the render memo and the
+    counters, never a compile.
+    """
+
+    def __init__(self, service, mem_entries: int, allow_faults: bool) -> None:
+        from collections import OrderedDict
+
+        from .. import obs
+
+        self.service = service
+        self.mem_entries = mem_entries
+        self.allow_faults = allow_faults
+        #: Rendered warm-hit response bodies by cache key: the memory
+        #: tier's render memo.  A repeat hit skips report rebuild and
+        #: JSON encode entirely and ships the stored bytes.
+        self._bodies: "OrderedDict[str, bytes]" = OrderedDict()
+        #: Long-lived counters-only recorder; totals ship with "stats".
+        self.counters = obs.TraceRecorder()
+        self._lock = threading.Lock()
+
+    def _count(self, name: str, recorder=None) -> None:
+        with self._lock:
+            self.counters.count(name)
+        if recorder is not None:
+            recorder.count(name)
+
+    def answer(
+        self, key: str, request: Optional[Dict[str, Any]], recorder
+    ) -> Tuple[Any, ...]:
+        """One item: ``("ok", status, tier, body)``, ``("need",)`` (the
+        tiers missed and only the key was given) or ``("err", code,
+        message)``."""
+        try:
+            reply = self._compile_inner(key, request, recorder)
+        except Exception as exc:
+            self._count("farm.errors")
+            self._count("farm.requests")
+            return ("err",) + http_error(exc)
+        if reply is None:
+            return ("need",)  # not terminal: not counted
+        self._count("farm.requests")
+        return ("ok",) + reply
+
+    def _inject(self, fault: Any) -> None:
+        """Honor a test-only ``"fault"`` field (``"sleep:N"``)."""
+        if isinstance(fault, str) and fault.startswith("sleep:"):
+            time.sleep(float(fault.split(":", 1)[1]))
+
+    def _compile_inner(
+        self, key: str, request: Optional[Dict[str, Any]], recorder
+    ) -> Optional[Tuple[str, str, bytes]]:
+        from .service import CompileOptions
+
+        start = time.perf_counter()
+        if key and self.service.cache is not None:
+            with self._lock:
+                body = self._bodies.get(key)
+                if body is not None:
+                    self._bodies.move_to_end(key)
+            if body is not None:
+                self._count("farm.mem_hits", recorder)
+                return "hit", "memory", body
+            found = self.service.lookup(key, recorder=recorder)
+            if found is not None:
+                report, tier = found
+                self._count(
+                    "farm.mem_hits" if tier == "memory" else "farm.disk_hits",
+                    recorder,
+                )
+                report.wall_s = time.perf_counter() - start
+                return "hit", tier, self._remember(key, report)
+        if request is None:
+            return None  # ask the front end for the document
+        fault = request.get("fault")
+        if fault and self.allow_faults:
+            self._inject(fault)
+        options = CompileOptions.from_dict(request.get("options"))
+        use_cache = bool(request.get("cache", True))
+        report, status, tier = self.service.compile_document_tiered(
+            request["graph"], options,
+            use_cache=use_cache, recorder=recorder,
+        )
+        if status == "hit":
+            self._count(
+                "farm.mem_hits" if tier == "memory" else "farm.disk_hits"
+            )
+        else:
+            self._count("farm.compiles", recorder)
+        return status, tier, self._render(status, report)
+
+    def _remember(self, key: str, report) -> bytes:
+        """Render a hit body and memoize the bytes for repeat hits."""
+        body = self._render("hit", report)
+        if self.mem_entries > 0:
+            with self._lock:
+                self._bodies[key] = body
+                while len(self._bodies) > self.mem_entries:
+                    self._bodies.popitem(last=False)
+        return body
+
+    @staticmethod
+    def _render(status: str, report) -> bytes:
+        return json.dumps(
+            {"status": status, "report": report.to_json()}
+        ).encode("utf-8")
+
 
 def _worker_main(conn, config: Dict[str, Any]) -> None:  # pragma: no cover
     # Covered via subprocess in the farm tests; coverage tools cannot
@@ -176,31 +317,25 @@ def _worker_main(conn, config: Dict[str, Any]) -> None:  # pragma: no cover
     worker.run()
 
 
-class _Worker:
-    """The loop running inside each farm process."""
+class _Worker(ShardCore):
+    """The loop running inside each farm process: the core behind a pipe."""
 
     def __init__(self, conn, config: Dict[str, Any]) -> None:
-        from collections import OrderedDict
-
         from ..artifacts import ArtifactCache
         from .service import CompileService
-        from .. import obs
 
-        self.conn = conn
-        self.allow_faults = bool(config.get("allow_faults"))
         cache_root = config.get("cache_root")
-        self.mem_entries = int(config.get("mem_entries", 512))
-        self.service = CompileService(
-            cache=ArtifactCache(cache_root) if cache_root else None,
-            max_sessions=int(config.get("max_sessions", 32)),
-            memory_entries=self.mem_entries,
+        mem_entries = int(config.get("mem_entries", 512))
+        super().__init__(
+            CompileService(
+                cache=ArtifactCache(cache_root) if cache_root else None,
+                max_sessions=int(config.get("max_sessions", 32)),
+                memory_entries=mem_entries,
+            ),
+            mem_entries,
+            bool(config.get("allow_faults")),
         )
-        #: Rendered warm-hit response bodies by cache key: the memory
-        #: tier's render memo.  A repeat hit skips report rebuild and
-        #: JSON encode entirely and ships the stored bytes.
-        self._bodies: "OrderedDict[str, bytes]" = OrderedDict()
-        #: Long-lived counters-only recorder; totals ship with "stats".
-        self.counters = obs.TraceRecorder()
+        self.conn = conn
 
     def run(self) -> None:
         while True:
@@ -222,6 +357,11 @@ class _Worker:
             else:  # unknown frame: protocol bug, fail loudly
                 self.conn.send(("err", msg[1], 500, f"unknown frame {kind!r}"))
 
+    def _inject(self, fault: Any) -> None:
+        if fault == "worker_crash":
+            os._exit(23)  # die mid-compile, response never sent
+        super()._inject(fault)
+
     def _stats(self) -> Dict[str, Any]:
         mem = self.service._memory
         return {
@@ -238,28 +378,10 @@ class _Worker:
         from .. import obs
 
         recorder = obs.TraceRecorder() if trace else None
-        try:
-            reply = self._compile_inner(key, request, recorder)
-        except Exception as exc:
-            self.counters.count("farm.errors")
-            code = 500
-            if isinstance(exc, (ValueError, KeyError, TypeError)):
-                code = 400
-            else:
-                from ..exceptions import SDFError
-
-                if isinstance(exc, SDFError):
-                    code = 400
-            self.counters.count("farm.requests")
-            self.conn.send(("err", rid, code, f"bad request: {exc}"))
-            return
-        if reply is None:  # tiers missed and we only have the key
-            self.conn.send(("need", rid))  # not terminal: not counted
-            return
-        status, tier, body = reply
-        self.counters.count("farm.requests")
-        tree = recorder.serialize() if recorder is not None else None
-        self.conn.send(("ok", rid, status, tier, body, tree))
+        entry = self.answer(key, request, recorder)
+        if entry[0] == "ok":
+            entry += (recorder.serialize() if recorder is not None else None,)
+        self.conn.send((entry[0], rid) + entry[1:])
 
     def _compile_many(
         self, rid: int,
@@ -280,100 +402,13 @@ class _Worker:
         trees: List[Optional[Dict[str, Any]]] = []
         for key, request in items:
             recorder = obs.TraceRecorder() if trace else None
-            try:
-                reply = self._compile_inner(key, request, recorder)
-            except Exception as exc:
-                self.counters.count("farm.errors")
-                code = 500
-                if isinstance(exc, (ValueError, KeyError, TypeError)):
-                    code = 400
-                else:
-                    from ..exceptions import SDFError
-
-                    if isinstance(exc, SDFError):
-                        code = 400
-                self.counters.count("farm.requests")
-                results.append(("err", code, f"bad request: {exc}"))
-                trees.append(None)
-                continue
-            if reply is None:  # tiers missed on a key-only item
-                results.append(("need",))  # not terminal: not counted
-                trees.append(None)
-                continue
-            status, tier, body = reply
-            self.counters.count("farm.requests")
-            results.append(("ok", status, tier, body))
+            entry = self.answer(key, request, recorder)
+            results.append(entry)
             trees.append(
-                recorder.serialize() if recorder is not None else None
+                recorder.serialize()
+                if recorder is not None and entry[0] == "ok" else None
             )
         self.conn.send(("ok_many", rid, results, trees))
-
-    def _compile_inner(
-        self, key: str, request: Optional[Dict[str, Any]], recorder
-    ) -> Optional[Tuple[str, str, bytes]]:
-        from .service import CompileOptions
-
-        start = time.perf_counter()
-        if key and self.service.cache is not None:
-            body = self._bodies.get(key)
-            if body is not None:
-                self._bodies.move_to_end(key)
-                self.counters.count("farm.mem_hits")
-                if recorder is not None:
-                    recorder.count("farm.mem_hits")
-                return "hit", "memory", body
-            found = self.service.lookup(key, recorder=recorder)
-            if found is not None:
-                report, tier = found
-                self.counters.count(
-                    "farm.mem_hits" if tier == "memory" else "farm.disk_hits"
-                )
-                if recorder is not None:
-                    recorder.count(
-                        "farm.mem_hits" if tier == "memory"
-                        else "farm.disk_hits"
-                    )
-                report.wall_s = time.perf_counter() - start
-                return "hit", tier, self._remember(key, report)
-            if request is None:
-                return None  # ask the front end for the document
-        if request is None:
-            return None
-        fault = request.get("fault")
-        if fault and self.allow_faults:
-            if fault == "worker_crash":
-                os._exit(23)  # die mid-compile, response never sent
-            if isinstance(fault, str) and fault.startswith("sleep:"):
-                time.sleep(float(fault.split(":", 1)[1]))
-        options = CompileOptions.from_dict(request.get("options"))
-        use_cache = bool(request.get("cache", True))
-        report, status, tier = self.service.compile_document_tiered(
-            request["graph"], options,
-            use_cache=use_cache, recorder=recorder,
-        )
-        if status == "hit":
-            self.counters.count(
-                "farm.mem_hits" if tier == "memory" else "farm.disk_hits"
-            )
-        else:
-            self.counters.count("farm.compiles")
-            if recorder is not None:
-                recorder.count("farm.compiles")
-        return status, tier, self._render(status, report)
-
-    def _remember(self, key: str, report) -> bytes:
-        """Render a hit body and memoize the bytes for repeat hits."""
-        body = self._render("hit", report)
-        self._bodies[key] = body
-        while len(self._bodies) > self.mem_entries:
-            self._bodies.popitem(last=False)
-        return body
-
-    @staticmethod
-    def _render(status: str, report) -> bytes:
-        return json.dumps(
-            {"status": status, "report": report.to_json()}
-        ).encode("utf-8")
 
 
 # --------------------------------------------------------------------------
@@ -727,15 +762,16 @@ class WorkerFarm:
         self,
         shard: int,
         key: str,
-        request: Optional[Dict[str, Any]],
+        fetch: Fetch,
         trace: bool = False,
         timeout: Optional[float] = None,
     ) -> FarmResponse:
         """Run one compile request on worker ``shard``.
 
-        ``key`` non-empty enables the tiers; ``request`` must carry the
-        full parsed request (the worker is sent the key alone first and
-        asks for the document only when both cache tiers miss).
+        ``key`` non-empty enables the tiers; ``fetch()`` returns the
+        full parsed request.  The worker is sent the key alone first
+        and asks for the document only when both cache tiers miss, so
+        a warm hit never calls ``fetch``.
 
         Raises :class:`FarmWorkerCrashed` (one respawn already done)
         when the worker dies mid-request, :class:`FarmTimeout` when it
@@ -759,16 +795,12 @@ class WorkerFarm:
             handle.requests += 1
             rid = next(self._rid)
             try:
-                frame = (
-                    ("compile", rid, key, None, trace)
-                    if key and request is not None
-                    else ("compile", rid, key, request, trace)
-                )
+                frame = ("compile", rid, key, None if key else fetch(), trace)
                 msg = self._recv(handle, rid, deadline, send=frame)
                 if msg[0] == "need":
                     msg = self._recv(
                         handle, rid, deadline,
-                        send=("compile", rid, key, request, trace),
+                        send=("compile", rid, key, fetch(), trace),
                     )
             except (EOFError, OSError, BrokenPipeError, ValueError):
                 handle.failures += 1
@@ -796,14 +828,14 @@ class WorkerFarm:
     def compile_many(
         self,
         shard: int,
-        items: List[Tuple[str, Optional[Dict[str, Any]]]],
+        items: List[Tuple[str, Fetch]],
         trace: bool = False,
         timeout: Optional[float] = None,
     ) -> List[Tuple[Any, ...]]:
         """Run one ``/batch`` shard group on worker ``shard`` in a
         single wire frame.
 
-        ``items`` is ``[(key, request), ...]`` in request order.  The
+        ``items`` is ``[(key, fetch), ...]`` in request order.  The
         first frame carries keys only for cache-enabled items (the
         warm hot path: a whole warm group costs one small round trip
         instead of one per item); the worker marks tier-missed items
@@ -814,8 +846,7 @@ class WorkerFarm:
 
         Raises like :meth:`compile` — :class:`FarmWorkerCrashed` /
         :class:`FarmTimeout` / :class:`FarmError` fail the *group* as
-        a unit (the caller falls back to per-item dispatch to keep
-        fault isolation per item).
+        a unit.
         """
         deadline = (
             None if timeout is None else time.monotonic() + timeout
@@ -827,9 +858,7 @@ class WorkerFarm:
             handle.requests += len(items)
             rid = next(self._rid)
             first = [
-                (key, None) if key and request is not None
-                else (key, request)
-                for key, request in items
+                (key, None if key else fetch()) for key, fetch in items
             ]
             try:
                 msg = self._recv(
@@ -848,7 +877,8 @@ class WorkerFarm:
                         msg = self._recv(
                             handle, rid, deadline,
                             send=("compile_many", rid,
-                                  [items[i] for i in needed], trace),
+                                  [(items[i][0], items[i][1]())
+                                   for i in needed], trace),
                         )
                         if msg[0] == "ok_many":
                             for slot, entry, tree in zip(
@@ -936,3 +966,94 @@ class WorkerFarm:
                 return msg
             # Stale frame from an earlier timed-out request on this
             # pipe generation: drop it and keep waiting.
+
+
+# --------------------------------------------------------------------------
+# In-process shard
+# --------------------------------------------------------------------------
+
+class LocalShard:
+    """The in-process server's single shard: :class:`ShardCore` with no
+    pipe and no subprocess, behind :class:`WorkerFarm`'s dispatch calls.
+
+    Tier probes run on the calling (connection) thread, so a hit never
+    waits behind a running compile; items that need compiling run on a
+    ``threads``-wide pool.  Past ``timeout`` the call raises
+    :class:`FarmTimeout` while the job finishes in the background
+    (filling the cache for a retry), and a group stops at its next item
+    boundary.  The core takes ``memory_entries`` from ``service``, so it
+    adds no cache tier of its own.
+    """
+
+    size = 1
+    shard_by = "digest"
+
+    def __init__(
+        self, service, threads: int, allow_faults: bool = False
+    ) -> None:
+        self.core = ShardCore(service, service.memory_entries, allow_faults)
+        self._pool = ThreadPoolExecutor(
+            max_workers=max(1, threads), thread_name_prefix="repro-serve"
+        )
+
+    def shard_for(self, digest: str) -> int:
+        return 0
+
+    def stop(self) -> None:
+        self._pool.shutdown(wait=True)
+
+    def compile(
+        self, shard: int, key: str, fetch: Fetch,
+        trace: bool = False, timeout: Optional[float] = None,
+    ) -> FarmResponse:
+        """Like :meth:`WorkerFarm.compile`."""
+        entry = self.compile_many(shard, [(key, fetch)], trace, timeout)[0]
+        if entry[0] == "err":
+            raise FarmRequestError(entry[2], code=entry[1])
+        return FarmResponse(*entry[1:])
+
+    def compile_many(
+        self, shard: int, items: List[Tuple[str, Fetch]],
+        trace: bool = False, timeout: Optional[float] = None,
+    ) -> List[Tuple[Any, ...]]:
+        """Like :meth:`WorkerFarm.compile_many`."""
+        from .. import obs
+
+        recorders = [
+            obs.TraceRecorder() if trace else None for _ in items
+        ]
+        results = [
+            self.core.answer(key, None, recorder) if key else ("need",)
+            for (key, _fetch), recorder in zip(items, recorders)
+        ]
+        needed = [i for i, entry in enumerate(results) if entry[0] == "need"]
+        if needed:
+            stop = threading.Event()
+            job = self._pool.submit(
+                self._compile_needed,
+                [(items[i][0], items[i][1], recorders[i]) for i in needed],
+                stop,
+            )
+            try:
+                for i, entry in zip(needed, job.result(timeout=timeout)):
+                    results[i] = entry
+            except FutureTimeout:
+                stop.set()
+                raise FarmTimeout(
+                    f"request exceeded {timeout}s; still compiling, "
+                    f"retry to pick up the cached result"
+                ) from None
+        return [
+            entry + (None if recorder is None else recorder.serialize(),)
+            if entry[0] == "ok" else entry
+            for entry, recorder in zip(results, recorders)
+        ]
+
+    def _compile_needed(self, items, stop: threading.Event):
+        out = []
+        for key, fetch, recorder in items:
+            if stop.is_set():
+                break
+            out.append(self.core.answer(key, fetch(), recorder))
+        return out
+

@@ -2,61 +2,66 @@
 
 ``repro serve`` wraps a :class:`~repro.serve.service.CompileService`
 in a :class:`http.server.ThreadingHTTPServer`.  The design goals, in
-order: never corrupt a result, shed load explicitly, drain cleanly.
+order: never corrupt a result, shed load explicitly, bound every wait
+on a client, drain cleanly.
 
-* **Compile farm** — with ``processes > 0`` compilations run on a
-  :class:`~repro.serve.farm.WorkerFarm` of worker *processes*;
-  requests are sharded by graph content digest (rendezvous hashing)
-  so each worker's session LRU and in-memory report tier stay hot.
-  The connection thread talks straight to its shard's pipe — no
-  intermediate queue hop.  With ``processes = 0`` (the default and
-  the pre-farm behavior) compilations run on a bounded
-  ``ThreadPoolExecutor`` (``workers`` threads) in-process.
-* **Farm-aware batch** — with a farm, ``/batch`` routes *through* it:
-  every item is sharded by its own graph digest, shard groups run
-  concurrently (items within a shard in order, so each worker's
-  caches stay hot), each item reuses the per-item single-flight and
-  all three cache tiers, and item failures are isolated — one
-  malformed document or one worker crash costs that *item* an error
-  entry, never the whole batch.  Responses come back in request
-  order, success items spliced verbatim from the workers' rendered
-  bytes.  Without a farm ``/batch`` keeps the in-process
-  ``parallel_map`` fan-out, now with the same per-item isolation.
+**One request path.**  ``/compile`` and ``/batch`` take the same route
+whatever the server's size.  A body is parsed and routed once and
+memoized on its bytes as ``(cache key, shard)``; identical in-flight
+compiles coalesce; each item goes to a *shard* through one dispatch
+interface (``compile``, ``compile_many``, ``shard_for``).  With
+``processes > 0`` the shards are the worker processes of a
+:class:`~repro.serve.farm.WorkerFarm`; otherwise the one shard is a
+:class:`~repro.serve.farm.LocalShard`, the same worker core run
+in-process on ``workers`` threads.  Errors, counters, timeouts, traces
+and ``/stats`` therefore behave the same in both modes.
+
+* **Sharding** — the farm routes by graph content digest (rendezvous
+  hashing) so each worker's session LRU and in-memory report tier stay
+  hot; the connection thread talks straight to its shard's pipe.
+* **Body memo** — a repeated identical body costs one SHA-256 and a
+  dict probe: no JSON parse, no options validation, no canonical-JSON
+  hashing.  The memo keeps routing only; when no cache tier can answer
+  by key, the document is parsed again from the raw body.
+* **Batch** — every ``/batch`` item is routed by its own digest; shard
+  groups run concurrently (items within a group in order), and item
+  failures are isolated: one malformed document or one worker crash
+  costs that *item* an error entry, never the whole batch.  Responses
+  come back in request order, success items spliced verbatim from the
+  shards' rendered bytes.
 * **Live resizing** — ``POST /resize`` ``{"workers": N}`` grows or
-  shrinks the farm without a restart: added workers are spawned
-  supervised, removed workers drain (finish in-flight work, ship
-  final counters) before shutdown, and rendezvous hashing moves only
-  ~1/N of the key space.  The body memo is flushed so routing follows
-  the new pool immediately.
-* **Single-flight** — concurrent identical cache-enabled ``/compile``
-  requests coalesce: the first becomes the leader and compiles; the
+  shrinks the farm without a restart; the body memos are flushed so
+  routing follows the new pool immediately.
+* **Single-flight** — concurrent identical cache-enabled requests (or
+  batch items) coalesce: the first becomes the leader and compiles; the
   rest wait and receive the leader's bytes verbatim (counted under
-  ``coalesced``, not as extra hits/misses).  A cold-cache stampede
-  compiles once, not N times.
+  ``coalesced``, not as extra hits/misses).
 * **Bounded queue / backpressure** — at most ``queue_limit`` requests
   may be queued or running; one more gets an immediate ``429`` with a
-  ``Retry-After`` header instead of unbounded buffering.  Load the
-  server cannot take is the *client's* signal to back off.
+  ``Retry-After`` header instead of unbounded buffering.
+* **Bounded body read** — the body must arrive within
+  :data:`BODY_READ_TIMEOUT_S` of the end of the headers, or the client
+  gets a ``408`` and the connection closes; a body cut short by EOF
+  gets a ``400`` and is never dispatched.  The keep-alive wait between
+  requests is not bounded by it.
 * **Per-request timeout** — a request that outlives
-  ``request_timeout`` seconds gets ``504``.  On the farm path the
-  overdue worker is killed and respawned, so a hung compile cannot
-  wedge its shard; on the thread path the worker slot is reclaimed
-  when the underlying job finishes.
+  ``request_timeout`` seconds gets ``504`` (a timed-out ``/batch``
+  group answers each of its items with a ``504`` and stops at the next
+  item boundary).  A farm worker past its deadline is killed and
+  respawned; an in-process compile finishes in the background and
+  fills the cache for a retry.
 * **Supervision** — a farm worker that crashes mid-request fails that
-  request with a one-line ``503`` (never a hang) and is respawned
-  immediately; a worker that dies idle is respawned by the farm's
-  supervisor thread, so ``/healthz`` recovers without traffic.
+  request with a one-line ``503`` (never a hang) and is respawned.
 * **Graceful drain** — :meth:`CompileServer.drain` (wired to SIGTERM
   by the CLI) stops accepting new work (``503`` while draining),
-  waits for in-flight requests, stops the farm, writes the
+  waits for in-flight requests, stops the shards, writes the
   accumulated trace, and returns; ``repro serve`` then exits 0.
-* **Observability** — with ``trace_path`` set, every request records
-  a ``serve.request`` span tree.  Farm workers record into their own
-  recorders and ship the serialized tree back over the pipe; the
-  front end grafts it under the request span, so one merged
-  Chrome-trace file covers the whole pool.  ``/stats`` reports
-  latency percentiles (p50/p95/p99 over a sliding window) and
-  per-worker counters alongside the existing cache figures.
+* **Observability** — with ``trace_path`` set, every POST records one
+  ``serve.request`` span covering the whole request, with each item's
+  shard-side subtree grafted under it, so one merged Chrome-trace file
+  covers the whole pool.  ``/stats`` reports latency percentiles
+  (p50/p95/p99 over a sliding window) alongside the cache figures and,
+  with a farm, per-worker counters.
 
 Endpoints
 ---------
@@ -69,7 +74,7 @@ Endpoints
     ``{"graph": <to_json document>, "options": {...}, "cache": true}``
     → ``{"status": "hit"|"miss"|"disabled", "report": {...}}``.
 ``POST /batch``
-    ``{"graphs": [<document>, ...], "options": {...}, "jobs": N}``
+    ``{"graphs": [<document>, ...], "options": {...}, "cache": true}``
     → ``{"responses": [{"status": ..., "report": ...}, ...]}`` in
     request order.  A failed item is ``{"status": "error", "code":
     <http-equivalent>, "error": "..."}`` with the other items intact.
@@ -77,32 +82,33 @@ Endpoints
     ``{"workers": N}`` → the post-resize farm description (400 when
     no farm is configured).
 
-Error responses are ``{"error": "..."}`` with status 400 (malformed
-request), 404 (unknown path), 429 (queue full), 503 (draining or
-worker crash), 504 (timeout), or 500 (unexpected failure).
+Error responses are one-line ``{"error": "..."}`` with status 400
+(malformed request or truncated body), 404 (unknown path), 408 (body
+not received in time), 413 (body too large), 429 (queue full), 503
+(draining or worker crash), 504 (timeout), or 500 (unexpected failure).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..exceptions import SDFError
 from ..sdf.io import canonical_hash
 from ..artifacts import cache_key
 from .farm import (
     FarmError,
-    FarmRequestError,
     FarmTimeout,
     FarmWorkerCrashed,
+    LocalShard,
     WorkerFarm,
+    http_error,
 )
 from .service import CompileOptions, CompileService
 
@@ -124,6 +130,11 @@ _MEMO_MAX_ENTRIES = 512
 #: Largest request body read: a longer declared ``Content-Length`` is
 #: refused with a 413 before any of the body is read.
 MAX_BODY_BYTES = 64 << 20
+
+#: Seconds a client has, from the end of its headers, to send the whole
+#: declared body; past it the request gets a 408 and the connection
+#: closes, so a stalled sender cannot pin a handler thread.
+BODY_READ_TIMEOUT_S = 10.0
 
 
 class _FastHeaders:
@@ -280,7 +291,11 @@ class _Handler(BaseHTTPRequestHandler):
             parts.append(b"Connection: close\r\n")
         parts.append(b"\r\n")
         parts.append(body)
-        self.wfile.write(b"".join(parts))
+        try:
+            self.wfile.write(b"".join(parts))
+        except OSError:  # the client hung up first: nothing to tell it
+            self.close_connection = True
+            return
         if not self._owner.quiet:
             self.log_request(code, len(body))
 
@@ -333,10 +348,51 @@ class _Handler(BaseHTTPRequestHandler):
                 f"body limit", code=413,
             ))
             return
-        length = int(digits)
-        raw = self.rfile.read(length) if length else b""
-        code, body, headers = owner.handle_raw(self.path, raw)
-        self._reply_bytes(code, body, headers)
+        raw = self._read_body(int(digits))
+        if raw is not None:
+            self._reply_bytes(*owner.handle_raw(self.path, raw))
+
+    def _read_body(self, length: int) -> Optional[bytes]:
+        """The declared body, or ``None`` once a 408/400 has been sent.
+
+        :data:`BODY_READ_TIMEOUT_S` bounds the whole body, starting
+        when the headers end; the keep-alive wait before the next
+        request is left unbounded.  A stall past the deadline gets a
+        counted 408, a body cut short by EOF a counted 400; either way
+        the connection closes and nothing is dispatched.
+        """
+        sock = self.connection
+        deadline = time.monotonic() + BODY_READ_TIMEOUT_S
+        chunks: List[bytes] = []
+        remaining = length
+        refusal: Optional[Tuple[str, int]] = None
+        try:
+            while remaining:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError
+                sock.settimeout(left)
+                chunk = self.rfile.read1(remaining)
+                if not chunk:
+                    refusal = (
+                        f"request body ended after {length - remaining} "
+                        f"of {length} declared bytes", 400,
+                    )
+                    break
+                chunks.append(chunk)
+                remaining -= len(chunk)
+        except TimeoutError:
+            refusal = (
+                f"request body not received within "
+                f"{BODY_READ_TIMEOUT_S}s of the headers", 408,
+            )
+        finally:
+            sock.settimeout(self.timeout)
+        if refusal is None:
+            return b"".join(chunks)
+        self.close_connection = True
+        self._reply_bytes(*self._owner.bad_request(*refusal))
+        return None
 
 
 class _Server(ThreadingHTTPServer):
@@ -345,14 +401,16 @@ class _Server(ThreadingHTTPServer):
 
 
 class _Memo:
-    """Parsed-and-routed form of one distinct ``/compile`` body."""
+    """Routing of one distinct body (or batch item): key and shard.
 
-    __slots__ = ("request", "key", "shard")
+    Holds no document: a memo of parsed bodies would keep every
+    never-seen miss's graph alive.  Whoever needs the document parses
+    it again from the raw body.
+    """
 
-    def __init__(
-        self, request: Dict[str, Any], key: str, shard: int
-    ) -> None:
-        self.request = request
+    __slots__ = ("key", "shard")
+
+    def __init__(self, key: str, shard: int) -> None:
         self.key = key
         self.shard = shard
 
@@ -365,6 +423,36 @@ class _Flight:
     def __init__(self) -> None:
         self.event = threading.Event()
         self.result: Optional[Tuple[int, bytes, Dict[str, str]]] = None
+
+
+class _BatchBody:
+    """One ``/batch`` body, parsed at most once and only on demand."""
+
+    def __init__(self, raw: bytes, request: Optional[Dict[str, Any]]) -> None:
+        self.raw = raw
+        self.request = request
+
+    def item(self, index: int) -> Dict[str, Any]:
+        """Item ``index`` as a stand-alone ``/compile`` request."""
+        if self.request is None:
+            self.request = _load_object(self.raw)
+        request = self.request
+        item = {
+            "graph": request["graphs"][index],
+            "options": request.get("options") or {},
+            "cache": bool(request.get("cache", True)),
+        }
+        faults = request.get("faults")
+        if faults is not None and faults[index]:
+            item["fault"] = faults[index]
+        return item
+
+
+def _load_object(raw: bytes) -> Dict[str, Any]:
+    request = json.loads(raw or b"{}")
+    if not isinstance(request, dict):
+        raise ValueError("request body must be a JSON object")
+    return request
 
 
 #: One-line payload shapes quoted by missing-field errors, so a 400
@@ -404,32 +492,32 @@ class CompileServer:
     Parameters
     ----------
     service:
-        The :class:`CompileService` handling actual compilation (the
-        thread path and ``/batch``; farm workers build their own
-        service instances over the same cache directory).
+        The :class:`CompileService` the in-process shard compiles with
+        (farm workers build their own service instances over the same
+        cache directory).
     host / port:
         Bind address; ``port=0`` picks a free ephemeral port
         (``.port`` reports the bound one).
     workers:
-        Worker-pool *threads* executing in-process compilations
-        (``/batch`` always; ``/compile`` when ``processes == 0``).
+        Compile *threads* of the in-process shard (``processes == 0``).
     processes:
-        Farm size: worker *processes* serving ``/compile`` requests,
-        sharded by content digest.  0 (default) disables the farm.
+        Farm size: worker *processes* serving ``/compile`` and
+        ``/batch``, sharded by content digest.  0 (default) compiles
+        in-process.
     shard_by:
         ``"digest"`` (graph content hash) or ``"key"`` (full cache
         key) — see :class:`~repro.serve.farm.WorkerFarm`.
     mem_entries:
         Per-farm-worker in-memory report tier capacity.
     allow_faults:
-        Honor test-only ``"fault"`` request fields in farm workers
-        (never set by the CLI).
+        Honor test-only ``"fault"`` request fields (never set by the
+        CLI); in-process only ``"sleep:N"`` applies.
     queue_limit:
         Maximum queued-plus-running requests before ``429``.
     request_timeout:
         Seconds a request may take before ``504`` (``None``: no limit).
     trace_path / trace_format:
-        When set, per-request span trees (including farm-worker
+        When set, per-request span trees (including shard-side
         subtrees) are recorded and written here (Chrome traceEvents
         by default) at drain time.
     quiet:
@@ -466,14 +554,11 @@ class CompileServer:
             "requests": 0, "hits": 0, "misses": 0, "compiled": 0,
             "rejected": 0, "timeouts": 0, "errors": 0,
             "coalesced": 0, "worker_failures": 0,
-            "timeout_reclaimed": 0,
         }
         self._latencies: "deque[float]" = deque(maxlen=2048)
         self._trace_trees: List[Dict[str, Any]] = []
+        #: Routing by body SHA-256, for /compile and /batch bodies.
         self._memo: "OrderedDict[str, _Memo]" = OrderedDict()
-        #: Batch plans by body SHA-256: the /batch analogue of
-        #: ``_memo`` — a repeated identical batch body skips the JSON
-        #: parse and both canonical-hash passes per item.
         self._batch_memo: "OrderedDict[str, List[Tuple[str, Any]]]" = (
             OrderedDict()
         )
@@ -481,6 +566,7 @@ class CompileServer:
         self._flights: Dict[str, _Flight] = {}
         self._flight_lock = threading.Lock()
         self.farm: Optional[WorkerFarm] = None
+        self._batch_pool: Optional[ThreadPoolExecutor] = None
         if processes > 0:
             cache_root = (
                 self.service.cache.root
@@ -494,19 +580,18 @@ class CompileServer:
                 max_sessions=self.service.max_sessions,
                 allow_faults=allow_faults,
             ).start()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve"
-        )
-        #: Shard-group dispatch for the farm /batch path.  A persistent
-        #: pool: spawning one Thread per shard group per POST costs more
-        #: than the warm dispatch it parallelizes.  run_group never
-        #: re-submits, so a bounded pool cannot deadlock.
-        self._batch_pool: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(
+            #: Overlaps a /batch's shard groups.  A persistent pool:
+            #: spawning one Thread per group per POST costs more than
+            #: the warm dispatch it parallelizes.  Groups never
+            #: re-submit, so a bounded pool cannot deadlock.
+            self._batch_pool = ThreadPoolExecutor(
                 max_workers=8, thread_name_prefix="repro-batch"
             )
-            if self.farm is not None else None
-        )
+            self.shards = self.farm
+        else:
+            self.shards = LocalShard(
+                self.service, self.workers, allow_faults=allow_faults
+            )
         self._httpd = _Server((host, port), _Handler)
         self._httpd.owner = self
         self._thread: Optional[threading.Thread] = None
@@ -542,7 +627,7 @@ class CompileServer:
 
         Idempotent.  New requests observe ``draining`` and get 503
         immediately; existing ones run to completion (bounded by
-        ``timeout`` seconds of waiting).  The farm is stopped after
+        ``timeout`` seconds of waiting).  The shards are stopped after
         the queue empties; the accumulated trace, if any, is written
         last so it includes every completed request.
         """
@@ -556,11 +641,9 @@ class CompileServer:
                 if self._inflight == 0:
                     break
             time.sleep(0.02)
-        self._pool.shutdown(wait=True)
         if self._batch_pool is not None:
             self._batch_pool.shutdown(wait=True)
-        if self.farm is not None:
-            self.farm.stop()
+        self.shards.stop()
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
@@ -573,33 +656,34 @@ class CompileServer:
     ) -> Tuple[int, bytes, Dict[str, str]]:
         """One POST body straight off the socket → response bytes.
 
-        ``/compile`` and ``/batch`` with a farm take the fast path:
-        memoized parse and routing, single-flight coalescing, direct
-        pipe dispatch on the connection thread(s).  ``/resize``
-        reconfigures the farm.  Everything else goes through the
-        legacy parse-then-:meth:`handle` flow.
+        ``/compile`` and ``/batch`` go through the one dispatch path
+        (memoized routing, single-flight, shard dispatch) whatever the
+        shards are; ``/resize`` reconfigures the farm.  With tracing
+        on, the whole request is one ``serve.request`` span.
         """
         if self.draining:
             return self._err(503, "server is draining")
         start = time.perf_counter()
+        recorder = None
         try:
             if path == "/resize":
                 return self._handle_resize(raw)
-            if self.farm is not None:
-                if path == "/compile":
-                    return self._handle_farm(raw)
-                if path == "/batch":
-                    return self._handle_batch_farm(raw)
-            try:
-                request = json.loads(raw or b"{}")
-                if not isinstance(request, dict):
-                    raise ValueError("request body must be a JSON object")
-            except (ValueError, json.JSONDecodeError) as exc:
-                return self._err(400, f"malformed request: {exc}")
-            code, payload, headers = self.handle(path, request)
-            return code, json.dumps(payload).encode("utf-8"), headers
+            handle = (
+                self._handle_compile if path == "/compile"
+                else self._handle_batch
+            )
+            if self.trace_path is None:
+                return handle(raw, None)
+            from .. import obs
+
+            recorder = obs.TraceRecorder()
+            with recorder.span("serve.request", path=path):
+                return handle(raw, recorder)
         finally:
             self._latencies.append(time.perf_counter() - start)
+            if recorder is not None:
+                with self._lock:
+                    self._trace_trees.append(recorder.serialize())
 
     @staticmethod
     def _err(
@@ -614,53 +698,17 @@ class CompileServer:
     def bad_request(
         self, message: str, code: int = 400
     ) -> Tuple[int, bytes, Dict[str, str]]:
-        """A counted error reply for a request refused before its body."""
+        """A counted error reply for a request refused before dispatch."""
         with self._lock:
             self._counters["errors"] += 1
         return self._err(code, message)
 
-    def _parse_compile(self, raw: bytes) -> _Memo:
-        """Parse + route one ``/compile`` body, memoized on its bytes.
+    def _bad_body(self, exc: Exception) -> Tuple[int, bytes, Dict[str, str]]:
+        code, message = http_error(exc)
+        return self.bad_request(message, code)
 
-        A repeated identical body (the warm hot path) costs one
-        SHA-256 and a dict probe instead of a JSON parse, an options
-        validation, and two canonical-JSON hashes.
-        """
-        body_id = hashlib.sha256(raw).hexdigest()
-        with self._memo_lock:
-            memo = self._memo.get(body_id)
-            if memo is not None:
-                self._memo.move_to_end(body_id)
-                return memo
-        request = json.loads(raw or b"{}")
-        if not isinstance(request, dict):
-            raise ValueError("request body must be a JSON object")
-        options = CompileOptions.from_dict(request.get("options"))
-        document = _require(request, "graph", "/compile")
-        caching = (
-            bool(request.get("cache", True))
-            and self.service.cache is not None
-        )
-        key = cache_key(document, options.key_dict()) if caching else ""
-        if self.farm.shard_by == "key" and key:
-            shard = self.farm.shard_for(key)
-        else:
-            shard = self.farm.shard_for(canonical_hash(document))
-        memo = _Memo(request, key, shard)
-        if len(raw) <= _MEMO_MAX_BODY:
-            with self._memo_lock:
-                self._memo[body_id] = memo
-                while len(self._memo) > _MEMO_MAX_ENTRIES:
-                    self._memo.popitem(last=False)
-        return memo
-
-    def _handle_farm(self, raw: bytes) -> Tuple[int, bytes, Dict[str, str]]:
-        try:
-            memo = self._parse_compile(raw)
-        except (SDFError, ValueError, KeyError, TypeError) as exc:
-            with self._lock:
-                self._counters["errors"] += 1
-            return self._err(400, f"bad request: {exc}")
+    def _admitted(self, run) -> Tuple[int, bytes, Dict[str, str]]:
+        """``run()`` inside the bounded queue, or a 429 when it is full."""
         with self._lock:
             self._counters["requests"] += 1
             if self._inflight >= self.queue_limit:
@@ -671,23 +719,89 @@ class CompileServer:
                 )
             self._inflight += 1
         try:
-            return self._coalesced_dispatch(memo)
+            return run()
         finally:
             with self._lock:
                 self._inflight -= 1
 
-    def _coalesced_dispatch(
-        self, memo: _Memo, path: str = "/compile"
+    def _route(self, key: str, document: Any) -> int:
+        shards = self.shards
+        if shards.size == 1:
+            return 0
+        if shards.shard_by == "key" and key:
+            return shards.shard_for(key)
+        return shards.shard_for(canonical_hash(document))
+
+    def _memoized(self, table: "OrderedDict[str, Any]", raw: bytes, parse):
+        """``parse(request)`` for one body, memoized on its bytes.
+
+        A repeated identical body (the warm hot path) costs one
+        SHA-256 and a dict probe instead of a JSON parse, an options
+        validation, and canonical-JSON hashes.  Returns the routing
+        and, when this call parsed the body, the parsed request.
+        """
+        body_id = hashlib.sha256(raw).hexdigest()
+        with self._memo_lock:
+            routing = table.get(body_id)
+            if routing is not None:
+                table.move_to_end(body_id)
+                return routing, None
+        request = _load_object(raw)
+        routing = parse(request)
+        if len(raw) <= _MEMO_MAX_BODY:
+            with self._memo_lock:
+                table[body_id] = routing
+                while len(table) > _MEMO_MAX_ENTRIES:
+                    table.popitem(last=False)
+        return routing, request
+
+    def _parse_compile(self, request: Dict[str, Any]) -> _Memo:
+        """Route one ``/compile`` request."""
+        options = CompileOptions.from_dict(request.get("options"))
+        document = _require(request, "graph", "/compile")
+        caching = (
+            bool(request.get("cache", True))
+            and self.service.cache is not None
+        )
+        key = cache_key(document, options.key_dict()) if caching else ""
+        return _Memo(key, self._route(key, document))
+
+    def _handle_compile(
+        self, raw: bytes, recorder
     ) -> Tuple[int, bytes, Dict[str, str]]:
-        """One item through single-flight + farm dispatch.
+        try:
+            memo, request = self._memoized(
+                self._memo, raw, self._parse_compile
+            )
+        except Exception as exc:
+            return self._bad_body(exc)
+        if request is None:
+            fetch = functools.partial(_load_object, raw)
+        else:
+            def fetch() -> Dict[str, Any]:
+                return request
+
+        def run() -> Tuple[int, bytes, Dict[str, str]]:
+            reply, tree = self._coalesced_dispatch(
+                memo, fetch, recorder is not None
+            )
+            if tree is not None:
+                recorder.merge_serialized(tree)
+            return reply
+
+        return self._admitted(run)
+
+    def _coalesced_dispatch(self, memo: _Memo, fetch, trace: bool):
+        """One item through single-flight + shard dispatch.
 
         Shared by ``/compile`` and each ``/batch`` item: cache-enabled
         identical requests in flight anywhere on the server (single
         requests or batch items, in any mix) coalesce onto one leader
         per cache key; the rest receive the leader's bytes verbatim.
+        Returns the reply and the shard's span tree (the leader's only).
         """
         if not memo.key:
-            return self._farm_dispatch(memo, path)
+            return self._shard_dispatch(memo, fetch, trace)
         with self._flight_lock:
             flight = self._flights.get(memo.key)
             leader = flight is None
@@ -707,79 +821,45 @@ class CompileServer:
                     504,
                     "coalesced request timed out waiting for the "
                     "in-flight identical compile",
-                )
-            return flight.result
+                ), None
+            return flight.result, None
         try:
-            result = self._farm_dispatch(memo, path)
+            result, tree = self._shard_dispatch(memo, fetch, trace)
             flight.result = result
-            return result
+            return result, tree
         finally:
             with self._flight_lock:
                 self._flights.pop(memo.key, None)
             flight.event.set()
 
-    def _farm_dispatch(
-        self, memo: _Memo, path: str = "/compile"
-    ) -> Tuple[int, bytes, Dict[str, str]]:
-        """Run one request on its shard; map farm failures to HTTP."""
-        trace = self.trace_path is not None
+    def _shard_dispatch(self, memo: _Memo, fetch, trace: bool):
+        """Run one item on its shard; map shard failures to HTTP."""
         try:
-            response = self.farm.compile(
-                memo.shard, memo.key, memo.request,
+            response = self.shards.compile(
+                memo.shard, memo.key, fetch,
                 trace=trace, timeout=self.request_timeout,
             )
-        except FarmRequestError as exc:
-            with self._lock:
-                self._counters["errors"] += 1
-            return self._err(exc.code, str(exc))
-        except FarmWorkerCrashed as exc:
-            with self._lock:
-                self._counters["worker_failures"] += 1
-                self._counters["errors"] += 1
-            return self._err(exc.code, str(exc))
-        except FarmTimeout as exc:
-            with self._lock:
-                self._counters["timeouts"] += 1
-            return self._err(exc.code, str(exc))
+        except FarmError as exc:
+            return self._err(exc.code, self._count_failure(exc)), None
         self._account(response.status)
-        if response.tree is not None:
-            self._graft_worker_trace(memo, response.tree, path)
-        return 200, response.body, {}
+        return (200, response.body, {}), response.tree
 
-    def _graft_worker_trace(
-        self, memo: _Memo, tree: Dict[str, Any], path: str = "/compile"
-    ) -> None:
-        from .. import obs
-
-        recorder = obs.TraceRecorder()
-        with recorder.span(
-            "serve.request", path=path, shard=memo.shard
-        ):
-            recorder.merge_serialized(tree)
+    def _count_failure(self, exc: FarmError) -> str:
+        """Count one failed dispatch by kind; returns its message."""
         with self._lock:
-            self._trace_trees.append(recorder.serialize())
+            if isinstance(exc, FarmTimeout):
+                self._counters["timeouts"] += 1
+            else:
+                self._counters["errors"] += 1
+                if isinstance(exc, FarmWorkerCrashed):
+                    self._counters["worker_failures"] += 1
+        return str(exc)
 
-    # -- farm batch path ------------------------------------------------
-    def _parse_batch(self, raw: bytes) -> List[Tuple[str, Any]]:
-        """Parse + route one ``/batch`` body, memoized on its bytes.
-
-        Returns one entry per item in request order: ``("item", memo)``
-        for a routable document, ``("err", body_bytes)`` for a
-        malformed one.  Like :meth:`_parse_compile`, a repeated
-        identical batch body (the warm hot path) costs one SHA-256 and
-        a dict probe instead of a JSON parse plus two canonical-JSON
-        hashes *per item*.  Bodies with fault injection are never
-        memoized — faults must reach the worker on every POST.
-        """
-        body_id = hashlib.sha256(raw).hexdigest()
-        with self._memo_lock:
-            entries = self._batch_memo.get(body_id)
-            if entries is not None:
-                self._batch_memo.move_to_end(body_id)
-                return entries
-        request = json.loads(raw or b"{}")
-        if not isinstance(request, dict):
-            raise ValueError("request body must be a JSON object")
+    # -- batch ----------------------------------------------------------
+    def _parse_batch(self, request: Dict[str, Any]) -> List[Tuple[str, Any]]:
+        """Route one ``/batch`` request: one entry per item in request
+        order, ``("item", memo)`` for a routable document and ``("err",
+        body_bytes)`` for a malformed one."""
         documents = _require(request, "graphs", "/batch")
         if not isinstance(documents, list):
             raise ValueError(
@@ -799,159 +879,125 @@ class CompileServer:
                 "'faults' must align one-to-one with 'graphs'"
             )
         entries = []
-        options_dict = request.get("options") or {}
-        for index, document in enumerate(documents):
+        for document in documents:
             try:
-                item = {
-                    "graph": document,
-                    "options": options_dict,
-                    "cache": caching,
-                }
-                if faults is not None and faults[index]:
-                    item["fault"] = faults[index]
                 key = (
                     cache_key(document, options.key_dict())
                     if caching else ""
                 )
-                if self.farm.shard_by == "key" and key:
-                    shard = self.farm.shard_for(key)
-                else:
-                    shard = self.farm.shard_for(
-                        canonical_hash(document)
-                    )
-            except (SDFError, ValueError, KeyError, TypeError) as exc:
-                entries.append(
-                    ("err",
-                     self._item_error(400, f"bad request: {exc}"))
-                )
+                shard = self._route(key, document)
+            except Exception as exc:
+                entries.append(("err", self._item_error(*http_error(exc))))
                 continue
-            entries.append(("item", _Memo(item, key, shard)))
-        if faults is None and len(raw) <= _MEMO_MAX_BODY:
-            with self._memo_lock:
-                self._batch_memo[body_id] = entries
-                while len(self._batch_memo) > _MEMO_MAX_ENTRIES:
-                    self._batch_memo.popitem(last=False)
+            entries.append(("item", _Memo(key, shard)))
         return entries
 
-    def _handle_batch_farm(
-        self, raw: bytes
+    def _handle_batch(
+        self, raw: bytes, recorder
     ) -> Tuple[int, bytes, Dict[str, str]]:
-        """``/batch`` through the farm: per-item sharding + isolation.
+        """``/batch``: per-item routing, shard groups, per-item isolation.
 
         Each item is routed by its own graph digest; shard groups run
-        on a persistent dispatch pool with the items of one shard
-        processed in request order (the shard's session LRU and memory
-        tier stay hot, and N identical colds in one batch compile
-        exactly once — the first item compiles, the rest hit the
-        memory tier or coalesce on the single-flight).  A malformed
-        document, worker crash, or per-item timeout yields a
+        concurrently (on the farm's dispatch pool) with the items of
+        one group processed in request order, so a shard's caches stay
+        hot and N identical colds in one batch compile exactly once.
+        A malformed document, worker crash, or timeout yields a
         ``{"status": "error", "code": ..., "error": ...}`` entry for
-        that item only.  Success items splice the workers' rendered
-        response bytes verbatim — no decode/re-encode on the hot path.
+        the affected items only.  Success items splice the shards'
+        rendered response bytes verbatim.
         """
         try:
-            entries = self._parse_batch(raw)
-        except (SDFError, ValueError, KeyError, TypeError,
-                json.JSONDecodeError) as exc:
+            entries, request = self._memoized(
+                self._batch_memo, raw, self._parse_batch
+            )
+        except Exception as exc:
+            return self._bad_body(exc)
+        return self._admitted(functools.partial(
+            self._run_batch, entries, _BatchBody(raw, request), recorder,
+        ))
+
+    def _run_batch(
+        self, entries: List[Tuple[str, Any]], body: _BatchBody, recorder
+    ) -> Tuple[int, bytes, Dict[str, str]]:
+        trace = recorder is not None
+        parts: List[Optional[bytes]] = [None] * len(entries)
+        trees: List[Optional[Dict[str, Any]]] = [None] * len(entries)
+        groups: Dict[int, List[Tuple[int, _Memo]]] = {}
+        parse_errors = 0
+        for index, (kind, value) in enumerate(entries):
+            if kind == "err":
+                parts[index] = value
+                parse_errors += 1
+            else:
+                groups.setdefault(value.shard, []).append((index, value))
+        if parse_errors:
             with self._lock:
-                self._counters["errors"] += 1
-            return self._err(400, f"bad request: {exc}")
-        with self._lock:
-            self._counters["requests"] += 1
-            if self._inflight >= self.queue_limit:
-                self._counters["rejected"] += 1
-                return self._err(
-                    429, "compile queue is full, retry later",
-                    {"Retry-After": "1"},
+                self._counters["errors"] += parse_errors
+
+        def run_item(index: int, memo: _Memo) -> None:
+            (code, data, _headers), trees[index] = self._coalesced_dispatch(
+                memo, functools.partial(body.item, index), trace
+            )
+            parts[index] = (
+                data if code == 200
+                else self._item_error(code, json.loads(data)["error"])
+            )
+
+        def run_group(members: List[Tuple[int, _Memo]]) -> None:
+            try:
+                results = self.shards.compile_many(
+                    members[0][1].shard,
+                    [(memo.key, functools.partial(body.item, index))
+                     for index, memo in members],
+                    trace=trace, timeout=self.request_timeout,
                 )
-            self._inflight += 1
-        try:
-            parts: List[Optional[bytes]] = [None] * len(entries)
-            groups: Dict[int, List[Tuple[int, _Memo]]] = {}
-            parse_errors = 0
-            for index, (kind, value) in enumerate(entries):
-                if kind == "err":
-                    parts[index] = value
-                    parse_errors += 1
-                else:
-                    groups.setdefault(value.shard, []).append(
-                        (index, value)
+            except FarmTimeout as exc:
+                # The group stopped at an item boundary (a farm worker
+                # is killed and respawned): no item of it has a result.
+                for index, _ in members:
+                    parts[index] = self._item_error(
+                        exc.code, self._count_failure(exc)
                     )
-            if parse_errors:
+                return
+            except FarmError:
+                # The grouped frame failed as a unit (the worker died
+                # mid-group).  Fall back to per-item dispatch so only
+                # the actually-bad item errors.
                 with self._lock:
-                    self._counters["errors"] += parse_errors
-
-            def run_item(index: int, memo: _Memo) -> None:
-                code, body, _headers = self._coalesced_dispatch(
-                    memo, path="/batch"
-                )
-                if code == 200:
-                    parts[index] = body
-                else:
-                    message = ""
-                    try:
-                        message = json.loads(body).get("error", "")
-                    except (ValueError, AttributeError):
-                        pass
-                    parts[index] = self._item_error(code, message)
-
-            def run_group(members: List[Tuple[int, _Memo]]) -> None:
-                trace = self.trace_path is not None
-                try:
-                    results = self.farm.compile_many(
-                        members[0][1].shard,
-                        [(memo.key, memo.request)
-                         for _, memo in members],
-                        trace=trace, timeout=self.request_timeout,
-                    )
-                except (FarmWorkerCrashed, FarmTimeout, FarmError):
-                    # The grouped frame failed as a unit (the worker
-                    # died or hung mid-group).  Fall back to per-item
-                    # dispatch so only the actually-bad item errors —
-                    # fault isolation stays per item, not per shard.
+                    self._counters["worker_failures"] += 1
+                for index, memo in members:
+                    run_item(index, memo)
+                return
+            for (index, memo), entry in zip(members, results):
+                if entry[0] != "ok":
                     with self._lock:
-                        self._counters["worker_failures"] += 1
-                    for index, memo in members:
-                        run_item(index, memo)
-                    return
-                for (index, memo), entry in zip(members, results):
-                    if entry[0] != "ok":
-                        with self._lock:
-                            self._counters["errors"] += 1
-                        parts[index] = self._item_error(
-                            entry[1], entry[2]
-                        )
-                        continue
-                    _, status, _tier, body, tree = entry
-                    self._account(status)
-                    if tree is not None:
-                        self._graft_worker_trace(memo, tree, "/batch")
-                    parts[index] = body
+                        self._counters["errors"] += 1
+                    parts[index] = self._item_error(entry[1], entry[2])
+                    continue
+                _, status, _tier, parts[index], trees[index] = entry
+                self._account(status)
 
-            ordered = [groups[shard] for shard in sorted(groups)]
-            if len(ordered) == 1:
-                run_group(ordered[0])
-            elif ordered:
-                # First group runs inline; the rest overlap on the
-                # persistent pool (per-POST Thread spawns cost more
-                # than the warm dispatches they parallelize).
-                futures = [
-                    self._batch_pool.submit(run_group, members)
-                    for members in ordered[1:]
-                ]
-                run_group(ordered[0])
-                for future in futures:
-                    future.result()
-            filled = [
-                part if part is not None
-                else self._item_error(500, "internal error")
-                for part in parts
-            ]
-            body = b'{"responses":[' + b",".join(filled) + b"]}"
-            return 200, body, {}
-        finally:
-            with self._lock:
-                self._inflight -= 1
+        ordered = [groups[shard] for shard in sorted(groups)]
+        # The first group runs inline; the rest overlap on the farm's
+        # persistent dispatch pool (a local shard has only one group).
+        futures = [
+            self._batch_pool.submit(run_group, members)
+            for members in ordered[1:]
+        ]
+        if ordered:
+            run_group(ordered[0])
+        for future in futures:
+            future.result()
+        if recorder is not None:
+            for tree in trees:
+                if tree is not None:
+                    recorder.merge_serialized(tree)
+        filled = [
+            part if part is not None
+            else self._item_error(500, "internal error")
+            for part in parts
+        ]
+        return 200, b'{"responses":[' + b",".join(filled) + b"]}", {}
 
     @staticmethod
     def _item_error(code: int, message: str) -> bytes:
@@ -965,11 +1011,8 @@ class CompileServer:
         self, raw: bytes
     ) -> Tuple[int, bytes, Dict[str, str]]:
         try:
-            request = json.loads(raw or b"{}")
-            if not isinstance(request, dict):
-                raise ValueError("request body must be a JSON object")
-            workers = int(_require(request, "workers", "/resize"))
-        except (ValueError, TypeError, json.JSONDecodeError) as exc:
+            workers = int(_require(_load_object(raw), "workers", "/resize"))
+        except (ValueError, TypeError) as exc:
             return self._err(400, f"bad request: {exc}")
         if self.farm is None:
             return self._err(
@@ -998,146 +1041,6 @@ class CompileServer:
             self._memo.clear()
             self._batch_memo.clear()
         return info
-
-    def handle(
-        self, path: str, request: Dict[str, Any]
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        """Dispatch one parsed POST; returns (code, payload, headers).
-
-        The thread-pool path: ``/batch`` always, and ``/compile`` when
-        no farm is configured.
-        """
-        with self._lock:
-            self._counters["requests"] += 1
-            if self._inflight >= self.queue_limit:
-                self._counters["rejected"] += 1
-                return (
-                    429,
-                    {"error": "compile queue is full, retry later"},
-                    {"Retry-After": "1"},
-                )
-            self._inflight += 1
-        cancel: Optional[threading.Event] = None
-        if self.request_timeout is not None and path == "/batch":
-            cancel = threading.Event()
-        future = self._pool.submit(self._run_job, path, request, cancel)
-        try:
-            return future.result(timeout=self.request_timeout)
-        except FutureTimeout:
-            # The job keeps running in the pool, but for /batch the
-            # cancel event stops unstarted items at the next round
-            # boundary, so the worker slot comes back promptly instead
-            # of grinding through the abandoned batch.
-            if cancel is not None:
-                cancel.set()
-            with self._lock:
-                self._counters["timeouts"] += 1
-            return (
-                504,
-                {"error": (
-                    f"request exceeded {self.request_timeout}s; "
-                    "still compiling, retry to pick up the cached result"
-                )},
-                {},
-            )
-
-    def _run_job(
-        self, path: str, request: Dict[str, Any],
-        cancel: Optional[threading.Event] = None,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        recorder = None
-        if self.trace_path is not None:
-            from .. import obs
-
-            recorder = obs.TraceRecorder()
-        try:
-            span = (
-                recorder.span("serve.request", path=path)
-                if recorder is not None
-                else None
-            )
-            if span is not None:
-                with span:
-                    return self._dispatch(path, request, recorder, cancel)
-            return self._dispatch(path, request, recorder, cancel)
-        finally:
-            with self._lock:
-                self._inflight -= 1
-                if recorder is not None:
-                    self._trace_trees.append(recorder.serialize())
-
-    def _dispatch(
-        self, path: str, request: Dict[str, Any], recorder,
-        cancel: Optional[threading.Event] = None,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        try:
-            if path == "/compile":
-                return self._compile_one(request, recorder)
-            return self._compile_batch(request, recorder, cancel)
-        except (SDFError, ValueError, KeyError, TypeError) as exc:
-            with self._lock:
-                self._counters["errors"] += 1
-            return 400, {"error": f"bad request: {exc}"}, {}
-        except Exception as exc:  # pragma: no cover - defensive
-            with self._lock:
-                self._counters["errors"] += 1
-            return 500, {"error": f"internal error: {exc!r}"}, {}
-
-    def _compile_one(
-        self, request: Dict[str, Any], recorder
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        document = _require(request, "graph", "/compile")
-        options = CompileOptions.from_dict(request.get("options"))
-        report, status = self.service.compile_document(
-            document, options,
-            use_cache=bool(request.get("cache", True)),
-            recorder=recorder,
-        )
-        self._account(status)
-        return 200, {"status": status, "report": report.to_json()}, {}
-
-    def _compile_batch(
-        self, request: Dict[str, Any], recorder,
-        cancel: Optional[threading.Event] = None,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        documents = _require(request, "graphs", "/batch")
-        if not isinstance(documents, list):
-            raise ValueError("'graphs' must be a list of graph documents")
-        options = CompileOptions.from_dict(request.get("options"))
-        jobs = request.get("jobs")
-        extra: Dict[str, Any] = {}
-        if cancel is not None:  # stay duck-type compatible without it
-            extra["cancel"] = cancel
-        results = self.service.compile_batch(
-            documents, options,
-            use_cache=bool(request.get("cache", True)),
-            jobs=int(jobs) if jobs is not None else None,
-            recorder=recorder,
-            **extra,
-        )
-        responses = []
-        reclaimed = errored = 0
-        for result, status in results:
-            if status in ("error", "cancelled"):
-                if status == "cancelled":
-                    reclaimed += 1
-                else:
-                    errored += 1
-                responses.append({
-                    "status": "error",
-                    "code": int(result.get("code", 500)),
-                    "error": str(result.get("error", "")),
-                })
-                continue
-            self._account(status)
-            responses.append(
-                {"status": status, "report": result.to_json()}
-            )
-        if reclaimed or errored:
-            with self._lock:
-                self._counters["timeout_reclaimed"] += reclaimed
-                self._counters["errors"] += errored
-        return 200, {"responses": responses}, {}
 
     def _account(self, status: str) -> None:
         with self._lock:

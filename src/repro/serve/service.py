@@ -1,9 +1,8 @@
 """The compilation service core: cache in front of the pipeline.
 
 :class:`CompileService` is the transport-independent heart of
-``repro serve`` — the HTTP server (:mod:`repro.serve.server`), the
-batch client path, and the in-process benchmarks all call the same
-two methods:
+``repro serve`` — the HTTP server's shards (:mod:`repro.serve.farm`)
+and the in-process benchmarks call the same methods:
 
 * :meth:`CompileService.compile_document` — one graph document through
   the cache-then-compile flow, returning a
@@ -12,11 +11,8 @@ two methods:
 * :meth:`CompileService.compile_document_tiered` — the same flow but
   also reporting *which* tier answered (``"memory"``, ``"disk"``, or
   ``"compile"``); the farm workers use this to keep per-tier counters;
-* :meth:`CompileService.compile_batch` — many documents fanned out
-  over worker processes with
-  :func:`repro.experiments.runner.parallel_map` (the same
-  deterministic, order-preserving primitive the experiment drivers
-  use), each worker opening the same on-disk cache by path.
+* :meth:`CompileService.compile_batch` — :meth:`compile_document`
+  over a list of documents, in order.
 
 Repeated compiles of the same graph within one service process also
 share a :class:`~repro.scheduling.session.CompilationSession` (a small
@@ -334,112 +330,9 @@ class CompileService:
         self,
         documents: List[Dict[str, Any]],
         options: Optional[CompileOptions] = None,
-        use_cache: bool = True,
-        jobs: Optional[int] = None,
-        recorder=None,
-        cancel=None,
-    ) -> List[Tuple[Any, str]]:
-        """Fan a list of documents out over worker processes.
-
-        Uses :func:`~repro.experiments.runner.parallel_map` — order
-        preserving, deterministic, serial fallback — so the batch
-        response order always matches the request order and a
-        ``jobs=1`` run is bit-identical to a parallel one.  Workers
-        share the on-disk cache by path (atomic writes make concurrent
-        same-key writers safe: last replace wins with identical
-        content).
-
-        Item failures are isolated: a document the worker cannot
-        compile yields ``({"error": ..., "code": ...}, "error")`` in
-        its slot, leaving the other items intact.
-
-        ``cancel`` (an object with ``is_set()``, e.g. a
-        ``threading.Event``) enables cooperative abandonment: the
-        batch runs in rounds of at most one pool's width, and once
-        ``cancel.is_set()`` every not-yet-started item is skipped with
-        ``({"error": ..., "code": 503}, "cancelled")`` — the caller
-        counts these as reclaimed work instead of letting an abandoned
-        batch grind the pool after a timeout.
-        """
-        from ..experiments.runner import effective_jobs, parallel_map
-
-        options = options or CompileOptions()
-        cache_root = (
-            self.cache.root if (use_cache and self.cache is not None) else None
-        )
-        tasks = [
-            (document, options.as_dict(), cache_root)
+    ) -> List[Tuple[CompilationReport, str]]:
+        """:meth:`compile_document` over ``documents``, in order."""
+        return [
+            self.compile_document(document, options)
             for document in documents
         ]
-        if cancel is None:
-            results = parallel_map(
-                _batch_worker, tasks, jobs=jobs,
-                recorder=recorder, task_label="serve.batch_task",
-            )
-        else:
-            width = max(1, effective_jobs(jobs))
-            results = []
-            for lo in range(0, len(tasks), width):
-                if cancel.is_set():
-                    results.extend(
-                        ({
-                            "error": (
-                                "cancelled: the batch request timed "
-                                "out before this item started"
-                            ),
-                            "code": 503,
-                        }, "cancelled")
-                        for _ in tasks[lo:]
-                    )
-                    break
-                results.extend(parallel_map(
-                    _batch_worker, tasks[lo:lo + width], jobs=jobs,
-                    recorder=recorder, task_label="serve.batch_task",
-                ))
-        out = []
-        for payload, status in results:
-            if status in ("error", "cancelled"):
-                out.append((payload, status))
-                continue
-            report = CompilationReport.from_json(payload)
-            if self.cache is not None and status == "hit":
-                self.cache.hits += 1
-            elif self.cache is not None and status == "miss":
-                self.cache.misses += 1
-                self.cache.writes += 1
-            out.append((report, status))
-        return out
-
-
-def _batch_worker(
-    task: Tuple[Dict[str, Any], Dict[str, Any], Optional[str]]
-) -> Tuple[Dict[str, Any], str]:
-    """One batch item, picklable for the process pool.
-
-    Builds a throwaway single-graph service around the shared cache
-    directory; returns ``(report_json, status)`` as plain data.  A
-    failing item returns ``({"error": ..., "code": ...}, "error")``
-    instead of raising, so one bad document cannot take down the whole
-    batch (an exception escaping here would poison ``parallel_map``'s
-    entire result list).
-    """
-    from .. import obs
-    from ..exceptions import SDFError
-
-    document, options_dict, cache_root = task
-    try:
-        service = CompileService(
-            cache=ArtifactCache(cache_root) if cache_root else None
-        )
-        report, status = service.compile_document(
-            document,
-            CompileOptions.from_dict(options_dict),
-            use_cache=cache_root is not None,
-            recorder=obs.active(obs.current()),
-        )
-    except (SDFError, ValueError, KeyError, TypeError) as exc:
-        return {"error": f"bad request: {exc}", "code": 400}, "error"
-    except Exception as exc:  # pragma: no cover - defensive
-        return {"error": f"internal error: {exc!r}", "code": 500}, "error"
-    payload = report.to_json()
-    return payload, status

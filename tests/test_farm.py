@@ -457,6 +457,78 @@ class TestFarmBatch:
         assert sum(by_worker) == 3
 
 
+def _normalized(responses):
+    """Responses with each report replaced by its canonical form."""
+    return [
+        dict(r, report=CompilationReport.from_json(r["report"]).canonical())
+        if "report" in r else r
+        for r in responses
+    ]
+
+
+class TestOneRequestPath:
+    """In-process and farm servers answer through the same path."""
+
+    def test_local_and_farm_answers_agree(self, tmp_path):
+        docs = [to_json(cd_to_dat()), to_json(small_graph("one_path"))]
+        runs = {}
+        for processes in (0, 2):
+            server = CompileServer(
+                CompileService(
+                    cache=ArtifactCache(str(tmp_path / str(processes)))
+                ),
+                port=0, processes=processes, quiet=True,
+            ).start()
+            try:
+                responses = [
+                    serve_client._post(server.url, "/compile",
+                                       {"graph": doc, "options": {}})
+                    for doc in docs * 2
+                ]
+                responses += serve_client._post(
+                    server.url, "/batch",
+                    {"graphs": docs + [{"actors": "nope"}], "options": {}},
+                )["responses"]
+                with pytest.raises(ServeClientError) as err:
+                    serve_client._post(server.url, "/compile", [1])
+                assert err.value.status == 400
+                stats = server.stats()["server"]
+            finally:
+                server.drain(timeout=15)
+            runs[processes] = (
+                _normalized(responses),
+                {name: stats[name] for name in
+                 ("requests", "hits", "misses", "compiled", "errors")},
+            )
+        assert runs[0] == runs[2]
+        assert runs[0][1] == {"requests": 5, "hits": 4, "misses": 2,
+                              "compiled": 2, "errors": 2}
+
+    def test_traced_farm_batch_is_one_request_span(self, tmp_path):
+        trace = str(tmp_path / "trace.jsonl")
+        server = CompileServer(
+            CompileService(cache=ArtifactCache(str(tmp_path / "c"))),
+            port=0, processes=1, quiet=True, trace_path=trace,
+        ).start()
+        try:
+            compile_batch_remote(
+                [to_json(small_graph(f"span{i}")) for i in range(3)],
+                url=server.url,
+            )
+        finally:
+            server.drain(timeout=15)
+        with open(trace) as handle:
+            spans = [
+                row for row in map(json.loads, handle)
+                if row["type"] == "span"
+            ]
+        (request,) = [s for s in spans if s["name"] == "serve.request"]
+        assert request["attrs"]["path"] == "/batch"
+        children = [s for s in spans if s["depth"] == request["depth"] + 1]
+        assert len(children) >= 3
+        assert request["dur"] >= sum(child["dur"] for child in children)
+
+
 class TestFarmResize:
     """POST /resize: live grow/drain with counters surviving."""
 

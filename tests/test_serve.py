@@ -3,6 +3,7 @@
 import json
 import os
 import socket
+import sys
 import threading
 import time
 
@@ -30,13 +31,14 @@ from repro.serve.client import (
     compile_remote,
     get_json,
 )
+from repro.serve import server as server_module
 from repro.serve.server import MAX_BODY_BYTES
 
 import random
 
 
-def small_graph():
-    g = SDFGraph("serve_sample")
+def small_graph(name="serve_sample"):
+    g = SDFGraph(name)
     g.add_actors("ABC")
     g.add_edge("A", "B", 3, 2)
     g.add_edge("B", "C", 2, 5, delay=2)
@@ -236,33 +238,26 @@ class TestCompileService:
     def test_batch_preserves_order_and_statuses(self, tmp_path):
         service = CompileService(cache=ArtifactCache(str(tmp_path)))
         docs = [to_json(small_graph()), to_json(cd_to_dat())]
-        results = service.compile_batch(docs + docs, jobs=1)
+        results = service.compile_batch(docs + docs)
         names = [r.graph for r, _ in results]
         assert names == ["serve_sample", "cd2dat"] * 2
         assert [s for _, s in results] == ["miss", "miss", "hit", "hit"]
         assert results[0][0].canonical() == results[2][0].canonical()
 
 
-class _StubService:
-    """Duck-typed service whose compiles block until released."""
+def _faulted_server(**kwargs):
+    """An in-process server that honors ``"fault": "sleep:N"``."""
+    return CompileServer(
+        CompileService(), port=0, allow_faults=True, quiet=True, **kwargs
+    ).start()
 
-    cache = None
 
-    def __init__(self, delay=0.0):
-        self.delay = delay
-        self.calls = 0
-
-    def compile_document(self, document, options, use_cache=True,
-                         recorder=None):
-        self.calls += 1
-        time.sleep(self.delay)
-        return make_report(), "disabled"
-
-    def compile_batch(self, documents, options, use_cache=True,
-                      jobs=None, recorder=None):
-        return [
-            self.compile_document(d, options, use_cache) for d in documents
-        ]
+def _sleepy(seconds):
+    """A cache-bypassing /compile payload held in flight ``seconds``."""
+    return {
+        "graph": to_json(small_graph()), "options": {}, "cache": False,
+        "fault": f"sleep:{seconds}",
+    }
 
 
 @pytest.fixture
@@ -315,17 +310,15 @@ class TestCompileServer:
         assert "error" in payload
 
     def test_backpressure_429(self):
-        server = CompileServer(
-            _StubService(delay=0.5), port=0, workers=1,
-            queue_limit=1, quiet=True,
-        ).start()
+        server = _faulted_server(workers=1, queue_limit=1)
         try:
-            doc = to_json(small_graph())
             errors = []
 
             def slow():
                 try:
-                    compile_remote(doc, url=server.url, timeout=10)
+                    serve_client._post(
+                        server.url, "/compile", _sleepy(0.5), timeout=10
+                    )
                 except ServeClientError as exc:
                     errors.append(exc)
 
@@ -333,7 +326,9 @@ class TestCompileServer:
             first.start()
             time.sleep(0.1)  # first request now occupies the one slot
             with pytest.raises(ServeClientError) as err:
-                compile_remote(doc, url=server.url, timeout=10)
+                compile_remote(
+                    to_json(small_graph()), url=server.url, timeout=10
+                )
             assert err.value.status == 429
             first.join()
             assert errors == []
@@ -342,14 +337,13 @@ class TestCompileServer:
             server.drain(timeout=10)
 
     def test_request_timeout_504(self):
-        server = CompileServer(
-            _StubService(delay=1.0), port=0, workers=1,
-            queue_limit=2, request_timeout=0.05, quiet=True,
-        ).start()
+        server = _faulted_server(
+            workers=1, queue_limit=2, request_timeout=0.05
+        )
         try:
             with pytest.raises(ServeClientError) as err:
-                compile_remote(
-                    to_json(small_graph()), url=server.url, timeout=10
+                serve_client._post(
+                    server.url, "/compile", _sleepy(1.0), timeout=10
                 )
             assert err.value.status == 504
             assert server.stats()["server"]["timeouts"] == 1
@@ -364,6 +358,89 @@ class TestCompileServer:
         server.drain(timeout=10)
         with pytest.raises(ServeClientError):
             compile_remote(to_json(small_graph()), url=url, timeout=2)
+
+    def test_hit_does_not_wait_behind_a_compile(self, tmp_path):
+        server = CompileServer(
+            CompileService(cache=ArtifactCache(str(tmp_path))),
+            port=0, workers=1, allow_faults=True, quiet=True,
+        ).start()
+        try:
+            doc = to_json(cd_to_dat())
+            compile_remote(doc, url=server.url)
+            slow = threading.Thread(target=serve_client._post, args=(
+                server.url, "/compile", _sleepy(1.0), 10,
+            ))
+            slow.start()
+            time.sleep(0.1)  # the one compile thread is now asleep
+            t0 = time.monotonic()
+            _, status = compile_remote(doc, url=server.url, timeout=10)
+            assert status == "hit"
+            assert time.monotonic() - t0 < 0.5
+            slow.join(timeout=10)
+            assert not slow.is_alive()
+        finally:
+            server.drain(timeout=10)
+
+    def test_concurrent_hits_lose_no_counts(self, tmp_path):
+        # The in-process shard's core is shared by every connection
+        # and compile thread; its counters must agree with /stats.
+        server = CompileServer(
+            CompileService(cache=ArtifactCache(str(tmp_path))),
+            port=0, workers=4, queue_limit=64, quiet=True,
+        ).start()
+        interval = sys.getswitchinterval()
+        try:
+            doc = to_json(small_graph())
+            compile_remote(doc, url=server.url)
+            statuses = []
+
+            def hammer():
+                for _ in range(25):
+                    statuses.append(
+                        compile_remote(doc, url=server.url, timeout=30)[1]
+                    )
+
+            sys.setswitchinterval(1e-5)
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            server.drain(timeout=10)
+        assert statuses == ["hit"] * 200
+        stats = server.stats()["server"]
+        assert stats["hits"] + stats["coalesced"] == 200
+        core = server.shards.core.counters.counter_totals()
+        assert core["farm.requests"] == 1 + stats["hits"]
+
+    def test_malformed_body_counted_as_error(self, live_server):
+        with pytest.raises(ServeClientError) as err:
+            serve_client._post(live_server.url, "/compile", [1, 2])
+        assert err.value.status == 400
+        stats = live_server.stats()["server"]
+        assert (stats["errors"], stats["requests"]) == (1, 0)
+
+    def test_warm_hit_beats_cold_compile_tenfold(self, tmp_path):
+        # A warm CD-DAT hit is >= 10x faster than its cold compile
+        # (min of N each, fresh cache per cold run).
+        doc = to_json(cd_to_dat())
+        colds, warms = [], []
+        for run in range(3):
+            service = CompileService(
+                cache=ArtifactCache(str(tmp_path / str(run)))
+            )
+            t0 = time.perf_counter()
+            service.compile_document(doc)
+            colds.append(time.perf_counter() - t0)
+            for _ in range(3):
+                t0 = time.perf_counter()
+                _, status = service.compile_document(doc)
+                warms.append(time.perf_counter() - t0)
+                assert status == "hit"
+        assert min(colds) >= 10 * min(warms)
 
     def test_trace_written_on_drain(self, tmp_path):
         trace = str(tmp_path / "trace.json")
@@ -389,12 +466,16 @@ def _raw_exchange(port: int, request: bytes, timeout: float = 5.0) -> bytes:
     address = ("127.0.0.1", port)
     with socket.create_connection(address, timeout=timeout) as sock:
         sock.sendall(request)
-        data = b""
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                return data
-            data += chunk
+        return _read_to_close(sock)
+
+
+def _read_to_close(sock) -> bytes:
+    data = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return data
+        data += chunk
 
 
 class TestHostileContentLength:
@@ -445,20 +526,99 @@ class TestHostileContentLength:
         assert response.startswith(b"HTTP/1.1 200 ")
 
 
-class _CountingCancel:
-    """Stub cancel handle: reports set after ``trip`` ``is_set`` calls."""
+class TestBodyReadDeadline:
+    """A stalled or truncated body: a one-line error, never a stuck thread."""
 
-    def __init__(self, trip):
-        self.trip = trip
-        self.calls = 0
+    @staticmethod
+    def _handler_threads(before):
+        return [
+            t for t in threading.enumerate()
+            if t not in before and t.is_alive()
+            and "process_request_thread" in t.name
+        ]
 
-    def is_set(self):
-        self.calls += 1
-        return self.calls > self.trip
+    def test_stalled_bodies_get_408_and_free_their_threads(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "BODY_READ_TIMEOUT_S", 0.3)
+        before = set(threading.enumerate())
+        server = CompileServer(CompileService(), port=0, quiet=True).start()
+        try:
+            socks = [
+                socket.create_connection(("127.0.0.1", server.port),
+                                         timeout=5)
+                for _ in range(20)
+            ]
+            for sock in socks:
+                sock.sendall(
+                    b"POST /compile HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: 100\r\n\r\n12345"
+                )
+            for sock in socks:
+                with sock:
+                    response = _read_to_close(sock)
+                head, _, body = response.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 408 ")
+                assert b"Connection: close" in head
+                assert b"\n" not in body and "error" in json.loads(body)
+            assert get_json(server.url, "/healthz") == {"status": "ok"}
+            stats = server.stats()["server"]
+            assert (stats["errors"], stats["requests"]) == (20, 0)
+            deadline = time.monotonic() + 5
+            while (self._handler_threads(before)
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            assert self._handler_threads(before) == []
+        finally:
+            server.drain(timeout=10)
+        assert self._handler_threads(before) == []
+
+    def test_truncated_body_400_never_dispatched(self, live_server):
+        # Valid JSON, but shorter than its Content-Length: refused.
+        body = json.dumps({"graph": to_json(small_graph())}).encode()
+        address = ("127.0.0.1", live_server.port)
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(
+                b"POST /compile HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: " + str(len(body) + 10).encode()
+                + b"\r\n\r\n" + body
+            )
+            sock.shutdown(socket.SHUT_WR)
+            response = _read_to_close(sock)
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\n" not in payload
+        assert "ended after" in json.loads(payload)["error"]
+        stats = live_server.stats()["server"]
+        assert (stats["errors"], stats["requests"], stats["compiled"]) == (
+            1, 0, 0
+        )
+
+
+class TestRequestSpans:
+    def test_traced_batch_is_one_request_span(self, tmp_path):
+        trace = str(tmp_path / "trace.jsonl")
+        server = CompileServer(
+            CompileService(cache=ArtifactCache(str(tmp_path / "c"))),
+            port=0, quiet=True, trace_path=trace,
+        ).start()
+        docs = [to_json(small_graph(f"span{i}")) for i in range(3)]
+        compile_batch_remote(docs, url=server.url)
+        server.drain(timeout=10)
+        with open(trace) as handle:
+            spans = [
+                row for row in map(json.loads, handle)
+                if row["type"] == "span"
+            ]
+        (request,) = [s for s in spans if s["name"] == "serve.request"]
+        assert request["attrs"]["path"] == "/batch"
+        children = [s for s in spans if s["depth"] == request["depth"] + 1]
+        assert len(children) >= 3
+        assert request["dur"] >= sum(child["dur"] for child in children)
 
 
 class TestBatchThreadPath:
-    """/batch on the in-process pool: isolation + timeout reclaim."""
+    """/batch on the in-process shard: isolation + timeouts."""
 
     def test_missing_field_messages_name_field_and_shape(self, live_server):
         # Satellite: a missing graph/graphs key must produce a one-line
@@ -485,67 +645,30 @@ class TestBatchThreadPath:
         stats = get_json(live_server.url, "/stats")["server"]
         assert stats["errors"] >= 1
 
-    def test_service_cancel_skips_unstarted_items(self, tmp_path):
-        service = CompileService(cache=ArtifactCache(str(tmp_path)))
-        docs = [to_json(small_graph()) for _ in range(5)]
-        cancel = _CountingCancel(trip=2)
-        results = service.compile_batch(docs, jobs=1, cancel=cancel)
-        statuses = [s for _, s in results]
-        # Two rounds of width 1 ran, then the cancel tripped: the
-        # remaining three items were skipped, never compiled.
-        assert statuses == ["miss", "hit", "cancelled",
-                            "cancelled", "cancelled"]
-        for payload, status in results[2:]:
-            assert status == "cancelled"
-            assert payload["code"] == 503
-            assert "cancelled" in payload["error"]
-
     def test_batch_timeout_reclaims_pool_slot(self):
-        # Satellite: after a /batch 504 the abandoned batch must stop
-        # at the next item boundary instead of grinding the pool; the
-        # reclaim shows up in /stats as timeout_reclaimed.
-        class _SlowBatchService:
-            cache = None
-
-            def compile_batch(self, documents, options, use_cache=True,
-                              jobs=None, recorder=None, cancel=None):
-                out = []
-                for document in documents:
-                    if cancel is not None and cancel.is_set():
-                        out.append((
-                            {"error": "cancelled", "code": 503},
-                            "cancelled",
-                        ))
-                        continue
-                    time.sleep(0.2)
-                    out.append((
-                        {"error": "should have timed out", "code": 500},
-                        "error",
-                    ))
-                return out
-
-        server = CompileServer(
-            _SlowBatchService(), port=0, workers=1,
-            queue_limit=4, request_timeout=0.1, quiet=True,
-        ).start()
+        # A /batch group that outlives the deadline answers each of its
+        # items with a 504 and stops at the next item boundary: the
+        # item in flight finishes in the background, the rest never
+        # start, and the pool slot comes back.
+        server = _faulted_server(
+            workers=1, queue_limit=4, request_timeout=0.1
+        )
         try:
-            with pytest.raises(ServeClientError) as err:
-                serve_client._post(
-                    server.url, "/batch",
-                    {"graphs": [{}] * 6, "options": {}}, timeout=30,
-                )
-            assert err.value.status == 504
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                stats = server.stats()["server"]
-                if stats["timeout_reclaimed"] >= 4 and not stats["inflight"]:
-                    break
-                time.sleep(0.05)
-            assert stats["timeouts"] == 1
-            # At most two items ran (one in flight at the 504, maybe
-            # one more before the event was observed): the rest were
-            # reclaimed without executing.
-            assert stats["timeout_reclaimed"] >= 4
+            docs = [to_json(small_graph(f"slow{i}")) for i in range(6)]
+            response = serve_client._post(
+                server.url, "/batch",
+                {"graphs": docs, "options": {}, "cache": False,
+                 "faults": ["sleep:0.3"] * 6},
+                timeout=30,
+            )
+            assert [item["code"] for item in response["responses"]] == (
+                [504] * 6
+            )
+            # Wait out the abandoned group on the one-thread pool.
+            server.shards._pool.submit(lambda: None).result(timeout=10)
+            assert len(server.service._sessions) == 1
+            stats = server.stats()["server"]
+            assert stats["timeouts"] == 6
             assert stats["inflight"] == 0
         finally:
             server.drain(timeout=10)
