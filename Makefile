@@ -40,10 +40,8 @@ serve-smoke:
 bench:
 	$(PYTHON) benchmarks/perf_suite.py --out BENCH_PR1.json \
 		--baseline benchmarks/seed_baseline.json
-	$(PYTHON) benchmarks/bench_symbolic.py --out BENCH_PR3.json
 	$(PYTHON) benchmarks/bench_obs.py --out BENCH_PR4.json
 	$(PYTHON) benchmarks/bench_native.py --out BENCH_PR8.json
-	$(PYTHON) benchmarks/bench_vectorize.py --out BENCH_PR10.json
 
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

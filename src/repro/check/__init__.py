@@ -1,17 +1,18 @@
 """Cross-layer differential checking (the always-on oracle subsystem).
 
-PR 1 gave every hot computation a second implementation — delta-trace
-vs full-trace simulation, vectorized vs pure-Python DP, serial vs
-parallel runners, session-trusted vs re-validated orders.  Redundancy
-is an opportunity: wherever two layers claim the same quantity, the
-claim is checkable.  This package generates random consistent SDF
-graphs, runs them through the full compilation pipeline, and
-cross-checks every layer pair:
+Wherever two layers claim the same quantity, the claim is checkable:
+the block-level replay and the symbolic closed forms vs a naive
+firing-at-a-time reference, native vs Python DP, serial vs parallel
+runners, session-trusted vs re-validated orders.  This package
+generates random consistent SDF graphs, runs them through the full
+compilation pipeline, and cross-checks every layer pair:
 
-* schedule interpreter vs :class:`~repro.codegen.vm.SharedMemoryVM` vs
+* schedule replay vs :class:`~repro.codegen.vm.SharedMemoryVM` vs
   generated-Python execution (:mod:`repro.codegen.py_emitter`);
-* the delta-encoded :class:`~repro.sdf.simulate.TokenTrace` vs a naive
-  full-snapshot reference (``max_tokens``, liveness, peaks);
+* the block-level replay (:class:`~repro.sdf.simulate.BlockScan`) and
+  the loop-compressed :class:`~repro.sdf.symbolic.SymbolicTrace` vs a
+  naive full-snapshot reference (validity, ``max_tokens``, liveness,
+  live-array peaks), on pipeline, cyclic and blocked schedules;
 * SDPPO's predicted shared cost vs realized lifetime/allocation totals;
 * first-fit vs :func:`~repro.allocation.verify.verify_allocation` vs
   the branch-and-bound optimum on small instances;
@@ -21,9 +22,9 @@ Two mechanisms keep the oracles honest:
 
 * **fault injection** (:mod:`repro.check.fault_injection`) applies
   seeded mutations — perturbed offsets, dropped intersection-graph
-  edges, skewed loop bounds, corrupted delta checkpoints, understated
-  totals, shrunk buffers — and asserts each one is *caught*: a
-  mutation-kill self-test proving the oracles have teeth;
+  edges, skewed loop bounds, understated totals, shrunk buffers — and
+  asserts each one is *caught*: a mutation-kill self-test proving the
+  oracles have teeth;
 * **counterexample shrinking** (:mod:`repro.check.shrink`) minimizes a
   failing graph while preserving the failure, so every discovered bug
   arrives as a small reproducible regression test.

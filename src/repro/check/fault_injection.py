@@ -3,9 +3,8 @@
 A checking harness that never fires is indistinguishable from one that
 works.  Each mutation class below corrupts one artifact the way a real
 bug in that layer would — a misplaced offset, a dropped intersection
-edge, a skewed loop bound, a tampered delta checkpoint, an understated
-pool total, a shrunk buffer — and asserts the corresponding oracle
-*catches* it.  A mutation that survives means an oracle has gone blind,
+edge, a skewed loop bound, an understated pool total, a shrunk buffer —
+and asserts the corresponding oracle *catches* it.  A mutation that survives means an oracle has gone blind,
 and ``python -m repro check --inject`` exits nonzero.
 
 Each injector returns ``None`` when the sampled artifacts cannot host
@@ -24,11 +23,11 @@ from typing import Callable, Dict, List, Optional
 from ..exceptions import SDFError
 from ..sdf.random_graphs import random_sdf_graph
 from ..sdf.schedule import Firing, Loop, LoopedSchedule, ScheduleNode
-from ..sdf.simulate import simulate_schedule, validate_schedule
+from ..sdf.simulate import validate_schedule
 from ..allocation.first_fit import Allocation, first_fit
 from ..allocation.verify import verify_allocation
 from ..codegen.vm import SharedMemoryVM
-from .oracles import CHECK_STRIDE, PipelineArtifacts, build_artifacts, compare_trace
+from .oracles import PipelineArtifacts, build_artifacts
 
 __all__ = [
     "InjectionOutcome",
@@ -218,32 +217,6 @@ def inject_loop_bound(
         graph_seed=art.seed,
         caught=caught,
         detail=f"skewed {schedule} into {mutated}",
-    )
-
-
-def inject_delta_checkpoint(
-    art: PipelineArtifacts, rng: random.Random
-) -> Optional[InjectionOutcome]:
-    """Corrupt a non-initial trace checkpoint; replay must expose it."""
-    schedule = art.result.sdppo_schedule
-    trace = simulate_schedule(
-        art.graph, schedule, checkpoint_stride=CHECK_STRIDE
-    )
-    if len(trace._checkpoints) < 2:
-        return None
-    k = rng.randrange(1, len(trace._checkpoints))
-    checkpoint = trace._checkpoints[k]
-    key = rng.choice(sorted(checkpoint))
-    checkpoint[key] += 1
-    violations = compare_trace(art.graph, schedule, trace)
-    return InjectionOutcome(
-        mutation="delta_checkpoint",
-        graph_seed=art.seed,
-        caught=bool(violations),
-        detail=(
-            f"bumped edge {key} in checkpoint {k}; "
-            f"{len(violations)} violation(s) reported"
-        ),
     )
 
 
@@ -792,7 +765,6 @@ MUTATION_CLASSES: Dict[
     "offset": inject_offset,
     "wig_edge": inject_wig_edge,
     "loop_bound": inject_loop_bound,
-    "delta_checkpoint": inject_delta_checkpoint,
     "total": inject_total,
     "buffer_size": inject_buffer_size,
     "stage_crash": inject_stage_crash,

@@ -16,12 +16,9 @@ from ..exceptions import SDFError
 from ..sdf.graph import SDFGraph
 from ..sdf.schedule import LoopedSchedule
 from ..sdf.simulate import (
-    TokenTrace,
+    BlockScan,
     buffer_memory_nonshared,
-    coarse_live_intervals,
     max_live_tokens,
-    max_tokens,
-    simulate_schedule,
     validate_schedule,
 )
 from ..sdf.repetitions import repetitions_vector
@@ -37,7 +34,6 @@ from .reference import (
     reference_max_live_tokens,
     reference_max_tokens,
     reference_peak_token_words,
-    reference_total_peak,
 )
 
 __all__ = [
@@ -54,12 +50,7 @@ __all__ = [
     "native_oracles",
     "vectorize_oracles",
     "vectorize_violations",
-    "compare_trace",
 ]
-
-#: Stride used for checking traces: small enough that even a ~10-firing
-#: schedule crosses several checkpoints, exercising delta replay.
-CHECK_STRIDE = 3
 
 #: Instances at or below this many sized buffers also get checked
 #: against the exact branch-and-bound allocator.
@@ -104,88 +95,37 @@ def build_artifacts(
 
 
 # ----------------------------------------------------------------------
-# trace layer: delta-encoded TokenTrace vs naive full snapshots
+# trace layer: the block-level replay engine vs naive full snapshots
 # ----------------------------------------------------------------------
-def compare_trace(
-    graph: SDFGraph, schedule: LoopedSchedule, trace: TokenTrace
-) -> List[str]:
-    """Compare an existing trace against the full-snapshot reference.
-
-    Split out from :func:`trace_oracles` so the checkpoint-corruption
-    mutation can hand in a tampered trace.
-    """
-    bad: List[str] = []
-    snapshots = full_trace(graph, schedule)
-    counts = trace.counts
-    if len(counts) != len(snapshots):
-        return [
-            f"trace: {len(counts)} states recorded, reference has "
-            f"{len(snapshots)}"
-        ]
-    # Random access replays deltas from the nearest checkpoint; iteration
-    # replays them sequentially.  Exercise both paths.
-    for t, state in enumerate(counts):
-        if state != snapshots[t]:
-            bad.append(
-                f"trace: iterated state at step {t} disagrees with "
-                f"reference: {state} != {snapshots[t]}"
-            )
-            break
-    for t in range(len(snapshots) - 1, -1, -1):
-        if counts[t] != snapshots[t]:
-            bad.append(
-                f"trace: indexed state at step {t} disagrees with "
-                f"reference: {counts[t]} != {snapshots[t]}"
-            )
-            break
-    ref_peaks = reference_max_tokens(graph, schedule)
-    for e in graph.edges():
-        if trace.peak(e.key) != ref_peaks[e.key]:
-            bad.append(
-                f"trace: peak({e.key}) = {trace.peak(e.key)}, "
-                f"reference {ref_peaks[e.key]}"
-            )
-    ref_total = reference_total_peak(graph, schedule)
-    if trace.total_peak() != ref_total:
-        bad.append(
-            f"trace: total_peak() = {trace.total_peak()}, "
-            f"reference {ref_total}"
-        )
-    return bad
-
-
 def trace_oracles(
     graph: SDFGraph,
     schedule: LoopedSchedule,
     recorder: Optional[object] = None,
+    prefix: str = "trace:",
 ) -> List[str]:
-    """Delta-trace, streaming liveness, and max_tokens vs references."""
-    bad: List[str] = []
-    trace = simulate_schedule(
-        graph, schedule, checkpoint_stride=CHECK_STRIDE, recorder=recorder
-    )
-    bad.extend(compare_trace(graph, schedule, trace))
+    """One :class:`BlockScan` replay against the snapshot reference.
 
-    peaks = max_tokens(graph, schedule, recorder=recorder)
-    ref_peaks = reference_max_tokens(graph, schedule)
-    if peaks != ref_peaks:
-        bad.append(
-            f"trace: max_tokens disagrees with reference: "
-            f"{peaks} != {ref_peaks}"
-        )
-    intervals = coarse_live_intervals(graph, schedule, recorder=recorder)
-    ref_intervals = reference_coarse_intervals(graph, schedule)
-    if intervals != ref_intervals:
-        bad.append(
-            f"trace: coarse_live_intervals disagrees with reference: "
-            f"{intervals} != {ref_intervals}"
-        )
-    mlt = max_live_tokens(graph, schedule, recorder=recorder)
-    ref_mlt = reference_max_live_tokens(graph, schedule)
-    if mlt != ref_mlt:
-        bad.append(
-            f"trace: max_live_tokens = {mlt}, reference {ref_mlt}"
-        )
+    Compares the final token state, ``max_tokens``, the coarse live
+    episodes and the live-array peak.  Runs as the ``trace:`` oracle
+    on pipeline and cyclic schedules and, with ``prefix="vec:"``, on
+    blocked schedules, where blocks hold many firings.
+    """
+    scan = BlockScan(graph, schedule, recorder)
+    snapshots = full_trace(graph, schedule)
+    bad: List[str] = []
+    for label, got, want in (
+        ("final tokens", scan.tokens, snapshots[-1]),
+        ("max_tokens", scan.peaks, reference_max_tokens(graph, schedule)),
+        ("coarse_live_intervals", scan.intervals,
+         reference_coarse_intervals(graph, schedule)),
+        ("max_live_tokens", scan.live_peak(),
+         reference_max_live_tokens(graph, schedule)),
+    ):
+        if got != want:
+            bad.append(
+                f"{prefix} block replay {label} disagrees with "
+                f"reference: {got} != {want}"
+            )
     return bad
 
 
@@ -229,36 +169,43 @@ def schedule_oracles(art: PipelineArtifacts) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# symbolic layer: loop-compressed closed forms vs the firing interpreter
+# symbolic layer: loop-compressed closed forms vs naive full snapshots
 # ----------------------------------------------------------------------
 def symbolic_oracles(graph: SDFGraph, schedule: LoopedSchedule) -> List[str]:
-    """Forced-symbolic vs forced-interpreter observables, bit-for-bit.
+    """:class:`SymbolicTrace` closed forms vs the references, bit-for-bit.
 
     The symbolic engine only claims coverage of delayless self-loop-free
     graphs under full topological single appearance schedules; on
-    anything else ``try_build`` declines, ``backend="auto"`` falls back
-    to the interpreter, and there is nothing to compare.  Where it does
-    claim coverage, every observable must match the interpreter exactly
-    — the ``trace:`` oracles then tie the interpreter itself to the
-    naive references, closing the symbolic/interpreter/VM triangle.
+    anything else ``try_build`` declines, the block engine answers
+    instead (checked by the ``trace:`` oracles), and there is nothing
+    to compare.  Where it does claim coverage, the schedule must be
+    valid (the claim behind skipping a replay) and every observable
+    must match the snapshot reference exactly.
     """
     from ..sdf.symbolic import SymbolicTrace
 
-    if SymbolicTrace.try_build(graph, schedule) is None:
+    trace = SymbolicTrace.try_build(graph, schedule)
+    if trace is None:
         return []
+    snapshots = full_trace(graph, schedule)
     bad: List[str] = []
-    for label, fn in (
-        ("max_tokens", max_tokens),
-        ("coarse_live_intervals", coarse_live_intervals),
-        ("max_live_tokens", max_live_tokens),
-        ("validate_schedule", validate_schedule),
+    if snapshots[-1] != snapshots[0]:
+        bad.append(
+            f"symb: accepted schedule does not return to its initial "
+            f"state: {snapshots[-1]} != {snapshots[0]}"
+        )
+    for label, got, want in (
+        ("max_tokens", trace.max_tokens(),
+         reference_max_tokens(graph, schedule)),
+        ("coarse_live_intervals", trace.coarse_live_intervals(),
+         reference_coarse_intervals(graph, schedule)),
+        ("max_live_tokens", trace.max_live_tokens(),
+         reference_max_live_tokens(graph, schedule)),
     ):
-        sym = fn(graph, schedule, backend="symbolic")
-        itp = fn(graph, schedule, backend="interpreter")
-        if sym != itp:
+        if got != want:
             bad.append(
                 f"symb: {label} symbolic result disagrees with "
-                f"interpreter: {sym} != {itp}"
+                f"reference: {got} != {want}"
             )
     return bad
 
@@ -657,11 +604,10 @@ def vectorize_violations(
     ``vectorize_overrun`` fault-injection class (forged artifacts), so
     a check the injector proves sharp is the same check every harness
     trial runs.  Three claims are re-derived from scratch: the blocked
-    schedule is a valid period (interpreter is the judge), the batched
-    closed-form backend reproduces every interpreter observable on it
-    bit for bit, and the claimed pool cost equals the real
-    lifetime/first-fit re-cost — which must also sit within any claimed
-    ``memory_budget``.
+    schedule is a valid period, the block-level replay reproduces every
+    snapshot-reference observable on it bit for bit, and the claimed
+    pool cost equals the real lifetime/first-fit re-cost — which must
+    also sit within any claimed ``memory_budget``.
     """
     from ..scheduling.vectorize import blocked_cost, dispatch_blocks
 
@@ -675,19 +621,7 @@ def vectorize_violations(
             f"vec: blocked schedule fires {counts}, repetitions vector "
             f"is {q}"
         )
-    for label, fn in (
-        ("max_tokens", max_tokens),
-        ("coarse_live_intervals", coarse_live_intervals),
-        ("max_live_tokens", max_live_tokens),
-        ("validate_schedule", validate_schedule),
-    ):
-        batched = fn(graph, vec.schedule, backend="batched")
-        interp = fn(graph, vec.schedule, backend="interpreter")
-        if batched != interp:
-            bad.append(
-                f"vec: {label} batched backend disagrees with "
-                f"interpreter on blocked schedule: {batched} != {interp}"
-            )
+    bad.extend(trace_oracles(graph, vec.schedule, prefix="vec:"))
     blocks, firings, factors = dispatch_blocks(vec.schedule)
     if (blocks, firings, factors) != (
         vec.blocks, vec.firings, vec.block_factors

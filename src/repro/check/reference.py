@@ -4,9 +4,10 @@ Every function here recomputes a quantity the optimized layers produce
 incrementally, using the most direct algorithm available: full
 per-step token snapshots, O(firings x edges) walks, per-step clique
 sums.  Slow and obviously correct — the point is that the code shares
-*nothing* with the delta-trace/streaming fast paths of
-:mod:`repro.sdf.simulate`, so agreement is evidence rather than
-tautology.  Only suitable for the small graphs the harness generates.
+*nothing* with the block-level replay of :mod:`repro.sdf.simulate` or
+the closed forms of :mod:`repro.sdf.symbolic`, so agreement is
+evidence rather than tautology.  Only suitable for the small graphs
+the harness generates.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "full_trace",
     "reference_max_tokens",
     "reference_peak_token_words",
-    "reference_total_peak",
     "reference_coarse_intervals",
     "reference_episode_sizes",
     "reference_group_episode_sizes",
@@ -38,7 +38,8 @@ def full_trace(
 
     ``counts[0]`` is the initial state (delays).  Raises
     :class:`ScheduleError` if a firing would drive an edge negative,
-    matching the interpreter's contract.
+    with the message :func:`repro.sdf.simulate.validate_schedule`
+    raises.
     """
     state = {e.key: e.delay for e in graph.edges()}
     snapshots = [dict(state)]
@@ -64,14 +65,6 @@ def reference_max_tokens(
     return {
         e.key: max(s[e.key] for s in snapshots) for e in graph.edges()
     }
-
-
-def reference_total_peak(
-    graph: SDFGraph, schedule: LoopedSchedule
-) -> int:
-    """Peak over time of the summed live tokens (all edges)."""
-    snapshots = full_trace(graph, schedule)
-    return max(sum(s.values()) for s in snapshots)
 
 
 def reference_peak_token_words(
@@ -109,7 +102,7 @@ def reference_coarse_intervals(
     start = that firing minus one: memory is reserved when the producer
     starts) until the firing that returns it to zero; edges with delays
     start live at step 0 — but derives it by scanning the snapshot list
-    rather than streaming per-firing touch sets.
+    rather than stepping firing blocks.
     """
     snapshots = full_trace(graph, schedule)
     intervals: Dict[EdgeKey, List[Tuple[int, int]]] = {

@@ -10,8 +10,8 @@ Commands
     ``--profile``, which prints the per-stage wall-time table).
 ``stats``
     Compile under a recorder and print the aggregate span/counter
-    table (DP cells, window-cache hits, first-fit probes, interpreter
-    firings vs symbolic shortcuts...).
+    table (DP cells, window-cache hits, first-fit probes, replayed
+    firing blocks vs symbolic shortcuts...).
 ``table1`` / ``fig25`` / ``fig26`` / ``fig27`` / ``satrec`` / ``cddat``
     Regenerate an evaluation table/figure on stdout.
 ``check``
@@ -642,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Run the full flow with tracing enabled and print an "
             "aggregate table: per-span call counts and wall time, then "
             "the work-counter totals (DP cells, window-cache hits, "
-            "first-fit probes, interpreter firings vs symbolic "
+            "first-fit probes, replayed firing blocks vs symbolic "
             "shortcuts...)."
         ),
     )

@@ -17,7 +17,11 @@ This module measures that spectrum for any graph/schedule pair:
   ancestor loop count as a unit;
 * level 0 aggregates at the schedule root (the paper's coarse model for
   top-level buffers), the maximum depth reproduces the fine-grained
-  token count (:func:`repro.sdf.simulate.simulate_schedule` peaks).
+  token count (:func:`fine_grained_peak`).
+
+A broadcast group is one physical buffer (every member reads the same
+produced stream), so both functions charge it once, at its largest
+member count, as :func:`repro.sdf.simulate.max_live_tokens` does.
 
 The sweep quantifies how much memory the coarse model leaves on the
 table in exchange for its simple pointer management — the trade the
@@ -26,21 +30,93 @@ paper makes explicitly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..exceptions import ScheduleError
 from ..sdf.graph import SDFGraph
-from ..sdf.schedule import LoopedSchedule
-from ..sdf.simulate import simulate_schedule
+from ..sdf.schedule import Firing, LoopedSchedule
 
 __all__ = ["granularity_levels", "fine_grained_peak"]
+
+#: A firing's loop path: one ``(loop id, iteration)`` per enclosing
+#: loop, outermost first.
+_Path = Tuple[Tuple[int, int], ...]
+
+
+def _replay(
+    graph: SDFGraph, schedule: LoopedSchedule
+) -> Tuple[List[_Path], List[str], List[Tuple[int, ...]]]:
+    """Walk ``schedule`` one firing at a time.
+
+    Returns ``(paths, actors, states)``: each firing's loop path and
+    actor, and the token count of every edge (in ``graph.edges()``
+    order) before each firing; ``states`` ends with the final state,
+    so it is one longer than the firing lists.
+    """
+    index = {e.key: i for i, e in enumerate(graph.edges())}
+    tokens = [e.delay for e in graph.edges()]
+    paths: List[_Path] = []
+    actors: List[str] = []
+    states: List[Tuple[int, ...]] = [tuple(tokens)]
+    stack: List[Tuple[int, int]] = []
+
+    def walk(node) -> None:
+        if isinstance(node, Firing):
+            ins = graph.in_edges(node.actor)  # raises for unknown actors
+            outs = graph.out_edges(node.actor)
+            path = tuple(stack)
+            for _ in range(node.count):
+                for e in ins:
+                    i = index[e.key]
+                    tokens[i] -= e.consumption
+                    if tokens[i] < 0:
+                        raise ScheduleError(
+                            f"firing {node.actor!r} drives edge {e} to "
+                            f"{tokens[i]} tokens"
+                        )
+                for e in outs:
+                    tokens[index[e.key]] += e.production
+                paths.append(path)
+                actors.append(node.actor)
+                states.append(tuple(tokens))
+            return
+        for iteration in range(node.count):
+            stack.append((id(node), iteration))
+            for child in node.body:
+                walk(child)
+            stack.pop()
+
+    for node in schedule.body:
+        walk(node)
+    return paths, actors, states
+
+
+def _buffers(graph: SDFGraph) -> List[Tuple[List[int], int]]:
+    """Physical buffers as ``(member edge indices, token size)``.
+
+    An ordinary edge is its own buffer; a broadcast group's members
+    share one.
+    """
+    buffers: List[Tuple[List[int], int]] = []
+    groups: Dict[str, List[int]] = {}
+    for i, e in enumerate(graph.edges()):
+        if e.broadcast is None:
+            buffers.append(([i], e.token_size))
+        elif e.broadcast in groups:
+            groups[e.broadcast].append(i)
+        else:
+            groups[e.broadcast] = [i]
+            buffers.append((groups[e.broadcast], e.token_size))
+    return buffers
 
 
 def fine_grained_peak(graph: SDFGraph, schedule: LoopedSchedule) -> int:
     """Peak of summed live token words, exact per firing (finest model)."""
-    trace = simulate_schedule(graph, schedule)
-    sizes = {e.key: e.token_size for e in graph.edges()}
+    _, _, states = _replay(graph, schedule)
+    buffers = _buffers(graph)
     return max(
-        sum(state[k] * sizes[k] for k in state) for state in trace.counts
+        sum(max(state[i] for i in members) * size for members, size in buffers)
+        for state in states
     )
 
 
@@ -59,83 +135,53 @@ def granularity_levels(
     enclosing loop: production is credited at that loop iteration's
     start, consumption at its end.
     """
-    trace = simulate_schedule(graph, schedule)
-    sizes = {e.key: e.token_size for e in graph.edges()}
-    # A delayed edge's buffer is circular (its initial tokens wrap the
-    # period boundary), so no aggregation level can charge it more than
-    # its peak occupancy — the coarse live-array accounting below is
-    # capped at that capacity per edge.
-    caps = {
-        e.key: trace.peak(e.key) * e.token_size
-        for e in graph.edges()
-        if e.delay > 0
+    paths, actors, states = _replay(graph, schedule)
+    edges = list(graph.edges())
+    index = {e.key: i for i, e in enumerate(edges)}
+    outs = {
+        a: [(index[e.key], e.production) for e in graph.out_edges(a)]
+        for a in set(actors)
     }
+    # A delayed buffer is circular (its initial tokens wrap the period
+    # boundary), so no aggregation level can charge it more than its
+    # peak occupancy: the live-array charge below is capped there.
+    buffers: List[Tuple[List[int], int, Optional[int]]] = []
+    for members, size in _buffers(graph):
+        cap = None
+        if edges[members[0]].delay > 0:
+            cap = size * max(
+                max(state[i] for i in members) for state in states
+            )
+        buffers.append((members, size, cap))
 
-    # Annotate each firing with its loop path (iteration stack), by
-    # replaying the schedule structure.
-    paths: List[Tuple[Tuple[int, int], ...]] = []
-
-    def walk(node, stack) -> None:
-        from ..sdf.schedule import Firing, Loop
-
-        if isinstance(node, Firing):
-            for _ in range(node.count):
-                paths.append(tuple(stack))
-            return
-        for iteration in range(node.count):
-            stack.append((id(node), iteration))
-            for child in node.body:
-                walk(child, stack)
-            stack.pop()
-
-    stack: List[Tuple[int, int]] = []
-    for node in schedule.body:
-        walk(node, stack)
-    assert len(paths) == len(trace.firings)
-
+    n = len(actors)
     results: List[Tuple[int, int]] = []
     for depth in range(0, max_depth + 1):
-        # Group firings into segments sharing the same depth-d prefix.
+        # Firings sharing one depth-d loop path form a segment.  Walk
+        # each segment backwards, accumulating what it still produces
+        # per edge: a buffer's charge before firing j is its tokens
+        # plus everything the segment produces on it from j onward.
         peak = 0
-        # For each edge, within each segment, production is counted at
-        # segment start; liveness = current tokens + tokens the segment
-        # will still produce on the edge.
-        segment_of = [p[:depth] for p in paths]
-        # Precompute, per firing index, tokens produced per edge in the
-        # remainder of its segment (suffix sums per segment).
-        n = len(paths)
-        future: List[Dict[Tuple[str, str, int], int]] = [dict() for _ in range(n)]
-        i = n - 1
-        while i >= 0:
-            acc: Dict[Tuple[str, str, int], int] = {}
-            j = i
-            # walk the whole segment [start, end) ending at i's segment
-            start = i
-            while start > 0 and segment_of[start - 1] == segment_of[i]:
+        end = n
+        while end > 0:
+            start = end - 1
+            segment = paths[start][:depth]
+            while start > 0 and paths[start - 1][:depth] == segment:
                 start -= 1
-            end = i
-            while end + 1 < n and segment_of[end + 1] == segment_of[i]:
-                end += 1
-            # suffix sums within [start, end]
-            acc = {}
-            for j in range(end, start - 1, -1):
-                actor = trace.firings[j]
-                for e in graph.out_edges(actor):
-                    acc[e.key] = acc.get(e.key, 0) + e.production
-                future[j] = dict(acc)
-            i = start - 1
-        for t in range(n):
-            state = trace.counts[t]  # before firing t+1 (1-based)
-            fut = future[t]
-            live = 0
-            for k, count in state.items():
-                charge = (count + fut.get(k, 0)) * sizes[k]
-                cap = caps.get(k)
-                if cap is not None and charge > cap:
-                    charge = cap
-                live += charge
-            if live > peak:
-                peak = live
+            future = [0] * len(edges)
+            for j in range(end - 1, start - 1, -1):
+                for i, production in outs[actors[j]]:
+                    future[i] += production
+                state = states[j]
+                live = 0
+                for members, size, cap in buffers:
+                    charge = size * max(state[i] + future[i] for i in members)
+                    if cap is not None and charge > cap:
+                        charge = cap
+                    live += charge
+                if live > peak:
+                    peak = live
+            end = start
         results.append((depth, peak))
         if all(len(p) <= depth for p in paths):
             break

@@ -10,7 +10,7 @@ the experiment runner into:
   reproducible;
 * **counters** — cheap additive tallies (DP candidate cells, window
   cache hits/misses, heuristic moves, first-fit placement probes,
-  interpreter firings vs symbolic shortcuts, VM firings, allocated
+  replayed firing blocks vs symbolic shortcuts, VM firings, allocated
   words) attached to the span that was open when they were counted.
 
 A single :class:`Recorder` protocol is threaded through the pipeline

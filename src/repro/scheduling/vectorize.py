@@ -270,8 +270,8 @@ def vectorize_schedule(
     without per-step costing (the order cannot affect the fixed point)
     and only the final schedule is costed.
 
-    The result's schedule is always validated against the token
-    interpreter before being returned; schedules the cost model cannot
+    The result's schedule is always validated by a token replay
+    (:func:`repro.sdf.simulate.validate_schedule`) before being returned; schedules the cost model cannot
     process (non-single-appearance cyclic expansions) fall back to the
     identity with ``cost=None``.  ``backend`` is ignored, as in
     :func:`repro.allocation.first_fit.ffdur`.
@@ -350,7 +350,7 @@ def vectorize_schedule(
 
     if steps:
         # Belt and braces: the safety rule is proved above, but the
-        # interpreter stays the judge of anything this pass emits.
+        # token replay stays the judge of anything this pass emits.
         validate_schedule(graph, current, recorder=recorder)
     if recorder is not None:
         recorder.count("vectorize.fissions", steps)

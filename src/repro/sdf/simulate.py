@@ -1,4 +1,4 @@
-"""Schedule interpretation: token counting and buffer profiles.
+"""Schedule replay: token counting and buffer profiles.
 
 The algorithms in this package reason about schedules symbolically, but
 everything they claim must be checkable by actually *running* the
@@ -9,98 +9,45 @@ tracking the token count of every edge, and derives:
   negative, and every edge returns to its initial token count;
 * ``max_tokens(e, S)`` (section 4): the peak token count per edge, the
   cost metric of the non-shared buffer model (EQ 1);
-* fine-grained and coarse-grained buffer liveness profiles (section 5,
+* coarse-grained live episodes and the live-array peak (section 5,
   figure 3), used to validate the lifetime analysis of sections 8–9
   against ground truth;
 * deadlock detection for arbitrary (possibly cyclic) graphs, via greedy
   symbolic execution.
+
+One engine replays schedules: :class:`BlockScan` takes one closed-form
+step per firing block (a ``Firing(actor, n)`` leaf visit) and covers
+delays, self-loops, broadcasts, cyclic and non-SAS schedules.  Where
+:meth:`repro.sdf.symbolic.SymbolicTrace.try_build` accepts a schedule
+(delayless, self-loop-free, broadcast-free, full topological SAS),
+``max_tokens``, ``coarse_live_intervals`` and ``max_live_tokens``
+come from its closed forms instead, at a cost independent of the firing
+count.  The choice follows from the input alone.  Naive firing-at-a-time
+references for both live in :mod:`repro.check.reference`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..exceptions import InconsistentGraphError, ScheduleError
-from .graph import Edge, SDFGraph
+from .graph import SDFGraph
 from .repetitions import repetitions_vector
-from .schedule import LoopedSchedule
+from .schedule import Firing, LoopedSchedule, ScheduleNode
 
 __all__ = [
-    "BACKENDS",
+    "BlockScan",
     "validate_schedule",
     "is_valid_schedule",
     "max_tokens",
     "buffer_memory_nonshared",
-    "TokenTrace",
-    "simulate_schedule",
     "coarse_live_intervals",
     "max_live_tokens",
     "assert_deadlock_free",
     "has_valid_schedule",
 ]
 
-
-#: Recognized values of the ``backend`` parameter accepted by
-#: :func:`validate_schedule`, :func:`max_tokens`,
-#: :func:`coarse_live_intervals` and :func:`max_live_tokens`.
-#: ``"auto"`` uses the loop-compressed symbolic engine
-#: (:mod:`repro.sdf.symbolic`) whenever its closed forms apply —
-#: bit-identical results in time independent of the firing count — and
-#: falls back to the firing interpreter otherwise (delays, self-loops,
-#: non-SAS or non-topological schedules).  ``"batched"`` executes one
-#: closed-form step per counted firing *block* (a ``Firing`` leaf)
-#: instead of one step per firing — the observable engine behind the
-#: vectorization pass (:mod:`repro.scheduling.vectorize`); it supports
-#: every graph/schedule the interpreter does and is bit-identical to
-#: it.
-BACKENDS = ("auto", "interpreter", "symbolic", "batched")
-
-
-def _try_symbolic(
-    graph: SDFGraph,
-    schedule: LoopedSchedule,
-    backend: str,
-    recorder=None,
-):
-    """Resolve ``backend`` to a SymbolicTrace, None (interpret), or raise."""
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend in ("interpreter", "batched"):
-        # "batched" is dispatched before _try_symbolic is consulted;
-        # reaching here with it simply means: do not use symbolic.
-        return None
-    # Function-level import: repro.sdf.__init__ imports this module, and
-    # symbolic pulls in repro.lifetimes which imports repro.sdf.
-    from .symbolic import SymbolicTrace
-
-    trace = SymbolicTrace.try_build(graph, schedule, recorder=recorder)
-    if trace is None and backend == "symbolic":
-        raise ScheduleError(
-            "symbolic backend does not support this graph/schedule "
-            "(needs a delayless, self-loop-free graph under a full "
-            "topological single appearance schedule)"
-        )
-    return trace
-
-
-def _fire(
-    graph: SDFGraph,
-    actor: str,
-    tokens: Dict[Tuple[str, str, int], int],
-    allow_negative: bool = False,
-) -> None:
-    for e in graph.in_edges(actor):
-        tokens[e.key] -= e.consumption
-        if tokens[e.key] < 0 and not allow_negative:
-            raise ScheduleError(
-                f"firing {actor!r} drives edge {e} to "
-                f"{tokens[e.key]} tokens"
-            )
-    for e in graph.out_edges(actor):
-        tokens[e.key] += e.production
+Key = Tuple[str, str, int]
 
 
 def _check_firing_counts(
@@ -110,9 +57,7 @@ def _check_firing_counts(
 
     Checks that every fired actor exists, every graph actor fires, and
     the per-actor counts are a uniform positive multiple of the
-    repetitions vector.  Shared between the interpreter and the
-    block-level engine (:mod:`repro.sdf.batched`) so both enforce
-    identical count semantics.
+    repetitions vector.
     """
     counts = schedule.firings_per_actor()
     for a in counts:
@@ -142,18 +87,328 @@ def _check_firing_counts(
     return counts
 
 
+def _blocks(schedule: LoopedSchedule) -> Iterator[Tuple[str, int]]:
+    """The dispatch-block sequence of one schedule period.
+
+    Yields ``(actor, n)`` per ``Firing`` leaf visit, in execution
+    order.  A fully blocked SAS yields one entry per actor; a flat
+    unblocked schedule degenerates to one entry per firing.
+    """
+
+    def walk(node: ScheduleNode) -> Iterator[Tuple[str, int]]:
+        if isinstance(node, Firing):
+            yield node.actor, node.count
+        else:
+            for _ in range(node.count):
+                for child in node.body:
+                    yield from walk(child)
+
+    for node in schedule.body:
+        yield from walk(node)
+
+
+class BlockScan:
+    """One replay of ``schedule``, one closed-form step per firing block.
+
+    A block is one visit of a ``Firing(actor, n)`` leaf.  Within it,
+    every touched token count is linear in the firing index ``i``: an
+    in-edge falls by ``c`` per firing, an out-edge rises by ``p``, a
+    self-loop moves by ``p - c``, and a broadcast group's occupancy is
+    the max of its members' linears.  Three consequences carry the
+    engine:
+
+    * underflow (the mid-firing value ``T - c`` going negative) is
+      checked at the endpoints of each linear, and the first failing
+      firing is recovered in closed form — the exception names the
+      same firing and edge a firing-at-a-time replay would;
+    * post-firing peaks of a linear sit at ``i = 1`` or ``i = n``, so
+      peaks and episode occupancy need two evaluations per block;
+    * on a valid schedule no token count reaches zero strictly inside
+      a block (a non-self in-edge at zero underflows on the next firing
+      of the same block; rising counts never return to zero), so
+      coarse-model episodes open at block starts and close at block
+      ends.
+
+    Time is still counted in firings: an episode ``(s, t)`` is live
+    after firing ``s`` up to and including the state after firing
+    ``t`` (0 = the initial state).
+
+    Attributes
+    ----------
+    tokens / peaks:
+        Final and peak token count per edge (``peaks`` includes the
+        initial tokens and post-firing counts of each fired actor's
+        out-edges: ``max_tokens``).
+    blocks / firings:
+        Blocks replayed and the firings they stand for.
+    intervals:
+        Coarse-model live episodes per edge (logical token counts, so
+        broadcast members appear per edge).
+    episodes:
+        ``(edge key, start, stop, array words)`` per episode.  A
+        delayless episode's array holds everything transferred during
+        it (tokens at start plus tokens produced); a delayed edge's
+        buffer is circular, so it needs only its peak occupancy.
+    group_episodes:
+        ``(group, start, stop, words)`` per broadcast-group episode:
+        the group's one physical buffer is live while any member holds
+        tokens, production is counted once, and occupancy is the max
+        member count (the union of unread suffixes of one stream is the
+        largest suffix).
+    member_keys:
+        Edge keys of all broadcast members, whose per-edge episodes
+        :meth:`live_peak` replaces with their group's.
+    """
+
+    def __init__(
+        self, graph: SDFGraph, schedule: LoopedSchedule, recorder=None
+    ) -> None:
+        by_key = {e.key: e for e in graph.edges()}
+        self.by_key = by_key
+        self.tokens: Dict[Key, int] = {k: e.delay for k, e in by_key.items()}
+        self.peaks: Dict[Key, int] = dict(self.tokens)
+        self.blocks = 0
+        self.firings = 0
+
+        in_edges = {a: graph.in_edges(a) for a in graph.actor_names()}
+        out_edges = {a: graph.out_edges(a) for a in graph.actor_names()}
+
+        intervals: Dict[Key, List[Tuple[int, int]]] = {k: [] for k in by_key}
+        episodes: List[Tuple[Key, int, int, int]] = []
+        # Per-edge open episode: start time, tokens present at the
+        # start, tokens produced since, and peak occupancy.  Edges with
+        # initial tokens start live at time 0.
+        open_at: Dict[Key, Optional[int]] = {}
+        start_count: Dict[Key, int] = {}
+        produced: Dict[Key, int] = {}
+        peak_occ: Dict[Key, int] = {}
+        for k, e in by_key.items():
+            open_at[k] = 0 if e.delay > 0 else None
+            start_count[k] = e.delay
+            produced[k] = 0
+            peak_occ[k] = e.delay
+
+        groups = graph.broadcast_groups()
+        group_keys = {
+            name: [m.key for m in members] for name, members in groups.items()
+        }
+        group_episodes: List[Tuple[str, int, int, int]] = []
+        g_open: Dict[str, Optional[int]] = {}
+        g_start: Dict[str, int] = {}
+        g_produced: Dict[str, int] = {}
+        g_peak: Dict[str, int] = {}
+        for name, members in groups.items():
+            first = members[0]
+            g_open[name] = 0 if first.delay > 0 else None
+            g_start[name] = first.delay
+            g_produced[name] = 0
+            g_peak[name] = first.delay
+
+        def group_words(name: str) -> int:
+            first = groups[name][0]
+            if first.delay > 0:
+                return g_peak[name] * first.token_size
+            return (g_start[name] + g_produced[name]) * first.token_size
+
+        def episode_words(k: Key) -> int:
+            e = by_key[k]
+            if e.delay > 0:
+                return peak_occ[k] * e.token_size
+            return (start_count[k] + produced[k]) * e.token_size
+
+        tokens = self.tokens
+        peaks = self.peaks
+        t = 0
+        for actor, n in _blocks(schedule):
+            self.blocks += 1
+            self.firings += n
+            ins = in_edges.get(actor)
+            if ins is None:
+                ins = graph.in_edges(actor)  # raises for unknown actors
+            outs = out_edges[actor]
+            self_keys = {e.key for e in ins if e.is_self_loop()}
+
+            # Underflow: each in-edge's mid-firing value at firing i is
+            # linear in i, so the first failing firing (if any) is a
+            # division away.  Earliest firing wins; ties resolve in
+            # in-edge order, as a firing-at-a-time replay would.
+            fail: Optional[Tuple[int, Key, int]] = None
+            for e in ins:
+                T = tokens[e.key]
+                c = e.consumption
+                if e.key in self_keys:
+                    slope = e.production - c
+                    if T - c < 0:
+                        i = 1
+                    elif slope >= 0:
+                        continue
+                    else:
+                        i = (T - c) // (-slope) + 2
+                        if i > n:
+                            continue
+                    value = T + (i - 1) * slope - c
+                else:
+                    if T - n * c >= 0:
+                        continue
+                    i = T // c + 1
+                    value = T - i * c
+                if fail is None or i < fail[0]:
+                    fail = (i, e.key, value)
+            if fail is not None:
+                _, k, value = fail
+                raise ScheduleError(
+                    f"firing {actor!r} drives edge {by_key[k]} to "
+                    f"{value} tokens"
+                )
+
+            # Post-block state, plus each touched edge's post-firing
+            # value after the FIRST firing of the block (``v1``): a
+            # linear's peak sits at an endpoint, so ``v1`` and the final
+            # count are all the peak logic below ever needs.
+            t0 = t
+            t += n
+            v1: Dict[Key, int] = {}
+            for e in ins:
+                k = e.key
+                if k in self_keys:
+                    continue
+                v1[k] = tokens[k] - e.consumption
+                tokens[k] -= n * e.consumption
+            for e in outs:
+                k = e.key
+                step = e.production
+                if k in self_keys:
+                    step -= e.consumption
+                v1[k] = tokens[k] + step
+                tokens[k] += n * step
+
+            # Peaks: post-firing counts of the fired actor's out-edges.
+            for e in outs:
+                k = e.key
+                cand = max(v1[k], tokens[k])
+                if cand > peaks[k]:
+                    peaks[k] = cand
+
+            # Episode transitions, on post-firing states (a self-loop
+            # that transits zero mid-firing does not end its episode):
+            # outs open/peak before ins close.
+            for e in outs:
+                k = e.key
+                if open_at[k] is None:
+                    # A dead edge holds zero tokens; the first firing's
+                    # production revives it at time t0.
+                    open_at[k] = t0
+                    start_count[k] = 0
+                    produced[k] = n * e.production
+                    peak_occ[k] = max(v1[k], tokens[k])
+                else:
+                    produced[k] += n * e.production
+                    cand = max(v1[k], tokens[k])
+                    if cand > peak_occ[k]:
+                        peak_occ[k] = cand
+            for e in ins:
+                k = e.key
+                if tokens[k] == 0 and open_at[k] is not None:
+                    s = open_at[k]
+                    intervals[k].append((s, t))
+                    episodes.append((k, s, t, episode_words(k)))
+                    open_at[k] = None
+                    produced[k] = 0
+                    peak_occ[k] = 0
+
+            # Group transitions: occupancy is the max of the members'
+            # linears, so its peak also sits at an endpoint.
+            touched_groups = {e.broadcast for e in outs if e.broadcast}
+            touched_groups.update(e.broadcast for e in ins if e.broadcast)
+            for name in touched_groups:
+                keys = group_keys[name]
+                occ1 = max(v1.get(k, tokens[k]) for k in keys)
+                occn = max(tokens[k] for k in keys)
+                first = groups[name][0]
+                inc = n * first.production if actor == first.source else 0
+                if g_open[name] is None:
+                    if occn > 0:
+                        g_open[name] = t0
+                        g_start[name] = 0
+                        g_produced[name] = inc
+                        g_peak[name] = max(occ1, occn)
+                else:
+                    g_produced[name] += inc
+                    cand = max(occ1, occn)
+                    if cand > g_peak[name]:
+                        g_peak[name] = cand
+                    if occn == 0:
+                        s = g_open[name]
+                        group_episodes.append((name, s, t, group_words(name)))
+                        g_open[name] = None
+                        g_produced[name] = 0
+                        g_peak[name] = 0
+
+        for k in by_key:
+            if open_at[k] is not None:
+                s = open_at[k]
+                intervals[k].append((s, t))
+                episodes.append((k, s, t, episode_words(k)))
+        for name in groups:
+            if g_open[name] is not None:
+                s = g_open[name]
+                group_episodes.append((name, s, t, group_words(name)))
+        self.intervals = intervals
+        self.episodes = episodes
+        self.group_episodes = group_episodes
+        self.member_keys = frozenset(
+            k for keys in group_keys.values() for k in keys
+        )
+        if recorder is not None:
+            recorder.count("sim.blocks", self.blocks)
+            recorder.count("sim.block_firings", self.firings)
+
+    def live_peak(self) -> int:
+        """Peak over time of the summed live episode arrays, in words.
+
+        Broadcast member episodes are logical views of one shared
+        buffer, so their group's merged episodes stand in for them.
+        """
+        events: List[Tuple[int, int]] = []  # (time, +size/-size)
+        for k, s, t, size in self.episodes:
+            if k in self.member_keys:
+                continue
+            events.append((s, size))
+            events.append((t, -size))
+        for _, s, t, size in self.group_episodes:
+            events.append((s, size))
+            events.append((t, -size))
+        # Intervals are half-open: a buffer dying at firing t frees its
+        # memory before anything born at t occupies it, so deaths
+        # (negative deltas) sort first at equal times.
+        events.sort()
+        live = 0
+        peak = 0
+        for _, delta in events:
+            live += delta
+            peak = max(peak, live)
+        return peak
+
+
+def _symbolic(graph: SDFGraph, schedule: LoopedSchedule, recorder):
+    """The schedule's :class:`SymbolicTrace`, or None if unsupported."""
+    # Function-level import: repro.sdf.__init__ imports this module, and
+    # symbolic pulls in repro.lifetimes which imports repro.sdf.
+    from .symbolic import SymbolicTrace
+
+    trace = SymbolicTrace.try_build(graph, schedule, recorder=recorder)
+    if trace is not None and recorder is not None:
+        recorder.count("sim.symbolic_shortcuts")
+    return trace
+
+
 def validate_schedule(
-    graph: SDFGraph,
-    schedule: LoopedSchedule,
-    backend: str = "auto",
-    recorder=None,
+    graph: SDFGraph, schedule: LoopedSchedule, recorder=None
 ) -> Dict[str, int]:
     """Check that ``schedule`` is a valid schedule for ``graph``.
 
-    Returns the per-actor firing counts on success.  With the default
-    ``backend="auto"``, schedules the symbolic engine covers are proved
-    valid from the schedule tree (the closed forms guarantee no
-    underflow and per-period balance) without the O(firings) replay.
+    Returns the per-actor firing counts on success.  The token replay
+    runs one closed-form step per firing block (:class:`BlockScan`).
 
     Raises
     ------
@@ -163,31 +418,12 @@ def validate_schedule(
         not its repetition count (times a common positive integer), or
         an edge does not return to its initial token count.
     """
-    if backend == "batched":
-        from .batched import batched_validate_schedule
-
-        return batched_validate_schedule(graph, schedule, recorder=recorder)
     counts = _check_firing_counts(graph, schedule)
-
-    if _try_symbolic(graph, schedule, backend, recorder=recorder) is not None:
-        # The symbolic preconditions hold: within each least-parent
-        # iteration all production precedes all consumption and balances
-        # it exactly, so no edge underflows and every edge returns to
-        # its initial (zero) token count.  The replay below would find
-        # nothing.
-        if recorder is not None:
-            recorder.count("sim.symbolic_shortcuts")
-        return counts
-
-    if recorder is not None:
-        recorder.count("sim.firings", sum(counts.values()))
-    tokens = {e.key: e.delay for e in graph.edges()}
-    for actor in schedule.firing_sequence():
-        _fire(graph, actor, tokens)
-    for e in graph.edges():
-        if tokens[e.key] != e.delay:
+    scan = BlockScan(graph, schedule, recorder)
+    for k, e in scan.by_key.items():
+        if scan.tokens[k] != e.delay:
             raise ScheduleError(
-                f"edge {e} ends with {tokens[e.key]} tokens, "
+                f"edge {e} ends with {scan.tokens[k]} tokens, "
                 f"expected {e.delay}"
             )
     return counts
@@ -202,19 +438,12 @@ def is_valid_schedule(graph: SDFGraph, schedule: LoopedSchedule) -> bool:
 
 
 def max_tokens(
-    graph: SDFGraph,
-    schedule: LoopedSchedule,
-    backend: str = "auto",
-    recorder=None,
-) -> Dict[Tuple[str, str, int], int]:
+    graph: SDFGraph, schedule: LoopedSchedule, recorder=None
+) -> Dict[Key, int]:
     """``max_tokens(e, S)`` for every edge: the peak token count.
 
     This is the size of the buffer needed for each edge when each edge
-    gets its own, non-shared buffer.  Includes initial tokens.  With
-    the default ``backend="auto"`` the peaks of supported schedules
-    come from the closed forms of :mod:`repro.sdf.symbolic` (cost
-    independent of the firing count) and are bit-identical to the
-    firing interpreter's.
+    gets its own, non-shared buffer.  Includes initial tokens.
 
     Examples
     --------
@@ -222,27 +451,10 @@ def max_tokens(
     ``max_tokens((A,B)) == 7`` (one delay plus six produced) and for
     S2 = (3A(2B))(2C) it is 3.
     """
-    if backend == "batched":
-        from .batched import batched_max_tokens
-
-        return batched_max_tokens(graph, schedule, recorder=recorder)
-    symbolic = _try_symbolic(graph, schedule, backend, recorder=recorder)
+    symbolic = _symbolic(graph, schedule, recorder)
     if symbolic is not None:
-        if recorder is not None:
-            recorder.count("sim.symbolic_shortcuts")
         return symbolic.max_tokens()
-    peaks = {e.key: e.delay for e in graph.edges()}
-    tokens = {e.key: e.delay for e in graph.edges()}
-    fired = 0
-    for actor in schedule.firing_sequence():
-        _fire(graph, actor, tokens)
-        fired += 1
-        for e in graph.out_edges(actor):
-            if tokens[e.key] > peaks[e.key]:
-                peaks[e.key] = tokens[e.key]
-    if recorder is not None:
-        recorder.count("sim.firings", fired)
-    return peaks
+    return BlockScan(graph, schedule, recorder).peaks
 
 
 def buffer_memory_nonshared(graph: SDFGraph, schedule: LoopedSchedule) -> int:
@@ -273,343 +485,9 @@ def buffer_memory_nonshared(graph: SDFGraph, schedule: LoopedSchedule) -> int:
     return total
 
 
-#: Full-state snapshots are kept every this many firings; states between
-#: checkpoints are reconstructed by replaying the per-firing deltas.
-#: Overridable per trace (``checkpoint_stride=``) so tests and the
-#: differential harness can force multiple checkpoints on short
-#: schedules.
-_CHECKPOINT_STRIDE = 64
-
-
-class _CountsView(Sequence):
-    """Read-only sequence of per-step token states, built on demand.
-
-    Presents the historical ``trace.counts`` interface — ``counts[t]``
-    is a dict of token counts after the ``t``-th firing — while the
-    trace itself stores only deltas.  Random access replays at most
-    ``_CHECKPOINT_STRIDE`` deltas from the nearest checkpoint; sequential
-    iteration replays each delta once.
-    """
-
-    def __init__(self, trace: "TokenTrace") -> None:
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace._deltas) + 1
-
-    def __getitem__(self, t: int) -> Dict[Tuple[str, str, int], int]:
-        n = len(self)
-        if isinstance(t, slice):
-            return [self[i] for i in range(*t.indices(n))]
-        if t < 0:
-            t += n
-        if not 0 <= t < n:
-            raise IndexError(f"trace step {t} out of range")
-        trace = self._trace
-        stride = trace._stride
-        base = t // stride
-        state = dict(trace._checkpoints[base])
-        for step in range(base * stride, t):
-            state.update(trace._deltas[step])
-        return state
-
-    def __iter__(self) -> Iterator[Dict[Tuple[str, str, int], int]]:
-        state = dict(self._trace._checkpoints[0])
-        yield dict(state)
-        for delta in self._trace._deltas:
-            state.update(delta)
-            yield dict(state)
-
-
-class TokenTrace:
-    """Token counts of every edge after each firing of a schedule.
-
-    ``counts[t]`` is the token state after the ``t``-th firing;
-    ``counts[0]`` is the initial state (delays).  ``firings[t]`` is the
-    actor fired at step ``t`` (1-based alignment with ``counts``).
-
-    Storage is delta-based: each step records only the edges the firing
-    touched (plus a full checkpoint every ``_CHECKPOINT_STRIDE`` steps),
-    so a trace costs O(firings x degree) instead of O(firings x edges).
-    Per-edge peaks and the summed-token peak are computed while the
-    trace is recorded, so :meth:`peak` and :meth:`total_peak` are O(1).
-    """
-
-    def __init__(
-        self,
-        edge_keys: Sequence[Tuple[str, str, int]],
-        initial: Dict[Tuple[str, str, int], int],
-        checkpoint_stride: int = _CHECKPOINT_STRIDE,
-    ) -> None:
-        if checkpoint_stride < 1:
-            raise ValueError("checkpoint_stride must be >= 1")
-        self.edge_keys: List[Tuple[str, str, int]] = list(edge_keys)
-        self._stride = checkpoint_stride
-        self.firings: List[str] = []
-        self._deltas: List[Tuple[Tuple[Tuple[str, str, int], int], ...]] = []
-        self._checkpoints: List[Dict[Tuple[str, str, int], int]] = [dict(initial)]
-        self._peaks: Dict[Tuple[str, str, int], int] = dict(initial)
-        self._total = sum(initial.values())
-        self._total_peak = self._total
-
-    @property
-    def counts(self) -> _CountsView:
-        return _CountsView(self)
-
-    def _record(
-        self,
-        actor: str,
-        touched: Dict[Tuple[str, str, int], int],
-        state: Dict[Tuple[str, str, int], int],
-    ) -> None:
-        """Append one firing: ``touched`` maps edge key -> new count."""
-        self.firings.append(actor)
-        delta = tuple(touched.items())
-        for key, value in delta:
-            if value > self._peaks[key]:
-                self._peaks[key] = value
-        self._deltas.append(delta)
-        if len(self._deltas) % self._stride == 0:
-            self._checkpoints.append(dict(state))
-
-    def peak(self, key: Tuple[str, str, int]) -> int:
-        return self._peaks[key]
-
-    def total_peak(self) -> int:
-        """Peak over time of the summed live tokens (all edges)."""
-        return self._total_peak
-
-
-def simulate_schedule(
-    graph: SDFGraph,
-    schedule: LoopedSchedule,
-    checkpoint_stride: int = _CHECKPOINT_STRIDE,
-    recorder=None,
-) -> TokenTrace:
-    """Run ``schedule`` and record the token trace (delta-encoded).
-
-    The trace exposes the same interface as a full per-step snapshot
-    list but stores only the edges each firing touches, which keeps the
-    188-node filterbanks and the full-scale figure 26/27 sweeps
-    tractable.  ``checkpoint_stride`` controls how often a full snapshot
-    is kept (tests and the differential harness lower it to exercise
-    checkpoint replay on short schedules).
-    """
-    tokens = {e.key: e.delay for e in graph.edges()}
-    trace = TokenTrace(
-        [e.key for e in graph.edges()], tokens,
-        checkpoint_stride=checkpoint_stride,
-    )
-    in_edges = {a: graph.in_edges(a) for a in graph.actor_names()}
-    out_edges = {a: graph.out_edges(a) for a in graph.actor_names()}
-    for actor in schedule.firing_sequence():
-        ins = in_edges.get(actor)
-        if ins is None:
-            ins = graph.in_edges(actor)  # raises for unknown actors
-        touched: Dict[Tuple[str, str, int], int] = {}
-        total_change = 0
-        for e in ins:
-            value = tokens[e.key] - e.consumption
-            if value < 0:
-                raise ScheduleError(
-                    f"firing {actor!r} drives edge {e} to {value} tokens"
-                )
-            tokens[e.key] = value
-            touched[e.key] = value
-            total_change -= e.consumption
-        for e in out_edges[actor]:
-            value = tokens[e.key] + e.production
-            tokens[e.key] = value
-            touched[e.key] = value
-            total_change += e.production
-        trace._total += total_change
-        if trace._total > trace._total_peak:
-            trace._total_peak = trace._total
-        trace._record(actor, touched, tokens)
-    if recorder is not None:
-        recorder.count("sim.firings", len(trace.firings))
-    return trace
-
-
-@dataclass
-class _EpisodeScan:
-    """One streaming simulation's coarse-model episode data.
-
-    ``intervals`` are the per-edge live episodes; ``episodes`` flattens
-    them to ``(edge key, start, stop, array words)`` with the array size
-    being everything transferred during the episode (the coarse model's
-    buffer) — both derived in a single pass over the firing sequence.
-
-    Broadcast members appear per-edge in ``intervals`` (logical token
-    counts) but their *physical* buffer is shared: ``group_episodes``
-    holds the merged episodes, one per broadcast group, live while any
-    member holds tokens and sized by the shared stream (production
-    counted once; occupancy = max member count).  ``member_keys`` lets
-    memory accounting swap member episodes for their group's.
-    """
-
-    intervals: Dict[Tuple[str, str, int], List[Tuple[int, int]]]
-    episodes: List[Tuple[Tuple[str, str, int], int, int, int]]
-    group_episodes: List[Tuple[str, int, int, int]]
-    member_keys: frozenset
-
-
-def _scan_episodes(graph: SDFGraph, schedule: LoopedSchedule) -> _EpisodeScan:
-    """Simulate once, streaming out live episodes and their array sizes.
-
-    Replaces the historical two-full-trace pipeline (simulate, then
-    re-simulate for intervals, then walk O(firings x edges) snapshots):
-    liveness can only change on the edges a firing touches, so one pass
-    tracking per-edge open episodes suffices.
-    """
-    by_key = {e.key: e for e in graph.edges()}
-    tokens = {k: e.delay for k, e in by_key.items()}
-    in_edges = {a: graph.in_edges(a) for a in graph.actor_names()}
-    out_edges = {a: graph.out_edges(a) for a in graph.actor_names()}
-
-    intervals: Dict[Tuple[str, str, int], List[Tuple[int, int]]] = {
-        k: [] for k in by_key
-    }
-    episodes: List[Tuple[Tuple[str, str, int], int, int, int]] = []
-    # Per-edge open episode state: start step, tokens present at the
-    # start, tokens produced by src(e) since (through the current
-    # firing), and the peak token occupancy seen during the episode.
-    # Edges with initial tokens start live at step 0.
-    open_at: Dict[Tuple[str, str, int], Optional[int]] = {}
-    start_count: Dict[Tuple[str, str, int], int] = {}
-    produced: Dict[Tuple[str, str, int], int] = {}
-    peak_occ: Dict[Tuple[str, str, int], int] = {}
-    for k, e in by_key.items():
-        open_at[k] = 0 if e.delay > 0 else None
-        start_count[k] = e.delay
-        produced[k] = 0
-        peak_occ[k] = e.delay
-
-    # Broadcast groups: one shared physical buffer per group, live
-    # while *any* member holds tokens.  Production is counted once per
-    # group (all members receive the same stream); occupancy is the
-    # max member count (union of unread suffixes = largest suffix).
-    groups = graph.broadcast_groups()
-    group_keys = {name: [m.key for m in members] for name, members in groups.items()}
-    group_episodes: List[Tuple[str, int, int, int]] = []
-    g_open: Dict[str, Optional[int]] = {}
-    g_start: Dict[str, int] = {}
-    g_produced: Dict[str, int] = {}
-    g_peak: Dict[str, int] = {}
-    for name, members in groups.items():
-        first = members[0]
-        g_open[name] = 0 if first.delay > 0 else None
-        g_start[name] = first.delay
-        g_produced[name] = 0
-        g_peak[name] = first.delay
-
-    def group_words(name: str) -> int:
-        first = groups[name][0]
-        if first.delay > 0:
-            return g_peak[name] * first.token_size
-        return (g_start[name] + g_produced[name]) * first.token_size
-
-    def episode_words(k: Tuple[str, str, int], e: Edge) -> int:
-        # A delayed edge wraps its del(e) tokens around the period
-        # boundary, so its buffer is circular: capacity is the peak
-        # token occupancy, not the episode's total traffic.  Delayless
-        # episodes fill a linear array with everything transferred
-        # (tokens at start plus tokens produced), as in section 5.
-        if e.delay > 0:
-            return peak_occ[k] * e.token_size
-        return (start_count[k] + produced[k]) * e.token_size
-
-    t = 0
-    for actor in schedule.firing_sequence():
-        t += 1
-        ins = in_edges.get(actor)
-        if ins is None:
-            ins = graph.in_edges(actor)  # raises for unknown actors
-        for e in ins:
-            value = tokens[e.key] - e.consumption
-            if value < 0:
-                raise ScheduleError(
-                    f"firing {actor!r} drives edge {e} to {value} tokens"
-                )
-            tokens[e.key] = value
-        outs = out_edges[actor]
-        for e in outs:
-            tokens[e.key] += e.production
-        # Liveness transitions, evaluated on the post-firing state (the
-        # only state the coarse model sees; a self-loop that transits
-        # zero mid-firing does not end its episode).
-        for e in outs:
-            k = e.key
-            if open_at[k] is None:
-                # Production on a dead edge always revives it.
-                open_at[k] = t - 1
-                start_count[k] = 0
-                produced[k] = e.production
-                peak_occ[k] = tokens[k]
-            else:
-                produced[k] += e.production
-                if tokens[k] > peak_occ[k]:
-                    peak_occ[k] = tokens[k]
-        for e in ins:
-            k = e.key
-            if tokens[k] == 0 and open_at[k] is not None:
-                s = open_at[k]
-                intervals[k].append((s, t))
-                episodes.append((k, s, t, episode_words(k, e)))
-                open_at[k] = None
-                produced[k] = 0
-                peak_occ[k] = 0
-        # Group liveness transitions (same post-firing convention).
-        touched_groups = {e.broadcast for e in outs if e.broadcast}
-        touched_groups.update(e.broadcast for e in ins if e.broadcast)
-        for name in touched_groups:
-            occ = max(tokens[k] for k in group_keys[name])
-            if g_open[name] is None:
-                if occ > 0:
-                    g_open[name] = t - 1
-                    g_start[name] = 0
-                    g_produced[name] = (
-                        groups[name][0].production
-                        if actor == groups[name][0].source
-                        else 0
-                    )
-                    g_peak[name] = occ
-            else:
-                if actor == groups[name][0].source:
-                    g_produced[name] += groups[name][0].production
-                if occ > g_peak[name]:
-                    g_peak[name] = occ
-                if occ == 0:
-                    s = g_open[name]
-                    group_episodes.append((name, s, t, group_words(name)))
-                    g_open[name] = None
-                    g_produced[name] = 0
-                    g_peak[name] = 0
-    for k, e in by_key.items():
-        if open_at[k] is not None:
-            s = open_at[k]
-            intervals[k].append((s, t))
-            episodes.append((k, s, t, episode_words(k, e)))
-    for name in groups:
-        if g_open[name] is not None:
-            s = g_open[name]
-            group_episodes.append((name, s, t, group_words(name)))
-    return _EpisodeScan(
-        intervals=intervals,
-        episodes=episodes,
-        group_episodes=group_episodes,
-        member_keys=frozenset(
-            k for keys in group_keys.values() for k in keys
-        ),
-    )
-
-
 def coarse_live_intervals(
-    graph: SDFGraph,
-    schedule: LoopedSchedule,
-    backend: str = "auto",
-    recorder=None,
-) -> Dict[Tuple[str, str, int], List[Tuple[int, int]]]:
+    graph: SDFGraph, schedule: LoopedSchedule, recorder=None
+) -> Dict[Key, List[Tuple[int, int]]]:
     """Ground-truth coarse-grained liveness intervals per edge.
 
     Under the coarse model (section 5, figure 3) a buffer is live from
@@ -620,34 +498,18 @@ def coarse_live_intervals(
     including the state after firing ``t`` (with 0 = initial state).
 
     Used by tests to cross-check the schedule-tree lifetime extraction.
-    Computed in one streaming pass (no trace materialization); with the
-    default ``backend="auto"``, supported schedules skip the pass and
-    enumerate the episodes from their mixed-radix closed form instead
-    (output-sized rather than firing-count-sized).
+    Schedules the symbolic engine covers enumerate their episodes from
+    the mixed-radix closed form (output-sized); the rest are replayed
+    block by block.
     """
-    if backend == "batched":
-        from .batched import batched_coarse_live_intervals
-
-        return batched_coarse_live_intervals(
-            graph, schedule, recorder=recorder
-        )
-    symbolic = _try_symbolic(graph, schedule, backend, recorder=recorder)
+    symbolic = _symbolic(graph, schedule, recorder)
     if symbolic is not None:
-        if recorder is not None:
-            recorder.count("sim.symbolic_shortcuts")
         return symbolic.coarse_live_intervals()
-    if recorder is not None:
-        recorder.count(
-            "sim.firings", sum(schedule.firings_per_actor().values())
-        )
-    return _scan_episodes(graph, schedule).intervals
+    return BlockScan(graph, schedule, recorder).intervals
 
 
 def max_live_tokens(
-    graph: SDFGraph,
-    schedule: LoopedSchedule,
-    backend: str = "auto",
-    recorder=None,
+    graph: SDFGraph, schedule: LoopedSchedule, recorder=None
 ) -> int:
     """Peak of the coarse-model live-array total over the schedule.
 
@@ -661,53 +523,14 @@ def max_live_tokens(
     against which the schedule-tree lifetime extraction and the
     allocators are checked.
 
-    A single simulation produces both the episodes and their sizes (the
-    historical implementation simulated the same schedule three times
-    and walked full per-step snapshots).  With the default
-    ``backend="auto"``, supported schedules instead resolve the peak by
-    a hierarchical range-max over the schedule tree — no simulation and
-    no episode enumeration at all.
+    Schedules the symbolic engine covers resolve the peak by a
+    hierarchical range-max over the schedule tree, with no replay and
+    no episode enumeration; the rest are replayed block by block.
     """
-    if backend == "batched":
-        from .batched import batched_max_live_tokens
-
-        return batched_max_live_tokens(graph, schedule, recorder=recorder)
-    symbolic = _try_symbolic(graph, schedule, backend, recorder=recorder)
+    symbolic = _symbolic(graph, schedule, recorder)
     if symbolic is not None:
-        if recorder is not None:
-            recorder.count("sim.symbolic_shortcuts")
         return symbolic.max_live_tokens()
-    if recorder is not None:
-        recorder.count(
-            "sim.firings", sum(schedule.firings_per_actor().values())
-        )
-    return _sweep_peak(_scan_episodes(graph, schedule))
-
-
-def _sweep_peak(scan: _EpisodeScan) -> int:
-    """Peak summed episode size of one scan (shared with the batched
-    engine so both resolve ties the same way)."""
-    events: List[Tuple[int, int]] = []  # (time, +size/-size)
-    # Broadcast member episodes are logical views of one shared buffer;
-    # memory accounting uses the merged group episodes instead.
-    for k, s, t, size in scan.episodes:
-        if k in scan.member_keys:
-            continue
-        events.append((s, size))
-        events.append((t, -size))
-    for _, s, t, size in scan.group_episodes:
-        events.append((s, size))
-        events.append((t, -size))
-    # Intervals are half-open: a buffer dying at firing t frees its
-    # memory before anything born at t occupies it, so deaths (negative
-    # deltas) sort first at equal times.
-    events.sort(key=lambda ev: (ev[0], ev[1]))
-    live = 0
-    peak = 0
-    for _, delta in events:
-        live += delta
-        peak = max(peak, live)
-    return peak
+    return BlockScan(graph, schedule, recorder).live_peak()
 
 
 def assert_deadlock_free(graph: SDFGraph) -> LoopedSchedule:
@@ -727,8 +550,6 @@ def assert_deadlock_free(graph: SDFGraph) -> LoopedSchedule:
         With ``kind="deadlock"`` if the graph deadlocks, or
         ``kind="rate"`` if the balance equations fail.
     """
-    from .schedule import Firing
-
     q = repetitions_vector(graph)
     tokens = {e.key: e.delay for e in graph.edges()}
     remaining = dict(q)
@@ -744,7 +565,10 @@ def assert_deadlock_free(graph: SDFGraph) -> LoopedSchedule:
         a = ready.pop()
         if not can_fire(a):
             continue
-        _fire(graph, a, tokens)
+        for e in graph.in_edges(a):
+            tokens[e.key] -= e.consumption
+        for e in graph.out_edges(a):
+            tokens[e.key] += e.production
         remaining[a] -= 1
         firings.append(a)
         if can_fire(a):

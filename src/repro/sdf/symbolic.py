@@ -1,14 +1,15 @@
 """Loop-compressed symbolic simulation of single appearance schedules.
 
-The firing interpreter in :mod:`repro.sdf.simulate` executes every
-firing, so its cost scales with the sum of the repetitions vector —
-ruinous for high-rate graphs (a scaled CD-DAT chain fires millions of
-times per period).  But the paper's whole premise (sections 3–5) is
-that single appearance schedules *are* loops, and within a loop body
-the token profile of every edge is affine-periodic: exactly the
-structure :class:`~repro.lifetimes.periodic.PeriodicLifetime` models.
+The block-level replay in :mod:`repro.sdf.simulate` executes every
+``Firing`` leaf visit, so its cost scales with the number of loop
+iterations that reach a leaf — ruinous for deeply nested high-rate
+schedules (a scaled CD-DAT chain fires millions of times per period).
+But the paper's whole premise (sections 3–5) is that single appearance
+schedules *are* loops, and within a loop body the token profile of
+every edge is affine-periodic: exactly the structure
+:class:`~repro.lifetimes.periodic.PeriodicLifetime` models.
 
-This module computes the interpreter's observables directly from the
+This module computes the replay's observables directly from the
 binary schedule tree, in time polynomial in the *tree* size and
 independent of the firing count:
 
@@ -40,18 +41,18 @@ independent of the firing count:
     the (constant) covering-episode elevation per segment, and
     recursing into the child spans.  Memoized per ``(node, lo, hi)``.
 
-``validate_schedule``
-    If the symbolic preconditions hold, the schedule provably never
-    underflows an edge and returns every edge to its initial (zero)
-    token count, so the O(firings) token replay can be skipped.
+If the symbolic preconditions hold, the schedule provably never
+underflows an edge and returns every edge to its initial (zero) token
+count; ``repro check``'s ``symb:`` oracle verifies that claim against a
+naive replay.
 
-Supported exactly (bit-identical to the interpreter): single
+Supported exactly (bit-identical to the replay): single
 appearance schedules covering all graph actors, where every edge is
 delayless, is not a self-loop, and has its producer lexically before
 its consumer.  Everything else — delays, self-loops, non-SAS
 schedules, partial or non-topological schedules — makes
 :meth:`SymbolicTrace.try_build` return ``None`` and the callers in
-:mod:`repro.sdf.simulate` fall back to the firing interpreter (this
+:mod:`repro.sdf.simulate` fall back to the block-level replay (this
 mirrors the delay-model limitations pinned in
 ``tests/test_check_regressions.py``: the closed forms are only claimed
 where the coarse model itself is exact).
@@ -91,11 +92,11 @@ class EdgeProfile:
 
 
 class SymbolicTrace:
-    """Interpreter observables computed from the schedule tree.
+    """Replay observables computed from the schedule tree.
 
     Build via :meth:`try_build`, which returns ``None`` whenever the
     closed forms do not apply; the dispatchers in ``simulate`` then
-    fall back to actually firing the schedule.
+    fall back to replaying the schedule block by block.
     """
 
     def __init__(
@@ -129,7 +130,7 @@ class SymbolicTrace:
 
         With a ``recorder``, tallies ``symbolic.builds`` /
         ``symbolic.declines`` so traces show how often the closed forms
-        applied versus fell back to the firing interpreter.
+        applied versus fell back to the block-level replay.
         """
         trace = cls._try_build(graph, schedule)
         if recorder is not None:
@@ -146,7 +147,7 @@ class SymbolicTrace:
         """The coverage test and construction behind :meth:`try_build`.
 
         Preconditions (each checked; any failure means the firing
-        interpreter must be used instead):
+        replay must be used instead):
 
         * the schedule is a single appearance schedule whose actor set
           equals the graph's (every actor fires, none is unknown);
@@ -161,7 +162,7 @@ class SymbolicTrace:
             return None
         # Broadcast groups share one physical buffer across members;
         # the per-edge episode algebra below models disjoint buffers,
-        # so decline and let the firing interpreter handle them.
+        # so decline and let the block-level replay handle them.
         if graph.has_broadcasts():
             return None
         try:
@@ -186,7 +187,7 @@ class SymbolicTrace:
             if n_p * e.production != n_c * e.consumption:
                 return None
             # First episode: opens one step before the producer's first
-            # firing (the interpreter's 0-based episode start), closes
+            # firing (the replay's 0-based episode start), closes
             # at the consumer's last firing of the least-parent body
             # iteration — its leaf start plus the last-iteration offset
             # of every loop strictly between the leaf and the least
@@ -220,7 +221,7 @@ class SymbolicTrace:
         return cls(graph, schedule, tree, profiles, own)
 
     # ------------------------------------------------------------------
-    # interpreter observables
+    # replay observables
     # ------------------------------------------------------------------
     def max_tokens(self) -> Dict[EdgeKey, int]:
         """Per-edge peak token counts (``simulate.max_tokens``)."""

@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.check.reference import reference_peak_token_words
+from repro.scheduling.pipeline import implement
 from repro.sdf.graph import SDFGraph
 from repro.sdf.schedule import parse_schedule
-from repro.sdf.random_graphs import random_chain_graph
+from repro.sdf.random_graphs import random_broadcast_sdf_graph, random_chain_graph
 from repro.lifetimes.granularity import fine_grained_peak, granularity_levels
 from repro.lifetimes.periodic import PeriodicLifetime
 from repro.allocation.clique import mcw_pessimistic
@@ -52,6 +54,19 @@ class TestGranularity:
         values = [v for _, v in levels]
         assert values == sorted(values, reverse=True)
         assert values[-1] >= fine_grained_peak(g, s)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_broadcast_group_charged_once(self, seed):
+        # A broadcast group is one shared buffer: the fine peak charges
+        # it at its largest member count (the reference's accounting),
+        # not once per member, and every depth stays above it.
+        g = random_broadcast_sdf_graph(6, seed=seed)
+        s = implement(g, "rpmc", verify=False).sdppo_schedule
+        fine = fine_grained_peak(g, s)
+        assert fine == reference_peak_token_words(g, s)
+        values = [v for _, v in granularity_levels(g, s)]
+        assert values == sorted(values, reverse=True)
+        assert values[-1] >= fine
 
     def test_single_firing_schedule(self):
         g = SDFGraph()

@@ -9,6 +9,7 @@ analysis calls disjoint but the execution overlaps would corrupt memory.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.check.reference import reference_episode_sizes
 from repro.exceptions import ScheduleError
 from repro.lifetimes.intervals import extract_lifetimes
 from repro.lifetimes.schedule_tree import ScheduleTree
@@ -16,7 +17,7 @@ from repro.sdf.graph import SDFGraph
 from repro.sdf.random_graphs import random_chain_graph, random_sdf_graph
 from repro.sdf.repetitions import repetitions_vector, total_tokens_exchanged
 from repro.sdf.schedule import parse_schedule
-from repro.sdf.simulate import coarse_live_intervals, simulate_schedule
+from repro.sdf.simulate import coarse_live_intervals
 from repro.scheduling.dppo import dppo
 from repro.scheduling.sdppo import sdppo
 
@@ -117,22 +118,14 @@ class TestBasicExtraction:
 
 def _episode_ground_truth(graph, schedule):
     """(episode count, episode size) per delay-free edge, by simulation."""
-    trace = simulate_schedule(graph, schedule)
-    intervals = coarse_live_intervals(graph, schedule)
-    result = {}
-    for e in graph.edges():
-        if e.delay:
-            continue
-        sizes = []
-        for s, t in intervals[e.key]:
-            produced = sum(
-                e.production
-                for step in range(s, t)
-                if trace.firings[step] == e.source
-            )
-            sizes.append((trace.counts[s][e.key] + produced) * e.token_size)
-        result[e.key] = (len(intervals[e.key]), max(sizes) if sizes else 0)
-    return result
+    sizes = {e.key: [] for e in graph.edges() if not e.delay}
+    for key, _, _, words in reference_episode_sizes(graph, schedule):
+        if key in sizes:
+            sizes[key].append(words)
+    return {
+        key: (len(words), max(words) if words else 0)
+        for key, words in sizes.items()
+    }
 
 
 class TestAgainstSimulation:

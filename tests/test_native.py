@@ -270,7 +270,7 @@ class TestCli:
 
 class TestHarnessIntegration:
     def test_mutation_registry_has_native_class(self):
-        assert len(MUTATION_CLASSES) == 13
+        assert len(MUTATION_CLASSES) == 12
         assert "native_kernel" in MUTATION_CLASSES
 
     def test_injection_caught(self):

@@ -1,11 +1,13 @@
-"""Tests for schedule interpretation and token simulation."""
+"""Tests for schedule replay and token simulation."""
 
 import pytest
 
 from repro.exceptions import InconsistentGraphError, ScheduleError
+from repro.obs import TraceRecorder
 from repro.sdf.graph import SDFGraph
 from repro.sdf.schedule import parse_schedule
 from repro.sdf.simulate import (
+    BlockScan,
     assert_deadlock_free,
     buffer_memory_nonshared,
     coarse_live_intervals,
@@ -13,7 +15,6 @@ from repro.sdf.simulate import (
     is_valid_schedule,
     max_live_tokens,
     max_tokens,
-    simulate_schedule,
     validate_schedule,
 )
 
@@ -104,21 +105,68 @@ class TestValidity:
         assert is_valid_schedule(g, parse_schedule("B A"))
 
 
-class TestTrace:
-    def test_trace_records_every_state(self):
+class TestBlockScan:
+    def test_records_blocks_firings_and_peaks(self):
         g = delayless_fig1()
-        s = parse_schedule("(3A)(6B)(2C)")
-        trace = simulate_schedule(g, s)
-        assert len(trace.firings) == 11
-        assert len(trace.counts) == 12
-        assert trace.peak(("A", "B", 0)) == 6
+        scan = BlockScan(g, parse_schedule("(3A)(6B)(2C)"))
+        assert (scan.blocks, scan.firings) == (3, 11)
+        assert scan.peaks == {("A", "B", 0): 6, ("B", "C", 0): 6}
+        assert scan.tokens == {("A", "B", 0): 0, ("B", "C", 0): 0}
 
-    def test_total_peak(self):
+    def test_nested_loops_replay_each_leaf_visit(self):
         g = delayless_fig1()
-        s = parse_schedule("(3A)(6B)(2C)")
-        # After 3A: 6 on AB; after 6B: 6 on BC.  Peak total is 6 + partial.
-        trace = simulate_schedule(g, s)
-        assert trace.total_peak() >= 6
+        scan = BlockScan(g, parse_schedule("(3A(2B))(2C)"))
+        assert (scan.blocks, scan.firings) == (7, 11)
+        assert scan.intervals[("A", "B", 0)] == [(0, 3), (3, 6), (6, 9)]
+
+
+def _counters(fn, graph, schedule):
+    rec = TraceRecorder()
+    fn(graph, schedule, recorder=rec)
+    return rec.counter_totals()
+
+
+OBSERVABLES = [max_tokens, coarse_live_intervals, max_live_tokens]
+
+
+class TestEngineChoice:
+    """The input alone picks the engine; the recorder shows which ran."""
+
+    def test_validate_always_replays_blocks(self):
+        # Even a schedule the closed forms cover is replayed.
+        totals = _counters(
+            validate_schedule, delayless_fig1(),
+            parse_schedule("(3A(2B))(2C)"),
+        )
+        assert totals["sim.blocks"] == 7
+        assert "sim.symbolic_shortcuts" not in totals
+        assert "sim.firings" not in totals
+
+    @pytest.mark.parametrize("fn", OBSERVABLES)
+    def test_delayless_topological_sas_takes_the_closed_forms(self, fn):
+        totals = _counters(
+            fn, delayless_fig1(), parse_schedule("(3A(2B))(2C)")
+        )
+        assert totals["sim.symbolic_shortcuts"] == 1
+        assert "sim.blocks" not in totals
+        assert "sim.firings" not in totals
+
+    @pytest.mark.parametrize("fn", OBSERVABLES)
+    @pytest.mark.parametrize("case", ["delay", "self_loop", "two_appearance"])
+    def test_everything_else_replays_blocks(self, fn, case):
+        if case == "delay":
+            g, s = figure1_graph(), parse_schedule("(3A(2B))(2C)")
+        elif case == "self_loop":
+            g = delayless_fig1()
+            g.add_edge("B", "B", 1, 1, delay=1)
+            s = parse_schedule("(3A(2B))(2C)")
+        else:
+            g, s = delayless_fig1(), parse_schedule("(3A)(3B)(3B)(2C)")
+        totals = _counters(fn, g, s)
+        assert totals["sim.blocks"] >= 3
+        assert totals["sim.block_firings"] == 11
+        assert "sim.symbolic_shortcuts" not in totals
+        assert "sim.firings" not in totals
 
 
 class TestCoarseIntervals:

@@ -1,26 +1,31 @@
-"""Incremental simulator vs. the straightforward reference implementation.
+"""Both simulation engines vs the naive reference implementation.
 
-``repro.sdf.simulate`` records a delta-encoded token trace and computes
-``max_tokens`` / ``coarse_live_intervals`` / ``max_live_tokens`` in one
-streaming pass.  These tests pin it against an independent reference
-that materializes the full per-firing token state (the original
-implementation) on the Table 1 systems and on random graphs, so any
-divergence between the fast path and the obvious semantics fails loudly.
+``repro.sdf.simulate`` answers ``max_tokens`` /
+``coarse_live_intervals`` / ``max_live_tokens`` from the symbolic
+closed forms where they apply and from the block-level replay
+(``BlockScan``) otherwise.  These tests pin both against
+``repro.check.reference``, which materializes the full per-firing token
+state, on the Table 1 systems and on random graphs, so any divergence
+between a fast path and the obvious semantics fails loudly.
 """
-
-from typing import Dict, List, Optional, Tuple
 
 import pytest
 
 from repro.apps import table1_graph
+from repro.check.reference import (
+    full_trace,
+    reference_coarse_intervals,
+    reference_max_live_tokens,
+    reference_max_tokens,
+)
 from repro.scheduling.pipeline import implement
 from repro.scheduling.vectorize import vectorize_schedule
 from repro.sdf.random_graphs import random_sdf_graph
 from repro.sdf.simulate import (
+    BlockScan,
     coarse_live_intervals,
     max_live_tokens,
     max_tokens,
-    simulate_schedule,
     validate_schedule,
 )
 
@@ -34,90 +39,6 @@ SYSTEMS = [
     "qmf23_2d",
 ]
 
-
-# ---------------------------------------------------------------------------
-# Reference implementation: full dict-per-firing trace, quadratic scans.
-
-def _ref_fire(graph, actor, tokens):
-    for e in graph.in_edges(actor):
-        tokens[e.key] -= e.consumption
-        assert tokens[e.key] >= 0
-    for e in graph.out_edges(actor):
-        tokens[e.key] += e.production
-
-
-def _ref_trace(graph, schedule):
-    tokens = {e.key: e.delay for e in graph.edges()}
-    firings: List[str] = []
-    counts = [dict(tokens)]
-    for actor in schedule.firing_sequence():
-        _ref_fire(graph, actor, tokens)
-        firings.append(actor)
-        counts.append(dict(tokens))
-    return firings, counts
-
-
-def _ref_max_tokens(graph, schedule):
-    peaks = {e.key: e.delay for e in graph.edges()}
-    tokens = {e.key: e.delay for e in graph.edges()}
-    for actor in schedule.firing_sequence():
-        _ref_fire(graph, actor, tokens)
-        for e in graph.out_edges(actor):
-            if tokens[e.key] > peaks[e.key]:
-                peaks[e.key] = tokens[e.key]
-    return peaks
-
-
-def _ref_coarse_live_intervals(graph, schedule):
-    firings, counts = _ref_trace(graph, schedule)
-    edge_keys = [e.key for e in graph.edges()]
-    intervals: Dict[Tuple[str, str, int], List[Tuple[int, int]]] = {
-        k: [] for k in edge_keys
-    }
-    open_at: Dict[Tuple[str, str, int], Optional[int]] = {}
-    for k in edge_keys:
-        open_at[k] = 0 if counts[0][k] > 0 else None
-    for t in range(1, len(counts)):
-        state = counts[t]
-        for k in edge_keys:
-            live = state[k] > 0
-            if live and open_at[k] is None:
-                open_at[k] = t - 1
-            elif not live and open_at[k] is not None:
-                intervals[k].append((open_at[k], t))
-                open_at[k] = None
-    for k in edge_keys:
-        if open_at[k] is not None:
-            intervals[k].append((open_at[k], len(counts) - 1))
-    return intervals
-
-
-def _ref_max_live_tokens(graph, schedule):
-    firings, counts = _ref_trace(graph, schedule)
-    intervals = _ref_coarse_live_intervals(graph, schedule)
-    by_key = {e.key: e for e in graph.edges()}
-    events: List[Tuple[int, int]] = []
-    for k, ivals in intervals.items():
-        e = by_key[k]
-        for s, t in ivals:
-            produced = sum(
-                e.production
-                for step in range(s, t)
-                if firings[step] == e.source
-            )
-            size = (counts[s][k] + produced) * e.token_size
-            events.append((s, size))
-            events.append((t, -size))
-    events.sort(key=lambda ev: (ev[0], ev[1]))
-    live = 0
-    peak = 0
-    for _, delta in events:
-        live += delta
-        peak = max(peak, live)
-    return peak
-
-
-# ---------------------------------------------------------------------------
 
 def _schedules(graph):
     result = implement(graph, "apgan", verify=False)
@@ -133,26 +54,11 @@ def _graphs():
 
 @pytest.mark.parametrize("name,graph", list(_graphs()))
 class TestIncrementalSimulatorEquivalence:
-    def test_trace_counts_match_reference(self, name, graph):
-        for schedule in _schedules(graph):
-            firings, counts = _ref_trace(graph, schedule)
-            trace = simulate_schedule(graph, schedule)
-            assert trace.firings == firings
-            assert len(trace.counts) == len(counts)
-            # Random access (checkpoint + delta replay), negative
-            # indexing, and sequential iteration all agree.
-            for t in (0, 1, len(counts) // 2, len(counts) - 1, -1):
-                assert trace.counts[t] == counts[t]
-            assert list(trace.counts) == counts
-            for key in trace.edge_keys:
-                assert trace.peak(key) == max(c[key] for c in counts)
-            assert trace.total_peak() == max(
-                sum(c.values()) for c in counts
-            )
+    """The public observables, whichever engine answers them."""
 
     def test_max_tokens_matches_reference(self, name, graph):
         for schedule in _schedules(graph):
-            assert max_tokens(graph, schedule) == _ref_max_tokens(
+            assert max_tokens(graph, schedule) == reference_max_tokens(
                 graph, schedule
             )
 
@@ -160,19 +66,19 @@ class TestIncrementalSimulatorEquivalence:
         for schedule in _schedules(graph):
             assert coarse_live_intervals(
                 graph, schedule
-            ) == _ref_coarse_live_intervals(graph, schedule)
+            ) == reference_coarse_intervals(graph, schedule)
 
     def test_max_live_tokens_matches_reference(self, name, graph):
         for schedule in _schedules(graph):
-            assert max_live_tokens(graph, schedule) == _ref_max_live_tokens(
+            assert max_live_tokens(
                 graph, schedule
-            )
+            ) == reference_max_live_tokens(graph, schedule)
 
 
 # ---------------------------------------------------------------------------
-# backend="batched": block-level closed forms vs. the same references.
+# The block-level replay, called directly, vs the same references.
 #
-# The batched backend earns its keep on *blocked* schedules (large
+# The block engine earns its keep on *blocked* schedules (large
 # per-leaf firing counts), so each system is checked both on its SDPPO
 # schedule and on the unconstrained vectorization of it — the flat SAS
 # end of the frontier, where every actor is one block.
@@ -193,25 +99,30 @@ def _batched_graphs():
 @pytest.mark.parametrize("name,graph", list(_batched_graphs()))
 class TestBatchedBackendEquivalence:
     def test_validate_matches_interpreter(self, name, graph):
+        # The reference's full trace is the firing-at-a-time
+        # interpreter: it must end where the block replay ends.
         for schedule in _blocked_schedules(graph):
             assert validate_schedule(
-                graph, schedule, backend="batched"
-            ) == validate_schedule(graph, schedule, backend="interpreter")
+                graph, schedule
+            ) == schedule.firings_per_actor()
+            assert BlockScan(graph, schedule).tokens == full_trace(
+                graph, schedule
+            )[-1]
 
     def test_max_tokens_matches_reference(self, name, graph):
         for schedule in _blocked_schedules(graph):
-            assert max_tokens(
-                graph, schedule, backend="batched"
-            ) == _ref_max_tokens(graph, schedule)
+            assert BlockScan(graph, schedule).peaks == reference_max_tokens(
+                graph, schedule
+            )
 
     def test_coarse_intervals_match_reference(self, name, graph):
         for schedule in _blocked_schedules(graph):
-            assert coarse_live_intervals(
-                graph, schedule, backend="batched"
-            ) == _ref_coarse_live_intervals(graph, schedule)
+            assert BlockScan(
+                graph, schedule
+            ).intervals == reference_coarse_intervals(graph, schedule)
 
     def test_max_live_tokens_matches_reference(self, name, graph):
         for schedule in _blocked_schedules(graph):
-            assert max_live_tokens(
-                graph, schedule, backend="batched"
-            ) == _ref_max_live_tokens(graph, schedule)
+            assert BlockScan(
+                graph, schedule
+            ).live_peak() == reference_max_live_tokens(graph, schedule)

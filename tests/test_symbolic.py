@@ -1,18 +1,24 @@
-"""The loop-compressed symbolic engine vs the firing interpreter.
+"""The loop-compressed symbolic engine vs the naive reference.
 
-The symbolic backend (``repro.sdf.symbolic``) claims bit-identical
+The symbolic engine (``repro.sdf.symbolic``) claims bit-identical
 results on delayless, self-loop-free graphs under full topological
 single appearance schedules, in time independent of the firing count.
 These tests pin the closed forms on worked examples, sweep 200+ seeded
-random graphs differentially against the interpreter, verify every
-fallback path, and exercise the firing-time clock the schedule tree
-grew for the engine.
+random graphs differentially against ``repro.check.reference``, verify
+every fallback to the block-level replay, and exercise the firing-time
+clock the schedule tree grew for the engine.
 """
 
 import random
 
 import pytest
 
+from repro.check.reference import (
+    full_trace,
+    reference_coarse_intervals,
+    reference_max_live_tokens,
+    reference_max_tokens,
+)
 from repro.exceptions import ScheduleError
 from repro.lifetimes.periodic import PeriodicLifetime
 from repro.lifetimes.schedule_tree import ScheduleTree
@@ -25,12 +31,7 @@ from repro.sdf.schedule import (
     flat_single_appearance_schedule,
     parse_schedule,
 )
-from repro.sdf.simulate import (
-    coarse_live_intervals,
-    max_live_tokens,
-    max_tokens,
-    validate_schedule,
-)
+from repro.sdf.simulate import BlockScan, max_tokens, validate_schedule
 from repro.sdf.symbolic import SymbolicTrace
 
 
@@ -77,7 +78,8 @@ class TestClosedForms:
         # A->C's 4-word array is live the whole period; the A->B episode
         # (2 words) and one B->C episode (2 words) stack on top of it.
         assert trace.max_live_tokens() == 8
-        assert max_live_tokens(g, s, backend="interpreter") == 8
+        assert BlockScan(g, s).live_peak() == 8
+        assert reference_max_live_tokens(g, s) == 8
 
     def test_token_sizes_scale_words_not_peaks(self):
         g = SDFGraph()
@@ -121,7 +123,7 @@ class TestSupportGate:
     def test_partial_schedule_declines(self):
         # (1A)(1B) on A-2/1->B: both actors appear, but firing counts
         # are unbalanced; the naive peak formula would report 2 where
-        # the interpreter (correctly) rejects the schedule.
+        # the block replay (correctly) rejects the schedule.
         g = two_actor_graph()
         assert SymbolicTrace.try_build(g, parse_schedule("A B")) is None
 
@@ -136,30 +138,17 @@ class TestSupportGate:
 
 
 class TestBackendDispatch:
-    def test_unknown_backend_rejected(self):
-        g = two_actor_graph()
-        s = parse_schedule("(2A(2B))")
-        with pytest.raises(ValueError, match="unknown backend"):
-            max_tokens(g, s, backend="vm")
-
-    def test_forced_symbolic_raises_on_unsupported(self):
-        g = SDFGraph()
-        g.add_actors("AB")
-        g.add_edge("A", "B", 2, 1, delay=1)
-        s = parse_schedule("(2A(2B))")
-        with pytest.raises(ScheduleError, match="symbolic backend"):
-            max_live_tokens(g, s, backend="symbolic")
-
     def test_auto_falls_back_on_delay(self):
         g = SDFGraph()
         g.add_actors("AB")
         g.add_edge("A", "B", 2, 1, delay=1)
         s = parse_schedule("(2A(2B))")
-        assert max_tokens(g, s) == max_tokens(g, s, backend="interpreter")
+        assert max_tokens(g, s) == BlockScan(g, s).peaks == \
+            reference_max_tokens(g, s)
 
     def test_auto_falls_back_on_invalid_schedule(self):
         # Non-topological SAS: the symbolic gate declines, and the
-        # interpreter's underflow error must surface unchanged.
+        # block replay's underflow error must surface unchanged.
         g = two_actor_graph()
         s = parse_schedule("(4B)(2A)")
         with pytest.raises(ScheduleError, match="tokens"):
@@ -168,33 +157,41 @@ class TestBackendDispatch:
     def test_validate_schedule_counts_identical(self):
         g = two_actor_graph()
         s = parse_schedule("(2A(2B))")
-        assert validate_schedule(g, s, backend="symbolic") == \
-            validate_schedule(g, s, backend="interpreter") == {"A": 2, "B": 4}
+        assert SymbolicTrace.try_build(g, s) is not None
+        assert validate_schedule(g, s) == s.firings_per_actor() == \
+            {"A": 2, "B": 4}
 
     def test_validate_still_rejects_bad_counts_first(self):
         g = two_actor_graph()
         with pytest.raises(ScheduleError, match="multiple"):
-            validate_schedule(g, parse_schedule("(2A)(3B)"), backend="auto")
+            validate_schedule(g, parse_schedule("(2A)(3B)"))
 
 
 def _assert_backends_agree(graph, schedule):
     """One differential trial: every observable, bit for bit."""
-    assert SymbolicTrace.try_build(graph, schedule) is not None, (
-        f"expected symbolic support for {schedule}"
-    )
-    for fn in (max_tokens, coarse_live_intervals, max_live_tokens,
-               validate_schedule):
-        sym = fn(graph, schedule, backend="symbolic")
-        itp = fn(graph, schedule, backend="interpreter")
-        assert sym == itp, (
-            f"{fn.__name__} disagrees on {graph.name}, {schedule}: "
-            f"{sym} != {itp}"
+    trace = SymbolicTrace.try_build(graph, schedule)
+    assert trace is not None, f"expected symbolic support for {schedule}"
+    # Acceptance claims validity: the naive replay returns every edge
+    # to its initial state.
+    snapshots = full_trace(graph, schedule)
+    assert snapshots[-1] == snapshots[0]
+    for label, sym, ref in (
+        ("max_tokens", trace.max_tokens(),
+         reference_max_tokens(graph, schedule)),
+        ("coarse_live_intervals", trace.coarse_live_intervals(),
+         reference_coarse_intervals(graph, schedule)),
+        ("max_live_tokens", trace.max_live_tokens(),
+         reference_max_live_tokens(graph, schedule)),
+    ):
+        assert sym == ref, (
+            f"{label} disagrees on {graph.name}, {schedule}: "
+            f"{sym} != {ref}"
         )
 
 
 class TestDifferentialSweep:
     """≥200 seeded trials: random delayless SAS graphs, three schedule
-    shapes each (flat, DPPO, SDPPO), symbolic vs interpreter."""
+    shapes each (flat, DPPO, SDPPO), symbolic vs reference."""
 
     def test_random_graphs(self):
         trials = 0
@@ -241,19 +238,21 @@ class TestHighRateScaling:
         _assert_backends_agree(g, parse_schedule(f"A({s}B)C"))
 
     def test_closed_form_at_extreme_scale(self):
-        # 2e12 firings per period: the interpreter could never run this;
-        # the symbolic answers follow from the closed forms directly.
+        # 2e12 firings per period: a firing-at-a-time replay could never
+        # run this; the symbolic answers follow from the closed forms,
+        # and the block replay validates it in three blocks.
         s = 10 ** 12
         g = SDFGraph()
         g.add_actors("ABC")
         g.add_edge("A", "B", s, 1)
         g.add_edge("B", "C", 1, s)
         schedule = parse_schedule(f"A({s}B)C")
-        assert max_tokens(g, schedule, backend="symbolic") == {
+        trace = SymbolicTrace.try_build(g, schedule)
+        assert trace.max_tokens() == max_tokens(g, schedule) == {
             ("A", "B", 0): s, ("B", "C", 0): s,
         }
-        assert max_live_tokens(g, schedule, backend="symbolic") == 2 * s
-        assert validate_schedule(g, schedule, backend="symbolic") == {
+        assert trace.max_live_tokens() == 2 * s
+        assert validate_schedule(g, schedule) == {
             "A": 1, "B": s, "C": 1,
         }
 

@@ -3,8 +3,8 @@
 Covers the loop-fission pass (``repro.scheduling.vectorize``) — the
 safety rule, the budget loop's edge cases (zero budget, unconstrained
 fixed point, backward-edge declines, non-SAS fallbacks), block
-accounting — the ``backend="batched"`` contract (bit-identical
-observables *and* byte-identical errors), the block-at-a-time
+accounting — the block-level replay's error contract (byte-identical
+to a firing-at-a-time replay's), the block-at-a-time
 ``BatchedVM`` against the scalar VM, and the vectorized pipeline path
 (``implement(..., vectorize=True)``).
 """
@@ -14,7 +14,8 @@ from dataclasses import replace
 import pytest
 
 from repro.allocation.first_fit import Allocation, first_fit
-from repro.apps import cd_to_dat
+from repro.apps import cd_to_dat, satellite_receiver
+from repro.check.reference import full_trace
 from repro.codegen.batched_vm import BatchedVM
 from repro.codegen.vm import SharedMemoryVM, run_shared_memory_check
 from repro.exceptions import CodegenError, ScheduleError
@@ -34,7 +35,7 @@ from repro.sdf.random_graphs import (
 )
 from repro.sdf.repetitions import repetitions_vector
 from repro.sdf.schedule import Loop, parse_schedule
-from repro.sdf.simulate import validate_schedule
+from repro.sdf.simulate import max_tokens, validate_schedule
 
 
 def chain_graph():
@@ -213,25 +214,74 @@ class TestVectorizePass:
         assert vec.blocks <= vec.baseline_blocks
 
 
+def _floor_systems():
+    return [
+        ("cddat", cd_to_dat),
+        ("satrec", satellite_receiver),
+        ("random40", lambda: random_sdf_graph(40, seed=5, max_repetition=12)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "factory", [f for _, f in _floor_systems()],
+    ids=[name for name, _ in _floor_systems()],
+)
+class TestVectorizeFloor:
+    """The blocking pass's acceptance floor over a budget sweep.
+
+    Budgets 0, the baseline pool total, 1.5x and 2x: a budget 0 applies
+    no fission and no costed blocking ever exceeds
+    ``max(budget, baseline_cost)``.  Unconstrained, every system
+    amortizes at least ``MIN_AMORTIZATION`` firings per dispatch block
+    (cddat ~102, satrec ~205, random40 6.0).
+    """
+
+    MIN_AMORTIZATION = 3.0
+
+    def test_budget_sweep_respects_budgets(self, factory):
+        graph = factory()
+        q = repetitions_vector(graph)
+        base = implement(graph, "rpmc", verify=False)
+        total = base.allocation.total
+        for budget in (0, total, (3 * total) // 2, 2 * total):
+            vec = vectorize_schedule(
+                graph, base.sdppo_schedule, q, memory_budget=budget
+            )
+            assert vec.cost is not None
+            assert vec.cost <= max(budget, vec.baseline_cost), budget
+            if budget == 0:
+                assert vec.steps == 0
+
+    def test_unconstrained_amortization_floor(self, factory):
+        graph = factory()
+        q = repetitions_vector(graph)
+        base = implement(graph, "rpmc", verify=False)
+        vec = vectorize_schedule(graph, base.sdppo_schedule, q)
+        assert vec.cost is not None
+        assert vec.amortization >= self.MIN_AMORTIZATION
+
+
 class TestBatchedErrorParity:
+    """The block replay raises what the naive reference replay raises."""
+
     def test_underflow_error_is_byte_identical(self):
         g = chain_graph()
         bad = parse_schedule("(6B)(3A)(2C)")  # B fires before any A
         with pytest.raises(ScheduleError) as interp:
-            validate_schedule(g, bad, backend="interpreter")
+            full_trace(g, bad)
         with pytest.raises(ScheduleError) as batched:
-            validate_schedule(g, bad, backend="batched")
+            validate_schedule(g, bad)
         assert str(interp.value) == str(batched.value)
 
     def test_mid_block_underflow_error_is_byte_identical(self):
         # (4B) is fed by only one A firing: the block fails part-way
-        # through, at the same firing index the interpreter reports.
+        # through, at the same firing index the reference reports.
         g = chain_graph()
         bad = parse_schedule("(1A)(4B)")
         with pytest.raises(ScheduleError) as interp:
-            validate_schedule(g, bad, backend="interpreter")
+            full_trace(g, bad)
         with pytest.raises(ScheduleError) as batched:
-            validate_schedule(g, bad, backend="batched")
+            max_tokens(g, bad)
         assert str(interp.value) == str(batched.value)
 
 
