@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test check check-docs serve-smoke bench bench-pytest bench-full report examples clean
+.PHONY: install test check check-docs serve-smoke bench-pytest bench-full report examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -12,13 +12,11 @@ test:
 
 # Tier-1 suite plus the differential checking harness (25 random
 # graphs cycling through the acyclic/broadcast/cyclic families, every
-# cross-layer oracle, fault-injection self-test included).  Wall time
-# lands in BENCH_PR2.json.
+# cross-layer oracle, fault-injection self-test included).
 check:
 	$(PYTHON) -m pytest tests/ -x -q
 	PYTHONPATH=src $(PYTHON) -m repro check --trials 25 --inject \
-		--families acyclic,broadcast,cyclic \
-		--bench-out BENCH_PR2.json
+		--families acyclic,broadcast,cyclic
 
 # Documentation gate: every intra-repo markdown link must resolve and
 # every ```console fence's repro invocation must parse against the
@@ -36,12 +34,6 @@ check-docs:
 # worker trace in serve_farm_trace.json).
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py --trace serve_trace.json
-
-bench:
-	$(PYTHON) benchmarks/perf_suite.py --out BENCH_PR1.json \
-		--baseline benchmarks/seed_baseline.json
-	$(PYTHON) benchmarks/bench_obs.py --out BENCH_PR4.json
-	$(PYTHON) benchmarks/bench_native.py --out BENCH_PR8.json
 
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -294,21 +294,20 @@ def inject_stage_crash(
     Feeding the pipeline its own order *reversed* (declared trusted, so
     the up-front validation that would reject it is skipped) makes a
     downstream stage raise on most graphs — the regression mode where
-    ``repro compile --profile`` used to lose the raising stage's timing
-    row entirely.  Caught means: the flow raised, the ``TimingReport``
-    still holds rows including one carrying the error, and the
-    recorder's span stack unwound cleanly (no span left open, the
-    failure recorded on a span).  Graphs whose reversed order happens
-    to compile (enough initial tokens) are skipped as inapplicable.
+    ``repro compile --profile`` used to lose the raising stage's row
+    entirely.  Caught means: the flow raised, a stage span under
+    ``implement`` carries the error, the rendered ``--profile`` table
+    shows that stage's row with ``error=``, and the recorder's span
+    stack unwound cleanly (no span left open).  Graphs whose reversed
+    order happens to compile (enough initial tokens) are skipped as
+    inapplicable.
     """
     from .. import obs
-    from ..experiments.runner import TimingReport
     from ..scheduling.pipeline import implement
 
     order = list(reversed(art.result.order))
     if order == art.result.order:
         return None
-    report = TimingReport()
     rec = obs.TraceRecorder()
     try:
         # ``use_chain_dp=False``: the chain DP ignores the supplied
@@ -319,18 +318,19 @@ def inject_stage_crash(
             trusted_order=True,
             use_chain_dp=False,
             occurrence_cap=art.occurrence_cap,
-            report=report,
             recorder=rec,
         )
         return None  # reversed order compiled cleanly; try another graph
     except SDFError:
         pass
-    error_rows = [r for r in report.rows if "error" in r["meta"]]
-    span_errors = [s for _, s in rec.iter_spans() if s.error]
+    root = next((r for r in rec.roots if r.name == "implement"), None)
+    failed = [s for s in (root.children if root else []) if s.error]
+    rows = [line.strip() for line in obs.format_profile(rec).splitlines()]
+    error_rows = [row for row in rows if "error=" in row]
     caught = (
-        bool(report.rows)
-        and bool(error_rows)
-        and bool(span_errors)
+        len(failed) == 1
+        and len(error_rows) == 1
+        and error_rows[0].startswith(f"{failed[0].name}:")
         and not rec.open_spans
     )
     return InjectionOutcome(
@@ -339,9 +339,8 @@ def inject_stage_crash(
         caught=caught,
         detail=(
             f"reversed order crashed stage "
-            f"{error_rows[0]['bench'] if error_rows else '<none>'}; "
-            f"{len(report.rows)} timing row(s), "
-            f"{len(span_errors)} span error(s), "
+            f"{failed[0].name if failed else '<none>'}; "
+            f"{len(error_rows)} profile error row(s), "
             f"open spans {rec.open_spans!r}"
         ),
     )

@@ -5,13 +5,10 @@ Commands
 ``compile``
     Run the full flow on a benchmark system or a JSON graph file and
     report the schedule, memory figures, and (optionally) generated C.
-    ``--trace out.json`` records hierarchical spans plus work counters
-    and writes a ``chrome://tracing``-loadable file (subsumes
-    ``--profile``, which prints the per-stage wall-time table).
-``stats``
-    Compile under a recorder and print the aggregate span/counter
-    table (DP cells, window-cache hits, first-fit probes, replayed
-    firing blocks vs symbolic shortcuts...).
+    ``--profile`` prints the per-stage wall-time table and the work
+    counters (DP cells, window-cache hits, first-fit probes, VM
+    firings under ``--check``...); ``--trace out.json`` writes the same
+    recording as a ``chrome://tracing``-loadable file.
 ``table1`` / ``fig25`` / ``fig26`` / ``fig27`` / ``satrec`` / ``cddat``
     Regenerate an evaluation table/figure on stdout.
 ``check``
@@ -36,7 +33,7 @@ Examples
 
     python -m repro compile satrec --method apgan
     python -m repro compile cddat --trace cddat_trace.json
-    python -m repro stats satrec --check
+    python -m repro compile satrec --check --profile
     python -m repro compile mygraph.json --emit-c out.c
     python -m repro table1 --systems qmf23_2d satrec
     python -m repro fig27 --sizes 20 50 --count 10 --jobs 4
@@ -54,7 +51,7 @@ import sys
 from typing import List, Optional
 
 from .apps import TABLE1_SYSTEMS, table1_graph
-from .exceptions import GraphStructureError
+from .exceptions import GraphStructureError, SDFError
 from .sdf.graph import SDFGraph
 
 __all__ = ["main"]
@@ -83,7 +80,7 @@ def _apply_jobs(args: argparse.Namespace) -> Optional[int]:
 
 
 def _extra_systems():
-    """Named graphs usable by compile/stats/dot but outside Table 1.
+    """Named graphs usable by compile/dot but outside Table 1.
 
     CD-DAT is the paper's running example (figures 1–2 and section
     11.1.3) yet not a Table 1 benchmark row, so it lives here rather
@@ -128,60 +125,50 @@ def _cmd_systems(_: argparse.Namespace) -> int:
     return 0
 
 
-def _print_profile(report) -> None:
-    total = sum(row["wall_s"] for row in report.rows)
-    width = max([10] + [len(row["bench"]) for row in report.rows])
-    print("profile:")
-    for row in report.rows:
-        extra = ""
-        if row["meta"]:
-            pairs = ", ".join(f"{k}={v}" for k, v in row["meta"].items())
-            extra = f"  ({pairs})"
-        print(f"  {row['bench']:>{width}}: {row['wall_s']:8.4f}s{extra}")
-    print(f"  {'total':>{width}}: {total:8.4f}s")
-
-
-def _flush_observability(args: argparse.Namespace, report, recorder) -> None:
+def _flush_observability(args: argparse.Namespace, recorder) -> None:
     """Print/write whatever the run recorded — also on failure paths.
 
-    Called both after a clean compile and from the except path, so a
-    stage that raises still leaves its partial timing rows and a trace
+    Called both after a clean compile and from the except paths, so a
+    stage that raises still leaves its partial profile rows and a trace
     whose failing span carries the error.
     """
-    if getattr(args, "profile", False) and report is not None:
-        _print_profile(report)
-    if getattr(args, "trace", None) and recorder is not None:
-        from .obs import write_trace
+    if recorder is None:
+        return
+    from . import obs
 
-        fmt = write_trace(recorder, args.trace, fmt=args.trace_format)
+    if args.profile:
+        print(obs.format_profile(recorder))
+    if args.trace:
+        fmt = obs.write_trace(recorder, args.trace, fmt=args.trace_format)
         print(f"trace ({fmt}) written to {args.trace}")
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     from .scheduling.pipeline import implement
 
-    _apply_jobs(args)
     if args.memory_budget is not None and not args.vectorize:
         raise SystemExit("--memory-budget requires --vectorize")
     graph = _resolve_graph(args.graph)
-    report = None
     recorder = None
     if args.profile or args.trace:
-        from .experiments.runner import TimingReport
+        # One recorder behind both surfaces: the printed profile is
+        # the trace's ``implement`` children.
+        from .obs.recorder import TraceRecorder
 
-        report = TimingReport()
-    if args.trace:
-        from . import obs
-
-        recorder = obs.TraceRecorder()
+        recorder = TraceRecorder()
     try:
         result = implement(
             graph, args.method, seed=args.seed,
-            report=report, recorder=recorder, backend=args.backend,
+            recorder=recorder, backend=args.backend,
             vectorize=args.vectorize, memory_budget=args.memory_budget,
         )
+    except SDFError as exc:
+        # A graph the pipeline rejects (cyclic, inconsistent rates) is
+        # a user error: one line, not a traceback.
+        _flush_observability(args, recorder)
+        raise SystemExit(f"cannot compile {args.graph!r}: {exc}") from None
     except Exception:
-        _flush_observability(args, report, recorder)
+        _flush_observability(args, recorder)
         raise
     print(f"graph:      {graph.name} ({graph.num_actors} actors)")
     print(f"order:      {' '.join(result.order)}")
@@ -217,39 +204,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         with open(args.emit_c, "w") as handle:
             handle.write(code)
         print(f"C written to {args.emit_c}")
-    _flush_observability(args, report, recorder)
-    return 0
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    """Compile under a recorder and print the aggregate work table."""
-    from . import obs
-    from .scheduling.pipeline import implement
-    from .codegen import run_shared_memory_check
-
-    _apply_jobs(args)
-    graph = _resolve_graph(args.graph)
-    recorder = obs.TraceRecorder()
-    try:
-        result = implement(
-            graph, args.method, seed=args.seed, recorder=recorder,
-            backend=args.backend,
-        )
-    except Exception:
-        print(obs.format_stats(recorder))
-        raise
-    if args.check:
-        run_shared_memory_check(
-            graph, result.lifetimes, result.allocation, periods=2,
-            recorder=recorder,
-        )
-    print(f"graph:      {graph.name} ({graph.num_actors} actors)")
-    print(f"shared:     {result.allocation.total} words")
-    print()
-    print(obs.format_stats(recorder))
-    if args.trace:
-        fmt = obs.write_trace(recorder, args.trace, fmt=args.trace_format)
-        print(f"trace ({fmt}) written to {args.trace}")
+    _flush_observability(args, recorder)
     return 0
 
 
@@ -332,39 +287,25 @@ def _cmd_cddat(_: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from .check import run_check
-    from .experiments.runner import TimingReport
 
     recorder = None
     if args.trace:
         from . import obs
 
         recorder = obs.TraceRecorder()
-    timing = TimingReport()
-    with timing.stage(
-        "check_differential",
+    report = run_check(
         trials=args.trials,
         seed=args.seed,
         inject=args.inject,
-        families=args.families,
-    ) as meta:
-        report = run_check(
-            trials=args.trials,
-            seed=args.seed,
-            inject=args.inject,
-            shrink=not args.no_shrink,
-            recorder=recorder,
-            families=tuple(
-                f.strip() for f in args.families.split(",") if f.strip()
-            ),
-            backend=args.backend,
-        )
-        meta["failures"] = len(report.failures)
-        meta["ok"] = report.ok
+        shrink=not args.no_shrink,
+        recorder=recorder,
+        families=tuple(
+            f.strip() for f in args.families.split(",") if f.strip()
+        ),
+        backend=args.backend,
+    )
     for line in report.summary_lines():
         print(line)
-    if args.bench_out:
-        timing.write_json(args.bench_out)
-        print(f"timing written to {args.bench_out}")
     if recorder is not None:
         from .obs import write_trace
 
@@ -411,7 +352,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.threads,
         processes=args.workers,
-        shard_by=args.shard_by,
         queue_limit=args.queue_limit,
         request_timeout=args.timeout,
         trace_path=args.trace,
@@ -428,7 +368,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
     pool = (
-        f"farm {server.farm.size} x {args.shard_by}"
+        f"farm {server.farm.size}"
         if server.farm is not None
         else f"threads {server.workers}"
     )
@@ -616,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--profile", action="store_true",
         help="print per-stage wall time (session, topsort, DPPO, "
-             "SDPPO, lifetimes, WIG, first-fit, verify)",
+             "SDPPO, lifetimes, WIG, first-fit, verify) and the work "
+             "counter totals",
     )
     p.add_argument(
         "--trace", metavar="FILE", default=None,
@@ -629,51 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "chrome", "jsonl"],
         help="trace file format (auto: by FILE extension)",
     )
-    p.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (overrides REPRO_JOBS; 0 = all cores)",
-    )
     p.set_defaults(func=_cmd_compile)
-
-    p = sub.add_parser(
-        "stats",
-        help="compile under a recorder and print aggregate work counters",
-        description=(
-            "Run the full flow with tracing enabled and print an "
-            "aggregate table: per-span call counts and wall time, then "
-            "the work-counter totals (DP cells, window-cache hits, "
-            "first-fit probes, replayed firing blocks vs symbolic "
-            "shortcuts...)."
-        ),
-    )
-    p.add_argument("graph", help="system name or .json graph file")
-    p.add_argument(
-        "--method", default="rpmc", choices=["rpmc", "apgan", "natural"]
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--backend", default="auto", choices=["auto", "python", "native"],
-        help="kernel backend for the chain DP "
-             "(bit-identical results; native counters show up in the "
-             "stats table)",
-    )
-    p.add_argument(
-        "--check", action="store_true",
-        help="also execute the schedule in the shared-memory VM",
-    )
-    p.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="also write the full trace to FILE",
-    )
-    p.add_argument(
-        "--trace-format", default="auto",
-        choices=["auto", "chrome", "jsonl"],
-    )
-    p.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (overrides REPRO_JOBS; 0 = all cores)",
-    )
-    p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("table1", help="regenerate Table 1")
     p.add_argument("--systems", nargs="*", default=None)
@@ -751,10 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
              "oracle.native group cross-checks both backends regardless",
     )
     p.add_argument(
-        "--bench-out", metavar="FILE", default=None,
-        help="write wall-time rows as BENCH_*.json",
-    )
-    p.add_argument(
         "--trace", metavar="FILE", default=None,
         help="record per-trial spans and oracle counters to FILE",
     )
@@ -790,12 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile-farm worker processes serving /compile and "
              "/batch, sharded by graph digest (0 = no farm, compile "
              "in-process on --threads threads)",
-    )
-    p.add_argument(
-        "--shard-by", default="digest", choices=["digest", "key"],
-        help="farm routing: 'digest' keeps every variant of one graph "
-             "on one worker (hot sessions), 'key' spreads per-option "
-             "variants across the pool",
     )
     p.add_argument(
         "--threads", type=int, default=2, metavar="N",

@@ -12,10 +12,8 @@ seed).  This module provides the one primitive both drivers use:
   aggregation happens in the parent — so the parallel and serial paths
   produce bit-identical statistics.
 
-* :class:`TimingReport` — a machine-readable wall-time report
-  (``{"bench": ..., "wall_s": ..., "meta": {...}}`` rows) that
-  ``make bench`` serializes to ``BENCH_PR1.json``, seeding the perf
-  trajectory that later PRs diff against.
+Stage timing lives in :mod:`repro.obs`: pass ``recorder=`` and each
+task's span tree rides back with its result.
 
 Parallelism is controlled by the ``REPRO_JOBS`` environment variable
 (or an explicit ``jobs=`` argument): unset or ``1`` runs serially in
@@ -27,15 +25,11 @@ path instead of failing.
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["effective_jobs", "parallel_map", "TimingReport"]
+__all__ = ["effective_jobs", "parallel_map"]
 
 
 def effective_jobs(jobs: Optional[int] = None) -> int:
@@ -150,46 +144,3 @@ def _pool_failures() -> Tuple[type, ...]:
     from concurrent.futures.process import BrokenProcessPool
 
     return (BrokenProcessPool, OSError, PermissionError)
-
-
-@dataclass
-class TimingReport:
-    """Accumulates named wall-time measurements; serializes to JSON rows.
-
-    Each row is ``{"bench": name, "wall_s": seconds, "meta": {...}}`` —
-    the schema of the repo-root ``BENCH_*.json`` perf-trajectory files.
-    """
-
-    rows: List[Dict[str, Any]] = field(default_factory=list)
-
-    def record(self, bench: str, wall_s: float, **meta: Any) -> Dict[str, Any]:
-        row = {"bench": bench, "wall_s": round(wall_s, 4), "meta": dict(meta)}
-        self.rows.append(row)
-        return row
-
-    @contextmanager
-    def stage(self, bench: str, **meta: Any) -> Iterator[Dict[str, Any]]:
-        """Time a ``with`` block and record it as one row.
-
-        The yielded dict is the row's ``meta``; mutate it inside the
-        block to attach results (counts, totals) to the measurement.
-
-        The row is recorded even when the block raises — the partial
-        measurement survives with ``meta["error"] = repr(exc)`` and the
-        exception propagates.
-        """
-        row_meta = dict(meta)
-        start = time.perf_counter()
-        try:
-            yield row_meta
-        except BaseException as exc:
-            row_meta["error"] = repr(exc)
-            raise
-        finally:
-            wall = time.perf_counter() - start
-            self.record(bench, wall, **row_meta)
-
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.rows, fh, indent=2)
-            fh.write("\n")

@@ -1,8 +1,8 @@
 """Structured observability: spans, counters, and trace export.
 
 The compiler's stages answer *what* they computed; this package answers
-*where the time and work went*.  It grows the flat ``TimingReport`` of
-the experiment runner into:
+*where the time and work went*.  It is the package's only stage timer;
+a recorder holds:
 
 * hierarchical **spans** — nested stage timings recorded against an
   injected monotonic clock (:class:`TraceRecorder`), so the check
@@ -19,8 +19,9 @@ and the experiment runner.  The default everywhere is ``recorder=None``
 — the code then takes exactly the uninstrumented path — and
 :class:`NullRecorder` is the explicit disabled instance: :func:`active`
 collapses it back to ``None`` at the hot entry points, so disabled
-tracing shares the bare fast path (``benchmarks/bench_obs.py`` asserts
-it costs <= 2% on the random-search workload).
+tracing shares the bare fast path (``tests/test_obs.py`` passes a
+``NullRecorder`` whose methods raise to ``implement``,
+``implement_best`` and ``random_search`` to prove it is never called).
 
 Parallel runs are merge-safe: each worker records into its own
 :class:`TraceRecorder`, ships the serialized span tree back with its
@@ -30,8 +31,9 @@ tree shapes, differing only in timing fields.
 
 Export via :mod:`repro.obs.export`: JSON-lines (one span or counter per
 line) and the Chrome ``chrome://tracing`` / Perfetto ``traceEvents``
-format, surfaced as ``repro compile --trace``, ``repro check --trace``
-and ``repro stats``.
+format, surfaced as ``repro compile --trace`` and ``repro check
+--trace``; and the text stage table of ``repro compile --profile``
+(:func:`format_profile`), rendered from the same recorder as the trace.
 """
 
 from .._lazy import attach
@@ -49,5 +51,6 @@ __getattr__, __dir__, __all__ = attach(__name__, globals(), {
     "write_chrome_trace": ".export",
     "write_jsonl": ".export",
     "write_trace": ".export",
+    "format_profile": ".export",
     "format_stats": ".export",
 })

@@ -1,4 +1,4 @@
-"""Trace export: JSON-lines, Chrome ``traceEvents``, and text stats.
+"""Trace export: JSON-lines, Chrome ``traceEvents``, and text tables.
 
 Chrome format: the ``{"traceEvents": [...]}`` object form with complete
 ("ph": "X") events, loadable in ``chrome://tracing`` and Perfetto.
@@ -10,6 +10,10 @@ JSON-lines format: one object per line — ``{"type": "span", ...}`` in
 depth-first order with an explicit ``depth``, then one
 ``{"type": "counter", "name": ..., "total": ...}`` per aggregate
 counter — greppable and streamable without loading the whole trace.
+
+Text tables: :func:`format_profile` is the ``repro compile --profile``
+stage table, :func:`format_stats` the per-span-name aggregate; both end
+with the same counter-totals block.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
     "write_trace",
+    "format_profile",
     "format_stats",
 ]
 
@@ -110,6 +115,41 @@ def write_trace(recorder: TraceRecorder, path: str, fmt: str = "auto") -> str:
     return fmt
 
 
+def _counter_lines(recorder: TraceRecorder) -> List[str]:
+    """The counter-totals block (preceded by a blank line), if any."""
+    totals = recorder.counter_totals()
+    if not totals:
+        return []
+    lines = ["", f"{'counter':>32} {'total':>12}"]
+    for name in sorted(totals):
+        lines.append(f"{name:>32} {totals[name]:>12}")
+    return lines
+
+
+def format_profile(recorder: TraceRecorder) -> str:
+    """The per-stage wall-time table of ``repro compile --profile``.
+
+    One row per child span of the first ``implement`` root, in the
+    order the stages ran: ``  <name>: <wall>s  (k=v, ...)`` with the
+    span's attrs, plus ``error=...`` on a stage that raised.  A
+    ``total`` row sums the stage rows; the counter totals follow.
+    """
+    root = next((s for s in recorder.roots if s.name == "implement"), None)
+    stages = root.children if root is not None else []
+    width = max([10] + [len(span.name) for span in stages])
+    lines = ["profile:"]
+    for span in stages:
+        meta = dict(span.attrs)
+        if span.error is not None:
+            meta["error"] = span.error
+        pairs = ", ".join(f"{k}={v}" for k, v in meta.items())
+        extra = f"  ({pairs})" if meta else ""
+        lines.append(f"  {span.name:>{width}}: {span.duration:8.4f}s{extra}")
+    total = sum(span.duration for span in stages)
+    lines.append(f"  {'total':>{width}}: {total:8.4f}s")
+    return "\n".join(lines + _counter_lines(recorder))
+
+
 def format_stats(recorder: TraceRecorder) -> str:
     """Aggregate table: per span name (calls, total wall), then counters.
 
@@ -131,10 +171,4 @@ def format_stats(recorder: TraceRecorder) -> str:
     for name in order:
         calls, wall = by_name[name]
         lines.append(f"{name:>24} {int(calls):>7} {wall:>10.4f}")
-    totals = recorder.counter_totals()
-    if totals:
-        lines.append("")
-        lines.append(f"{'counter':>32} {'total':>12}")
-        for name in sorted(totals):
-            lines.append(f"{name:>32} {totals[name]:>12}")
-    return "\n".join(lines)
+    return "\n".join(lines + _counter_lines(recorder))

@@ -18,7 +18,7 @@ exactly the comparison columns of Table 1.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple,
@@ -108,28 +108,21 @@ def _topological_order_for(
 
 
 @contextmanager
-def _stage(report, recorder, name: str) -> Iterator[Dict[str, Any]]:
-    """One pipeline stage: a TimingReport row and/or a recorder span.
+def _stage(recorder, name: str) -> Iterator[Dict[str, Any]]:
+    """One pipeline stage: a recorder span, or nothing without one.
 
-    ``report`` is anything with a ``TimingReport``-shaped ``stage``
-    context manager (kept duck-typed: importing
-    ``repro.experiments.runner`` here would cycle through the
-    experiments package back into scheduling); ``recorder`` follows the
-    :class:`repro.obs.Recorder` protocol.  The yielded meta dict is
-    shared with the span's attrs, so mutations inside the block land in
-    both outputs.  Both sides close on exception (the row records
-    ``meta["error"]``, the span its ``error`` field), which is what
-    keeps partial profiles available when a stage raises.
+    ``recorder`` follows the :class:`repro.obs.Recorder` protocol.  The
+    yielded meta dict is the span's attrs, so mutations inside the
+    block land in the trace and in the ``repro compile --profile`` row
+    rendered from it.  The span closes on exception with its ``error``
+    set, which is what keeps partial profiles available when a stage
+    raises.  Without a recorder the block gets a plain dict.
     """
-    meta: Dict[str, Any] = {}
-    with ExitStack() as stack:
-        if report is not None:
-            meta = stack.enter_context(report.stage(name))
-        if recorder is not None:
-            span = stack.enter_context(recorder.span(name))
-            if span is not None:
-                span.attrs = meta
-        yield meta
+    if recorder is None:
+        yield {}
+        return
+    with recorder.span(name) as span:
+        yield span.attrs if span is not None else {}
 
 
 def implement(
@@ -142,7 +135,6 @@ def implement(
     verify: bool = True,
     session: Optional[CompilationSession] = None,
     trusted_order: bool = False,
-    report=None,
     recorder=None,
     backend: Optional[str] = None,
     vectorize: bool = False,
@@ -188,15 +180,13 @@ def implement(
         construction, skipping re-validation.  Orders generated here
         (``method=...``) are always trusted; leave False for orders
         from outside the package's own generators.
-    report:
-        A ``TimingReport`` (duck-typed) to receive one wall-time row
-        per pipeline stage — the ``repro compile --profile`` hook.
-        Partial rows survive a stage that raises (the row carries
-        ``meta["error"]``).
     recorder:
         A :class:`repro.obs.Recorder` for hierarchical spans and work
-        counters (DP cells, window-cache hits, first-fit probes...).
-        The default ``None`` takes the uninstrumented code path.
+        counters (DP cells, window-cache hits, first-fit probes...),
+        one child span of ``implement`` per stage — the hook behind
+        ``repro compile --profile`` and ``--trace``.  A stage that
+        raises still closes its span, with ``error`` set.  The default
+        ``None`` takes the uninstrumented code path.
     backend:
         Kernel backend for the DPPO/SDPPO chain DP: ``"python"`` runs
         the scalar recurrence only; ``"native"`` and ``"auto"`` run the
@@ -248,7 +238,7 @@ def implement(
     )
     with outer:
         if session is None:
-            with _stage(report, recorder, "session"):
+            with _stage(recorder, "session"):
                 session = CompilationSession(graph)
         q = session.q
         requested = backend if backend is not None else session.backend
@@ -257,7 +247,7 @@ def implement(
         else:
             # The first call in a process imports, probes and loads the
             # kernels: a stage of its own, not orphan time in implement.
-            with _stage(report, recorder, "native.resolve"):
+            with _stage(recorder, "native.resolve"):
                 from ..native import resolve_backend
 
                 eff_backend, _ = resolve_backend(
@@ -268,7 +258,7 @@ def implement(
             method = "given"
             trusted = trusted_order
         else:
-            with _stage(report, recorder, "topsort") as meta:
+            with _stage(recorder, "topsort") as meta:
                 chosen = _topological_order_for(
                     graph, method, seed, q, recorder=recorder
                 )
@@ -280,7 +270,7 @@ def implement(
         # Both strided DPs evaluate every split of every window:
         # sum over lengths L of (n-L+1)(L-1) = n(n^2-1)/6 cells.
         dp_cells = n * (n * n - 1) // 6
-        with _stage(report, recorder, "dppo"):
+        with _stage(recorder, "dppo"):
             dppo_result = dppo(
                 graph, chosen, q, context=context, backend=eff_backend
             )
@@ -288,7 +278,7 @@ def implement(
                 recorder.count("dp.cells", dp_cells)
                 if eff_backend == "native" and context.use_native:
                     recorder.count("native.dp")
-        with _stage(report, recorder, "sdppo") as meta:
+        with _stage(recorder, "sdppo") as meta:
             if use_chain_dp and session.chain_order is not None:
                 meta["dp"] = "chain"
                 if recorder is not None:
@@ -327,7 +317,7 @@ def implement(
         vec_result: Optional[VectorizeResult] = None
         exec_schedule = sdppo_schedule
         if vectorize:
-            with _stage(report, recorder, "vectorize") as meta:
+            with _stage(recorder, "vectorize") as meta:
                 from .vectorize import vectorize_schedule
 
                 vec_result = vectorize_schedule(
@@ -340,14 +330,14 @@ def implement(
                 meta["blocks"] = vec_result.blocks
                 meta["fissions"] = vec_result.steps
 
-        with _stage(report, recorder, "lifetimes"):
+        with _stage(recorder, "lifetimes"):
             lifetimes = extract_lifetimes(graph, exec_schedule, q)
         buffers = lifetimes.as_list()
-        with _stage(report, recorder, "wig"):
+        with _stage(recorder, "wig"):
             wig = build_intersection_graph(
                 buffers, occurrence_cap=occurrence_cap
             )
-        with _stage(report, recorder, "first_fit"):
+        with _stage(recorder, "first_fit"):
             alloc_dur = ffdur(
                 buffers, graph=wig, occurrence_cap=occurrence_cap,
                 recorder=recorder,
@@ -363,7 +353,7 @@ def implement(
             if recorder is not None:
                 recorder.count("alloc.words", best.total)
         if verify:
-            with _stage(report, recorder, "verify"):
+            with _stage(recorder, "verify"):
                 verify_allocation(
                     buffers, best, occurrence_cap=occurrence_cap
                 )

@@ -10,11 +10,11 @@ The farm scales the service across processes while keeping every
 cache-locality property the session design bought:
 
 * **Sharding** — each request is routed by :func:`rendezvous_shard`
-  over the graph's content digest (``--shard-by digest``, the default)
-  or the full cache key (``--shard-by key``).  Rendezvous (highest
-  random weight) hashing is a pure function of ``(digest, slot,
-  pool size)``: the same digest lands on the same worker across
-  server restarts, so each worker's per-graph
+  over the graph's content digest, so every option variant of one
+  graph lands on one worker.  Rendezvous (highest random weight)
+  hashing is a pure function of ``(digest, slot, pool size)``: the
+  same digest lands on the same worker across server restarts, so
+  each worker's per-graph
   :class:`~repro.scheduling.session.CompilationSession` LRU and
   in-memory artifact tier stay hot, and no shard map needs storing.
 * **Tiered cache** — a worker answers from its in-memory report tier
@@ -450,10 +450,6 @@ class WorkerFarm:
         Shared on-disk :class:`ArtifactCache` directory, or ``None``
         to run without the disk and memory tiers (every request
         compiles — bit-identical to the bare pipeline).
-    shard_by:
-        ``"digest"`` (graph content hash — one graph's sessions always
-        warm on one worker, whatever the options) or ``"key"`` (full
-        cache key — spreads per-option variants of one graph).
     mem_entries:
         Per-worker in-memory report tier capacity.
     allow_faults:
@@ -468,7 +464,6 @@ class WorkerFarm:
         self,
         size: int,
         cache_root: Optional[str] = None,
-        shard_by: str = "digest",
         mem_entries: int = 512,
         max_sessions: int = 32,
         allow_faults: bool = False,
@@ -476,13 +471,8 @@ class WorkerFarm:
     ) -> None:
         if size < 1:
             raise ValueError(f"farm size must be >= 1, got {size}")
-        if shard_by not in ("digest", "key"):
-            raise ValueError(
-                f"shard_by must be 'digest' or 'key', got {shard_by!r}"
-            )
         self.size = size
         self.cache_root = cache_root
-        self.shard_by = shard_by
         self.supervise_interval = supervise_interval
         self._config = {
             "cache_root": cache_root,
@@ -721,7 +711,6 @@ class WorkerFarm:
             "size": self.size,
             "alive": self.alive_count(),
             "restarts": self.restarts_total(),
-            "shard_by": self.shard_by,
             "retired_workers": self.retired["workers"],
         }
 
@@ -986,7 +975,6 @@ class LocalShard:
     """
 
     size = 1
-    shard_by = "digest"
 
     def __init__(
         self, service, threads: int, allow_faults: bool = False

@@ -504,9 +504,6 @@ class CompileServer:
         Farm size: worker *processes* serving ``/compile`` and
         ``/batch``, sharded by content digest.  0 (default) compiles
         in-process.
-    shard_by:
-        ``"digest"`` (graph content hash) or ``"key"`` (full cache
-        key) — see :class:`~repro.serve.farm.WorkerFarm`.
     mem_entries:
         Per-farm-worker in-memory report tier capacity.
     allow_faults:
@@ -531,7 +528,6 @@ class CompileServer:
         port: int = DEFAULT_PORT,
         workers: int = 2,
         processes: int = 0,
-        shard_by: str = "digest",
         mem_entries: int = 512,
         allow_faults: bool = False,
         queue_limit: int = 8,
@@ -575,7 +571,6 @@ class CompileServer:
             self.farm = WorkerFarm(
                 size=processes,
                 cache_root=cache_root,
-                shard_by=shard_by,
                 mem_entries=mem_entries,
                 max_sessions=self.service.max_sessions,
                 allow_faults=allow_faults,
@@ -724,12 +719,10 @@ class CompileServer:
             with self._lock:
                 self._inflight -= 1
 
-    def _route(self, key: str, document: Any) -> int:
+    def _route(self, document: Any) -> int:
         shards = self.shards
         if shards.size == 1:
             return 0
-        if shards.shard_by == "key" and key:
-            return shards.shard_for(key)
         return shards.shard_for(canonical_hash(document))
 
     def _memoized(self, table: "OrderedDict[str, Any]", raw: bytes, parse):
@@ -764,7 +757,7 @@ class CompileServer:
             and self.service.cache is not None
         )
         key = cache_key(document, options.key_dict()) if caching else ""
-        return _Memo(key, self._route(key, document))
+        return _Memo(key, self._route(document))
 
     def _handle_compile(
         self, raw: bytes, recorder
@@ -885,7 +878,7 @@ class CompileServer:
                     cache_key(document, options.key_dict())
                     if caching else ""
                 )
-                shard = self._route(key, document)
+                shard = self._route(document)
             except Exception as exc:
                 entries.append(("err", self._item_error(*http_error(exc))))
                 continue

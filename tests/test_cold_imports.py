@@ -102,12 +102,11 @@ class TestColdCompile:
         loaded = _modules_after_compile(system)
         assert sorted(set(NEVER_LOADED) & loaded) == []
 
-    def test_profile_and_jobs_load_only_the_runner(self):
-        loaded = _modules_after_compile(
-            "satrec", "--profile", "--jobs", "1"
-        )
-        assert "repro.experiments.runner" in loaded
+    def test_profile_loads_the_recorder_and_no_harness(self):
+        loaded = _modules_after_compile("satrec", "--profile")
+        assert "repro.obs.recorder" in loaded
         assert sorted(set(HARNESS_MODULES) & loaded) == []
+        assert "repro.experiments.runner" not in loaded
 
     def test_check_still_loads_codegen(self):
         loaded = _modules_after_compile("satrec", "--check")

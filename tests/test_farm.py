@@ -89,8 +89,6 @@ class TestRendezvousShard:
             rendezvous_shard("ab", 0)
         with pytest.raises(ValueError):
             WorkerFarm(size=0)
-        with pytest.raises(ValueError):
-            WorkerFarm(size=1, shard_by="hash")
 
 
 class TestMemoryTier:

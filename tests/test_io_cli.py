@@ -148,6 +148,7 @@ class TestCLI:
             main(["compile", path])
         assert "invalid graph file" in str(err.value)
 
+
     def test_table1_subset(self, capsys):
         assert main(["table1", "--systems", "4pamxmitrec"]) == 0
         out = capsys.readouterr().out
@@ -179,6 +180,111 @@ class TestCLI:
         assert "digraph" in capsys.readouterr().out
 
 
+def _cyclic_graph():
+    g = SDFGraph("loop")
+    g.add_actors("ABC")
+    g.add_edge("A", "B", 1, 1)
+    g.add_edge("B", "C", 1, 1)
+    g.add_edge("C", "A", 1, 1, delay=1)
+    return g
+
+
+def _inconsistent_graph():
+    g = SDFGraph("skew")
+    g.add_actors("ABC")
+    g.add_edge("A", "B", 2, 1)
+    g.add_edge("B", "C", 1, 1)
+    g.add_edge("A", "C", 1, 1)
+    return g
+
+
+class TestCompileRejectedGraph:
+    """A file that loads but that the pipeline rejects: one line out.
+
+    The cyclic graph fails in RPMC's topological sort, the inconsistent
+    one in the session's balance equations.  Either way the partial
+    profile and the trace are flushed first, and the failing stage
+    carries the error.
+    """
+
+    @pytest.mark.parametrize("graph, stage, kind", [
+        (_cyclic_graph, "topsort", "GraphStructureError"),
+        (_inconsistent_graph, "session", "InconsistentGraphError"),
+    ])
+    def test_one_line_exit_after_profile_and_trace(
+        self, tmp_path, capsys, graph, stage, kind
+    ):
+        path = str(tmp_path / "g.json")
+        save_graph(graph(), path)
+        trace = str(tmp_path / "trace.json")
+        with pytest.raises(SystemExit) as err:
+            main(["compile", path, "--profile", "--trace", trace])
+        message = str(err.value)
+        assert message.startswith(f"cannot compile {path!r}: ")
+        assert "\n" not in message
+        out = capsys.readouterr().out
+        (error_row,) = [line for line in out.splitlines()
+                        if "error=" in line]
+        assert error_row.strip().startswith(f"{stage}:")
+        assert kind in error_row
+        with open(trace) as handle:
+            events = json.load(handle)["traceEvents"]
+        assert any(e["name"] == stage and kind in e["args"]["error"]
+                   for e in events)
+
+    def test_plain_compile_exits_without_traceback(self, tmp_path):
+        path = str(tmp_path / "g.json")
+        save_graph(_cyclic_graph(), path)
+        with pytest.raises(SystemExit) as err:
+            main(["compile", path])
+        assert "acyclic" in str(err.value)
+
+
+class TestCompileProfile:
+    def _profile_rows(self, out):
+        lines = out.splitlines()
+        start = lines.index("profile:") + 1
+        rows = []
+        for line in lines[start:]:
+            if not line:
+                break
+            rows.append(line)
+        return rows
+
+    def test_profile_rows_are_the_traced_implement_children(
+        self, tmp_path, capsys
+    ):
+        trace = str(tmp_path / "t.jsonl")
+        assert main(["compile", "satrec", "--profile",
+                     "--trace", trace]) == 0
+        rows = self._profile_rows(capsys.readouterr().out)
+        names = [row.split(":")[0].strip() for row in rows]
+        assert names[-1] == "total"
+        with open(trace) as handle:
+            spans = [json.loads(line) for line in handle]
+        spans = [s for s in spans if s["type"] == "span"]
+        assert [s["name"] for s in spans if s["depth"] == 0] == [
+            "implement"
+        ]
+        children = [s["name"] for s in spans if s["depth"] == 1]
+        assert children == names[:-1]
+        assert children[:3] == ["session", "native.resolve", "topsort"]
+        assert children[-1] == "verify"
+
+    def test_check_counters_land_in_the_profile(self, capsys):
+        assert main(["compile", "satrec", "--vectorize", "--check",
+                     "--profile"]) == 0
+        out = capsys.readouterr().out
+        rows = self._profile_rows(out)
+        assert [r.split(":")[0].strip() for r in rows][-5:] == [
+            "lifetimes", "wig", "first_fit", "verify", "total"
+        ]
+        assert "vectorize" in out.split("profile:")[1]
+        counters = out.split("profile:")[1].split("counter")[1]
+        assert "alloc.words" in counters
+        assert "vm.firings" in counters
+
+
 class TestJobsFlag:
     def test_table1_jobs(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -201,9 +307,10 @@ class TestJobsFlag:
         # REPRO_JOBS is invalid; the explicit flag must win (and then
         # rewrite the environment for any nested fan-out).
         monkeypatch.setenv("REPRO_JOBS", "notanumber")
-        assert main(["compile", "4pamxmitrec", "--jobs", "1"]) == 0
+        assert main(["table1", "--systems", "4pamxmitrec",
+                     "--jobs", "1"]) == 0
         assert os.environ["REPRO_JOBS"] == "1"
-        assert "shared:" in capsys.readouterr().out
+        assert "4pamxmitrec" in capsys.readouterr().out
 
 
 class TestCacheCLI:
@@ -259,14 +366,3 @@ class TestCheckCLI:
         captured = capsys.readouterr()
         assert "MUTATIONS MISSED" in captured.out
         assert "check: FAILED" in captured.err
-
-    def test_check_bench_out(self, tmp_path, capsys):
-        target = str(tmp_path / "bench.json")
-        assert main(["check", "--trials", "1", "--no-shrink",
-                     "--bench-out", target]) == 0
-        with open(target) as handle:
-            rows = json.load(handle)
-        assert rows[0]["bench"] == "check_differential"
-        assert rows[0]["wall_s"] > 0
-        assert rows[0]["meta"]["trials"] == 1
-        assert rows[0]["meta"]["ok"] is True

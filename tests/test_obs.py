@@ -10,7 +10,7 @@ Three families of guarantees:
   ``NullRecorder``, and a full ``TraceRecorder``; and a parallel run
   merges to the same counter totals as a serial one.
 * **Exception paths** — a stage that raises still leaves its partial
-  timing row and a well-formed trace whose failing span carries the
+  profile row and a well-formed trace whose failing span carries the
   error (the ``--profile``-loses-rows regression).
 """
 
@@ -21,7 +21,8 @@ import pytest
 from repro import obs
 from repro.apps import table1_graph
 from repro.exceptions import SDFError
-from repro.experiments.runner import TimingReport, parallel_map
+from repro.baselines.random_search import random_search
+from repro.experiments.runner import parallel_map
 from repro.experiments.table1 import run_table1
 from repro.scheduling.pipeline import implement, implement_best
 from repro.sdf.random_graphs import random_sdf_graph
@@ -212,34 +213,99 @@ class TestParallelMapTracing:
         assert out == [1, 2]
 
 
+class _TrippedRecorder(obs.NullRecorder):
+    """Disabled by contract, so any call into it is a bug."""
+
+    def span(self, name, **attrs):
+        raise AssertionError(f"disabled recorder opened span {name!r}")
+
+    def count(self, name, value=1):
+        raise AssertionError(f"disabled recorder counted {name!r}")
+
+
+class TestDisabledRecorderIsNeverCalled:
+    """A disabled recorder costs nothing: entry points drop it unused.
+
+    ``obs.active`` collapses any ``enabled=False`` recorder to ``None``
+    at the hot entry points, so the disabled path is the bare path.  A
+    recorder whose every hook raises proves no hook runs, and the
+    results must be bit-identical to the bare run.
+    """
+
+    def test_implement(self):
+        graph = table1_graph("satrec")
+        bare = implement(graph, vectorize=True)
+        tripped = implement(graph, vectorize=True, recorder=_TrippedRecorder())
+        assert _result_fingerprint(tripped) == _result_fingerprint(bare)
+        assert str(tripped.vectorize.schedule) == str(bare.vectorize.schedule)
+
+    def test_implement_best(self):
+        graph = table1_graph("qmf23_2d")
+        bare = implement_best(graph)
+        tripped = implement_best(graph, recorder=_TrippedRecorder())
+        for method in ("rpmc", "apgan"):
+            assert _result_fingerprint(
+                getattr(tripped, method)
+            ) == _result_fingerprint(getattr(bare, method))
+
+    def test_random_search(self):
+        graph = table1_graph("satrec")
+        bare = random_search(graph, trials=20, seed=3)
+        tripped = random_search(
+            graph, trials=20, seed=3, recorder=_TrippedRecorder()
+        )
+        assert tripped == bare
+
+
 class TestExceptionPaths:
-    def _crash(self, report, recorder):
+    def _crash(self, recorder):
         graph = random_sdf_graph(4, seed=3)
         order = list(reversed(implement(graph, "apgan").order))
         implement(
             graph, order=order, trusted_order=True, use_chain_dp=False,
-            report=report, recorder=recorder,
+            recorder=recorder,
         )
 
     def test_partial_rows_and_trace_survive_stage_crash(self):
-        report = TimingReport()
         rec = obs.TraceRecorder(clock=counting_clock())
         with pytest.raises(SDFError):
-            self._crash(report, rec)
-        # The raising stage still produced its row, error attached.
-        assert report.rows
-        error_rows = [r for r in report.rows if "error" in r["meta"]]
-        assert error_rows
-        # The span stack unwound; the failure is on the spans.
+            self._crash(rec)
+        # The raising stage still closed its span, error attached.
+        (root,) = rec.roots
+        assert root.name == "implement" and root.error
+        failed = [s for s in root.children if s.error]
+        assert len(failed) == 1
+        # The span stack unwound.
         assert rec.open_spans == []
-        assert any(s.error for _, s in rec.iter_spans())
+        # ... and the profile rendered from it shows the partial rows.
+        rows = obs.format_profile(rec).splitlines()
+        assert rows[0] == "profile:"
+        (error_row,) = [r for r in rows if "error=" in r]
+        assert error_row.strip().startswith(f"{failed[0].name}:")
 
-    def test_timing_report_stage_records_on_exception(self):
-        report = TimingReport()
-        with pytest.raises(KeyError):
-            with report.stage("doomed", tag=1):
-                raise KeyError("gone")
-        (row,) = report.rows
-        assert row["bench"] == "doomed"
-        assert row["meta"]["tag"] == 1
-        assert "KeyError" in row["meta"]["error"]
+    def test_profile_rows_are_the_implement_children(self):
+        rec = obs.TraceRecorder(clock=counting_clock())
+        implement(random_sdf_graph(6, seed=2), recorder=rec)
+        (root,) = rec.roots
+        lines = obs.format_profile(rec).splitlines()
+        names = [c.name for c in root.children]
+        width = max([10] + [len(n) for n in names])
+        # One unit per clock tick: every duration is a whole number.
+        for child, line in zip(root.children, lines[1:]):
+            assert line.startswith(f"  {child.name:>{width}}: ")
+            assert f"{child.duration:8.4f}s" in line
+        topsort = lines[1 + names.index("topsort")]
+        assert topsort.endswith("s  (method=rpmc)")
+        assert lines[1 + len(names)].startswith(f"  {'total':>{width}}: ")
+        # The counter-totals block of format_stats follows the rows.
+        assert lines[2 + len(names)] == ""
+        stats = obs.format_stats(rec).splitlines()
+        counters = stats[stats.index("") + 1:]
+        assert lines[3 + len(names):] == counters
+        assert any("dp.cells" in line for line in counters)
+
+    def test_profile_without_implement_span_is_empty(self):
+        rec = obs.TraceRecorder(clock=counting_clock())
+        assert obs.format_profile(rec) == (
+            "profile:\n       total:   0.0000s"
+        )
