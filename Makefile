@@ -25,13 +25,14 @@ check-docs:
 	$(PYTHON) scripts/check_docs.py
 
 # End-to-end service smoke test, two phases: in-process server (CD-DAT
-# cold miss -> bit-identical warm hit, oversized/truncated/stalled
-# bodies -> 413/400/408, clean SIGTERM drain, trace in
-# serve_trace.json) and a --workers 2 compile farm (same bit-identity,
-# worker SIGKILL -> supervisor respawn -> /healthz stays ok, farm
-# /batch miss -> hit bit-identical with a poisoned document isolated
-# per item, live resize 2 -> 4 -> 2 with /healthz green, merged
-# worker trace in serve_farm_trace.json).
+# cold miss -> disk hit -> memory hit, bit-identical, with /stats
+# shard_counters showing 1 compile, 1 disk hit, 1 memory hit;
+# oversized/truncated/stalled bodies -> 413/400/408, clean SIGTERM
+# drain, trace in serve_trace.json) and a --workers 2 compile farm
+# (same three submits and tier split, worker SIGKILL -> supervisor
+# respawn -> /healthz stays ok, farm /batch miss -> hit bit-identical
+# with a poisoned document isolated per item, live resize 2 -> 4 -> 2
+# with /healthz green, merged worker trace in serve_farm_trace.json).
 serve-smoke:
 	$(PYTHON) scripts/serve_smoke.py --trace serve_trace.json
 

@@ -8,10 +8,12 @@ serve-smoke``) and in CI, in two phases:
 1. start ``repro serve`` as a subprocess on an ephemeral port with a
    throwaway cache directory and ``--trace`` enabled;
 2. wait for ``/healthz``;
-3. submit CD-DAT twice through the real client; assert the first
-   response is a cache *miss*, the second a *hit*, and that the two
-   reports are bit-identical (canonical-form comparison);
-4. assert ``/stats`` agrees (1 hit, 1 miss, 0 rejected);
+3. submit CD-DAT three times through the real client; assert the
+   first response is a cache *miss*, the others *hits*, and that the
+   three reports are bit-identical (canonical-form comparison);
+4. assert ``/stats`` agrees: the server counts 2 hits, 1 miss and 0
+   rejected, and ``shard_counters`` one compile, one disk hit and one
+   memory hit;
 5. on raw sockets: an oversized ``Content-Length`` gets a one-line
    JSON 413, a body cut short by EOF a 400, and a body that stalls a
    408 within the body-read deadline — each closes the connection, and
@@ -25,8 +27,9 @@ serve-smoke``) and in CI, in two phases:
 7. start ``repro serve --workers 2`` (a two-process compile farm)
    with its own throwaway cache and trace file;
 8. assert ``/healthz`` reports the farm (size 2, all alive), then
-   miss -> hit with bit-identical reports and the oversized-body 413,
-   exactly as above;
+   miss -> hit -> hit with bit-identical reports, the same
+   ``shard_counters`` tier split and the oversized-body 413, exactly
+   as above;
 9. SIGKILL one worker process (pid from ``/stats``); assert the
    supervisor respawns it — ``/healthz`` returns to 2/2 alive with a
    restart counted — and that a subsequent submit still hits,
@@ -115,20 +118,28 @@ def launch(extra_args, trace, env):
     return proc, url
 
 
-def submit_twice(url):
-    """CD-DAT miss then hit; returns the (bit-identical) warm report."""
+def submit_thrice(url):
+    """CD-DAT miss, then a disk hit, then a memory hit; returns the
+    (bit-identical) warm report."""
     document = to_json(cd_to_dat())
     first, first_status = compile_remote(document, url=url, timeout=30)
     if first_status != "miss":
         fail(f"first submit should miss, got {first_status!r}")
-    second, second_status = compile_remote(document, url=url, timeout=30)
-    if second_status != "hit":
-        fail(f"second submit should hit, got {second_status!r}")
-    if second.canonical() != first.canonical():
-        fail("warm report is not bit-identical to the cold one")
-    if not second.cached or first.cached:
-        fail("cached flags inconsistent with statuses")
-    return second
+    for attempt in ("second", "third"):
+        warm, warm_status = compile_remote(document, url=url, timeout=30)
+        if warm_status != "hit":
+            fail(f"{attempt} submit should hit, got {warm_status!r}")
+        if warm.canonical() != first.canonical():
+            fail(f"{attempt} report is not bit-identical to the cold one")
+        if not warm.cached or first.cached:
+            fail("cached flags inconsistent with statuses")
+    tiers = get_json(url, "/stats", timeout=5).get("shard_counters", {})
+    split = {name: tiers.get(name) for name in
+             ("farm.compiles", "farm.disk_hits", "farm.mem_hits")}
+    if split != {"farm.compiles": 1, "farm.disk_hits": 1,
+                 "farm.mem_hits": 1}:
+        fail(f"unexpected /stats shard_counters: {tiers}")
+    return warm
 
 
 def raw_post(url, head, body=b"", half_close=False, timeout=10.0):
@@ -196,11 +207,11 @@ def in_process_phase(args, env) -> None:
     with tempfile.TemporaryDirectory(prefix="repro-smoke-cache-") as root:
         proc, url = launch(["--cache-dir", root], args.trace, env)
         try:
-            submit_twice(url)
+            submit_thrice(url)
             stats = get_json(url, "/stats", timeout=5)
             server_stats = stats.get("server", {})
             if (server_stats.get("hits"), server_stats.get("misses"),
-                    server_stats.get("rejected")) != (1, 1, 0):
+                    server_stats.get("rejected")) != (2, 1, 0):
                 fail(f"unexpected /stats counters: {server_stats}")
             hostile_body_steps(url)
             terminate_cleanly(proc, args.trace, args.timeout)
@@ -209,7 +220,8 @@ def in_process_phase(args, env) -> None:
                 proc.kill()
                 proc.wait(timeout=10)
     print("serve-smoke: in-process phase OK "
-          "(cold miss -> warm hit, bit-identical; oversized body -> 413, "
+          "(cold miss -> disk hit -> memory hit, bit-identical; "
+          "oversized body -> 413, "
           "truncated -> 400, stalled -> 408; "
           f"trace at {args.trace})")
 
@@ -288,7 +300,7 @@ def farm_phase(args, env) -> None:
             farm = get_json(url, "/healthz", timeout=5).get("farm")
             if not farm or (farm.get("size"), farm.get("alive")) != (2, 2):
                 fail(f"farm not reported 2/2 alive on /healthz: {farm}")
-            warm = submit_twice(url)
+            warm = submit_thrice(url)
             expect_refusal(url, "oversized body", 413,
                            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n")
 
@@ -334,7 +346,8 @@ def farm_phase(args, env) -> None:
                 proc.kill()
                 proc.wait(timeout=10)
     print("serve-smoke: farm phase OK "
-          "(2 workers, oversized body -> 413, kill -> respawn -> "
+          "(2 workers, miss -> disk hit -> memory hit, oversized body "
+          "-> 413, kill -> respawn -> "
           "healthy; farm batch "
           "miss -> hit bit-identical, poisoned item isolated, live "
           "resize 2 -> 4 -> 2 green; "

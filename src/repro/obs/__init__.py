@@ -52,5 +52,4 @@ __getattr__, __dir__, __all__ = attach(__name__, globals(), {
     "write_jsonl": ".export",
     "write_trace": ".export",
     "format_profile": ".export",
-    "format_stats": ".export",
 })

@@ -11,9 +11,8 @@ depth-first order with an explicit ``depth``, then one
 ``{"type": "counter", "name": ..., "total": ...}`` per aggregate
 counter — greppable and streamable without loading the whole trace.
 
-Text tables: :func:`format_profile` is the ``repro compile --profile``
-stage table, :func:`format_stats` the per-span-name aggregate; both end
-with the same counter-totals block.
+Text table: :func:`format_profile` is the ``repro compile --profile``
+stage table, ending with the counter-totals block.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "write_jsonl",
     "write_trace",
     "format_profile",
-    "format_stats",
 ]
 
 
@@ -147,28 +145,4 @@ def format_profile(recorder: TraceRecorder) -> str:
         lines.append(f"  {span.name:>{width}}: {span.duration:8.4f}s{extra}")
     total = sum(span.duration for span in stages)
     lines.append(f"  {'total':>{width}}: {total:8.4f}s")
-    return "\n".join(lines + _counter_lines(recorder))
-
-
-def format_stats(recorder: TraceRecorder) -> str:
-    """Aggregate table: per span name (calls, total wall), then counters.
-
-    Span durations only aggregate cleanly under a real clock; under a
-    deterministic stub the wall column is still shown (it is whatever
-    the stub measures) but the counter table is the part that is exact
-    by construction.
-    """
-    by_name: Dict[str, List[float]] = {}
-    order: List[str] = []
-    for _depth, span in recorder.iter_spans():
-        if span.name not in by_name:
-            by_name[span.name] = [0, 0.0]
-            order.append(span.name)
-        agg = by_name[span.name]
-        agg[0] += 1
-        agg[1] += span.duration
-    lines = [f"{'span':>24} {'calls':>7} {'wall_s':>10}"]
-    for name in order:
-        calls, wall = by_name[name]
-        lines.append(f"{name:>24} {int(calls):>7} {wall:>10.4f}")
     return "\n".join(lines + _counter_lines(recorder))

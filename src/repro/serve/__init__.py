@@ -25,7 +25,7 @@ long-running, cache-fronted service:
     :class:`WorkerFarm` — a supervised pool of compile worker
     *processes*, sharded by graph content digest with rendezvous
     hashing (:func:`~repro.serve.farm.rendezvous_shard`) so each
-    worker's session LRU and in-memory report tier stay hot.  Crashed
+    worker's session LRU and memory tier stay hot.  Crashed
     workers are respawned; their in-flight request fails with a
     one-line 503 rather than hanging.  :class:`LocalShard` runs the
     same worker core in-process for a server without a farm.
@@ -70,7 +70,6 @@ __getattr__, __dir__, __all__ = attach(__name__, globals(), {
     "DEFAULT_PORT": ".server",
     "DEFAULT_URL": ".client",
     "FarmError": ".farm",
-    "FarmRequestError": ".farm",
     "FarmTimeout": ".farm",
     "FarmWorkerCrashed": ".farm",
     "ServeClientError": ".client",

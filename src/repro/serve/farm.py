@@ -1,11 +1,12 @@
 """Compile shards: a supervised multi-process farm, or one local shard.
 
 The server dispatches every item to a *shard* through one interface
-(``compile``, ``compile_many``, ``shard_for``).  What a shard does with
-an item — probe the cache tiers by key, ask for the document only when
-they miss, compile — is :class:`ShardCore`.  :class:`WorkerFarm` runs
-one core per worker *process* behind a pipe; :class:`LocalShard` runs
-one core in-process on a thread pool, for a server without a farm.
+(``compile_many``, ``shard_for``): a ``/compile`` is a group of one.
+What a shard does with an item — probe the cache tiers by key, ask for
+the document only when they miss, compile — is :class:`ShardCore`.
+:class:`WorkerFarm` runs one core per worker *process* behind a pipe;
+:class:`LocalShard` runs one core in-process on a thread pool, for a
+server without a farm.
 The farm scales the service across processes while keeping every
 cache-locality property the session design bought:
 
@@ -16,12 +17,13 @@ cache-locality property the session design bought:
   same digest lands on the same worker across server restarts, so
   each worker's per-graph
   :class:`~repro.scheduling.session.CompilationSession` LRU and
-  in-memory artifact tier stay hot, and no shard map needs storing.
-* **Tiered cache** — a worker answers from its in-memory report tier
-  (:class:`~repro.serve.service.CompileService` ``memory_entries``),
-  then the shared on-disk :class:`~repro.artifacts.cache.ArtifactCache`,
-  and only then compiles.  Every tier returns bit-identical
-  ``canonical()`` reports; the benchmark asserts it per round.
+  memory tier stay hot, and no shard map needs storing.
+* **Tiered cache** — a shard answers from its memory tier (the
+  :class:`ShardCore` memo of rendered response bodies, at most
+  :data:`MEMO_ENTRIES`, filled on disk hits only), then the shared
+  on-disk :class:`~repro.artifacts.cache.ArtifactCache`, and only then
+  compiles.  Every tier returns bit-identical ``canonical()`` reports;
+  the benchmark asserts it per round.
 * **Supervision** — each worker is watched both *in-band* (a pipe
   that dies mid-request fails that request with a one-line 503 and
   respawns the worker on the spot) and by a background supervisor
@@ -48,18 +50,13 @@ request in flight per worker, serialized by a per-worker lock):
 ====================================  ===================================
 parent -> worker                      worker -> parent
 ====================================  ===================================
-``("compile", rid, key, req|None,     ``("ok", rid, status, tier, body,
-trace)``                              tree|None)`` |
-                                      ``("need", rid)`` (send full
-                                      request: both memory and disk
-                                      tiers missed, the worker needs
-                                      the document to compile) |
-                                      ``("err", rid, http_code, msg)``
 ``("compile_many", rid,               ``("ok_many", rid, results,
 [(key, req|None), ...], trace)``      trees)`` — one ``("ok", status,
                                       tier, body)`` / ``("err", code,
                                       msg)`` / ``("need",)`` entry per
-                                      item, order preserved; needed
+                                      item, order preserved.
+                                      ``("need",)``: both tiers missed
+                                      and only the key was sent; those
                                       items are re-sent with full
                                       documents in a second frame
 ``("stats", rid)``                    ``("stats", rid, payload)``
@@ -70,6 +67,8 @@ trace)``                              tree|None)`` |
 The key-only first frame is the warm hot path: the front end memoizes
 ``raw body -> (key, shard)`` so a repeated request costs one SHA-256
 and one small pipe round trip — no JSON parse, no document pickling.
+The worker re-probes the tiers when the documents arrive, so N
+identical cold items in one frame compile once.
 
 Fault injection (``allow_faults=True``, never set by the CLI) honors a
 top-level ``"fault"`` request field: ``"worker_crash"`` makes the
@@ -94,11 +93,10 @@ from concurrent.futures import TimeoutError as FutureTimeout
 
 __all__ = [
     "FarmError",
-    "FarmRequestError",
     "FarmTimeout",
     "FarmWorkerCrashed",
-    "FarmResponse",
     "LocalShard",
+    "MEMO_ENTRIES",
     "ShardCore",
     "WorkerFarm",
     "http_error",
@@ -108,6 +106,9 @@ __all__ = [
 #: Returns one item's full parsed request; called only when a cache
 #: tier cannot answer by key alone.
 Fetch = Callable[[], Dict[str, Any]]
+
+#: Capacity of each shard's memory tier (rendered response bodies).
+MEMO_ENTRIES = 512
 
 
 def rendezvous_shard(digest: str, size: int) -> int:
@@ -151,33 +152,6 @@ class FarmTimeout(FarmError):
     code = 504
 
 
-class FarmRequestError(FarmError):
-    """The worker rejected the request itself (bad document/options).
-
-    Carries the worker-chosen HTTP code (400 for malformed input,
-    500 for unexpected failures) — the worker stayed healthy.
-    """
-
-    def __init__(self, message: str, code: int = 400) -> None:
-        super().__init__(message)
-        self.code = code
-
-
-class FarmResponse:
-    """One completed compile: status, tier, response body, optional trace."""
-
-    __slots__ = ("status", "tier", "body", "tree")
-
-    def __init__(
-        self, status: str, tier: str, body: bytes,
-        tree: Optional[Dict[str, Any]],
-    ) -> None:
-        self.status = status
-        self.tier = tier
-        self.body = body
-        self.tree = tree
-
-
 # --------------------------------------------------------------------------
 # Shard core (transport-free) and the worker process around it
 # --------------------------------------------------------------------------
@@ -199,25 +173,26 @@ def http_error(exc: BaseException) -> Tuple[int, str]:
 class ShardCore:
     """What one shard does with an item, minus the transport.
 
-    Probes the render memo and the service's cache tiers by key, then
-    compiles.  Farm worker processes run it behind a pipe
-    (:class:`_Worker`); the in-process server runs it directly
-    (:class:`LocalShard`), so both answer byte-for-byte alike.  Safe to
-    call from several threads: ``_lock`` guards the render memo and the
-    counters, never a compile.
+    Probes the memory tier (a memo of rendered hit bodies) and the
+    service's disk cache by key, then compiles.  Farm worker processes
+    run it behind a pipe (:class:`_Worker`); the in-process server runs
+    it directly (:class:`LocalShard`), so both answer byte-for-byte
+    alike.  Safe to call from several threads: ``_lock`` guards the
+    memo and the counters, never a compile.
     """
 
-    def __init__(self, service, mem_entries: int, allow_faults: bool) -> None:
+    def __init__(self, service, allow_faults: bool) -> None:
         from collections import OrderedDict
 
         from .. import obs
 
         self.service = service
-        self.mem_entries = mem_entries
         self.allow_faults = allow_faults
-        #: Rendered warm-hit response bodies by cache key: the memory
-        #: tier's render memo.  A repeat hit skips report rebuild and
-        #: JSON encode entirely and ships the stored bytes.
+        #: The memory tier: rendered hit response bodies by cache key,
+        #: at most :data:`MEMO_ENTRIES`.  A repeat hit skips the disk
+        #: read, the report rebuild and the JSON encode and ships the
+        #: stored bytes.  Only a disk hit fills it — never a compile —
+        #: so a stream of never-repeated misses leaves it empty.
         self._bodies: "OrderedDict[str, bytes]" = OrderedDict()
         #: Long-lived counters-only recorder; totals ship with "stats".
         self.counters = obs.TraceRecorder()
@@ -229,12 +204,16 @@ class ShardCore:
         if recorder is not None:
             recorder.count(name)
 
+    def counter_totals(self) -> Dict[str, int]:
+        with self._lock:
+            return self.counters.counter_totals()
+
     def answer(
         self, key: str, request: Optional[Dict[str, Any]], recorder
     ) -> Tuple[Any, ...]:
         """One item: ``("ok", status, tier, body)``, ``("need",)`` (the
         tiers missed and only the key was given) or ``("err", code,
-        message)``."""
+        message)``.  An empty ``key`` means uncached."""
         try:
             reply = self._compile_inner(key, request, recorder)
         except Exception as exc:
@@ -257,7 +236,7 @@ class ShardCore:
         from .service import CompileOptions
 
         start = time.perf_counter()
-        if key and self.service.cache is not None:
+        if key:
             with self._lock:
                 body = self._bodies.get(key)
                 if body is not None:
@@ -267,40 +246,31 @@ class ShardCore:
                 return "hit", "memory", body
             found = self.service.lookup(key, recorder=recorder)
             if found is not None:
-                report, tier = found
-                self._count(
-                    "farm.mem_hits" if tier == "memory" else "farm.disk_hits",
-                    recorder,
-                )
+                report = found[0]
+                self._count("farm.disk_hits", recorder)
                 report.wall_s = time.perf_counter() - start
-                return "hit", tier, self._remember(key, report)
+                return "hit", "disk", self._remember(key, report)
         if request is None:
             return None  # ask the front end for the document
         fault = request.get("fault")
         if fault and self.allow_faults:
             self._inject(fault)
         options = CompileOptions.from_dict(request.get("options"))
-        use_cache = bool(request.get("cache", True))
-        report, status, tier = self.service.compile_document_tiered(
-            request["graph"], options,
-            use_cache=use_cache, recorder=recorder,
+        report = self.service.compile_keyed(
+            request["graph"], options, key, recorder=recorder
         )
-        if status == "hit":
-            self._count(
-                "farm.mem_hits" if tier == "memory" else "farm.disk_hits"
-            )
-        else:
-            self._count("farm.compiles", recorder)
-        return status, tier, self._render(status, report)
+        report.wall_s = time.perf_counter() - start
+        self._count("farm.compiles", recorder)
+        status = "miss" if key else "disabled"
+        return status, "compile", self._render(status, report)
 
     def _remember(self, key: str, report) -> bytes:
-        """Render a hit body and memoize the bytes for repeat hits."""
+        """Render a disk-hit body and memoize the bytes for repeat hits."""
         body = self._render("hit", report)
-        if self.mem_entries > 0:
-            with self._lock:
-                self._bodies[key] = body
-                while len(self._bodies) > self.mem_entries:
-                    self._bodies.popitem(last=False)
+        with self._lock:
+            self._bodies[key] = body
+            while len(self._bodies) > MEMO_ENTRIES:
+                self._bodies.popitem(last=False)
         return body
 
     @staticmethod
@@ -325,14 +295,11 @@ class _Worker(ShardCore):
         from .service import CompileService
 
         cache_root = config.get("cache_root")
-        mem_entries = int(config.get("mem_entries", 512))
         super().__init__(
             CompileService(
                 cache=ArtifactCache(cache_root) if cache_root else None,
                 max_sessions=int(config.get("max_sessions", 32)),
-                memory_entries=mem_entries,
             ),
-            mem_entries,
             bool(config.get("allow_faults")),
         )
         self.conn = conn
@@ -350,8 +317,6 @@ class _Worker(ShardCore):
                 self.conn.send(("pong", msg[1]))
             elif kind == "stats":
                 self.conn.send(("stats", msg[1], self._stats()))
-            elif kind == "compile":
-                self._compile(*msg[1:])
             elif kind == "compile_many":
                 self._compile_many(*msg[1:])
             else:  # unknown frame: protocol bug, fail loudly
@@ -363,38 +328,25 @@ class _Worker(ShardCore):
         super()._inject(fault)
 
     def _stats(self) -> Dict[str, Any]:
-        mem = self.service._memory
         return {
             "pid": os.getpid(),
-            "counters": self.counters.counter_totals(),
+            "counters": self.counter_totals(),
             "sessions": len(self.service._sessions),
-            "memory_entries": 0 if mem is None else len(mem),
+            "memory_entries": len(self._bodies),
         }
-
-    def _compile(
-        self, rid: int, key: str, request: Optional[Dict[str, Any]],
-        trace: bool,
-    ) -> None:
-        from .. import obs
-
-        recorder = obs.TraceRecorder() if trace else None
-        entry = self.answer(key, request, recorder)
-        if entry[0] == "ok":
-            entry += (recorder.serialize() if recorder is not None else None,)
-        self.conn.send((entry[0], rid) + entry[1:])
 
     def _compile_many(
         self, rid: int,
         items: List[Tuple[str, Optional[Dict[str, Any]]]],
         trace: bool,
     ) -> None:
-        """One shard group of a ``/batch`` in a single frame.
+        """One shard group (a ``/batch`` group or one ``/compile``) in
+        a single frame.
 
-        Items run sequentially in request order against the same tiers
-        as single compiles (identical colds in one group compile once:
-        the first fills the memory tier, the rest hit it).  A bad item
-        becomes a per-item ``("err", ...)`` entry — it never poisons
-        the rest of the group.
+        Items run sequentially in request order (identical colds in one
+        group compile once: the first fills the disk tier, the rest hit
+        it).  A bad item becomes a per-item ``("err", ...)`` entry — it
+        never poisons the rest of the group.
         """
         from .. import obs
 
@@ -450,8 +402,6 @@ class WorkerFarm:
         Shared on-disk :class:`ArtifactCache` directory, or ``None``
         to run without the disk and memory tiers (every request
         compiles — bit-identical to the bare pipeline).
-    mem_entries:
-        Per-worker in-memory report tier capacity.
     allow_faults:
         Honor test-only ``"fault"`` request fields (never set by the
         CLI; used by the fault-injection self-test and the tests).
@@ -464,7 +414,6 @@ class WorkerFarm:
         self,
         size: int,
         cache_root: Optional[str] = None,
-        mem_entries: int = 512,
         max_sessions: int = 32,
         allow_faults: bool = False,
         supervise_interval: float = 0.2,
@@ -476,7 +425,6 @@ class WorkerFarm:
         self.supervise_interval = supervise_interval
         self._config = {
             "cache_root": cache_root,
-            "mem_entries": mem_entries,
             "max_sessions": max_sessions,
             "allow_faults": allow_faults,
         }
@@ -747,73 +695,6 @@ class WorkerFarm:
         return out
 
     # -- dispatch -------------------------------------------------------
-    def compile(
-        self,
-        shard: int,
-        key: str,
-        fetch: Fetch,
-        trace: bool = False,
-        timeout: Optional[float] = None,
-    ) -> FarmResponse:
-        """Run one compile request on worker ``shard``.
-
-        ``key`` non-empty enables the tiers; ``fetch()`` returns the
-        full parsed request.  The worker is sent the key alone first
-        and asks for the document only when both cache tiers miss, so
-        a warm hit never calls ``fetch``.
-
-        Raises :class:`FarmWorkerCrashed` (one respawn already done)
-        when the worker dies mid-request, :class:`FarmTimeout` when it
-        exceeds ``timeout`` seconds (the worker is killed and
-        respawned — a hung shard heals), and :class:`FarmError` for
-        protocol corruption.
-
-        ``shard`` may be stale after a concurrent :meth:`resize` (the
-        caller routed against the old pool size); such requests are
-        transparently re-routed onto a live slot — every worker
-        produces bit-identical results, only cache locality is
-        affected for the one request.
-        """
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        handle = self._claim(shard, deadline, timeout)
-        try:
-            if handle.proc is None or not handle.proc.is_alive():
-                self._spawn(handle)
-            handle.requests += 1
-            rid = next(self._rid)
-            try:
-                frame = ("compile", rid, key, None if key else fetch(), trace)
-                msg = self._recv(handle, rid, deadline, send=frame)
-                if msg[0] == "need":
-                    msg = self._recv(
-                        handle, rid, deadline,
-                        send=("compile", rid, key, fetch(), trace),
-                    )
-            except (EOFError, OSError, BrokenPipeError, ValueError):
-                handle.failures += 1
-                if not handle.retired:
-                    self._spawn(handle)
-                raise FarmWorkerCrashed(
-                    f"compile worker {handle.slot} crashed mid-request; "
-                    f"respawned, retry the request"
-                ) from None
-            if msg[0] == "err":
-                raise FarmRequestError(msg[3], code=msg[2])
-            if msg[0] != "ok":
-                handle.failures += 1
-                if not handle.retired:
-                    self._spawn(handle)
-                raise FarmError(
-                    f"worker {handle.slot} protocol error: "
-                    f"frame {msg[0]!r}"
-                )
-            _, _, status, tier, body, tree = msg
-            return FarmResponse(status, tier, body, tree)
-        finally:
-            handle.lock.release()
-
     def compile_many(
         self,
         shard: int,
@@ -821,21 +702,31 @@ class WorkerFarm:
         trace: bool = False,
         timeout: Optional[float] = None,
     ) -> List[Tuple[Any, ...]]:
-        """Run one ``/batch`` shard group on worker ``shard`` in a
-        single wire frame.
+        """Run one shard group on worker ``shard`` in a single wire
+        frame: a ``/batch`` group, or a ``/compile`` as a group of one.
 
-        ``items`` is ``[(key, fetch), ...]`` in request order.  The
-        first frame carries keys only for cache-enabled items (the
-        warm hot path: a whole warm group costs one small round trip
-        instead of one per item); the worker marks tier-missed items
-        ``("need",)`` and a second frame re-sends just those with full
-        documents.  Returns one entry per item, order preserved:
+        ``items`` is ``[(key, fetch), ...]`` in request order; a
+        non-empty ``key`` enables the cache tiers and ``fetch()``
+        returns the item's full parsed request.  The first frame
+        carries keys only for cache-enabled items (the warm hot path:
+        a whole warm group costs one small round trip and never calls
+        ``fetch``); the worker marks tier-missed items ``("need",)``
+        and a second frame re-sends just those with full documents.
+        Returns one entry per item, order preserved:
         ``("ok", status, tier, body, tree|None)`` or
         ``("err", http_code, message)``.
 
-        Raises like :meth:`compile` — :class:`FarmWorkerCrashed` /
-        :class:`FarmTimeout` / :class:`FarmError` fail the *group* as
-        a unit.
+        Raises :class:`FarmWorkerCrashed` (one respawn already done)
+        when the worker dies mid-frame, :class:`FarmTimeout` when it
+        exceeds ``timeout`` seconds (the worker is killed and
+        respawned — a hung shard heals), and :class:`FarmError` for
+        protocol corruption; each fails the *group* as a unit.
+
+        ``shard`` may be stale after a concurrent :meth:`resize` (the
+        caller routed against the old pool size); such a group is
+        transparently re-routed onto a live slot — every worker
+        produces bit-identical results, only cache locality is
+        affected.
         """
         deadline = (
             None if timeout is None else time.monotonic() + timeout
@@ -880,8 +771,8 @@ class WorkerFarm:
                 if not handle.retired:
                     self._spawn(handle)
                 raise FarmWorkerCrashed(
-                    f"compile worker {handle.slot} crashed mid-batch; "
-                    f"respawned, retry the items"
+                    f"compile worker {handle.slot} crashed mid-request; "
+                    f"respawned, retry the request"
                 ) from None
             if msg[0] != "ok_many":
                 handle.failures += 1
@@ -950,8 +841,7 @@ class WorkerFarm:
                         f"deadline; killed and respawned"
                     )
                 msg = handle.conn.recv()
-            if (msg[0] in ("ok", "ok_many", "err", "need")
-                    and msg[1] == rid):
+            if msg[0] in ("ok_many", "err") and msg[1] == rid:
                 return msg
             # Stale frame from an earlier timed-out request on this
             # pipe generation: drop it and keep waiting.
@@ -963,15 +853,15 @@ class WorkerFarm:
 
 class LocalShard:
     """The in-process server's single shard: :class:`ShardCore` with no
-    pipe and no subprocess, behind :class:`WorkerFarm`'s dispatch calls.
+    pipe and no subprocess, behind :class:`WorkerFarm`'s dispatch call.
 
     Tier probes run on the calling (connection) thread, so a hit never
     waits behind a running compile; items that need compiling run on a
     ``threads``-wide pool.  Past ``timeout`` the call raises
     :class:`FarmTimeout` while the job finishes in the background
     (filling the cache for a retry), and a group stops at its next item
-    boundary.  The core takes ``memory_entries`` from ``service``, so it
-    adds no cache tier of its own.
+    boundary.  Its memory tier is the core's, exactly as in a farm
+    worker.
     """
 
     size = 1
@@ -979,7 +869,7 @@ class LocalShard:
     def __init__(
         self, service, threads: int, allow_faults: bool = False
     ) -> None:
-        self.core = ShardCore(service, service.memory_entries, allow_faults)
+        self.core = ShardCore(service, allow_faults)
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, threads), thread_name_prefix="repro-serve"
         )
@@ -989,16 +879,6 @@ class LocalShard:
 
     def stop(self) -> None:
         self._pool.shutdown(wait=True)
-
-    def compile(
-        self, shard: int, key: str, fetch: Fetch,
-        trace: bool = False, timeout: Optional[float] = None,
-    ) -> FarmResponse:
-        """Like :meth:`WorkerFarm.compile`."""
-        entry = self.compile_many(shard, [(key, fetch)], trace, timeout)[0]
-        if entry[0] == "err":
-            raise FarmRequestError(entry[2], code=entry[1])
-        return FarmResponse(*entry[1:])
 
     def compile_many(
         self, shard: int, items: List[Tuple[str, Fetch]],

@@ -8,8 +8,9 @@ on a client, drain cleanly.
 **One request path.**  ``/compile`` and ``/batch`` take the same route
 whatever the server's size.  A body is parsed and routed once and
 memoized on its bytes as ``(cache key, shard)``; identical in-flight
-compiles coalesce; each item goes to a *shard* through one dispatch
-interface (``compile``, ``compile_many``, ``shard_for``).  With
+``/compile`` requests coalesce; each item goes to a *shard* through
+one dispatch call, ``compile_many`` (a ``/compile`` is a group of
+one), routed by ``shard_for``.  With
 ``processes > 0`` the shards are the worker processes of a
 :class:`~repro.serve.farm.WorkerFarm`; otherwise the one shard is a
 :class:`~repro.serve.farm.LocalShard`, the same worker core run
@@ -17,8 +18,8 @@ in-process on ``workers`` threads.  Errors, counters, timeouts, traces
 and ``/stats`` therefore behave the same in both modes.
 
 * **Sharding** — the farm routes by graph content digest (rendezvous
-  hashing) so each worker's session LRU and in-memory report tier stay
-  hot; the connection thread talks straight to its shard's pipe.
+  hashing) so each worker's session LRU and memory tier stay hot; the
+  connection thread talks straight to its shard's pipe.
 * **Body memo** — a repeated identical body costs one SHA-256 and a
   dict probe: no JSON parse, no options validation, no canonical-JSON
   hashing.  The memo keeps routing only; when no cache tier can answer
@@ -32,10 +33,14 @@ and ``/stats`` therefore behave the same in both modes.
 * **Live resizing** — ``POST /resize`` ``{"workers": N}`` grows or
   shrinks the farm without a restart; the body memos are flushed so
   routing follows the new pool immediately.
-* **Single-flight** — concurrent identical cache-enabled requests (or
-  batch items) coalesce: the first becomes the leader and compiles; the
+* **Single-flight** — concurrent identical cache-enabled ``/compile``
+  requests coalesce: the first becomes the leader and compiles; the
   rest wait and receive the leader's bytes verbatim (counted under
-  ``coalesced``, not as extra hits/misses).
+  ``coalesced``, not as extra hits/misses).  A ``/batch`` group goes
+  to its shard directly and reaches single-flight only in the
+  per-item fallback after its grouped frame failed; N identical items
+  within one group still compile once, because the shard re-probes
+  the disk tier before each compile.
 * **Bounded queue / backpressure** — at most ``queue_limit`` requests
   may be queued or running; one more gets an immediate ``429`` with a
   ``Retry-After`` header instead of unbounded buffering.
@@ -60,8 +65,9 @@ and ``/stats`` therefore behave the same in both modes.
   ``serve.request`` span covering the whole request, with each item's
   shard-side subtree grafted under it, so one merged Chrome-trace file
   covers the whole pool.  ``/stats`` reports latency percentiles
-  (p50/p95/p99 over a sliding window) alongside the cache figures and,
-  with a farm, per-worker counters.
+  (p50/p95/p99 over a sliding window) alongside the cache figures and
+  the shards' per-tier counter totals (``shard_counters``) in both
+  modes and, with a farm, per-worker rows.
 
 Endpoints
 ---------
@@ -69,7 +75,8 @@ Endpoints
     ``{"status": "ok" | "draining"}`` (200 / 503); with a farm, also
     a ``farm`` object (size, alive, restarts).
 ``GET /stats``
-    Server counters, latency percentiles, cache stats, farm stats.
+    Server counters, latency percentiles, cache stats, shard counter
+    totals, farm stats.
 ``POST /compile``
     ``{"graph": <to_json document>, "options": {...}, "cache": true}``
     → ``{"status": "hit"|"miss"|"disabled", "report": {...}}``.
@@ -504,8 +511,6 @@ class CompileServer:
         Farm size: worker *processes* serving ``/compile`` and
         ``/batch``, sharded by content digest.  0 (default) compiles
         in-process.
-    mem_entries:
-        Per-farm-worker in-memory report tier capacity.
     allow_faults:
         Honor test-only ``"fault"`` request fields (never set by the
         CLI); in-process only ``"sleep:N"`` applies.
@@ -528,7 +533,6 @@ class CompileServer:
         port: int = DEFAULT_PORT,
         workers: int = 2,
         processes: int = 0,
-        mem_entries: int = 512,
         allow_faults: bool = False,
         queue_limit: int = 8,
         request_timeout: Optional[float] = None,
@@ -571,7 +575,6 @@ class CompileServer:
             self.farm = WorkerFarm(
                 size=processes,
                 cache_root=cache_root,
-                mem_entries=mem_entries,
                 max_sessions=self.service.max_sessions,
                 allow_faults=allow_faults,
             ).start()
@@ -652,9 +655,10 @@ class CompileServer:
         """One POST body straight off the socket → response bytes.
 
         ``/compile`` and ``/batch`` go through the one dispatch path
-        (memoized routing, single-flight, shard dispatch) whatever the
-        shards are; ``/resize`` reconfigures the farm.  With tracing
-        on, the whole request is one ``serve.request`` span.
+        (memoized routing, shard dispatch; single-flight for
+        ``/compile``) whatever the shards are; ``/resize`` reconfigures
+        the farm.  With tracing on, the whole request is one
+        ``serve.request`` span.
         """
         if self.draining:
             return self._err(503, "server is draining")
@@ -787,11 +791,12 @@ class CompileServer:
     def _coalesced_dispatch(self, memo: _Memo, fetch, trace: bool):
         """One item through single-flight + shard dispatch.
 
-        Shared by ``/compile`` and each ``/batch`` item: cache-enabled
-        identical requests in flight anywhere on the server (single
-        requests or batch items, in any mix) coalesce onto one leader
-        per cache key; the rest receive the leader's bytes verbatim.
-        Returns the reply and the shard's span tree (the leader's only).
+        Serves ``/compile`` and the per-item fallback of a ``/batch``
+        group whose grouped frame failed (a batch group dispatched as a
+        group never passes through here): cache-enabled identical items
+        in flight through it coalesce onto one leader per cache key;
+        the rest receive the leader's bytes verbatim.  Returns the
+        reply and the shard's span tree (the leader's only).
         """
         if not memo.key:
             return self._shard_dispatch(memo, fetch, trace)
@@ -826,16 +831,22 @@ class CompileServer:
             flight.event.set()
 
     def _shard_dispatch(self, memo: _Memo, fetch, trace: bool):
-        """Run one item on its shard; map shard failures to HTTP."""
+        """Run one item on its shard as a group of one; map shard
+        failures and item errors to counted one-line HTTP errors."""
         try:
-            response = self.shards.compile(
-                memo.shard, memo.key, fetch,
+            entry = self.shards.compile_many(
+                memo.shard, [(memo.key, fetch)],
                 trace=trace, timeout=self.request_timeout,
-            )
+            )[0]
         except FarmError as exc:
             return self._err(exc.code, self._count_failure(exc)), None
-        self._account(response.status)
-        return (200, response.body, {}), response.tree
+        if entry[0] != "ok":
+            with self._lock:
+                self._counters["errors"] += 1
+            return self._err(entry[1], entry[2]), None
+        _, status, _tier, body, tree = entry
+        self._account(status)
+        return (200, body, {}), tree
 
     def _count_failure(self, exc: FarmError) -> str:
         """Count one failed dispatch by kind; returns its message."""
@@ -1065,22 +1076,19 @@ class CompileServer:
         }
         if self.service.cache is not None:
             payload["cache"] = self.service.cache.stats()
-        if self.farm is not None:
-            farm = self.farm.describe()
-            workers = self.farm.worker_stats()
-            totals: Dict[str, int] = {}
-            for row in workers:
-                for name, value in row.get("counters", {}).items():
-                    totals[name] = totals.get(name, 0) + value
-            # Counters shipped home by workers drained on a shrink
-            # keep counting after the resize.
-            for name, value in self.farm.retired.get(
-                "counters", {}
-            ).items():
+        if self.farm is None:
+            payload["shard_counters"] = self.shards.core.counter_totals()
+            return payload
+        farm = self.farm.describe()
+        farm["workers"] = self.farm.worker_stats()
+        # Counters shipped home by workers drained on a shrink keep
+        # counting after the resize.
+        totals = dict(self.farm.retired["counters"])
+        for row in farm["workers"]:
+            for name, value in row.get("counters", {}).items():
                 totals[name] = totals.get(name, 0) + value
-            farm["workers"] = workers
-            farm["counters"] = totals
-            payload["farm"] = farm
+        payload["shard_counters"] = totals
+        payload["farm"] = farm
         return payload
 
     def _write_trace(self) -> None:

@@ -8,27 +8,22 @@ and the in-process benchmarks call the same methods:
   the cache-then-compile flow, returning a
   :class:`~repro.artifacts.report.CompilationReport` plus a cache status
   (``"hit"``, ``"miss"``, or ``"disabled"``);
-* :meth:`CompileService.compile_document_tiered` — the same flow but
-  also reporting *which* tier answered (``"memory"``, ``"disk"``, or
-  ``"compile"``); the farm workers use this to keep per-tier counters;
+* :meth:`CompileService.lookup` — probe the on-disk cache by key alone,
+  without a document;
+* :meth:`CompileService.compile_keyed` — the compile step on its own,
+  for a caller that already holds the key and has probed the cache
+  (the shards, :class:`~repro.serve.farm.ShardCore`, do both);
 * :meth:`CompileService.compile_batch` — :meth:`compile_document`
   over a list of documents, in order.
+
+The service keeps no report tier in memory: the one in-process tier is
+the shard's memo of rendered response bodies (``ShardCore``), which
+sits in front of :meth:`lookup`.
 
 Repeated compiles of the same graph within one service process also
 share a :class:`~repro.scheduling.session.CompilationSession` (a small
 LRU keyed by the graph's canonical hash), so even cache-disabled
 traffic reuses the per-graph precomputation.
-
-With ``memory_entries > 0`` the service additionally keeps a bounded
-in-process report tier in front of the on-disk cache: an LRU of
-canonical report payloads keyed by the full cache key.  A memory hit
-skips the disk read *and* the JSON decode of the entry file, yet
-rebuilds a fresh :class:`CompilationReport` each time (callers mutate
-``wall_s``), so every tier returns bit-identical ``canonical()``
-output — the property the equivalence tests and the farm benchmark
-pin.  The farm gives each worker process its own memory tier; because
-requests are sharded by content digest, a graph's entries concentrate
-on one worker instead of being duplicated pool-wide.
 
 With the cache disabled the flow degrades to exactly the pre-service
 pipeline — same :func:`~repro.scheduling.pipeline.implement` call,
@@ -37,7 +32,6 @@ same outputs — which the equivalence tests pin bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -155,67 +149,27 @@ class CompileService:
         disable caching entirely (every request recompiles).
     max_sessions:
         Size of the per-graph :class:`CompilationSession` LRU.
-    memory_entries:
-        Capacity of the in-process report tier (0 disables it).  Only
-        meaningful with a ``cache``: the memory tier fronts the disk
-        tier and is keyed by the same content address.
     """
 
     def __init__(
         self,
         cache: Optional[ArtifactCache] = None,
         max_sessions: int = 32,
-        memory_entries: int = 0,
     ) -> None:
         self.cache = cache
         self.max_sessions = max_sessions
         self._sessions: "OrderedDict[str, CompilationSession]" = OrderedDict()
-        self._memory: "Optional[OrderedDict[str, Dict[str, Any]]]" = (
-            OrderedDict() if memory_entries > 0 else None
-        )
-        self.memory_entries = memory_entries
-        self.memory_hits = 0
-
-    # -- memory tier ----------------------------------------------------
-    def _memory_get(self, key: str) -> Optional[CompilationReport]:
-        if self._memory is None:
-            return None
-        payload = self._memory.get(key)
-        if payload is None:
-            return None
-        self._memory.move_to_end(key)
-        self.memory_hits += 1
-        report = CompilationReport.from_json(payload)
-        report.key = key
-        report.cached = True
-        return report
-
-    def _memory_put(self, key: str, report: CompilationReport) -> None:
-        if self._memory is None:
-            return
-        # Store the canonical payload (volatile fields normalized away)
-        # so a memory hit reconstructs exactly what a disk hit would.
-        self._memory[key] = json.loads(report.canonical())
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
 
     def lookup(
         self, key: str, recorder=None
     ) -> Optional[Tuple[CompilationReport, str]]:
-        """Probe the cache tiers for ``key`` without a document.
+        """Probe the disk cache for ``key`` without a document.
 
-        Returns ``(report, tier)`` with ``tier`` in ``("memory",
-        "disk")``, or ``None`` when both tiers miss (the caller must
-        then supply the document and compile).  A disk hit is promoted
-        into the memory tier.  Never counts a disk miss against the
-        cache's ``misses`` counter — a probe is not a request outcome.
+        Returns ``(report, "disk")``, or ``None`` on a miss (the caller
+        must then supply the document and compile).  Never counts a
+        miss against the cache's ``misses`` counter — a probe is not a
+        request outcome.
         """
-        report = self._memory_get(key)
-        if report is not None:
-            if recorder is not None:
-                recorder.count("serve.cache_hits")
-            return report, "memory"
         if self.cache is None:
             return None
         span = (
@@ -235,7 +189,6 @@ class CompileService:
             return None
         if recorder is not None:
             recorder.count("serve.cache_hits")
-        self._memory_put(key, report)
         return report, "disk"
 
     # -- session reuse --------------------------------------------------
@@ -268,25 +221,6 @@ class CompileService:
         unknown options raise ``ValueError`` — transport layers map
         both to 400-class responses.
         """
-        report, status, _tier = self.compile_document_tiered(
-            document, options, use_cache=use_cache, recorder=recorder
-        )
-        return report, status
-
-    def compile_document_tiered(
-        self,
-        document: Dict[str, Any],
-        options: Optional[CompileOptions] = None,
-        use_cache: bool = True,
-        recorder=None,
-    ) -> Tuple[CompilationReport, str, str]:
-        """Like :meth:`compile_document`, plus the answering tier.
-
-        Returns ``(report, status, tier)`` where ``tier`` is
-        ``"memory"`` (in-process report LRU), ``"disk"`` (on-disk
-        artifact cache), or ``"compile"`` (ran the pipeline).  All
-        three produce bit-identical ``canonical()`` reports.
-        """
         options = options or CompileOptions()
         caching = use_cache and self.cache is not None
         key = cache_key(document, options.key_dict()) if caching else ""
@@ -294,9 +228,26 @@ class CompileService:
         if caching:
             found = self.lookup(key, recorder=recorder)
             if found is not None:
-                report, tier = found
+                report = found[0]
                 report.wall_s = time.perf_counter() - start
-                return report, "hit", tier
+                return report, "hit"
+        report = self.compile_keyed(document, options, key, recorder)
+        report.wall_s = time.perf_counter() - start
+        return report, "miss" if key else "disabled"
+
+    def compile_keyed(
+        self,
+        document: Dict[str, Any],
+        options: CompileOptions,
+        key: str,
+        recorder=None,
+    ) -> CompilationReport:
+        """Compile ``document`` and store the report under ``key``.
+
+        The caller has already computed ``key`` and probed the cache;
+        an empty ``key`` means uncached (nothing is stored).  A
+        non-empty one needs a ``cache`` and accounts one cache miss.
+        """
         graph = from_json(document)
         session = self._session_for(canonical_hash(document), graph)
         result = implement(
@@ -314,16 +265,12 @@ class CompileService:
         report = CompilationReport.from_result(
             result, graph.name, key=key, seed=options.seed
         )
-        status = "disabled"
-        if caching:
+        if key:
             if recorder is not None:
                 recorder.count("serve.cache_misses")
             self.cache.misses += 1  # lookup() deferred the accounting
             self.cache.put(key, report)
-            self._memory_put(key, report)
-            status = "miss"
-        report.wall_s = time.perf_counter() - start
-        return report, status, "compile"
+        return report
 
     # -- batch compile --------------------------------------------------
     def compile_batch(

@@ -17,6 +17,7 @@ from repro.sdf.io import canonical_hash, to_json
 from repro.serve import (
     ArtifactCache,
     CompilationReport,
+    CompileOptions,
     CompileServer,
     CompileService,
     ServeClientError,
@@ -24,7 +25,9 @@ from repro.serve import (
     cache_key,
     rendezvous_shard,
 )
+from repro.serve.farm import ShardCore
 from repro.serve import client as serve_client
+from repro.serve import farm as farm_module
 from repro.serve.client import (
     BatchItemError,
     compile_batch_remote,
@@ -48,9 +51,9 @@ def make_report():
 
 
 def farm_counter(server, name):
-    """Sum a farm obs counter over all workers via /stats."""
+    """A shard counter summed over all shards, via /stats."""
     stats = get_json(server.url, "/stats")
-    return stats["farm"]["counters"].get(name, 0)
+    return stats["shard_counters"].get(name, 0)
 
 
 class TestRendezvousShard:
@@ -91,61 +94,91 @@ class TestRendezvousShard:
             WorkerFarm(size=0)
 
 
-class TestMemoryTier:
-    def test_three_tiers_bit_identical(self, tmp_path):
-        service = CompileService(
-            cache=ArtifactCache(str(tmp_path)), memory_entries=4
-        )
-        doc = to_json(small_graph())
-        cold, s1, t1 = service.compile_document_tiered(doc)
-        warm_mem, s2, t2 = service.compile_document_tiered(doc)
-        assert (s1, t1) == ("miss", "compile")
-        assert (s2, t2) == ("hit", "memory")
-        # A second service over the same directory has a cold memory
-        # tier: first hit comes from disk, the next from memory.
-        other = CompileService(
-            cache=ArtifactCache(str(tmp_path)), memory_entries=4
-        )
-        warm_disk, s3, t3 = other.compile_document_tiered(doc)
-        warm_mem2, s4, t4 = other.compile_document_tiered(doc)
-        assert (s3, t3) == ("hit", "disk")
-        assert (s4, t4) == ("hit", "memory")
-        for report in (warm_mem, warm_disk, warm_mem2):
-            assert report.canonical() == cold.canonical()
-            assert report.cached
+def core_with_cache(tmp_path):
+    return ShardCore(
+        CompileService(cache=ArtifactCache(str(tmp_path))),
+        allow_faults=False,
+    )
 
-    def test_memory_lru_bounded(self, tmp_path):
-        service = CompileService(
-            cache=ArtifactCache(str(tmp_path)), memory_entries=2
+
+def shard_item(doc):
+    """``(key, request)`` for one cache-enabled item, as the front end
+    builds them."""
+    return (
+        cache_key(doc, CompileOptions().key_dict()),
+        {"graph": doc, "options": {}},
+    )
+
+
+def body_canonical(body):
+    return CompilationReport.from_json(
+        json.loads(body)["report"]
+    ).canonical()
+
+
+class TestMemoryTier:
+    """The shard's memo of rendered bodies is the one memory tier."""
+
+    def test_three_tiers_bit_identical(self, tmp_path):
+        core = core_with_cache(tmp_path)
+        key, request = shard_item(to_json(small_graph()))
+        # Key only: both tiers miss, so the shard asks for the document.
+        assert core.answer(key, None, None) == ("need",)
+        cold = core.answer(key, request, None)
+        disk = core.answer(key, None, None)
+        memory = core.answer(key, None, None)
+        assert [entry[:3] for entry in (cold, disk, memory)] == [
+            ("ok", "miss", "compile"),
+            ("ok", "hit", "disk"),
+            ("ok", "hit", "memory"),
+        ]
+        assert (
+            body_canonical(cold[3]) == body_canonical(disk[3])
+            == body_canonical(memory[3])
         )
-        docs = [to_json(small_graph(f"m{i}")) for i in range(3)]
-        for doc in docs:
-            service.compile_document_tiered(doc)
-        assert len(service._memory) == 2
-        # Oldest graph fell out of memory; it must come back from disk.
-        _, status, tier = service.compile_document_tiered(docs[0])
-        assert (status, tier) == ("hit", "disk")
+        assert memory[3] == disk[3]  # the memo ships the stored bytes
+        assert core.counter_totals() == {
+            "farm.requests": 3, "farm.compiles": 1,
+            "farm.disk_hits": 1, "farm.mem_hits": 1,
+        }
+
+    def test_never_repeated_misses_leave_memo_empty(self, tmp_path):
+        # Only a disk hit fills the memo, so a stream of never-seen
+        # misses holds no rendered bodies: serve RSS stays flat.
+        core = core_with_cache(tmp_path)
+        for i in range(6):
+            key, request = shard_item(to_json(small_graph(f"n{i}")))
+            assert core.answer(key, request, None)[1] == "miss"
+        assert len(core._bodies) == 0
+        assert core.counter_totals()["farm.compiles"] == 6
+
+    def test_memory_lru_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(farm_module, "MEMO_ENTRIES", 2)
+        core = core_with_cache(tmp_path)
+        items = [shard_item(to_json(small_graph(f"m{i}"))) for i in range(3)]
+        for key, request in items:
+            core.answer(key, request, None)
+        for key, _request in items:
+            assert core.answer(key, None, None)[2] == "disk"
+        assert len(core._bodies) == 2
+        # The oldest body fell out of the memo; it comes back from disk.
+        assert core.answer(items[0][0], None, None)[2] == "disk"
+        assert core.answer(items[2][0], None, None)[2] == "memory"
+        assert len(core._bodies) == 2
 
     def test_lookup_misses_do_not_skew_counters(self, tmp_path):
-        service = CompileService(
-            cache=ArtifactCache(str(tmp_path)), memory_entries=4
-        )
-        doc = to_json(small_graph())
-        key = cache_key(doc, {"method": "rpmc", "seed": 0,
-                              "use_chain_dp": True,
-                              "occurrence_cap": 64})
-        assert service.lookup(key) is None
-        service.compile_document_tiered(doc)
-        # One logical miss happened; the probe must not double-count.
-        assert service.cache.misses == 1
-
-    def test_disabled_memory_tier_by_default(self, tmp_path):
-        service = CompileService(cache=ArtifactCache(str(tmp_path)))
-        assert service._memory is None
-        doc = to_json(small_graph())
-        service.compile_document_tiered(doc)
-        _, status, tier = service.compile_document_tiered(doc)
-        assert (status, tier) == ("hit", "disk")
+        core = core_with_cache(tmp_path)
+        cache = core.service.cache
+        key, request = shard_item(to_json(small_graph()))
+        assert core.service.lookup(key) is None
+        # A miss as the front end drives it: the key-only probe, then
+        # the re-probe and the compile once the document arrives.
+        assert core.answer(key, None, None) == ("need",)
+        core.answer(key, request, None)
+        # One logical miss happened; the probes must not double-count.
+        assert (cache.hits, cache.misses) == (0, 1)
+        core.answer(key, None, None)
+        assert (cache.hits, cache.misses) == (1, 1)
 
 
 @pytest.fixture
@@ -502,6 +535,31 @@ class TestOneRequestPath:
         assert runs[0][1] == {"requests": 5, "hits": 4, "misses": 2,
                               "compiled": 2, "errors": 2}
 
+    @pytest.mark.parametrize("processes", [0, 1])
+    def test_tier_split_in_stats(self, tmp_path, processes):
+        # The same miss/hit/hit sequence reports the same tier split
+        # and byte-identical reports in-process and on a farm.
+        doc = to_json(cd_to_dat())
+        reference, _ = CompileService(
+            cache=ArtifactCache(str(tmp_path / "ref"))
+        ).compile_document(doc)
+        server = CompileServer(
+            CompileService(cache=ArtifactCache(str(tmp_path / "c"))),
+            port=0, processes=processes, quiet=True,
+        ).start()
+        try:
+            runs = [compile_remote(doc, url=server.url) for _ in range(3)]
+            counters = get_json(server.url, "/stats")["shard_counters"]
+        finally:
+            server.drain(timeout=15)
+        assert [status for _, status in runs] == ["miss", "hit", "hit"]
+        for report, _ in runs:
+            assert report.canonical() == reference.canonical()
+        assert counters == {
+            "farm.requests": 3, "farm.compiles": 1,
+            "farm.disk_hits": 1, "farm.mem_hits": 1,
+        }
+
     def test_traced_farm_batch_is_one_request_span(self, tmp_path):
         trace = str(tmp_path / "trace.jsonl")
         server = CompileServer(
@@ -549,7 +607,7 @@ class TestFarmResize:
         # Every batch item is one farm request; the drained workers'
         # tallies were folded into the totals, so nothing went
         # backwards across the shrink.
-        assert stats["farm"]["counters"]["farm.requests"] >= 18
+        assert stats["shard_counters"]["farm.requests"] >= 18
 
     def test_resize_is_idempotent_for_same_size(self, farm_server):
         info = resize_remote(2, url=farm_server.url)

@@ -145,11 +145,6 @@ class TestExports:
             {"type": "counter", "name": "dp.cells", "total": 10}
         ]
 
-    def test_format_stats_mentions_spans_and_counters(self):
-        text = obs.format_stats(self._recorded())
-        assert "compile" in text
-        assert "dp.cells" in text
-
 
 def _result_fingerprint(result):
     return (
@@ -297,11 +292,15 @@ class TestExceptionPaths:
         topsort = lines[1 + names.index("topsort")]
         assert topsort.endswith("s  (method=rpmc)")
         assert lines[1 + len(names)].startswith(f"  {'total':>{width}}: ")
-        # The counter-totals block of format_stats follows the rows.
+        # The counter-totals block follows the rows: a header, then one
+        # row per counter total, sorted by name.
         assert lines[2 + len(names)] == ""
-        stats = obs.format_stats(rec).splitlines()
-        counters = stats[stats.index("") + 1:]
-        assert lines[3 + len(names):] == counters
+        totals = rec.counter_totals()
+        header, *counters = lines[3 + len(names):]
+        assert header == f"{'counter':>32} {'total':>12}"
+        assert counters == [
+            f"{name:>32} {totals[name]:>12}" for name in sorted(totals)
+        ]
         assert any("dp.cells" in line for line in counters)
 
     def test_profile_without_implement_span_is_empty(self):
