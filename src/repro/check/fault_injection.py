@@ -527,7 +527,7 @@ def inject_broadcast_stop(
     the resulting placement.  Truncations first-fit never exploits are
     harmless and skipped.
     """
-    from ..lifetimes.intervals import _stop_within, least_parent_of
+    from ..lifetimes.intervals import _stop_within
     from ..sdf.random_graphs import random_broadcast_sdf_graph
 
     try:
@@ -548,19 +548,20 @@ def inject_broadcast_stop(
         return None
     lifetimes = bart.result.lifetimes
     tree = lifetimes.tree
-    for name, members in sorted(graph.broadcast_groups().items()):
-        first = members[0]
-        if first.delay > 0:
-            continue  # delayed groups span the whole period; no tail
-        lp = least_parent_of(tree, [first.source] + [m.sink for m in members])
-        stops = [_stop_within(tree, lp, m.sink) for m in members]
-        shared = lifetimes.groups[name]
+    for buffer in lifetimes.buffers:
+        if buffer.reset is None:
+            continue  # delayed buffers span the whole period; no tail
+        first = buffer.members[0]
+        stops = [
+            _stop_within(tree, buffer.reset, m.sink) for m in buffer.members
+        ]
+        shared = lifetimes.lifetimes[first.key]
         if min(stops) >= shared.start + shared.duration:
-            continue  # all members stop together; truncation is a no-op
+            continue  # all readers stop together (one reader included)
         if min(stops) <= shared.start:
             continue
         mutated = copy.deepcopy(lifetimes)
-        wrong = mutated.groups[name]
+        wrong = mutated.lifetimes[first.key]
         truncated = type(wrong)(
             name=wrong.name,
             size=wrong.size,
@@ -572,7 +573,6 @@ def inject_broadcast_stop(
         for key, lt in list(mutated.lifetimes.items()):
             if lt is wrong:
                 mutated.lifetimes[key] = truncated
-        mutated.groups[name] = truncated
         alloc = first_fit(
             mutated.as_list(), occurrence_cap=art.occurrence_cap
         )
@@ -599,7 +599,7 @@ def inject_broadcast_stop(
             graph_seed=art.seed,
             caught=caught,
             detail=(
-                f"truncated group {name!r} lifetime from duration "
+                f"truncated group {first.broadcast!r} lifetime from duration "
                 f"{shared.duration} to {truncated.duration} (earliest "
                 f"member stop); first-fit overlaid it with a live buffer"
             ),

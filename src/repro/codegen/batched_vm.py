@@ -1,12 +1,13 @@
 """Vectorized shared-memory execution: one slice op per firing block.
 
 :class:`BatchedVM` runs the same memory discipline as
-:class:`repro.codegen.vm.SharedMemoryVM` — linear per-episode cursors
-reset at the buffer's least-parent loop, circular cursors for delayed
-edges, one physical write per broadcast group — but executes each
-schedule-tree leaf (a counted firing block) as one batched transfer
-instead of ``residual`` scalar firings.  Token identity lives in one
-plain list (``memory``) over the shared address space, each word
+:class:`repro.codegen.vm.SharedMemoryVM` over the same physical buffers
+(:attr:`LifetimeSet.buffers`: one write side per buffer, one reader per
+member edge, linear cursors reset at the buffer's least parent, circular
+cursors for delayed buffers, each actor's ports resolved once) but
+executes each schedule-tree leaf (a counted firing block) as one batched
+transfer instead of ``residual`` scalar firings.  Token identity lives
+in one plain list (``memory``) over the shared address space, each word
 holding the integer code ``seq * buffers + eid`` of the token written
 there, so consecutive tokens of one buffer carry an arithmetic
 progression of codes.  A block covers at most a few contiguous runs of
@@ -23,11 +24,10 @@ The observable contract is the scalar VM's: the same ``firings`` and
 over the same set of writes, hence order-independent), and
 :class:`~repro.exceptions.CodegenError` with the scalar VM's message at
 the same failing firing for cursor overruns, token corruption, and
-balance violations.  Blocks of an actor with a self-loop (or feeding a
-broadcast group it also consumes from) fall back to per-firing
-execution — their reads depend on writes from earlier firings of the
-same block, so the block-wide read-then-write reordering would be
-unsound for them.
+balance violations.  Blocks of an actor with a self-loop fall back to
+per-firing execution — their reads depend on writes from earlier
+firings of the same block, so the block-wide read-then-write
+reordering would be unsound for them.
 
 One deliberate asymmetry: within a block all reads precede all writes
 (that is what makes the block one transfer), so an *unsafe* allocation
@@ -47,8 +47,9 @@ from typing import Dict, List, Optional, Tuple
 from ..exceptions import CodegenError
 from ..sdf.graph import Edge, SDFGraph
 from ..allocation.first_fit import Allocation
-from ..lifetimes.intervals import LifetimeSet, least_parent_of
+from ..lifetimes.intervals import LifetimeSet
 from ..lifetimes.schedule_tree import ScheduleTreeNode
+from .vm import reader_label
 
 __all__ = ["BatchedVM"]
 
@@ -60,13 +61,13 @@ _UNWRITTEN = -1
 
 @dataclass
 class _BufState:
-    """One physical buffer's cursors and counters.
+    """One physical buffer's write side, cursors and readers.
 
-    ``produced``/``consumed`` are whole-run token counters (they drive
-    circular slots and the balance check); ``wr_k``/``rd_k`` count
-    tokens since the last least-parent reset (they drive linear slots
-    and are the only thing a reset clears — exactly the scalar VM's
-    ``reset_cursors``).
+    ``produced`` (and each reader's ``consumed``) is a whole-run token
+    counter (it drives circular slots and the balance check);
+    ``wr_k`` (and each reader's ``rd_k``) counts tokens since the last
+    least-parent reset (it drives linear slots and is the only thing a
+    reset clears — exactly the scalar VM's ``reset_cursors``).
     """
 
     edge: Edge
@@ -74,10 +75,9 @@ class _BufState:
     base: int
     size_words: int
     circular: bool
+    readers: List["_ReadPort"] = field(default_factory=list)
     produced: int = 0
-    consumed: int = 0
     wr_k: int = 0
-    rd_k: int = 0
 
     @property
     def slots(self) -> int:
@@ -85,28 +85,18 @@ class _BufState:
 
     def reset_cursors(self) -> None:
         self.wr_k = 0
-        self.rd_k = 0
+        for reader in self.readers:
+            reader.rd_k = 0
 
 
 @dataclass
-class _BReader:
-    """One member sink's cursor over a broadcast group's buffer."""
+class _ReadPort:
+    """One reader edge's counters over its buffer."""
 
     edge: Edge
+    buffer: _BufState
     rd_k: int = 0
     consumed: int = 0
-
-
-@dataclass
-class _BGroup:
-    name: str
-    write: _BufState
-    readers: Dict[Key, _BReader] = field(default_factory=dict)
-
-    def reset_cursors(self) -> None:
-        self.write.reset_cursors()
-        for r in self.readers.values():
-            r.rd_k = 0
 
 
 class BatchedVM:
@@ -126,51 +116,39 @@ class BatchedVM:
         self.graph = graph
         self.lifetimes = lifetimes
         self.allocation = allocation
-        self._edges: Dict[Key, _BufState] = {}
-        self._groups: Dict[str, _BGroup] = {}
-        self._reset_at: Dict[int, List] = {}
+        self._buffers: List[_BufState] = []
+        self._reset_at: Dict[int, List[_BufState]] = {}
+        #: Token code -> buffer key: ``eid`` is the buffer's position.
         self._eid_key: List[Key] = []
-
-        def new_eid(key: Key) -> int:
-            self._eid_key.append(key)
-            return len(self._eid_key) - 1
-
-        for e in graph.edge_list():
-            if e.broadcast is not None:
-                continue
-            lt = lifetimes.lifetimes[e.key]
+        readers: Dict[Key, _ReadPort] = {}
+        writers: Dict[Key, _BufState] = {}
+        for b in lifetimes.buffers:
+            first = b.members[0]
+            lt = lifetimes.lifetimes[first.key]
             state = _BufState(
-                edge=e,
-                eid=new_eid(e.key),
+                edge=first,
+                eid=len(self._eid_key),
                 base=allocation.offset_of(lt.name),
                 size_words=lt.size,
-                circular=e.delay > 0,
+                circular=first.delay > 0,
             )
-            self._edges[e.key] = state
-            if not state.circular:
-                lp = lifetimes.tree.least_parent(e.source, e.sink)
-                self._reset_at.setdefault(id(lp), []).append(state)
-        for name, members in graph.broadcast_groups().items():
-            first = members[0]
-            lt = lifetimes.lifetimes[first.key]
-            group = _BGroup(
-                name=name,
-                write=_BufState(
-                    edge=first,
-                    eid=new_eid(first.key),
-                    base=allocation.offset_of(lt.name),
-                    size_words=lt.size,
-                    circular=first.delay > 0,
-                ),
-                readers={m.key: _BReader(edge=m) for m in members},
+            self._eid_key.append(first.key)
+            for m in b.members:
+                readers[m.key] = _ReadPort(edge=m, buffer=state)
+                state.readers.append(readers[m.key])
+            writers[first.key] = state
+            self._buffers.append(state)
+            if b.reset is not None:
+                self._reset_at.setdefault(id(b.reset), []).append(state)
+        #: Per actor: its read ports in ``in_edges`` order, and each
+        #: buffer it writes, once (a group's first member stands for it).
+        self._ports: Dict[str, Tuple[List[_ReadPort], List[_BufState]]] = {
+            a: (
+                [readers[e.key] for e in graph.in_edges(a)],
+                [writers[e.key] for e in graph.out_edges(a) if e.key in writers],
             )
-            self._groups[name] = group
-            if not group.write.circular:
-                lp = least_parent_of(
-                    lifetimes.tree,
-                    [first.source] + [m.sink for m in members],
-                )
-                self._reset_at.setdefault(id(lp), []).append(group)
+            for a in graph.actor_names()
+        }
 
         #: Token code stride: ``seq * stride + eid`` is unique per
         #: (buffer, sequence number) and decodes with one divmod.
@@ -178,27 +156,18 @@ class BatchedVM:
         #: Token code per shared-memory word.  It spans every buffer's
         #: extent, so a buffer placed past ``allocation.total`` shows
         #: up as ``peak_address`` beyond the pool (the harness's check).
-        states = list(self._edges.values()) + [
-            g.write for g in self._groups.values()
-        ]
         extent = max(
             [allocation.total, 1]
-            + [st.base + st.size_words for st in states]
+            + [st.base + st.size_words for st in self._buffers]
         )
         self.memory: List[int] = [_UNWRITTEN] * extent
 
         # Actors whose blocks must run firing-at-a-time: a self-loop
-        # (or a broadcast group the actor both feeds and consumes)
         # makes reads within the block depend on the block's own
         # writes, so reads cannot all precede writes.
-        self._scalar_actors = set()
-        for e in graph.edges():
-            if e.is_self_loop():
-                self._scalar_actors.add(e.source)
-        for name, members in graph.broadcast_groups().items():
-            src = members[0].source
-            if any(m.sink == src for m in members):
-                self._scalar_actors.add(src)
+        self._scalar_actors = {
+            e.source for e in graph.edges() if e.is_self_loop()
+        }
 
         self.firings = 0
         self.firings_per_actor: Dict[str, int] = {
@@ -213,13 +182,10 @@ class BatchedVM:
 
     # ------------------------------------------------------------------
     def preload_delays(self) -> None:
-        """Write the initial tokens of delayed edges, one op per edge."""
-        for state in self._edges.values():
+        """Write the initial tokens of delayed buffers, one op each."""
+        for state in self._buffers:
             if state.edge.delay > 0:
                 self._write_block(state, state.edge.delay, 0, 1)
-        for group in self._groups.values():
-            if group.write.edge.delay > 0:
-                self._write_block(group.write, group.write.edge.delay, 0, 1)
 
     def run_period(self) -> None:
         self._run_node(self.lifetimes.tree.root)
@@ -256,33 +222,14 @@ class BatchedVM:
             self._transfer_firings(actor, n, base)
 
     def _transfer_firings(self, actor: str, n: int, base_firings: int) -> None:
-        """Reads then writes for ``n`` firings, one op per edge."""
-        for e in self.graph.in_edges(actor):
-            m = n * e.consumption
-            if e.broadcast is None:
-                self._read_block(
-                    self._edges[e.key], m, base_firings, e.consumption
-                )
-            else:
-                group = self._groups[e.broadcast]
-                self._read_group_block(
-                    group, group.readers[e.key], m, base_firings,
-                    e.consumption,
-                )
-        written = set()
-        for e in self.graph.out_edges(actor):
-            m = n * e.production
-            if e.broadcast is None:
-                self._write_block(
-                    self._edges[e.key], m, base_firings, e.production
-                )
-            elif e.broadcast not in written:
-                # One physical write per group, regardless of fan-out.
-                written.add(e.broadcast)
-                self._write_block(
-                    self._groups[e.broadcast].write, m, base_firings,
-                    e.production,
-                )
+        """Reads then writes for ``n`` firings, one op per port."""
+        reads, writes = self._ports[actor]
+        for port in reads:
+            rate = port.edge.consumption
+            self._read_block(port, n * rate, base_firings, rate)
+        for state in writes:
+            rate = state.edge.production
+            self._write_block(state, n * rate, base_firings, rate)
 
     # ------------------------------------------------------------------
     def _slot_start(
@@ -291,35 +238,36 @@ class BatchedVM:
         m: int,
         k_reset: int,
         counter: int,
-        writing: bool,
         base_firings: int,
         rate: int,
+        reader: Optional[Edge] = None,
     ) -> int:
         """Overrun check; returns the first token's slot index.
 
         ``k_reset`` is the tokens-since-reset count (linear cursor) and
-        ``counter`` the whole-run token counter (circular cursor); the
-        failing firing and cursor value of a linear overrun are
-        recovered in closed form so the raise matches the scalar VM's.
+        ``counter`` the whole-run token counter (circular cursor) of
+        the write side, or of ``reader``'s port; the failing firing and
+        cursor value of a linear overrun are recovered in closed form
+        so the raise matches the scalar VM's.
         """
-        e = state.edge
         slots = state.slots
         if state.circular:
             return counter % slots if slots else 0
         if k_reset + m > slots:
             fail_tok = slots - k_reset  # 0-based index of the failing token
             firing = base_firings + fail_tok // rate + 1
-            cursor = slots * e.token_size
-            if writing:
+            ts = state.edge.token_size
+            tail = (
+                f"{slots * ts} + {ts} > {state.size_words} (firing {firing})"
+            )
+            if reader is None:
                 raise CodegenError(
-                    f"buffer {e} overruns its array: write cursor "
-                    f"{cursor} + {e.token_size} > {state.size_words} "
-                    f"(firing {firing})"
+                    f"buffer {state.edge} overruns its array: write cursor "
+                    f"{tail}"
                 )
             raise CodegenError(
-                f"buffer {e} read cursor overruns: "
-                f"{cursor} + {e.token_size} > {state.size_words} "
-                f"(firing {firing})"
+                f"{reader_label(reader, 'buffer')} read cursor overruns: "
+                f"{tail}"
             )
         return k_reset
 
@@ -368,7 +316,7 @@ class BatchedVM:
         self, state: _BufState, m: int, base_firings: int, rate: int
     ) -> None:
         start = self._slot_start(
-            state, m, state.wr_k, state.produced, True, base_firings, rate
+            state, m, state.wr_k, state.produced, base_firings, rate
         )
         ts = state.edge.token_size
         first = state.produced * self._stride + state.eid
@@ -391,21 +339,17 @@ class BatchedVM:
         seq, eid = divmod(code, self._stride)
         return (self._eid_key[eid], seq)
 
-    def _gather_compare(
-        self,
-        state: _BufState,
-        start: int,
-        m: int,
-        expect_eid: int,
-        first_seq: int,
-        describe: str,
-        base_firings: int,
-        rate: int,
+    def _read_block(
+        self, port: _ReadPort, m: int, base_firings: int, rate: int
     ) -> None:
         """Read ``m`` tokens and verify identity, locating any mismatch."""
+        state = port.buffer
+        start = self._slot_start(
+            state, m, port.rd_k, port.consumed, base_firings, rate, port.edge
+        )
         ts = state.edge.token_size
         step = self._stride
-        first = first_seq * step + expect_eid
+        first = port.consumed * step + state.eid
         memory = self.memory
         for j, word, k in self._runs(state, start, m):
             end = word + k * ts
@@ -419,74 +363,23 @@ class BatchedVM:
             address = word + pos
             firing = base_firings + tok // rate + 1
             raise CodegenError(
-                f"token corruption on {describe}: expected token "
-                f"#{first_seq + tok}, found "
+                f"token corruption on {reader_label(port.edge)}: expected "
+                f"token #{port.consumed + tok}, found "
                 f"{self._found_token(address)!r} at address {address} "
                 f"(firing {firing}) — unsafe buffer overlay"
             )
         self.transfers += 1
-
-    def _read_block(
-        self, state: _BufState, m: int, base_firings: int, rate: int
-    ) -> None:
-        start = self._slot_start(
-            state, m, state.rd_k, state.consumed, False, base_firings, rate
-        )
-        self._gather_compare(
-            state, start, m, state.eid, state.consumed,
-            f"{state.edge}", base_firings, rate,
-        )
-        state.consumed += m
+        port.consumed += m
         if not state.circular:
-            state.rd_k += m
-
-    def _read_group_block(
-        self,
-        group: _BGroup,
-        reader: _BReader,
-        m: int,
-        base_firings: int,
-        rate: int,
-    ) -> None:
-        write = group.write
-        e = reader.edge
-        slots = write.slots
-        if write.circular:
-            start = reader.consumed % slots if slots else 0
-        else:
-            if reader.rd_k + m > slots:
-                fail_tok = slots - reader.rd_k
-                firing = base_firings + fail_tok // rate + 1
-                cursor = slots * e.token_size
-                raise CodegenError(
-                    f"broadcast {group.name} member {e} read cursor "
-                    f"overruns: {cursor} + {e.token_size} > "
-                    f"{write.size_words} (firing {firing})"
-                )
-            start = reader.rd_k
-        self._gather_compare(
-            write, start, m, write.eid, reader.consumed,
-            f"broadcast {group.name} member {e}", base_firings, rate,
-        )
-        reader.consumed += m
-        if not write.circular:
-            reader.rd_k += m
+            port.rd_k += m
 
     def _check_balance(self) -> None:
-        for state in self._edges.values():
-            e = state.edge
-            outstanding = state.produced - state.consumed
-            if outstanding != e.delay:
-                raise CodegenError(
-                    f"edge {e} ends with {outstanding} tokens in flight, "
-                    f"expected {e.delay}"
-                )
-        for group in self._groups.values():
-            for reader in group.readers.values():
-                outstanding = group.write.produced - reader.consumed
-                if outstanding != reader.edge.delay:
+        for state in self._buffers:
+            for port in state.readers:
+                e = port.edge
+                outstanding = state.produced - port.consumed
+                if outstanding != e.delay:
                     raise CodegenError(
-                        f"broadcast {group.name} member {reader.edge} ends "
-                        f"with {outstanding} tokens in flight, expected "
-                        f"{reader.edge.delay}"
+                        f"{reader_label(e, 'edge')} ends with {outstanding} "
+                        f"tokens in flight, expected {e.delay}"
                     )

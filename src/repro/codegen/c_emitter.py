@@ -9,16 +9,18 @@ pool at the offsets first-fit chose.
 :func:`emit_c` renders that output as self-contained C:
 
 * one ``static token_t memory[TOTAL]`` pool;
-* a ``#define`` per buffer for its base offset;
-* per-edge read/write cursors, reset at the top of each iteration of
-  the buffer's innermost common loop (the least parent in the schedule
-  tree), which is where each live episode begins;
+* a ``#define`` per physical buffer (:attr:`LifetimeSet.buffers`) for
+  its base offset;
+* one write cursor per buffer and one read cursor per reader edge (a
+  broadcast group's members each read the one written stream), reset
+  at the top of each iteration of the buffer's least parent, which is
+  where each live episode begins;
 * the loop nest mirroring the schedule tree, with a
   ``fire_<actor>(in..., out...)`` macro invocation per leaf;
 * actor macro stubs the user replaces with real code blocks.
 
-Edges with initial tokens use circular cursors (they may stay occupied
-across the period boundary).
+Buffers with initial tokens use circular cursors (they may stay
+occupied across the period boundary).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from ..exceptions import CodegenError
 from ..sdf.graph import Edge, SDFGraph
 from ..sdf.repetitions import repetitions_vector
 from ..allocation.first_fit import Allocation
-from ..lifetimes.intervals import LifetimeSet, least_parent_of
+from ..lifetimes.intervals import LifetimeSet
 from ..lifetimes.schedule_tree import ScheduleTreeNode
 
 __all__ = ["emit_c"]
@@ -37,42 +39,26 @@ __all__ = ["emit_c"]
 
 def _buffer_macro(edge: Edge) -> str:
     if edge.broadcast is not None:
-        return _group_macro(edge.source, edge.broadcast)
+        return f"BUF_{edge.source}__{edge.broadcast}".upper()
     name = f"BUF_{edge.source}_{edge.sink}"
     if edge.index:
         name += f"_{edge.index}"
     return name.upper()
 
 
-def _group_macro(source: str, group: str) -> str:
-    return f"BUF_{source}__{group}".upper()
-
-
-def _group_cursor(group: str, which: str) -> str:
-    return f"{which}_bc_{group}"
-
-
-def _out_ports(graph: SDFGraph, actor: str) -> List[Edge]:
-    """Output ports of ``actor``: one per ordinary edge, one per group."""
-    ports: List[Edge] = []
-    seen = set()
-    for e in graph.out_edges(actor):
-        if e.broadcast is None:
-            ports.append(e)
-        elif e.broadcast not in seen:
-            seen.add(e.broadcast)
-            ports.append(e)
-    return ports
-
-
 def _cursor(edge: Edge, which: str) -> str:
+    """A per-reader variable (``rd``, ``consumed``) of ``edge``."""
     suffix = f"_{edge.index}" if edge.index else ""
     return f"{which}_{edge.source}_{edge.sink}{suffix}"
 
 
-def _counter(edge: Edge, which: str) -> str:
-    suffix = f"_{edge.index}" if edge.index else ""
-    return f"{which}_{edge.source}_{edge.sink}{suffix}"
+def _write_cursor(first: Edge, which: str) -> str:
+    """A write-side variable (``wr``, ``produced``) of the buffer whose
+    first member is ``first``: a broadcast group has one, named after
+    the group."""
+    if first.broadcast is not None:
+        return f"{which}_bc_{first.broadcast}"
+    return _cursor(first, which)
 
 
 def emit_c(
@@ -121,14 +107,18 @@ def emit_c(
     lines.append(f"static token_t memory[{max(allocation.total, 1)}];")
     lines.append("")
 
-    edges = graph.edge_list()
-    ordinary = [e for e in edges if e.broadcast is None]
-    groups = graph.broadcast_groups()
-    # One buffer per ordinary edge; one shared buffer per broadcast
-    # group (the members all map to the same lifetime object, so the
-    # first member's lifetime names the group's array).
-    buffer_edges = ordinary + [members[0] for members in groups.values()]
-    for e in buffer_edges:
+    buffers = lifetimes.buffers
+    # A buffer's first member stands for its write side: the one output
+    # port of its source, however many sinks read it.
+    firsts = {b.members[0].key for b in buffers}
+
+    def out_ports(actor: str) -> List[Edge]:
+        return [e for e in graph.out_edges(actor) if e.key in firsts]
+
+    # One array per physical buffer, named by its first member's
+    # lifetime.
+    for b in buffers:
+        e = b.members[0]
         lt = lifetimes.lifetimes[e.key]
         try:
             offset = allocation.offsets[lt.name]
@@ -142,32 +132,24 @@ def emit_c(
         )
     lines.append("")
 
-    # Ordinary edges own a write and read cursor each; a broadcast group
-    # owns one shared write cursor while each member sink keeps its own
-    # read cursor over the shared array.
-    for e in ordinary:
-        lines.append(f"static size_t {_cursor(e, 'wr')} = 0;")
-        lines.append(f"static size_t {_cursor(e, 'rd')} = 0;")
-    for gname, members in groups.items():
-        lines.append(f"static size_t {_group_cursor(gname, 'wr')} = 0;")
-        for e in members:
+    # Each buffer owns one write cursor; each member reader keeps its
+    # own read cursor over the buffer's array.
+    for b in buffers:
+        lines.append(f"static size_t {_write_cursor(b.members[0], 'wr')} = 0;")
+        for e in b.members:
             lines.append(f"static size_t {_cursor(e, 'rd')} = 0;")
     if instrument:
         # Token identities: one id per physical buffer (members share
-        # the group's id — every reader verifies the one write stream).
-        token_id = {e.key: i for i, e in enumerate(ordinary)}
-        for offset_id, (gname, members) in enumerate(groups.items()):
-            for e in members:
-                token_id[e.key] = len(ordinary) + offset_id
-        for e in ordinary:
-            lines.append(f"static long {_counter(e, 'produced')} = 0;")
-            lines.append(f"static long {_counter(e, 'consumed')} = 0;")
-        for gname, members in groups.items():
+        # it — every reader verifies the one write stream).
+        token_id = {
+            e.key: i for i, b in enumerate(buffers) for e in b.members
+        }
+        for b in buffers:
             lines.append(
-                f"static long {_group_cursor(gname, 'produced')} = 0;"
+                f"static long {_write_cursor(b.members[0], 'produced')} = 0;"
             )
-            for e in members:
-                lines.append(f"static long {_counter(e, 'consumed')} = 0;")
+            for e in b.members:
+                lines.append(f"static long {_cursor(e, 'consumed')} = 0;")
     lines.append("")
 
     if instrument:
@@ -176,12 +158,10 @@ def emit_c(
         # (word-wise, wrapping on circular buffers), so the loop nest
         # only calls fire_<actor>().
         for actor in graph.actor_names():
-            in_edges = graph.in_edges(actor)
-            out_edges = graph.out_edges(actor)
             lines.append(f"static void fire_{actor}(void)")
             lines.append("{")
             lines.append("    fired++;")
-            for e in in_edges:
+            for e in graph.in_edges(actor):
                 words = e.consumption * e.token_size
                 size = lifetimes.lifetimes[e.key].size
                 rd = _cursor(e, "rd")
@@ -193,7 +173,7 @@ def emit_c(
                 lines.append(
                     f"        if ({_buffer_macro(e)}[{rd}] != "
                     f"TOKEN({token_id[e.key]}, "
-                    f"{_counter(e, 'consumed')}++)) {{"
+                    f"{_cursor(e, 'consumed')}++)) {{"
                 )
                 lines.append(
                     f'            fprintf(stderr, "SELFCHECK FAIL: '
@@ -204,20 +184,10 @@ def emit_c(
                 lines.append("        }")
                 lines.append(f"        {rd}++;")
                 lines.append("    }")
-            written_groups = set()
-            for e in out_edges:
+            for e in out_ports(actor):
                 words = e.production * e.token_size
                 size = lifetimes.lifetimes[e.key].size
-                if e.broadcast is None:
-                    wr = _cursor(e, "wr")
-                    produced = _counter(e, "produced")
-                elif e.broadcast not in written_groups:
-                    # One physical write per group per firing.
-                    written_groups.add(e.broadcast)
-                    wr = _group_cursor(e.broadcast, "wr")
-                    produced = _group_cursor(e.broadcast, "produced")
-                else:
-                    continue
+                wr = _write_cursor(e, "wr")
                 lines.append(f"    for (int w = 0; w < {words}; ++w) {{")
                 if e.delay > 0:
                     lines.append(
@@ -225,7 +195,8 @@ def emit_c(
                     )
                 lines.append(
                     f"        {_buffer_macro(e)}[{wr}++] = "
-                    f"TOKEN({token_id[e.key]}, {produced}++);"
+                    f"TOKEN({token_id[e.key]}, "
+                    f"{_write_cursor(e, 'produced')}++);"
                 )
                 lines.append("    }")
             lines.append("}")
@@ -235,41 +206,25 @@ def emit_c(
         # gets — one input per in-edge, one output per *port* (a
         # broadcast group is a single port however many sinks it has).
         for actor in graph.actor_names():
-            arity = len(graph.in_edges(actor)) + len(
-                _out_ports(graph, actor)
-            )
+            arity = len(graph.in_edges(actor)) + len(out_ports(actor))
             params = ", ".join(f"p{i}" for i in range(arity)) or "void"
             lines.append(
                 f"#define fire_{actor}({params}) /* actor code block */"
             )
     lines.append("")
 
-    # Map each buffer to its least parent for cursor resets.  Each
-    # entry is (write cursor name, [read cursor names]); a broadcast
-    # group resets its shared write cursor and every member's read
-    # cursor at the group's least parent (the LCA of source and all
-    # sinks — where each live episode of the shared buffer begins).
+    # Cursor resets at each buffer's least parent, where each live
+    # episode begins: (write cursor, [read cursors]).  Delayed buffers
+    # have circular cursors and never reset.
     reset_at: Dict[int, List[Tuple[str, List[str]]]] = {}
-    for e in ordinary:
-        if e.delay > 0:
-            continue  # circular cursors, never reset
-        lp = lifetimes.tree.least_parent(e.source, e.sink)
-        reset_at.setdefault(id(lp), []).append(
-            (_cursor(e, "wr"), [_cursor(e, "rd")])
-        )
-    for gname, members in groups.items():
-        if members[0].delay > 0:
-            continue
-        lp = least_parent_of(
-            lifetimes.tree,
-            [members[0].source] + [m.sink for m in members],
-        )
-        reset_at.setdefault(id(lp), []).append(
-            (
-                _group_cursor(gname, "wr"),
-                [_cursor(m, "rd") for m in members],
+    for b in buffers:
+        if b.reset is not None:
+            reset_at.setdefault(id(b.reset), []).append(
+                (
+                    _write_cursor(b.members[0], "wr"),
+                    [_cursor(m, "rd") for m in b.members],
+                )
             )
-        )
 
     body: List[str] = []
 
@@ -286,18 +241,14 @@ def emit_c(
             if instrument:
                 body.append(f"{inner}fire_{actor}();")
             else:
-                out_ports = _out_ports(graph, actor)
-
-                def wr_name(e: Edge) -> str:
-                    if e.broadcast is None:
-                        return _cursor(e, "wr")
-                    return _group_cursor(e.broadcast, "wr")
-
+                ports = out_ports(actor)
                 args: List[str] = []
                 for e in graph.in_edges(actor):
                     args.append(f"{_buffer_macro(e)} + {_cursor(e, 'rd')}")
-                for e in out_ports:
-                    args.append(f"{_buffer_macro(e)} + {wr_name(e)}")
+                for e in ports:
+                    args.append(
+                        f"{_buffer_macro(e)} + {_write_cursor(e, 'wr')}"
+                    )
                 body.append(f"{inner}fire_{actor}({', '.join(args)});")
                 for e in graph.in_edges(actor):
                     step = e.consumption * e.token_size
@@ -309,16 +260,14 @@ def emit_c(
                         )
                     else:
                         body.append(f"{inner}{_cursor(e, 'rd')} += {step};")
-                for e in out_ports:
+                for e in ports:
                     step = e.production * e.token_size
+                    wr = _write_cursor(e, "wr")
                     if e.delay > 0:
                         size = lifetimes.lifetimes[e.key].size
-                        body.append(
-                            f"{inner}{wr_name(e)} = "
-                            f"({wr_name(e)} + {step}) % {size};"
-                        )
+                        body.append(f"{inner}{wr} = ({wr} + {step}) % {size};")
                     else:
-                        body.append(f"{inner}{wr_name(e)} += {step};")
+                        body.append(f"{inner}{wr} += {step};")
             body.append(f"{pad}}}")
             return
         loop_var = f"i{indent}"
@@ -343,8 +292,11 @@ def emit_c(
     lines.append("void run_one_period(void)")
     lines.append("{")
     root = lifetimes.tree.root
-    # Delayed edges start with their initial tokens already written.
-    delayed = [e for e in edges if e.delay > 0]
+    # Delayed buffers start with their initial tokens already written;
+    # each is preloaded once, in edge order of its first member.
+    delayed = [
+        e for e in graph.edges() if e.delay > 0 and e.key in firsts
+    ]
     if delayed:
         lines.append("    /* initial tokens (delays) are assumed to be")
         lines.append("     * preloaded by init_delays() below. */")
@@ -357,18 +309,7 @@ def emit_c(
     for e in delayed:
         step = e.delay * e.token_size
         size = lifetimes.lifetimes[e.key].size
-        if e.broadcast is None:
-            wr = _cursor(e, "wr")
-            produced = _counter(e, "produced") if instrument else None
-        else:
-            # Preload a delayed group once (shared buffer); members
-            # other than the first are skipped below.
-            if e is not graph.broadcast_members(e.broadcast)[0]:
-                continue
-            wr = _group_cursor(e.broadcast, "wr")
-            produced = (
-                _group_cursor(e.broadcast, "produced") if instrument else None
-            )
+        wr = _write_cursor(e, "wr")
         if instrument:
             lines.append(f"    for (int w = 0; w < {step}; ++w) {{")
             lines.append(
@@ -376,7 +317,7 @@ def emit_c(
                 f"TOKEN({token_id[e.key]}, w);"
             )
             lines.append("    }")
-            lines.append(f"    {produced} = {step};")
+            lines.append(f"    {_write_cursor(e, 'produced')} = {step};")
         lines.append(f"    {wr} = {step} % {size};")
     lines.append("}")
     lines.append("")

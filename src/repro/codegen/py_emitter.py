@@ -21,7 +21,7 @@ from typing import Dict, List
 from ..exceptions import CodegenError
 from ..sdf.graph import SDFGraph
 from ..allocation.first_fit import Allocation
-from ..lifetimes.intervals import LifetimeSet, least_parent_of
+from ..lifetimes.intervals import LifetimeSet
 from ..lifetimes.schedule_tree import ScheduleTreeNode
 
 __all__ = ["emit_python", "compile_python"]
@@ -44,38 +44,24 @@ def emit_python(
     lines.append("")
     lines.append(f"POOL_SIZE = {max(allocation.total, 1)}")
     lines.append("")
-    # Physical buffers: one per ordinary edge, one per broadcast group
-    # (identified as ('bcast', name), written once per production and
-    # read through a per-member cursor).
-    groups = graph.broadcast_groups()
+    # Physical buffers (LifetimeSet.buffers): a plain edge's id is its
+    # key, a broadcast group's ('bcast', name); each is written once per
+    # production and read through a per-member cursor.
     buffer_id = {}
-    for e in graph.edges():
-        buffer_id[e.key] = (
-            e.key if e.broadcast is None else ("bcast", e.broadcast)
-        )
-    entries = []
-    for e in graph.edges():
-        if e.broadcast is None:
-            entries.append((e.key, e))
-    for name, members in groups.items():
-        entries.append((("bcast", name), members[0]))
-    offsets = {}
-    sizes = {}
-    circular = {}
-    for bid, e in entries:
-        lt = lifetimes.lifetimes[e.key]
+    lines.append("BUFFERS = {")
+    for b in lifetimes.buffers:
+        first = b.members[0]
+        bid = first.key if first.broadcast is None else ("bcast", first.broadcast)
+        for m in b.members:
+            buffer_id[m.key] = bid
+        lt = lifetimes.lifetimes[first.key]
         try:
-            offsets[bid] = allocation.offsets[lt.name]
+            base = allocation.offsets[lt.name]
         except KeyError:
             raise CodegenError(f"allocation missing buffer {lt.name!r}") from None
-        sizes[bid] = lt.size
-        circular[bid] = e.delay > 0
-
-    lines.append("BUFFERS = {")
-    for bid, e in entries:
         lines.append(
-            f"    {bid!r}: dict(base={offsets[bid]}, "
-            f"size={sizes[bid]}, circular={circular[bid]}),"
+            f"    {bid!r}: dict(base={base}, "
+            f"size={lt.size}, circular={first.delay > 0}),"
         )
     lines.append("}")
     lines.append("")
@@ -122,19 +108,16 @@ def _read(memory, cursors, key, count):
     return out
 """)
 
-    # Per-actor firing functions.  Output *ports*: each ordinary edge
-    # is its own port; a broadcast group is one port (its token list is
-    # written once into the shared buffer).
+    # Per-actor firing functions.  Output *ports*: one per buffer the
+    # actor writes (a broadcast group's token list is written once into
+    # the shared buffer; its first member stands for it).
+    firsts = {b.members[0].key for b in lifetimes.buffers}
     for actor in graph.actor_names():
         in_edges = graph.in_edges(actor)
-        out_ports = []
-        seen_groups = set()
-        for e in graph.out_edges(actor):
-            if e.broadcast is None:
-                out_ports.append((e.key, e))
-            elif e.broadcast not in seen_groups:
-                seen_groups.add(e.broadcast)
-                out_ports.append((("bcast", e.broadcast), e))
+        out_ports = [
+            (buffer_id[e.key], e)
+            for e in graph.out_edges(actor) if e.key in firsts
+        ]
         lines.append(f"def _fire_{actor}(memory, cursors, actors):")
         lines.append("    inputs = []")
         for e in in_edges:
@@ -168,19 +151,11 @@ def _read(memory, cursors, key, count):
     # Loop nest from the schedule tree.
     body: List[str] = []
     reset_keys: Dict[int, List] = {}
-    for e in graph.edges():
-        if e.delay > 0 or e.broadcast is not None:
-            continue
-        lp = lifetimes.tree.least_parent(e.source, e.sink)
-        reset_keys.setdefault(id(lp), []).append(e.key)
-    for name, members in groups.items():
-        first = members[0]
-        if first.delay > 0:
-            continue
-        lp = least_parent_of(
-            lifetimes.tree, [first.source] + [m.sink for m in members]
-        )
-        reset_keys.setdefault(id(lp), []).append(("bcast", name))
+    for b in lifetimes.buffers:
+        if b.reset is not None:
+            reset_keys.setdefault(id(b.reset), []).append(
+                buffer_id[b.members[0].key]
+            )
 
     def emit(node: ScheduleTreeNode, indent: int) -> None:
         pad = "    " * indent

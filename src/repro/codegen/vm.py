@@ -8,9 +8,16 @@ Any unsafe overlay — two time-overlapping buffers sharing addresses —
 corrupts a token and is caught at the consuming firing.
 
 :class:`SharedMemoryVM` performs exactly the memory discipline of the
-generated C code (:mod:`repro.codegen.c_emitter`): linear per-episode
-cursors reset at each iteration of the buffer's least-parent loop, and
-circular cursors for delayed edges.
+generated C code (:mod:`repro.codegen.c_emitter`) over the physical
+buffers of :attr:`LifetimeSet.buffers`.  Each buffer has one write
+cursor and one read cursor per reader edge (one for a plain edge, one
+per member of a broadcast group, which all read the one written
+stream).  Linear cursors reset at each iteration of the buffer's least
+parent; a delayed buffer's cursors are circular.  Each actor's read and
+write ports are resolved once, at construction; a firing reads every
+in-edge in ``in_edges`` order and then writes each buffer it feeds
+once, token by token, so a corruption is reported at the exact firing
+and word that exposes it.
 """
 
 from __future__ import annotations
@@ -21,57 +28,57 @@ from typing import Dict, List, Optional, Tuple
 from ..exceptions import CodegenError
 from ..sdf.graph import Edge, SDFGraph
 from ..allocation.first_fit import Allocation
-from ..lifetimes.intervals import LifetimeSet, least_parent_of
+from ..lifetimes.intervals import LifetimeSet
 from ..lifetimes.schedule_tree import ScheduleTreeNode
 
 __all__ = ["SharedMemoryVM", "run_shared_memory_check"]
 
-_Token = Tuple[Tuple[str, str, int], int]  # (edge key, sequence number)
+Key = Tuple[str, str, int]
+_Token = Tuple[Key, int]  # (buffer key, sequence number)
+
+
+def reader_label(edge: Edge, noun: str = "") -> str:
+    """How a :class:`CodegenError` names reader edge ``edge``.
+
+    A plain edge is ``"<noun> <edge>"`` (just the edge when ``noun`` is
+    empty); a broadcast member is ``"broadcast <group> member <edge>"``.
+    """
+    if edge.broadcast is not None:
+        return f"broadcast {edge.broadcast} member {edge}"
+    return f"{noun} {edge}" if noun else str(edge)
 
 
 @dataclass
-class _EdgeState:
+class _BufferState:
+    """One physical buffer: its write side and its readers.
+
+    ``edge`` is the buffer's first member: it names the buffer in
+    write errors, and its ``key`` identifies every token written.
+    """
+
     edge: Edge
+    key: Key
     base: int
     size_words: int
+    circular: bool
+    readers: List["_ReadPort"] = field(default_factory=list)
     write_cursor: int = 0
-    read_cursor: int = 0
     produced: int = 0
-    consumed: int = 0
-    circular: bool = False
 
     def reset_cursors(self) -> None:
         self.write_cursor = 0
-        self.read_cursor = 0
+        for reader in self.readers:
+            reader.cursor = 0
 
 
 @dataclass
-class _Reader:
-    """One member sink's view of a broadcast group's shared buffer."""
+class _ReadPort:
+    """One reader edge's cursor and sequence counter over its buffer."""
 
     edge: Edge
+    buffer: _BufferState
     cursor: int = 0
     consumed: int = 0
-
-
-@dataclass
-class _GroupState:
-    """A broadcast group: one write side, one reader per member sink.
-
-    ``write`` reuses the edge-state machinery with the first member's
-    edge (members share production/delay/token_size); tokens are
-    written once per group and identified by that member's key, which
-    every reader expects.
-    """
-
-    name: str
-    write: _EdgeState
-    readers: Dict[Tuple[str, str, int], _Reader]
-
-    def reset_cursors(self) -> None:
-        self.write.reset_cursors()
-        for r in self.readers.values():
-            r.cursor = 0
 
 
 class SharedMemoryVM:
@@ -100,46 +107,39 @@ class SharedMemoryVM:
         self.lifetimes = lifetimes
         self.allocation = allocation
         self.memory: List[Optional[_Token]] = [None] * max(allocation.total, 1)
-        self._edges: Dict[Tuple[str, str, int], _EdgeState] = {}
-        self._groups: Dict[str, _GroupState] = {}
-        self._reset_at: Dict[int, List] = {}
-        for e in graph.edge_list():
-            if e.broadcast is not None:
-                continue
-            lt = lifetimes.lifetimes[e.key]
-            state = _EdgeState(
-                edge=e,
+        self._buffers: List[_BufferState] = []
+        self._reset_at: Dict[int, List[_BufferState]] = {}
+        readers: Dict[Key, _ReadPort] = {}
+        writers: Dict[Key, _BufferState] = {}
+        for b in lifetimes.buffers:
+            first = b.members[0]
+            lt = lifetimes.lifetimes[first.key]
+            state = _BufferState(
+                edge=first,
+                key=first.key,
                 base=allocation.offset_of(lt.name),
                 size_words=lt.size,
-                circular=e.delay > 0,
+                circular=first.delay > 0,
             )
-            self._edges[e.key] = state
-            if not state.circular:
-                lp = lifetimes.tree.least_parent(e.source, e.sink)
-                self._reset_at.setdefault(id(lp), []).append(state)
-        for name, members in graph.broadcast_groups().items():
-            first = members[0]
-            lt = lifetimes.lifetimes[first.key]
-            group = _GroupState(
-                name=name,
-                write=_EdgeState(
-                    edge=first,
-                    base=allocation.offset_of(lt.name),
-                    size_words=lt.size,
-                    circular=first.delay > 0,
-                ),
-                readers={m.key: _Reader(edge=m) for m in members},
+            for m in b.members:
+                readers[m.key] = _ReadPort(edge=m, buffer=state)
+                state.readers.append(readers[m.key])
+            writers[first.key] = state
+            self._buffers.append(state)
+            if b.reset is not None:
+                self._reset_at.setdefault(id(b.reset), []).append(state)
+        #: Per actor: its read ports in ``in_edges`` order, and each
+        #: buffer it writes, once (a group's first member stands for it).
+        self._ports: Dict[str, Tuple[List[_ReadPort], List[_BufferState]]] = {
+            a: (
+                [readers[e.key] for e in graph.in_edges(a)],
+                [writers[e.key] for e in graph.out_edges(a) if e.key in writers],
             )
-            self._groups[name] = group
-            if not group.write.circular:
-                lp = least_parent_of(
-                    lifetimes.tree,
-                    [first.source] + [m.sink for m in members],
-                )
-                self._reset_at.setdefault(id(lp), []).append(group)
+            for a in graph.actor_names()
+        }
         self.firings = 0
         #: Per-actor firing counts, for differential comparison against
-        #: the schedule interpreter's flattened firing sequence.
+        #: the schedule's flattened firing sequence.
         self.firings_per_actor: Dict[str, int] = {
             a: 0 for a in graph.actor_names()
         }
@@ -149,23 +149,14 @@ class SharedMemoryVM:
 
     # ------------------------------------------------------------------
     def preload_delays(self) -> None:
-        """Write the initial tokens of delayed edges into memory.
+        """Write the initial tokens of delayed buffers into memory.
 
         A delayed broadcast group preloads *once* — its members share
         the delay tokens in the one physical buffer.
         """
-        for state in self._edges.values():
-            e = state.edge
-            if e.delay == 0:
-                continue
-            for _ in range(e.delay):
+        for state in self._buffers:
+            for _ in range(state.edge.delay):
                 self._write_token(state)
-        for group in self._groups.values():
-            e = group.write.edge
-            if e.delay == 0:
-                continue
-            for _ in range(e.delay):
-                self._write_token(group.write)
 
     def run_period(self) -> None:
         """Execute one complete schedule period."""
@@ -199,42 +190,26 @@ class SharedMemoryVM:
     def _fire(self, actor: str) -> None:
         self.firings += 1
         self.firings_per_actor[actor] += 1
-        for e in self.graph.in_edges(actor):
-            if e.broadcast is None:
-                state = self._edges[e.key]
-                for _ in range(e.consumption):
-                    self._read_token(state)
-            else:
-                group = self._groups[e.broadcast]
-                reader = group.readers[e.key]
-                for _ in range(e.consumption):
-                    self._read_group_token(group, reader)
-        written = set()
-        for e in self.graph.out_edges(actor):
-            if e.broadcast is None:
-                state = self._edges[e.key]
-                for _ in range(e.production):
-                    self._write_token(state)
-            elif e.broadcast not in written:
-                # One physical write per group, regardless of fan-out.
-                written.add(e.broadcast)
-                group = self._groups[e.broadcast]
-                for _ in range(e.production):
-                    self._write_token(group.write)
+        reads, writes = self._ports[actor]
+        for port in reads:
+            for _ in range(port.edge.consumption):
+                self._read_token(port)
+        for state in writes:
+            for _ in range(state.edge.production):
+                self._write_token(state)
 
-    def _write_token(self, state: _EdgeState) -> None:
-        e = state.edge
-        words = e.token_size
+    def _write_token(self, state: _BufferState) -> None:
+        words = state.edge.token_size
         if state.write_cursor + words > state.size_words:
             if state.circular:
                 state.write_cursor = 0
             else:
                 raise CodegenError(
-                    f"buffer {e} overruns its array: write cursor "
+                    f"buffer {state.edge} overruns its array: write cursor "
                     f"{state.write_cursor} + {words} > {state.size_words} "
                     f"(firing {self.firings})"
                 )
-        token: _Token = (e.key, state.produced)
+        token: _Token = (state.key, state.produced)
         for w in range(words):
             self.memory[state.base + state.write_cursor + w] = token
         state.write_cursor += words
@@ -243,81 +218,41 @@ class SharedMemoryVM:
         if top > self.peak_address:
             self.peak_address = top
 
-    def _read_token(self, state: _EdgeState) -> None:
-        e = state.edge
-        words = e.token_size
-        if state.read_cursor + words > state.size_words:
+    def _read_token(self, port: _ReadPort) -> None:
+        state = port.buffer
+        words = port.edge.token_size
+        if port.cursor + words > state.size_words:
             if state.circular:
-                state.read_cursor = 0
+                port.cursor = 0
             else:
                 raise CodegenError(
-                    f"buffer {e} read cursor overruns: "
-                    f"{state.read_cursor} + {words} > {state.size_words} "
-                    f"(firing {self.firings})"
+                    f"{reader_label(port.edge, 'buffer')} read cursor "
+                    f"overruns: {port.cursor} + {words} > "
+                    f"{state.size_words} (firing {self.firings})"
                 )
-        expected: _Token = (e.key, state.consumed)
+        expected: _Token = (state.key, port.consumed)
         for w in range(words):
-            actual = self.memory[state.base + state.read_cursor + w]
+            actual = self.memory[state.base + port.cursor + w]
             if actual != expected:
                 raise CodegenError(
-                    f"token corruption on {e}: expected token "
-                    f"#{state.consumed}, found "
+                    f"token corruption on {reader_label(port.edge)}: "
+                    f"expected token #{port.consumed}, found "
                     f"{actual!r} at address "
-                    f"{state.base + state.read_cursor + w} "
+                    f"{state.base + port.cursor + w} "
                     f"(firing {self.firings}) — unsafe buffer overlay"
                 )
-        state.read_cursor += words
-        state.consumed += 1
-
-    def _read_group_token(self, group: _GroupState, reader: _Reader) -> None:
-        """Read one token for a member sink from the shared group buffer.
-
-        Each reader owns its cursor and sequence counter over the one
-        buffer the group's write side filled; the expected token
-        identity is the group's (written once per group).
-        """
-        e = reader.edge
-        write = group.write
-        words = e.token_size
-        if reader.cursor + words > write.size_words:
-            if write.circular:
-                reader.cursor = 0
-            else:
-                raise CodegenError(
-                    f"broadcast {group.name} member {e} read cursor "
-                    f"overruns: {reader.cursor} + {words} > "
-                    f"{write.size_words} (firing {self.firings})"
-                )
-        expected: _Token = (write.edge.key, reader.consumed)
-        for w in range(words):
-            actual = self.memory[write.base + reader.cursor + w]
-            if actual != expected:
-                raise CodegenError(
-                    f"token corruption on broadcast {group.name} member "
-                    f"{e}: expected token #{reader.consumed}, found "
-                    f"{actual!r} at address {write.base + reader.cursor + w} "
-                    f"(firing {self.firings}) — unsafe buffer overlay"
-                )
-        reader.cursor += words
-        reader.consumed += 1
+        port.cursor += words
+        port.consumed += 1
 
     def _check_balance(self) -> None:
-        for state in self._edges.values():
-            e = state.edge
-            outstanding = state.produced - state.consumed
-            if outstanding != e.delay:
-                raise CodegenError(
-                    f"edge {e} ends with {outstanding} tokens in flight, "
-                    f"expected {e.delay}"
-                )
-        for group in self._groups.values():
-            for reader in group.readers.values():
-                outstanding = group.write.produced - reader.consumed
-                if outstanding != reader.edge.delay:
+        for state in self._buffers:
+            for port in state.readers:
+                e = port.edge
+                outstanding = state.produced - port.consumed
+                if outstanding != e.delay:
                     raise CodegenError(
-                        f"broadcast {group.name} member {reader.edge} ends "
-                        f"with {outstanding} tokens in flight, expected "
-                        f"{reader.edge.delay}"
+                        f"{reader_label(e, 'edge')} ends with {outstanding} "
+                        f"tokens in flight, expected {e.delay}"
                     )
 
 

@@ -9,7 +9,8 @@ __getattr__, __dir__, __all__ = attach(__name__, globals(), {
     "PeriodicLifetime": ".periodic",
     "ScheduleTree": ".schedule_tree",
     "ScheduleTreeNode": ".schedule_tree",
+    "Buffer": ".intervals",
     "LifetimeSet": ".intervals",
     "extract_lifetimes": ".intervals",
-    "lifetime_for_edge": ".intervals",
+    "lifetime_for_buffer": ".intervals",
 })

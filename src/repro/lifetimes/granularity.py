@@ -30,7 +30,7 @@ paper makes explicitly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..exceptions import ScheduleError
 from ..sdf.graph import SDFGraph
@@ -91,29 +91,14 @@ def _replay(
     return paths, actors, states
 
 
-def _buffers(graph: SDFGraph) -> List[Tuple[List[int], int]]:
-    """Physical buffers as ``(member edge indices, token size)``.
-
-    An ordinary edge is its own buffer; a broadcast group's members
-    share one.
-    """
-    buffers: List[Tuple[List[int], int]] = []
-    groups: Dict[str, List[int]] = {}
-    for i, e in enumerate(graph.edges()):
-        if e.broadcast is None:
-            buffers.append(([i], e.token_size))
-        elif e.broadcast in groups:
-            groups[e.broadcast].append(i)
-        else:
-            groups[e.broadcast] = [i]
-            buffers.append((groups[e.broadcast], e.token_size))
-    return buffers
-
-
 def fine_grained_peak(graph: SDFGraph, schedule: LoopedSchedule) -> int:
     """Peak of summed live token words, exact per firing (finest model)."""
     _, _, states = _replay(graph, schedule)
-    buffers = _buffers(graph)
+    index = {e.key: i for i, e in enumerate(graph.edges())}
+    buffers = [
+        ([index[m.key] for m in members], members[0].token_size)
+        for members in graph.buffers()
+    ]
     return max(
         sum(max(state[i] for i in members) * size for members, size in buffers)
         for state in states
@@ -146,13 +131,13 @@ def granularity_levels(
     # boundary), so no aggregation level can charge it more than its
     # peak occupancy: the live-array charge below is capped there.
     buffers: List[Tuple[List[int], int, Optional[int]]] = []
-    for members, size in _buffers(graph):
+    for members in graph.buffers():
+        rows = [index[m.key] for m in members]
+        size = members[0].token_size
         cap = None
-        if edges[members[0]].delay > 0:
-            cap = size * max(
-                max(state[i] for i in members) for state in states
-            )
-        buffers.append((members, size, cap))
+        if members[0].delay > 0:
+            cap = size * max(max(state[i] for i in rows) for state in states)
+        buffers.append((rows, size, cap))
 
     n = len(actors)
     results: List[Tuple[int, int]] = []

@@ -1,30 +1,38 @@
 """Buffer lifetime extraction from a single appearance schedule (section 8).
 
 Given an SDF graph and a SAS, this module derives one
-:class:`~repro.lifetimes.periodic.PeriodicLifetime` per edge:
+:class:`~repro.lifetimes.periodic.PeriodicLifetime` per physical buffer.
+A physical buffer is one written stream and its reader edges
+(:meth:`~repro.sdf.graph.SDFGraph.buffers`): a plain edge is a buffer
+with one reader, a broadcast group one with a reader per member sink.
+Every buffer gets the same construction, around its *least parent* —
+the innermost loop holding the source and every sink, found once:
 
 * **start** — the start time of the producing actor's leaf (section 8.3);
-* **stop** — the end of the consuming actor's *last* firing within one
-  iteration of the innermost common loop, computed by the walk of
-  figure 16 (subtracting the durations of right-siblings on the path
-  from the consumer's leaf to the least parent's right child);
-* **size** — the coarse-model array: every token transferred during one
+* **stop** — the end of the *last* reader's final firing within one
+  iteration of the least parent, computed by the walk of figure 16
+  (subtracting the durations of right-siblings passed on the way up
+  from the reader's leaf);
+* **size** — the coarse-model array: every token written during one
   live episode (``prod(e)`` times the producer's firings per least-parent
   body iteration), plus initial tokens, in words;
 * **periods** — the ``(a_i, loop_i)`` pairs of the parent-set nodes with
   non-unit loop factors (section 8.4).
 
-Edges with initial tokens are handled per section 5: the buffer is live
-from time zero; if its token count never returns to zero within the
-period the lifetime covers the whole schedule.  We use the safe
-envelope: any delayed edge's lifetime is the whole schedule period,
-sized for peak occupancy.
+The least parent is also where the buffer's linear cursors reset
+(:attr:`Buffer.reset`), which the VMs and both emitters read.
+
+Buffers with initial tokens are handled per section 5: the buffer is
+live from time zero; if its token count never returns to zero within
+the period the lifetime covers the whole schedule.  We use the safe
+envelope: any delayed buffer's lifetime is the whole schedule period,
+sized for peak occupancy, and its cursors are circular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ScheduleError
 from ..sdf.graph import Edge, SDFGraph
@@ -35,46 +43,46 @@ from .schedule_tree import ScheduleTree, ScheduleTreeNode
 
 __all__ = [
     "extract_lifetimes",
-    "lifetime_for_edge",
-    "lifetime_for_group",
-    "least_parent_of",
+    "lifetime_for_buffer",
+    "Buffer",
     "LifetimeSet",
 ]
+
+
+@dataclass(eq=False)
+class Buffer:
+    """One physical buffer: a written stream and its reader edges.
+
+    ``members`` share source, production, delay and token size, so
+    ``members[0]`` stands for the write side and keys the buffer's
+    lifetime.  ``reset`` is the least parent, whose every iteration
+    starts a live episode and resets the linear cursors; it is None for
+    a delayed buffer, whose cursors are circular.
+    """
+
+    members: Tuple[Edge, ...]
+    reset: Optional[ScheduleTreeNode]
 
 
 @dataclass
 class LifetimeSet:
     """All buffer lifetimes of a schedule, with shared bookkeeping.
 
-    ``lifetimes`` is keyed by edge key; ``tree`` is the schedule tree
-    the times refer to; ``total_span`` its period in schedule steps.
-
-    Every member edge of a broadcast group maps to the *same*
-    :class:`PeriodicLifetime` object (one shared physical buffer);
-    ``groups`` names them, and :meth:`as_list`/:meth:`total_size`
-    dedupe by identity so the shared buffer is counted once.
+    ``lifetimes`` is keyed by edge key; every member of a buffer maps
+    to that buffer's one :class:`PeriodicLifetime`.  ``buffers`` lists
+    the physical buffers in :meth:`SDFGraph.buffers` order; ``tree`` is
+    the schedule tree the times refer to, ``total_span`` its period in
+    schedule steps.
     """
 
     lifetimes: Dict[Tuple[str, str, int], PeriodicLifetime]
     tree: ScheduleTree
     total_span: int
-    #: Broadcast group name -> the group's shared lifetime (also
-    #: reachable through every member's edge key in ``lifetimes``).
-    groups: Dict[str, PeriodicLifetime] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.groups is None:
-            self.groups = {}
+    buffers: List[Buffer]
 
     def as_list(self) -> List[PeriodicLifetime]:
-        """Distinct buffers (broadcast members collapse to one entry)."""
-        seen: set = set()
-        result: List[PeriodicLifetime] = []
-        for b in self.lifetimes.values():
-            if id(b) not in seen:
-                seen.add(id(b))
-                result.append(b)
-        return result
+        """One lifetime per physical buffer, in buffer order."""
+        return [self.lifetimes[b.members[0].key] for b in self.buffers]
 
     def total_size(self) -> int:
         """Sum of buffer sizes — the non-shared cost of these arrays."""
@@ -86,7 +94,7 @@ def extract_lifetimes(
     schedule: LoopedSchedule,
     q: Optional[Dict[str, int]] = None,
 ) -> LifetimeSet:
-    """Extract the lifetime of every edge buffer under ``schedule``.
+    """Extract the lifetime of every physical buffer under ``schedule``.
 
     ``schedule`` must be a single appearance schedule for ``graph``.
     """
@@ -98,122 +106,66 @@ def extract_lifetimes(
         )
     if q is None:
         q = repetitions_vector(graph)
-    lifetimes = {
-        e.key: lifetime_for_edge(graph, tree, e, q)
-        for e in graph.edges()
-        if e.broadcast is None
-    }
-    groups: Dict[str, PeriodicLifetime] = {}
-    for name, members in graph.broadcast_groups().items():
-        shared = lifetime_for_group(graph, tree, name, members, q)
-        groups[name] = shared
+    lifetimes = {}
+    buffers = []
+    for members in graph.buffers():
+        buffer, lifetime = lifetime_for_buffer(tree, members, q)
+        buffers.append(buffer)
         for m in members:
-            lifetimes[m.key] = shared
+            lifetimes[m.key] = lifetime
     return LifetimeSet(
         lifetimes=lifetimes,
         tree=tree,
         total_span=tree.total_duration(),
-        groups=groups,
+        buffers=buffers,
     )
 
 
-def lifetime_for_edge(
-    graph: SDFGraph,
+def lifetime_for_buffer(
     tree: ScheduleTree,
-    edge: Edge,
+    members: Sequence[Edge],
     q: Dict[str, int],
-) -> PeriodicLifetime:
-    """The coarse-model lifetime of the buffer on ``edge``.
+) -> Tuple[Buffer, PeriodicLifetime]:
+    """The coarse-model lifetime of the buffer read by ``members``.
 
-    See the module docstring for the construction.  For a delayed edge
-    the safe whole-period envelope is returned.
+    See the module docstring for the construction.  A plain edge's
+    lifetime is named ``A->B`` (``A->B#i`` for parallel edge ``i``), a
+    broadcast group's ``A=>group``.  For a delayed buffer the safe
+    whole-period envelope is returned.
     """
-    name = f"{edge.source}->{edge.sink}"
-    if edge.index:
-        name += f"#{edge.index}"
+    first = members[0]
+    if first.broadcast is None:
+        name = f"{first.source}->{first.sink}"
+        if first.index:
+            name += f"#{first.index}"
+    else:
+        name = f"{first.source}=>{first.broadcast}"
     span = tree.total_duration()
-    tnse_words = total_tokens_exchanged(edge, q) * edge.token_size
-
-    if edge.delay > 0:
-        # Section 5: an edge with initial tokens is live from the start
-        # of the schedule.  We keep the safe envelope: live all period,
-        # sized for its peak occupancy (transfer per episode + delay).
-        lp = tree.least_parent(edge.source, edge.sink)
-        occurrences = _occurrence_count(lp)
-        size = tnse_words // occurrences + edge.delay * edge.token_size
-        return PeriodicLifetime(
-            name=name,
-            size=size,
-            start=0,
-            duration=span,
-            periods=(),
-            total_span=span,
-        )
-
-    if edge.is_self_loop():
+    if first.delay == 0 and first.is_self_loop():
         raise ScheduleError(
-            f"self-loop {edge} requires initial tokens; delay-free "
+            f"self-loop {first} requires initial tokens; delay-free "
             f"self-loops cannot be scheduled"
         )
 
-    lp = tree.least_parent(edge.source, edge.sink)
-    start = tree.leaf(edge.source).start
-    stop = _interval_stop_time(tree, lp, edge.sink)
-    if stop <= start:
-        raise ScheduleError(
-            f"edge {edge}: computed stop {stop} <= start {start}; "
-            f"is the schedule's lexical order topological?"
-        )
-
-    producer_firings = tree.invocations_per_iteration(edge.source, lp)
-    size = edge.production * producer_firings * edge.token_size
-
-    periods = []
-    for node in tree.parent_set(edge.source, edge.sink):
-        if node.loop > 1:
-            periods.append((node.body_duration(), node.loop))
-    periods.sort(key=lambda p: p[0])
-
-    return PeriodicLifetime(
-        name=name,
-        size=size,
-        start=start,
-        duration=stop - start,
-        periods=tuple(periods),
-        total_span=span,
-    )
-
-
-def lifetime_for_group(
-    graph: SDFGraph,
-    tree: ScheduleTree,
-    name: str,
-    members: List[Edge],
-    q: Dict[str, int],
-) -> PeriodicLifetime:
-    """The lifetime of a broadcast group's one shared buffer.
-
-    The innermost common loop is the LCA of the source and *all* member
-    sinks; because windows of a SAS are contiguous and every sink sits
-    after the source, this equals the least parent of the source and
-    the farthest sink.  The buffer starts when the producer starts and
-    stops at the *latest* member stop time (figure 16 walk generalized
-    to sinks anywhere under the group's least parent); its size is one
-    least-parent iteration's production — written once, read by all
-    members.
-    """
-    first = members[0]
-    buffer_name = f"{first.source}=>{name}"
-    span = tree.total_duration()
-    tnse_words = total_tokens_exchanged(first, q) * first.token_size
-
-    lp = least_parent_of(tree, [first.source] + [m.sink for m in members])
+    lp = tree.least_parent(first.source, first.sink)
+    for m in members[1:]:
+        # Every pairwise least parent lies on the source's root path;
+        # the set's least parent is the one nearest the root.
+        other = tree.least_parent(first.source, m.sink)
+        if any(node is other for node in lp.ancestors()):
+            lp = other
 
     if first.delay > 0:
-        occurrences = _occurrence_count(lp)
-        size = tnse_words // occurrences + first.delay * first.token_size
-        return PeriodicLifetime(
-            name=buffer_name,
+        # Section 5: a buffer with initial tokens is live from the start
+        # of the schedule.  We keep the safe envelope: live all period,
+        # sized for its peak occupancy (transfer per episode + delay).
+        tnse_words = total_tokens_exchanged(first, q) * first.token_size
+        size = (
+            tnse_words // _occurrence_count(lp)
+            + first.delay * first.token_size
+        )
+        return Buffer(tuple(members), None), PeriodicLifetime(
+            name=name,
             size=size,
             start=0,
             duration=span,
@@ -224,22 +176,26 @@ def lifetime_for_group(
     start = tree.leaf(first.source).start
     stop = max(_stop_within(tree, lp, m.sink) for m in members)
     if stop <= start:
+        what = (
+            f"edge {first}" if first.broadcast is None
+            else f"broadcast group {first.broadcast!r}"
+        )
         raise ScheduleError(
-            f"broadcast group {name!r}: computed stop {stop} <= start "
-            f"{start}; is the schedule's lexical order topological?"
+            f"{what}: computed stop {stop} <= start {start}; "
+            f"is the schedule's lexical order topological?"
         )
 
     producer_firings = tree.invocations_per_iteration(first.source, lp)
     size = first.production * producer_firings * first.token_size
 
     periods = []
-    for node in [lp] + list(lp.ancestors()):
+    for node in [lp, *lp.ancestors()]:
         if node.loop > 1:
             periods.append((node.body_duration(), node.loop))
     periods.sort(key=lambda p: p[0])
 
-    return PeriodicLifetime(
-        name=buffer_name,
+    return Buffer(tuple(members), lp), PeriodicLifetime(
+        name=name,
         size=size,
         start=start,
         duration=stop - start,
@@ -248,39 +204,18 @@ def lifetime_for_group(
     )
 
 
-def least_parent_of(tree: ScheduleTree, actors: List[str]) -> ScheduleTreeNode:
-    """LCA of several actors' leaves: fold pairwise least parents.
-
-    Every pairwise ``least_parent(actors[0], other)`` lies on the first
-    actor's root path, and the set LCA is the shallowest of them (it
-    must be an ancestor of every member), so folding actor by actor
-    and keeping the candidate nearest the root is exact.  The path is
-    enumerated leaf-first, so *larger* enumeration index = nearer the
-    root.
-    """
-    path = [tree.leaf(actors[0])]
-    path.extend(tree.leaf(actors[0]).ancestors())
-    height = {id(n): h for h, n in enumerate(path)}
-    best = path[0]
-    for other in actors[1:]:
-        node = tree.least_parent(actors[0], other)
-        if height[id(node)] > height[id(best)]:
-            best = node
-    return best
-
-
 def _stop_within(
     tree: ScheduleTree, lp: ScheduleTreeNode, sink: str
 ) -> int:
-    """Figure 16 walk generalized to a sink anywhere under ``lp``.
+    """The figure 16 walk, for a sink anywhere under ``lp``.
 
     Start from the end of one full body iteration of ``lp`` and
     subtract, walking from the sink's leaf up to ``lp`` (exclusive),
     the duration of every right sibling passed while ascending from a
     left child — the work remaining after the sink's final firing of
-    the iteration.  When the sink lies under ``lp.right`` this equals
-    the classic walk of :func:`_interval_stop_time` (the start value
-    ``lp.start + body_duration`` is exactly ``lp.right.stop``).
+    the iteration.  For a plain edge the sink lies under ``lp.right``,
+    and the start value ``lp.start + body_duration`` is exactly
+    ``lp.right.stop``: the paper's walk.
     """
     stop = lp.start + lp.body_duration()
     node = tree.leaf(sink)
@@ -289,36 +224,6 @@ def _stop_within(
         if parent is None:
             raise ScheduleError(
                 f"sink {sink!r} is not under the least parent"
-            )
-        if parent.left is node:
-            stop -= parent.right.dur
-        node = parent
-    return stop
-
-
-def _interval_stop_time(
-    tree: ScheduleTree, least_parent: ScheduleTreeNode, sink: str
-) -> int:
-    """The figure 16 walk: earliest stop time of the buffer interval.
-
-    Starting from the end of the least parent's right child (which
-    includes all its loop iterations), subtract the duration of the
-    right sibling of every node on the path from the sink's leaf up to
-    (but excluding) that right child whenever the path ascends from a
-    left child — the work remaining after the sink's final firing.
-    """
-    right = least_parent.right
-    if right is None:
-        # Least parent is the sink's (and source's) own leaf: impossible
-        # for distinct actors in a SAS.
-        raise ScheduleError("least parent of an edge must be internal")
-    stop = right.stop
-    node = tree.leaf(sink)
-    while node is not right:
-        parent = node.parent
-        if parent is None:
-            raise ScheduleError(
-                f"sink {sink!r} is not under the least parent's right child"
             )
         if parent.left is node:
             stop -= parent.right.dur

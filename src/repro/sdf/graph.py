@@ -305,6 +305,18 @@ class SDFGraph:
                 groups.setdefault(e.broadcast, []).append(e)
         return groups
 
+    def buffers(self) -> List[Tuple[Edge, ...]]:
+        """Member edges of each physical buffer.
+
+        A physical buffer is one written stream and its reader edges.
+        Every plain edge is a one-member buffer, in edge order; then
+        come the broadcast groups, in :meth:`broadcast_groups` order.
+        """
+        plain = [(e,) for e in self._edges.values() if e.broadcast is None]
+        return plain + [
+            tuple(members) for members in self.broadcast_groups().values()
+        ]
+
     def broadcast_members(self, name: str) -> List[Edge]:
         """Member edges of broadcast group ``name`` (possibly empty)."""
         return [

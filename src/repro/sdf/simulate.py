@@ -467,22 +467,10 @@ def buffer_memory_nonshared(graph: SDFGraph, schedule: LoopedSchedule) -> int:
     counted once, not once per member.
     """
     peaks = max_tokens(graph, schedule)
-    by_key = {e.key: e for e in graph.edges()}
-    total = 0
-    group_peaks: Dict[str, int] = {}
-    group_sizes: Dict[str, int] = {}
-    for k, peak in peaks.items():
-        e = by_key[k]
-        if e.broadcast is None:
-            total += peak * e.token_size
-        else:
-            group_peaks[e.broadcast] = max(
-                group_peaks.get(e.broadcast, 0), peak
-            )
-            group_sizes[e.broadcast] = e.token_size
-    for name, peak in group_peaks.items():
-        total += peak * group_sizes[name]
-    return total
+    return sum(
+        max(peaks[m.key] for m in members) * members[0].token_size
+        for members in graph.buffers()
+    )
 
 
 def coarse_live_intervals(

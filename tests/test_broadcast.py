@@ -4,12 +4,10 @@ Covers the graph API (group construction and its invariants), JSON
 round-tripping, lifetime extraction (the shared buffer is sized by the
 *latest* consumer stop time and counted once), the sharing win over the
 k-parallel-edges model, and execution equivalence across the VM, the
-generated Python module, and the gcc-compiled C self-check.
+generated Python module, and the cc-compiled C self-check.
 """
 
 import re
-import shutil
-import subprocess
 
 import pytest
 
@@ -25,9 +23,7 @@ from repro.codegen.vm import SharedMemoryVM
 from repro.codegen.c_emitter import emit_c
 from repro.check.oracles import broadcast_oracles, build_artifacts
 
-requires_cc = pytest.mark.skipif(
-    shutil.which("cc") is None, reason="no system C compiler (cc)"
-)
+from .conftest import build_and_run_c, requires_cc
 
 
 def diamond(delay: int = 0) -> SDFGraph:
@@ -124,8 +120,8 @@ class TestLifetimesAndSharing:
         assert lifetimes.lifetimes[members[0].key] is (
             lifetimes.lifetimes[members[1].key]
         )
-        assert "bc0" in lifetimes.groups
-        # as_list dedupes: 2 ordinary edges + 1 shared group buffer.
+        # One buffer per ordinary edge, then the group's shared buffer.
+        assert lifetimes.buffers[-1].members == tuple(members)
         assert len(lifetimes.as_list()) == 3
 
     def test_shared_cost_beats_parallel_model(self):
@@ -195,16 +191,6 @@ class TestExecution:
             g, result.lifetimes, result.allocation,
             instrument=True, periods=2,
         )
-        source = tmp_path / "bdiamond.c"
-        source.write_text(code)
-        exe = tmp_path / "bdiamond"
-        build = subprocess.run(
-            ["cc", "-O2", "-Wall", "-Werror", "-o", str(exe), str(source)],
-            capture_output=True, text=True,
-        )
-        assert build.returncode == 0, build.stderr
-        run = subprocess.run(
-            [str(exe)], capture_output=True, text=True, timeout=60
-        )
+        run = build_and_run_c(code, tmp_path, "bdiamond")
         assert run.returncode == 0, run.stderr
         assert "SELFCHECK OK" in run.stdout
