@@ -10,11 +10,14 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Tier-1 suite plus the differential checking harness (25 random
-# graphs cycling through the acyclic/broadcast/cyclic families, every
-# cross-layer oracle, fault-injection self-test included).
+# Tier-1 suite, the golden output ledger under both DP backends
+# (tier-1 runs its native leg), and the differential checking harness
+# (25 random graphs cycling through the acyclic/broadcast/cyclic
+# families, every cross-layer oracle, fault-injection self-test
+# included).
 check:
 	$(PYTHON) -m pytest tests/ -x -q
+	$(PYTHON) scripts/golden.py
 	PYTHONPATH=src $(PYTHON) -m repro check --trials 25 --inject \
 		--families acyclic,broadcast,cyclic
 

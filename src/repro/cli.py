@@ -615,8 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Generate random consistent SDF graphs, run the full "
             "compilation pipeline on each, and cross-check every layer "
-            "pair (interpreter vs VM vs generated Python, delta-trace "
-            "vs full-trace, predicted vs realized costs, first-fit vs "
+            "pair (block replay and symbolic forms vs the reference "
+            "trace, scalar vs batched VM vs generated Python, native vs "
+            "Python DP, predicted vs realized costs, first-fit vs "
             "verifier vs optimal, serial vs parallel runner).  Failing "
             "graphs are shrunk to minimal counterexamples.  With "
             "--inject, also runs the mutation-kill self-test: seeded "

@@ -1,6 +1,6 @@
 """End-to-end checks of the C emitter against a real compiler.
 
-Complements :mod:`tests.test_codegen` (which exercises the gcc-compiled
+Complements :mod:`tests.test_codegen` (which exercises the cc-compiled
 self-check on the Table 1 systems): here the emitted source itself is
 the object under test.  The pool declaration and every per-buffer
 ``#define`` must agree exactly with what first-fit allocated, and the
@@ -10,8 +10,6 @@ cleanly under the platform's default ``cc`` and self-check.
 """
 
 import re
-import shutil
-import subprocess
 
 import pytest
 
@@ -19,30 +17,13 @@ from repro.apps import cd_to_dat, satellite_receiver
 from repro.codegen.c_emitter import emit_c
 from repro.scheduling.pipeline import implement
 
-requires_cc = pytest.mark.skipif(
-    shutil.which("cc") is None, reason="no system C compiler (cc)"
-)
+from .conftest import build_and_run_c, requires_cc
 
 
 def _flow(graph):
     result = implement(graph, "apgan")
     return result, emit_c(
         graph, result.lifetimes, result.allocation, instrument=True, periods=2
-    )
-
-
-def _compile_and_run(code, tmp_path, name):
-    source = tmp_path / f"{name}.c"
-    source.write_text(code)
-    exe = tmp_path / name
-    build = subprocess.run(
-        ["cc", "-O2", "-Wall", "-Werror", "-o", str(exe), str(source)],
-        capture_output=True,
-        text=True,
-    )
-    assert build.returncode == 0, build.stderr
-    return subprocess.run(
-        [str(exe)], capture_output=True, text=True, timeout=60
     )
 
 
@@ -100,6 +81,6 @@ class TestCompilesUnderCc:
     def test_self_check_passes(self, name, make, tmp_path):
         graph = make()
         _, code = _flow(graph)
-        run = _compile_and_run(code, tmp_path, name)
+        run = build_and_run_c(code, tmp_path, name)
         assert run.returncode == 0, run.stderr
         assert "SELFCHECK OK" in run.stdout

@@ -13,6 +13,8 @@ from repro.codegen.vm import SharedMemoryVM, run_shared_memory_check
 from repro.scheduling.pipeline import implement
 from repro.apps import table1_graph
 
+from .conftest import build_and_run_c, requires_cc
+
 
 def implemented(name_or_graph):
     g = (
@@ -135,32 +137,9 @@ class TestSharedMemoryVM:
         run_shared_memory_check(g, result.lifetimes, result.allocation)
 
 
-import shutil
-import subprocess
-
-requires_gcc = pytest.mark.skipif(
-    shutil.which("gcc") is None, reason="no C compiler available"
-)
-
-
-def _compile_and_run(code, tmp_path, name="gen"):
-    source = tmp_path / f"{name}.c"
-    source.write_text(code)
-    exe = tmp_path / name
-    compile_result = subprocess.run(
-        ["gcc", "-O2", "-Wall", "-Werror", "-o", str(exe), str(source)],
-        capture_output=True,
-        text=True,
-    )
-    assert compile_result.returncode == 0, compile_result.stderr
-    return subprocess.run(
-        [str(exe)], capture_output=True, text=True, timeout=60
-    )
-
-
-@requires_gcc
+@requires_cc
 class TestGeneratedCSelfCheck:
-    """The emitted C, compiled with gcc, proves the allocation on metal."""
+    """The emitted C, compiled with cc, proves the allocation on metal."""
 
     @pytest.mark.parametrize(
         "name", ["qmf23_2d", "satrec", "blockVox", "overAddFFT", "phasedArray"]
@@ -170,7 +149,7 @@ class TestGeneratedCSelfCheck:
         code = emit_c(
             g, result.lifetimes, result.allocation, instrument=True, periods=3
         )
-        run = _compile_and_run(code, tmp_path, name)
+        run = build_and_run_c(code, tmp_path, name)
         assert run.returncode == 0, run.stderr
         assert "SELFCHECK OK" in run.stdout
 
@@ -183,7 +162,7 @@ class TestGeneratedCSelfCheck:
         code = emit_c(
             g, result.lifetimes, result.allocation, instrument=True, periods=4
         )
-        run = _compile_and_run(code, tmp_path, "delayed")
+        run = build_and_run_c(code, tmp_path, "delayed")
         assert run.returncode == 0, run.stderr
         assert "SELFCHECK OK" in run.stdout
 
@@ -210,7 +189,7 @@ class TestGeneratedCSelfCheck:
                 code = emit_c(
                     g, result.lifetimes, bad, instrument=True, periods=1
                 )
-                run = _compile_and_run(code, tmp_path, f"bad{i}_{j}")
+                run = build_and_run_c(code, tmp_path, f"bad{i}_{j}")
                 if run.returncode != 0 and "SELFCHECK FAIL" in run.stderr:
                     failed += 1
                 if tried >= 6:

@@ -370,11 +370,18 @@ def _outcomes(graph, lifetimes, allocation, periods=2):
     return outcomes, vm
 
 
-def _sized_chain(token_size):
-    """``chain_graph`` with every edge carrying ``token_size`` words."""
+def _sized_chain(token_size, broadcast=False):
+    """``chain_graph`` with every edge carrying ``token_size`` words.
+
+    With ``broadcast``, A's stream to B is a broadcast group that C
+    also reads (two tokens to B, three to C, per firing pair).
+    """
     g = SDFGraph("chain")
     g.add_actors("ABC")
-    g.add_edge("A", "B", 2, 1, token_size=token_size)
+    if broadcast:
+        g.add_broadcast("A", ["B", "C"], 2, [1, 3], token_size=token_size)
+    else:
+        g.add_edge("A", "B", 2, 1, token_size=token_size)
     g.add_edge("B", "C", 1, 3, token_size=token_size)
     return g
 
@@ -399,20 +406,38 @@ class TestBatchedVMAgainstScalar:
         assert batched == scalar
         assert vm.wraps > 0
 
-    def test_forged_overlay_raises_scalar_corruption(self, token_size):
-        # B's output buffer forged one word into A->C's, which is still
-        # live until C runs: both VMs must fail at C's first firing on
-        # the same word.
+    @pytest.mark.parametrize("broadcast", [False, True], ids=["plain", "member"])
+    def test_forged_overlay_raises_scalar_corruption(
+        self, token_size, broadcast
+    ):
+        # B's output buffer forged into the buffer C reads from A, which
+        # is still live until C runs: both VMs must fail at C's first
+        # firing (the sixth) on the same word.
         g = SDFGraph("fork")
         g.add_actors("ABC")
-        g.add_edge("A", "B", 4, 1, token_size=token_size)
-        g.add_edge("B", "C", 1, 2, token_size=token_size)
-        ac = g.add_edge("A", "C", 4, 2, token_size=token_size)
+        if broadcast:
+            _, ac = g.add_broadcast(
+                "A", ["B", "C"], 4, [1, 2], token_size=token_size
+            )
+            bc = g.add_edge("B", "C", 1, 2, token_size=token_size)
+            reader = f"broadcast bc0 member {ac}"
+        else:
+            g.add_edge("A", "B", 4, 1, token_size=token_size)
+            bc = g.add_edge("B", "C", 1, 2, token_size=token_size)
+            ac = g.add_edge("A", "C", 4, 2, token_size=token_size)
+            reader = f"{ac}"
         lifetimes, allocation = _artifacts(g, "A(4B)(2C)")
         offsets = dict(allocation.offsets)
         ac_name = lifetimes.lifetimes[ac.key].name
-        bc_name = lifetimes.lifetimes[("B", "C", 0)].name
-        offsets[bc_name] = offsets[ac_name] + 1
+        bc_name = lifetimes.lifetimes[bc.key].name
+        if broadcast:
+            # B reads the stream too, so only B's last token may land
+            # on it: on the stream's first token, which B read first.
+            offsets[ac_name] = offsets[bc_name] + 3 * token_size
+            address = offsets[ac_name]
+        else:
+            offsets[bc_name] = offsets[ac_name] + 1
+            address = offsets[ac_name] + 1
         sizes = {b.name: b.size for b in lifetimes.as_list()}
         forged = Allocation(
             offsets=offsets,
@@ -421,14 +446,16 @@ class TestBatchedVMAgainstScalar:
             graph=allocation.graph,
         )
         (scalar, batched), _ = _outcomes(g, lifetimes, forged)
-        assert scalar.startswith(f"token corruption on {ac}:")
-        assert f"at address {offsets[ac_name] + 1} " in scalar
+        assert scalar.startswith(f"token corruption on {reader}:")
+        assert f"at address {address} (firing 6)" in scalar
         assert batched == scalar
 
-    def test_shrunk_buffer_raises_scalar_overrun(self, token_size):
-        # A->B shrunk from 6 token slots to 4 (plus a stray word): the
-        # fifth token overruns it, the first write of A's third firing.
-        g = _sized_chain(token_size)
+    @pytest.mark.parametrize("broadcast", [False, True], ids=["plain", "group"])
+    def test_shrunk_buffer_raises_scalar_overrun(self, token_size, broadcast):
+        # A's buffer shrunk from 6 token slots to 4 (plus a stray word):
+        # the fifth token overruns it, the first write of A's third
+        # firing.  A group's buffer is written once, for both readers.
+        g = _sized_chain(token_size, broadcast)
         lifetimes, _ = _artifacts(g, "(3A)(6B)(2C)")
         key = ("A", "B", 0)
         lt = lifetimes.lifetimes[key]
