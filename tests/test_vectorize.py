@@ -406,69 +406,81 @@ class TestBatchedVMAgainstScalar:
         assert batched == scalar
         assert vm.wraps > 0
 
-    @pytest.mark.parametrize("broadcast", [False, True], ids=["plain", "member"])
-    def test_forged_overlay_raises_scalar_corruption(
-        self, token_size, broadcast
-    ):
-        # B's output buffer forged into the buffer C reads from A, which
-        # is still live until C runs: both VMs must fail at C's first
-        # firing (the sixth) on the same word.
-        g = SDFGraph("fork")
-        g.add_actors("ABC")
-        if broadcast:
-            _, ac = g.add_broadcast(
-                "A", ["B", "C"], 4, [1, 2], token_size=token_size
-            )
-            bc = g.add_edge("B", "C", 1, 2, token_size=token_size)
-            reader = f"broadcast bc0 member {ac}"
-        else:
-            g.add_edge("A", "B", 4, 1, token_size=token_size)
-            bc = g.add_edge("B", "C", 1, 2, token_size=token_size)
-            ac = g.add_edge("A", "C", 4, 2, token_size=token_size)
-            reader = f"{ac}"
-        lifetimes, allocation = _artifacts(g, "A(4B)(2C)")
-        offsets = dict(allocation.offsets)
-        ac_name = lifetimes.lifetimes[ac.key].name
-        bc_name = lifetimes.lifetimes[bc.key].name
-        if broadcast:
-            # B reads the stream too, so only B's last token may land
-            # on it: on the stream's first token, which B read first.
-            offsets[ac_name] = offsets[bc_name] + 3 * token_size
-            address = offsets[ac_name]
-        else:
-            offsets[bc_name] = offsets[ac_name] + 1
-            address = offsets[ac_name] + 1
-        sizes = {b.name: b.size for b in lifetimes.as_list()}
-        forged = Allocation(
-            offsets=offsets,
-            total=max(offsets[n] + sizes[n] for n in offsets),
-            order=allocation.order,
-            graph=allocation.graph,
-        )
-        (scalar, batched), _ = _outcomes(g, lifetimes, forged)
-        assert scalar.startswith(f"token corruption on {reader}:")
-        assert f"at address {address} (firing 6)" in scalar
-        assert batched == scalar
+    def test_forged_overlay_raises_scalar_corruption(self, token_size):
+        _check_forged_overlay(token_size, broadcast=False)
 
-    @pytest.mark.parametrize("broadcast", [False, True], ids=["plain", "group"])
-    def test_shrunk_buffer_raises_scalar_overrun(self, token_size, broadcast):
-        # A's buffer shrunk from 6 token slots to 4 (plus a stray word):
-        # the fifth token overruns it, the first write of A's third
-        # firing.  A group's buffer is written once, for both readers.
-        g = _sized_chain(token_size, broadcast)
-        lifetimes, _ = _artifacts(g, "(3A)(6B)(2C)")
-        key = ("A", "B", 0)
-        lt = lifetimes.lifetimes[key]
-        size = lt.size - token_size - 1
-        shrunk = replace(
-            lifetimes,
-            lifetimes={**lifetimes.lifetimes, key: replace(lt, size=size)},
+    def test_forged_broadcast_member_raises_scalar_corruption(
+        self, token_size
+    ):
+        _check_forged_overlay(token_size, broadcast=True)
+
+    def test_shrunk_buffer_raises_scalar_overrun(self, token_size):
+        _check_shrunk_buffer(token_size, broadcast=False)
+
+    def test_shrunk_broadcast_buffer_raises_scalar_overrun(self, token_size):
+        _check_shrunk_buffer(token_size, broadcast=True)
+
+
+def _check_forged_overlay(token_size, broadcast):
+    # B's output buffer forged into the buffer C reads from A, which is
+    # still live until C runs: both VMs must fail at C's first firing
+    # (the sixth) on the same word.
+    g = SDFGraph("fork")
+    g.add_actors("ABC")
+    if broadcast:
+        _, ac = g.add_broadcast(
+            "A", ["B", "C"], 4, [1, 2], token_size=token_size
         )
-        allocation = first_fit(shrunk.as_list())
-        (scalar, batched), _ = _outcomes(g, shrunk, allocation)
-        assert "overruns its array" in scalar
-        assert scalar.endswith("(firing 3)")
-        assert batched == scalar
+        bc = g.add_edge("B", "C", 1, 2, token_size=token_size)
+        reader = f"broadcast bc0 member {ac}"
+    else:
+        g.add_edge("A", "B", 4, 1, token_size=token_size)
+        bc = g.add_edge("B", "C", 1, 2, token_size=token_size)
+        ac = g.add_edge("A", "C", 4, 2, token_size=token_size)
+        reader = f"{ac}"
+    lifetimes, allocation = _artifacts(g, "A(4B)(2C)")
+    offsets = dict(allocation.offsets)
+    ac_name = lifetimes.lifetimes[ac.key].name
+    bc_name = lifetimes.lifetimes[bc.key].name
+    if broadcast:
+        # B reads the stream too, so only B's last token may land on
+        # it: on the stream's first token, which B read first.
+        offsets[ac_name] = offsets[bc_name] + 3 * token_size
+        address = offsets[ac_name]
+    else:
+        offsets[bc_name] = offsets[ac_name] + 1
+        address = offsets[ac_name] + 1
+    sizes = {b.name: b.size for b in lifetimes.as_list()}
+    forged = Allocation(
+        offsets=offsets,
+        total=max(offsets[n] + sizes[n] for n in offsets),
+        order=allocation.order,
+        graph=allocation.graph,
+    )
+    (scalar, batched), _ = _outcomes(g, lifetimes, forged)
+    assert scalar.startswith(f"token corruption on {reader}:")
+    assert f"at address {address} (firing 6)" in scalar
+    assert batched == scalar
+
+
+def _check_shrunk_buffer(token_size, broadcast):
+    # A's buffer shrunk from 6 token slots to 4 (plus a stray word): the
+    # fifth token overruns it, the first write of A's third firing.  A
+    # group's buffer is written once, for both readers.
+    g = _sized_chain(token_size, broadcast)
+    lifetimes, _ = _artifacts(g, "(3A)(6B)(2C)")
+    key = ("A", "B", 0)
+    lt = lifetimes.lifetimes[key]
+    size = lt.size - token_size - 1
+    shrunk = replace(
+        lifetimes,
+        lifetimes={**lifetimes.lifetimes, key: replace(lt, size=size)},
+    )
+    allocation = first_fit(shrunk.as_list())
+    (scalar, batched), _ = _outcomes(g, shrunk, allocation)
+    assert "overruns its array" in scalar
+    assert scalar.endswith("(firing 3)")
+    assert batched == scalar
 
 
 class TestVectorizedPipeline:
