@@ -56,6 +56,7 @@ __getattr__, __dir__, __all__ = attach(__name__, globals(), {
     "PeriodicLifetime": ".lifetimes.periodic",
     "ScheduleTree": ".lifetimes.schedule_tree",
     "extract_lifetimes": ".lifetimes.intervals",
+    "allocate": ".allocation.first_fit",
     "ffdur": ".allocation.first_fit",
     "ffstart": ".allocation.first_fit",
     "first_fit": ".allocation.first_fit",

@@ -9,6 +9,8 @@ __getattr__, __dir__, __all__ = attach(__name__, globals(), {
     "IntersectionGraph": ".intersection_graph",
     "build_intersection_graph": ".intersection_graph",
     "Allocation": ".first_fit",
+    "FirstFitResult": ".first_fit",
+    "allocate": ".first_fit",
     "first_fit": ".first_fit",
     "ffdur": ".first_fit",
     "ffstart": ".first_fit",

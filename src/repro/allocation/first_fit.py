@@ -10,18 +10,23 @@ the empirical study in its reference [20]:
 
 * ``ffdur``  — by decreasing lifetime duration (best on average);
 * ``ffstart`` — by increasing earliest start time.
+
+:func:`allocate` runs both over one intersection graph and keeps the
+better (figure 21's allocation stage); every compile path calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..exceptions import AllocationError
 from ..lifetimes.periodic import DEFAULT_OCCURRENCE_CAP, PeriodicLifetime
+from ..obs.recorder import NULL_RECORDER
 from .intersection_graph import IntersectionGraph, build_intersection_graph
 
-__all__ = ["Allocation", "first_fit", "ffdur", "ffstart"]
+__all__ = ["Allocation", "FirstFitResult", "allocate", "first_fit",
+           "ffdur", "ffstart"]
 
 
 @dataclass
@@ -29,13 +34,15 @@ class Allocation:
     """A placement of buffers in a single shared memory pool.
 
     ``offsets[name]`` is the base address (in words) of each buffer;
-    ``total`` the pool extent: ``max(offset + size)``.
+    ``total`` the pool extent: ``max(offset + size)``; ``probes`` the
+    placed-neighbour comparisons first-fit made (its unit of work).
     """
 
     offsets: Dict[str, int]
     total: int
     order: List[str]
     graph: IntersectionGraph
+    probes: int = 0
 
     def offset_of(self, name: str) -> int:
         try:
@@ -49,7 +56,6 @@ def first_fit(
     order: Optional[Sequence[int]] = None,
     graph: Optional[IntersectionGraph] = None,
     occurrence_cap: int = DEFAULT_OCCURRENCE_CAP,
-    recorder=None,
 ) -> Allocation:
     """First-fit allocation of an enumerated instance (figure 19).
 
@@ -63,10 +69,6 @@ def first_fit(
     graph:
         A prebuilt intersection graph (reused across ``ffdur`` and
         ``ffstart`` runs on the same instance).
-    recorder:
-        Optional :class:`repro.obs.Recorder`; receives one
-        ``first_fit.probes`` count per placed-neighbour comparison —
-        the heuristic's unit of work.
     """
     names = [b.name for b in buffers]
     if len(set(names)) != len(names):
@@ -95,8 +97,6 @@ def first_fit(
                 break  # fits in the gap before this neighbour
             candidate = max(candidate, base + size)
         offsets[i] = candidate
-    if recorder is not None:
-        recorder.count("first_fit.probes", probes)
 
     total = max(
         (offsets[i] + buffers[i].size for i in range(len(buffers))), default=0
@@ -106,6 +106,7 @@ def first_fit(
         total=total,
         order=[buffers[i].name for i in order],
         graph=graph,
+        probes=probes,
     )
 
 
@@ -113,7 +114,6 @@ def ffdur(
     buffers: Sequence[PeriodicLifetime],
     graph: Optional[IntersectionGraph] = None,
     occurrence_cap: int = DEFAULT_OCCURRENCE_CAP,
-    recorder=None,
     backend: Optional[str] = None,
 ) -> Allocation:
     """First-fit ordered by decreasing duration (ties: larger size first).
@@ -128,14 +128,13 @@ def ffdur(
         range(len(buffers)),
         key=lambda i: (-buffers[i].duration, -buffers[i].size, buffers[i].start),
     )
-    return first_fit(buffers, order, graph, occurrence_cap, recorder=recorder)
+    return first_fit(buffers, order, graph, occurrence_cap)
 
 
 def ffstart(
     buffers: Sequence[PeriodicLifetime],
     graph: Optional[IntersectionGraph] = None,
     occurrence_cap: int = DEFAULT_OCCURRENCE_CAP,
-    recorder=None,
     backend: Optional[str] = None,
 ) -> Allocation:
     """First-fit ordered by increasing earliest start time.
@@ -146,4 +145,38 @@ def ffstart(
         range(len(buffers)),
         key=lambda i: (buffers[i].start, -buffers[i].size),
     )
-    return first_fit(buffers, order, graph, occurrence_cap, recorder=recorder)
+    return first_fit(buffers, order, graph, occurrence_cap)
+
+
+@dataclass
+class FirstFitResult:
+    """The WIG, both first-fit orderings over it, and the better one.
+
+    ``best`` is ``ffdur`` unless ``ffstart`` packs strictly tighter.
+    """
+
+    wig: IntersectionGraph
+    ffdur: Allocation
+    ffstart: Allocation
+    best: Allocation
+
+
+def allocate(
+    buffers: Sequence[PeriodicLifetime],
+    occurrence_cap: int = DEFAULT_OCCURRENCE_CAP,
+    recorder=None,
+) -> FirstFitResult:
+    """Build the WIG, run ``ffdur`` and ``ffstart`` over it, keep the better.
+
+    With a :class:`repro.obs.Recorder` the two steps are the ``wig`` and
+    ``first_fit`` spans.  Probes are left on the allocations, for the
+    caller to count once whoever ran the stage.
+    """
+    span = (recorder if recorder is not None else NULL_RECORDER).span
+    with span("wig"):
+        wig = build_intersection_graph(buffers, occurrence_cap=occurrence_cap)
+    with span("first_fit"):
+        dur = ffdur(buffers, graph=wig, occurrence_cap=occurrence_cap)
+        start = ffstart(buffers, graph=wig, occurrence_cap=occurrence_cap)
+    best = dur if dur.total <= start.total else start
+    return FirstFitResult(wig=wig, ffdur=dur, ffstart=start, best=best)

@@ -19,7 +19,7 @@ versus 991 for the nested techniques (more than 100% worse); the bench
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..sdf.graph import SDFGraph
 from ..sdf.repetitions import repetitions_vector
@@ -27,8 +27,7 @@ from ..sdf.schedule import LoopedSchedule, flat_single_appearance_schedule
 from ..sdf.simulate import buffer_memory_nonshared
 from ..lifetimes.intervals import extract_lifetimes
 from ..lifetimes.periodic import DEFAULT_OCCURRENCE_CAP
-from ..allocation.first_fit import Allocation, ffdur, ffstart
-from ..allocation.intersection_graph import build_intersection_graph
+from ..allocation.first_fit import Allocation, allocate
 
 __all__ = ["FlatSharingResult", "flat_shared_implementation"]
 
@@ -59,11 +58,7 @@ def flat_shared_implementation(
     chosen = list(order) if order is not None else graph.topological_order()
     schedule = flat_single_appearance_schedule(chosen, q)
     lifetimes = extract_lifetimes(graph, schedule, q)
-    buffers = lifetimes.as_list()
-    wig = build_intersection_graph(buffers, occurrence_cap=occurrence_cap)
-    alloc_dur = ffdur(buffers, graph=wig, occurrence_cap=occurrence_cap)
-    alloc_start = ffstart(buffers, graph=wig, occurrence_cap=occurrence_cap)
-    best = alloc_dur if alloc_dur.total <= alloc_start.total else alloc_start
+    best = allocate(lifetimes.as_list(), occurrence_cap=occurrence_cap).best
     return FlatSharingResult(
         order=chosen,
         schedule=schedule,

@@ -22,8 +22,10 @@ from ..sdf.simulate import (
     validate_schedule,
 )
 from ..sdf.repetitions import repetitions_vector
+from ..lifetimes.intervals import extract_lifetimes
 from ..lifetimes.periodic import DEFAULT_OCCURRENCE_CAP
 from ..scheduling.pipeline import ImplementationResult, implement
+from ..allocation.first_fit import allocate, first_fit
 from ..allocation.optimal import optimal_allocation
 from ..allocation.verify import verify_allocation
 from ..codegen.py_emitter import compile_python
@@ -609,7 +611,7 @@ def vectorize_violations(
     pool cost equals the real lifetime/first-fit re-cost — which must
     also sit within any claimed ``memory_budget``.
     """
-    from ..scheduling.vectorize import blocked_cost, dispatch_blocks
+    from ..scheduling.vectorize import dispatch_blocks
 
     try:
         counts = validate_schedule(graph, vec.schedule)
@@ -632,9 +634,8 @@ def vectorize_violations(
             f"({blocks}, {firings}, {factors})"
         )
     if vec.cost is not None:
-        actual = blocked_cost(
-            graph, vec.schedule, q, occurrence_cap=occurrence_cap
-        )
+        buffers = extract_lifetimes(graph, vec.schedule, q).as_list()
+        actual = allocate(buffers, occurrence_cap=occurrence_cap).best.total
         if actual != vec.cost:
             bad.append(
                 f"vec: claimed pool cost {vec.cost} words != re-costed "
@@ -663,9 +664,7 @@ def vectorize_oracles(
     :class:`~repro.codegen.batched_vm.BatchedVM` must fire identically
     and report the same pool high-water mark over two periods.
     """
-    from ..allocation.first_fit import first_fit
     from ..codegen.batched_vm import BatchedVM
-    from ..lifetimes.intervals import extract_lifetimes
     from ..scheduling.vectorize import vectorize_schedule
 
     r = art.result
@@ -744,9 +743,6 @@ def cyclic_oracles(
     first-fit packing, Definition-5 verification, and the VM/generated
     Python execution cross-check.
     """
-    from ..lifetimes.intervals import extract_lifetimes
-    from ..allocation.first_fit import first_fit
-    from ..allocation.verify import verify_allocation
     from ..scheduling.cyclic import schedule_cyclic
 
     bad: List[str] = []

@@ -148,6 +148,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
     if args.memory_budget is not None and not args.vectorize:
         raise SystemExit("--memory-budget requires --vectorize")
+    budget = args.memory_budget
+    if budget is not None and budget < 0:
+        raise SystemExit(f"--memory-budget must be >= 0, got {budget}")
     graph = _resolve_graph(args.graph)
     recorder = None
     if args.profile or args.trace:
@@ -555,9 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--profile", action="store_true",
-        help="print per-stage wall time (session, topsort, DPPO, "
-             "SDPPO, lifetimes, WIG, first-fit, verify) and the work "
-             "counter totals",
+        help="print per-stage wall time (session, native.resolve, "
+             "topsort, dppo, sdppo, vectorize, lifetimes, wig, "
+             "first_fit, clique, bmlb, verify) and the work counter "
+             "totals",
     )
     p.add_argument(
         "--trace", metavar="FILE", default=None,

@@ -22,14 +22,12 @@ comparable totals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..sdf.graph import SDFGraph
 from ..sdf.random_graphs import random_chain_graph, random_sdf_graph
 from ..sdf.simulate import max_live_tokens
-from ..lifetimes.intervals import extract_lifetimes
-from ..allocation.first_fit import ffdur, ffstart
-from ..allocation.intersection_graph import build_intersection_graph
+from ..allocation.first_fit import allocate
 from ..scheduling.chain_sdppo import chain_sdppo
 from ..scheduling.pipeline import implement
 from ..scheduling.rpmc import rpmc
@@ -138,18 +136,13 @@ def ablate_periodicity(
     rows = []
     for graph in graphs:
         result = implement(graph, "rpmc", verify=False)
-        buffers = result.lifetimes.as_list()
-        solid = [b.solid() for b in buffers]
-        periodic_total = min(
-            ffdur(buffers).total, ffstart(buffers).total
-        )
-        solid_total = min(ffdur(solid).total, ffstart(solid).total)
+        solid = [b.solid() for b in result.lifetimes.as_list()]
         rows.append(
             AblationRow(
                 workload=graph.name,
                 totals={
-                    "periodic": periodic_total,
-                    "solid": solid_total,
+                    "periodic": result.best_shared_total,
+                    "solid": allocate(solid).best.total,
                 },
             )
         )

@@ -37,8 +37,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..sdf.graph import Edge, SDFGraph
 from ..lifetimes.intervals import LifetimeSet
 from ..lifetimes.periodic import DEFAULT_OCCURRENCE_CAP, PeriodicLifetime
-from ..allocation.first_fit import Allocation, ffdur, ffstart
-from ..allocation.intersection_graph import build_intersection_graph
+from ..allocation.first_fit import Allocation, allocate
 
 __all__ = ["MergeCandidate", "find_merge_candidates", "merged_allocation"]
 
@@ -152,10 +151,7 @@ def merged_allocation(
         reduced.append(lt)
         group_of[lt.name] = members
 
-    wig = build_intersection_graph(reduced, occurrence_cap=occurrence_cap)
-    alloc_dur = ffdur(reduced, graph=wig, occurrence_cap=occurrence_cap)
-    alloc_start = ffstart(reduced, graph=wig, occurrence_cap=occurrence_cap)
-    best = alloc_dur if alloc_dur.total <= alloc_start.total else alloc_start
+    best = allocate(reduced, occurrence_cap=occurrence_cap).best
 
     # Expand group offsets back to every original buffer name.
     offsets: Dict[str, int] = {}
@@ -168,6 +164,7 @@ def merged_allocation(
         total=best.total,
         order=best.order,
         graph=best.graph,
+        probes=best.probes,
     )
     return expanded, list(candidates)
 

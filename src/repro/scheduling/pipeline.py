@@ -7,9 +7,10 @@ For a consistent acyclic SDF graph:
    and with SDPPO (shared cost; the precise chain DP when the graph is a
    chain);
 3. extract buffer lifetimes from the SDPPO schedule (section 8);
-4. compute the optimistic/pessimistic clique-weight bounds;
-5. allocate with first-fit under both orderings (``ffdur``, ``ffstart``)
-   and verify the winner.
+4. allocate with first-fit under both orderings (``ffdur``, ``ffstart``,
+   :func:`repro.allocation.first_fit.allocate`);
+5. compute the optimistic/pessimistic clique-weight bounds and the
+   BMLB, and verify the winning allocation.
 
 :func:`implement` runs the flow for one topological-sort method;
 :func:`implement_best` runs both methods and both orderings, reproducing
@@ -19,10 +20,8 @@ exactly the comparison columns of Table 1.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple,
-)
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence
 
 from ..exceptions import GraphStructureError
 from ..sdf.graph import SDFGraph
@@ -30,8 +29,7 @@ from ..sdf.schedule import LoopedSchedule
 from ..lifetimes.intervals import LifetimeSet, extract_lifetimes
 from ..lifetimes.periodic import DEFAULT_OCCURRENCE_CAP
 from ..allocation.clique import mcw_optimistic, mcw_pessimistic
-from ..allocation.first_fit import Allocation, ffdur, ffstart
-from ..allocation.intersection_graph import build_intersection_graph
+from ..allocation.first_fit import Allocation, allocate
 from ..allocation.verify import verify_allocation
 from ..obs.recorder import active as _active_recorder
 from .dppo import dppo
@@ -198,14 +196,15 @@ def implement(
     vectorize:
         Run the blocking pass (:mod:`repro.scheduling.vectorize`) on
         the SDPPO schedule and carry the *blocked* schedule through
-        lifetime extraction, allocation and verification.  The result's
-        ``vectorize`` field holds the pass outcome (block factors,
-        re-costed totals); ``sdppo_schedule``/``sdppo_cost`` keep the
-        unblocked DP output.
+        allocation and verification; the pass's own costing of that
+        schedule (lifetimes and allocation) is reused, not recomputed.
+        The result's ``vectorize`` field holds the pass outcome (block
+        factors, re-costed totals); ``sdppo_schedule``/``sdppo_cost``
+        keep the unblocked DP output.
     memory_budget:
         Word budget for the blocking pass (requires
-        ``vectorize=True``).  ``None`` means unconstrained — every safe
-        fission is applied.
+        ``vectorize=True``; a negative budget raises ``ValueError``).
+        ``None`` means unconstrained — every safe fission is applied.
 
     Returns
     -------
@@ -315,7 +314,6 @@ def implement(
                 recorder.count("chain.window_misses", context.window_misses)
 
         vec_result: Optional[VectorizeResult] = None
-        exec_schedule = sdppo_schedule
         if vectorize:
             with _stage(recorder, "vectorize") as meta:
                 from .vectorize import vectorize_schedule
@@ -326,32 +324,31 @@ def implement(
                     occurrence_cap=occurrence_cap,
                     recorder=recorder,
                 )
-                exec_schedule = vec_result.schedule
                 meta["blocks"] = vec_result.blocks
                 meta["fissions"] = vec_result.steps
 
-        with _stage(recorder, "lifetimes"):
-            lifetimes = extract_lifetimes(graph, exec_schedule, q)
+        if vec_result is not None and vec_result.lifetimes is not None:
+            # The pass already costed its final schedule: reuse it.
+            lifetimes, allocation = vec_result.lifetimes, vec_result.allocation
+        else:
+            schedule = vec_result.schedule if vec_result else sdppo_schedule
+            with _stage(recorder, "lifetimes"):
+                lifetimes = extract_lifetimes(graph, schedule, q)
+            allocation = allocate(
+                lifetimes.as_list(), occurrence_cap=occurrence_cap,
+                recorder=recorder,
+            )
         buffers = lifetimes.as_list()
-        with _stage(recorder, "wig"):
-            wig = build_intersection_graph(
-                buffers, occurrence_cap=occurrence_cap
-            )
-        with _stage(recorder, "first_fit"):
-            alloc_dur = ffdur(
-                buffers, graph=wig, occurrence_cap=occurrence_cap,
-                recorder=recorder,
-            )
-            alloc_start = ffstart(
-                buffers, graph=wig, occurrence_cap=occurrence_cap,
-                recorder=recorder,
-            )
-            best = (
-                alloc_dur if alloc_dur.total <= alloc_start.total
-                else alloc_start
-            )
-            if recorder is not None:
-                recorder.count("alloc.words", best.total)
+        best = allocation.best
+        if recorder is not None:
+            probes = allocation.ffdur.probes + allocation.ffstart.probes
+            recorder.count("first_fit.probes", probes)
+            recorder.count("alloc.words", best.total)
+        with _stage(recorder, "clique"):
+            mco = mcw_optimistic(buffers)
+            mcp = mcw_pessimistic(buffers)
+        with _stage(recorder, "bmlb"):
+            bmlb = session.bmlb()
         if verify:
             with _stage(recorder, "verify"):
                 verify_allocation(
@@ -366,12 +363,12 @@ def implement(
         sdppo_cost=sdppo_cost,
         sdppo_schedule=sdppo_schedule,
         lifetimes=lifetimes,
-        mco=mcw_optimistic(buffers),
-        mcp=mcw_pessimistic(buffers),
-        ffdur_total=alloc_dur.total,
-        ffstart_total=alloc_start.total,
+        mco=mco,
+        mcp=mcp,
+        ffdur_total=allocation.ffdur.total,
+        ffstart_total=allocation.ffstart.total,
         allocation=best,
-        bmlb=session.bmlb(),
+        bmlb=bmlb,
         vectorize=vec_result,
     )
 

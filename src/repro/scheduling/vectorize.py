@@ -19,8 +19,9 @@ of cyclic schedules decline cleanly and keep their original nesting.
 
 Every candidate blocking is *re-costed, not guessed*: the blocked
 schedule goes through the real lifetime extraction
-(:func:`repro.lifetimes.intervals.extract_lifetimes`) and both
-first-fit orderings, and a candidate is only applied while the packed
+(:func:`repro.lifetimes.intervals.extract_lifetimes`) and the
+allocation stage (:func:`repro.allocation.first_fit.allocate`), and a
+candidate is only applied while the packed
 pool total stays within ``memory_budget``.  ``memory_budget=None``
 means unconstrained: every safe fission is applied, which on an
 acyclic delay-free SAS degenerates to the flat schedule
@@ -32,13 +33,15 @@ of the throughput/memory Pareto frontier that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from ..allocation.first_fit import FirstFitResult, allocate
 from ..exceptions import SDFError
 from ..sdf.graph import SDFGraph
 from ..sdf.repetitions import repetitions_vector
 from ..sdf.schedule import Firing, Loop, LoopedSchedule, ScheduleNode
 from ..sdf.simulate import validate_schedule
+from ..lifetimes.intervals import LifetimeSet, extract_lifetimes
 from ..lifetimes.periodic import DEFAULT_OCCURRENCE_CAP
 
 __all__ = [
@@ -47,7 +50,6 @@ __all__ = [
     "fission_safe",
     "fission_candidates",
     "dispatch_blocks",
-    "blocked_cost",
 ]
 
 
@@ -183,34 +185,6 @@ def dispatch_blocks(
     return blocks, firings, factors
 
 
-def blocked_cost(
-    graph: SDFGraph,
-    schedule: LoopedSchedule,
-    q: Optional[Dict[str, int]] = None,
-    occurrence_cap: int = DEFAULT_OCCURRENCE_CAP,
-) -> int:
-    """Honest shared-memory cost of a (blocked) SAS, in words.
-
-    Runs the real downstream pipeline — lifetime extraction,
-    intersection graph, both first-fit orderings — and returns the
-    better pool total.  This is the quantity the ``memory_budget``
-    constrains, and the quantity ``oracle.vectorize`` independently
-    re-derives to check a claimed blocking against its budget.
-    """
-    from ..allocation.first_fit import ffdur, ffstart
-    from ..allocation.intersection_graph import build_intersection_graph
-    from ..lifetimes.intervals import extract_lifetimes
-
-    if q is None:
-        q = repetitions_vector(graph)
-    lifetimes = extract_lifetimes(graph, schedule, q)
-    buffers = lifetimes.as_list()
-    wig = build_intersection_graph(buffers, occurrence_cap=occurrence_cap)
-    dur = ffdur(buffers, graph=wig, occurrence_cap=occurrence_cap)
-    start = ffstart(buffers, graph=wig, occurrence_cap=occurrence_cap)
-    return min(dur.total, start.total)
-
-
 @dataclass
 class VectorizeResult:
     """The outcome of one vectorization pass.
@@ -220,8 +194,10 @@ class VectorizeResult:
     safe); ``cost``/``baseline_cost`` are the honest re-costed pool
     totals in words, or ``None`` when the schedule shape does not
     support costing (non-SAS cyclic expansions — the pass then returns
-    the identity).  ``blocks``/``firings`` describe one period of the
-    blocked schedule; ``steps`` counts the fissions applied.
+    the identity).  ``lifetimes``/``allocation`` are ``schedule``'s
+    costing, which ``implement`` reuses (``None`` when ``cost`` is).
+    ``blocks``/``firings`` describe one period of the blocked schedule;
+    ``steps`` counts the fissions applied.
     """
 
     schedule: LoopedSchedule
@@ -234,6 +210,8 @@ class VectorizeResult:
     firings: int = 0
     baseline_blocks: int = 0
     steps: int = 0
+    lifetimes: Optional[LifetimeSet] = None
+    allocation: Optional[FirstFitResult] = None
 
     @property
     def amortization(self) -> float:
@@ -261,52 +239,55 @@ def vectorize_schedule(
 
     Greedy best-first loop fission: at each step every safe single
     fission of the current schedule is enumerated, re-costed through
-    the real lifetime/first-fit pipeline, and the candidate with the
-    fewest dispatch blocks (ties: cheapest, then stable text order) is
-    applied — provided its honest cost stays within ``memory_budget``.
-    The loop stops when no candidate fits, so a budget below the
-    cheapest blocking returns the schedule unchanged (the identity
-    pass).  With ``memory_budget=None`` every safe fission is applied
-    without per-step costing (the order cannot affect the fixed point)
-    and only the final schedule is costed.
+    lifetime extraction and the allocation stage, and the candidate
+    with the fewest dispatch blocks (ties: cheapest, then stable text
+    order) is applied — provided its honest cost stays within
+    ``memory_budget``.  The loop stops when no candidate fits, so a
+    budget below the cheapest blocking returns the schedule unchanged
+    (the identity pass).  With ``memory_budget=None`` every safe
+    fission is applied without per-step costing (the order cannot
+    affect the fixed point) and only the final schedule is costed.
 
-    The result's schedule is always validated by a token replay
-    (:func:`repro.sdf.simulate.validate_schedule`) before being returned; schedules the cost model cannot
-    process (non-single-appearance cyclic expansions) fall back to the
-    identity with ``cost=None``.  ``backend`` is ignored, as in
+    When at least one fission was applied, the result's schedule is
+    validated by a token replay
+    (:func:`repro.sdf.simulate.validate_schedule`) before being
+    returned.  Schedules the cost model cannot process
+    (non-single-appearance cyclic expansions) fall back to the identity
+    with ``cost=None``.  A negative ``memory_budget`` raises
+    ``ValueError``.  ``backend`` is ignored, as in
     :func:`repro.allocation.first_fit.ffdur`.
     """
+    if memory_budget is not None and memory_budget < 0:
+        raise ValueError(f"memory_budget must be >= 0, got {memory_budget}")
     if q is None:
         q = repetitions_vector(graph)
     base = schedule.normalized()
     base_blocks, firings, base_factors = dispatch_blocks(base)
 
-    def identity(cost: Optional[int]) -> VectorizeResult:
-        return VectorizeResult(
-            schedule=base,
-            baseline_schedule=base,
-            block_factors=base_factors,
-            cost=cost,
-            baseline_cost=cost,
-            memory_budget=memory_budget,
-            blocks=base_blocks,
-            firings=firings,
-            baseline_blocks=base_blocks,
-            steps=0,
+    def costed(candidate: LoopedSchedule):
+        lifetimes = extract_lifetimes(graph, candidate, q)
+        return lifetimes, allocate(
+            lifetimes.as_list(), occurrence_cap=occurrence_cap
         )
 
     try:
-        baseline_cost = blocked_cost(
-            graph, base, q, occurrence_cap=occurrence_cap
-        )
+        lifetimes, allocation = costed(base)
     except SDFError:
         # The cost model needs a single appearance schedule; cyclic
         # expansions that stay non-SA cannot be re-costed, so the pass
         # declines entirely rather than guessing.
-        return identity(None)
+        return VectorizeResult(
+            schedule=base,
+            baseline_schedule=base,
+            block_factors=base_factors,
+            memory_budget=memory_budget,
+            blocks=base_blocks,
+            firings=firings,
+            baseline_blocks=base_blocks,
+        )
 
+    baseline_cost = allocation.best.total
     current = base
-    current_cost = baseline_cost
     current_blocks = base_blocks
     steps = 0
 
@@ -321,50 +302,48 @@ def vectorize_schedule(
             current = candidates[0]
             steps += 1
         if steps:
-            current_cost = blocked_cost(
-                graph, current, q, occurrence_cap=occurrence_cap
-            )
-            current_blocks = dispatch_blocks(current)[0]
+            lifetimes, allocation = costed(current)
     else:
         while True:
-            scored: List[Tuple[int, int, str, LoopedSchedule]] = []
+            # Only the best fitting candidate's costing is kept: the
+            # least (blocks, cost, text) key.
+            best = None
             for cand in fission_candidates(graph, current):
                 try:
-                    cost = blocked_cost(
-                        graph, cand, q, occurrence_cap=occurrence_cap
-                    )
+                    cand_costing = costed(cand)
                 except SDFError:
                     continue
+                cost = cand_costing[1].best.total
                 if cost > memory_budget:
                     continue
-                blocks = dispatch_blocks(cand)[0]
-                scored.append((blocks, cost, str(cand), cand))
-            if not scored:
+                key = (dispatch_blocks(cand)[0], cost, str(cand))
+                if best is None or key < best[0]:
+                    best = (key, cand, cand_costing)
+            if best is None or best[0][0] >= current_blocks:
                 break
-            scored.sort(key=lambda item: (item[0], item[1], item[2]))
-            blocks, cost, _, cand = scored[0]
-            if blocks >= current_blocks:
-                break
-            current, current_cost, current_blocks = cand, cost, blocks
+            key, current, (lifetimes, allocation) = best
+            current_blocks = key[0]
             steps += 1
 
     if steps:
         # Belt and braces: the safety rule is proved above, but the
         # token replay stays the judge of anything this pass emits.
         validate_schedule(graph, current, recorder=recorder)
+    blocks, firings, factors = dispatch_blocks(current)
     if recorder is not None:
         recorder.count("vectorize.fissions", steps)
-        recorder.count("vectorize.blocks", current_blocks)
-    blocks, firings, factors = dispatch_blocks(current)
+        recorder.count("vectorize.blocks", blocks)
     return VectorizeResult(
         schedule=current,
         baseline_schedule=base,
         block_factors=factors,
-        cost=current_cost,
+        cost=allocation.best.total,
         baseline_cost=baseline_cost,
         memory_budget=memory_budget,
         blocks=blocks,
         firings=firings,
         baseline_blocks=base_blocks,
         steps=steps,
+        lifetimes=lifetimes,
+        allocation=allocation,
     )

@@ -272,17 +272,33 @@ class TestCompileProfile:
         assert children[-1] == "verify"
 
     def test_check_counters_land_in_the_profile(self, capsys):
+        assert main(["compile", "satrec", "--check", "--profile"]) == 0
+        rows = self._profile_rows(capsys.readouterr().out)
+        assert [r.split(":")[0].strip() for r in rows][-7:] == [
+            "lifetimes", "wig", "first_fit", "clique", "bmlb", "verify",
+            "total",
+        ]
         assert main(["compile", "satrec", "--vectorize", "--check",
                      "--profile"]) == 0
         out = capsys.readouterr().out
         rows = self._profile_rows(out)
-        assert [r.split(":")[0].strip() for r in rows][-5:] == [
-            "lifetimes", "wig", "first_fit", "verify", "total"
+        # The blocking pass allocates its final schedule inside
+        # ``vectorize``; implement does not allocate it again.
+        assert [r.split(":")[0].strip() for r in rows][-6:] == [
+            "sdppo", "vectorize", "clique", "bmlb", "verify", "total"
         ]
-        assert "vectorize" in out.split("profile:")[1]
         counters = out.split("profile:")[1].split("counter")[1]
         assert "alloc.words" in counters
         assert "vm.firings" in counters
+
+
+class TestCompileMemoryBudget:
+    def test_negative_budget_is_one_line_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["compile", "satrec", "--vectorize",
+                  "--memory-budget", "-5"])
+        assert str(err.value) == "--memory-budget must be >= 0, got -5"
+        assert capsys.readouterr().out == ""
 
 
 class TestJobsFlag:

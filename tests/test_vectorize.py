@@ -13,16 +13,16 @@ from dataclasses import replace
 
 import pytest
 
-from repro.allocation.first_fit import Allocation, first_fit
+from repro.allocation.first_fit import Allocation, allocate, first_fit
 from repro.apps import cd_to_dat, satellite_receiver
 from repro.check.reference import full_trace
 from repro.codegen.batched_vm import BatchedVM
 from repro.codegen.vm import SharedMemoryVM, run_shared_memory_check
 from repro.exceptions import CodegenError, ScheduleError
 from repro.lifetimes.intervals import extract_lifetimes
+from repro.obs.recorder import TraceRecorder
 from repro.scheduling.pipeline import implement
 from repro.scheduling.vectorize import (
-    blocked_cost,
     dispatch_blocks,
     fission_candidates,
     fission_safe,
@@ -190,7 +190,17 @@ class TestVectorizePass:
         vec = vectorize_schedule(g, result.sdppo_schedule, q,
                                  memory_budget=budget)
         assert vec.steps > 0
-        assert blocked_cost(g, vec.schedule, q) == vec.cost
+        buffers = extract_lifetimes(g, vec.schedule, q).as_list()
+        assert allocate(buffers).best.total == vec.cost
+
+    @pytest.mark.parametrize("budget", [-1, -5])
+    def test_negative_budget_is_rejected(self, budget):
+        g = chain_graph()
+        with pytest.raises(ValueError, match=f"got {budget}$"):
+            vectorize_schedule(g, parse_schedule("(3A(2B))(2C)"),
+                               memory_budget=budget)
+        with pytest.raises(ValueError, match="memory_budget must be >= 0"):
+            implement(g, "natural", vectorize=True, memory_budget=budget)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_graphs_respect_budget(self, seed):
@@ -510,3 +520,73 @@ class TestVectorizedPipeline:
                            vectorize=True, memory_budget=budget)
         assert result.vectorize.steps > 0
         assert result.allocation.total <= budget
+
+
+def _count_allocation_work(monkeypatch):
+    """Count the lifetime extractions and WIG builds a compile makes."""
+    import importlib
+
+    # ``repro.allocation.first_fit`` is also the function's name, so
+    # the module is fetched by path.
+    first_fit_module = importlib.import_module("repro.allocation.first_fit")
+    pipeline_module = importlib.import_module("repro.scheduling.pipeline")
+    vectorize_module = importlib.import_module("repro.scheduling.vectorize")
+
+    calls = {"extract_lifetimes": 0, "build_intersection_graph": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (pipeline_module, vectorize_module):
+        monkeypatch.setattr(
+            module, "extract_lifetimes",
+            counting("extract_lifetimes", extract_lifetimes),
+        )
+    monkeypatch.setattr(
+        first_fit_module, "build_intersection_graph",
+        counting("build_intersection_graph",
+                 first_fit_module.build_intersection_graph),
+    )
+    return calls
+
+
+class TestSingleAllocation:
+    """A vectorized compile allocates each schedule it keeps once."""
+
+    def test_unconstrained_satrec_allocates_twice(self, monkeypatch):
+        calls = _count_allocation_work(monkeypatch)
+        result = implement(satellite_receiver(), vectorize=True)
+        assert result.vectorize.steps > 0
+        # The unblocked baseline and the blocked schedule, once each.
+        assert calls == {"extract_lifetimes": 2,
+                         "build_intersection_graph": 2}
+
+    def test_no_safe_fission_allocates_once(self, monkeypatch):
+        # q = A:1, B:2: the schedule A(2B) has no loop to fission.
+        g = SDFGraph("flat")
+        g.add_actors("AB")
+        g.add_edge("A", "B", 2, 1)
+        calls = _count_allocation_work(monkeypatch)
+        result = implement(g, "natural", vectorize=True)
+        assert result.vectorize.steps == 0
+        assert calls == {"extract_lifetimes": 1,
+                         "build_intersection_graph": 1}
+
+    @pytest.mark.parametrize("factory", [satellite_receiver, cd_to_dat])
+    def test_reused_allocation_matches_a_fresh_one(self, factory):
+        g = factory()
+        result = implement(g, vectorize=True)
+        buffers = extract_lifetimes(
+            g, result.vectorize.schedule, repetitions_vector(g)
+        ).as_list()
+        fresh = allocate(buffers)
+        assert result.allocation.offsets == fresh.best.offsets
+        assert result.ffdur_total == fresh.ffdur.total
+        assert result.ffstart_total == fresh.ffstart.total
+        recorder = TraceRecorder()
+        implement(g, vectorize=True, recorder=recorder)
+        probes = recorder.counter_totals()["first_fit.probes"]
+        assert probes == fresh.ffdur.probes + fresh.ffstart.probes > 0
