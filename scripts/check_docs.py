@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Documentation gate: links must resolve, commands must exist.
+"""Documentation gate: links and paths must resolve, commands must exist.
 
-Two mechanical checks over ``README.md`` and ``docs/*.md`` (run as
-``make check-docs``; CI fails the build on any finding):
+Three mechanical checks (run as ``make check-docs``; CI fails the build
+on any finding).  The first two read ``README.md`` and ``docs/*.md``:
 
 * **Links** — every intra-repo markdown link target (``[text](path)``
   with a relative path, anchors stripped) must name a file or
@@ -16,6 +16,15 @@ Two mechanical checks over ``README.md`` and ``docs/*.md`` (run as
   be an option that subcommand actually accepts.  A doc that invents a
   flag — or keeps one that was renamed — fails here rather than
   misleading a reader.
+
+The third also reads every ``src/**/*.py`` file:
+
+* **Paths** — every backticked repo path (``src/``, ``tests/``,
+  ``benchmarks/``, ``scripts/``, ``perfbench/``, ``docs/`` or
+  ``examples/``, ending in ``.py``, ``.md``, ``.json`` or ``.txt``;
+  a pytest ``::`` node id or ``:line`` suffix is ignored) must name a
+  file that exists, so a doc or docstring cannot keep citing a deleted
+  file.  Globs and placeholders do not match the pattern.
 
 Placeholder invocations (any token containing ``<``, ``[``, or ``...``,
 e.g. ``repro <command> [options...]``) are skipped; shell pipelines
@@ -39,6 +48,10 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 from repro.cli import build_parser  # noqa: E402
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+PATH_RE = re.compile(
+    r"`((?:src|tests|benchmarks|scripts|perfbench|docs|examples)/"
+    r"[\w./-]*\.(?:py|md|json|txt))(?:::[\w\[\]-]*|:\d+)?`"
+)
 FENCE_RE = re.compile(r"```(console|bash)\n(.*?)```", re.S)
 SHELL_OPERATORS = {"|", "||", "&&", "&", ";", ">", ">>", "<", "2>"}
 
@@ -47,6 +60,11 @@ def doc_files():
     files = [os.path.join(REPO, "README.md")]
     files.extend(sorted(glob.glob(os.path.join(REPO, "docs", "*.md"))))
     return files
+
+
+def source_files():
+    pattern = os.path.join(REPO, "src", "**", "*.py")
+    return sorted(glob.glob(pattern, recursive=True))
 
 
 def rel(path: str) -> str:
@@ -73,6 +91,18 @@ def check_links(path: str, text: str):
                 f"{rel(path)}:{line}: broken link "
                 f"{match.group(1)!r} ({rel(resolved)} does not exist)"
             )
+
+
+# ----------------------------------------------------------------------
+# paths
+# ----------------------------------------------------------------------
+def check_paths(path: str, text: str):
+    """Yield findings for backticked repo paths that do not exist."""
+    for match in PATH_RE.finditer(text):
+        target = match.group(1)
+        if not os.path.isfile(os.path.join(REPO, target)):
+            line = text.count("\n", 0, match.start()) + 1
+            yield f"{rel(path)}:{line}: dead path {target!r}"
 
 
 # ----------------------------------------------------------------------
@@ -159,14 +189,22 @@ def main() -> int:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         findings.extend(check_links(path, text))
+        findings.extend(check_paths(path, text))
         findings.extend(check_commands(path, text, root))
+        checked += 1
+    for path in source_files():
+        with open(path, encoding="utf-8") as handle:
+            findings.extend(check_paths(path, handle.read()))
         checked += 1
     for finding in findings:
         print(finding)
     if findings:
         print(f"check-docs: {len(findings)} finding(s) in {checked} file(s)")
         return 1
-    print(f"check-docs: OK ({checked} files, links and commands verified)")
+    print(
+        f"check-docs: OK ({checked} files, links, paths and commands "
+        f"verified)"
+    )
     return 0
 
 

@@ -1,17 +1,16 @@
 """Cross-layer differential checking (the always-on oracle subsystem).
 
 Wherever two layers claim the same quantity, the claim is checkable:
-the block-level replay and the symbolic closed forms vs a naive
-firing-at-a-time reference, native vs Python DP, serial vs parallel
-runners, session-trusted vs re-validated orders.  This package
+the block-level replay vs a naive firing-at-a-time reference, native
+vs Python DP, serial vs parallel runners, session-trusted vs
+re-validated orders.  This package
 generates random consistent SDF graphs, runs them through the full
 compilation pipeline, and cross-checks every layer pair:
 
 * schedule replay vs :class:`~repro.codegen.vm.SharedMemoryVM` vs
   generated-Python execution (:mod:`repro.codegen.py_emitter`);
-* the block-level replay (:class:`~repro.sdf.simulate.BlockScan`) and
-  the loop-compressed :class:`~repro.sdf.symbolic.SymbolicTrace` vs a
-  naive full-snapshot reference (validity, ``max_tokens``, liveness,
+* the block-level replay (:class:`~repro.sdf.simulate.BlockScan`) vs
+  a naive full-snapshot reference (validity, ``max_tokens``, liveness,
   live-array peaks), on pipeline, cyclic and blocked schedules;
 * SDPPO's predicted shared cost vs realized lifetime/allocation totals;
 * first-fit vs :func:`~repro.allocation.verify.verify_allocation` vs

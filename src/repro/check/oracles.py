@@ -44,7 +44,6 @@ __all__ = [
     "run_oracles",
     "trace_oracles",
     "schedule_oracles",
-    "symbolic_oracles",
     "execution_oracles",
     "allocation_oracles",
     "broadcast_oracles",
@@ -171,47 +170,8 @@ def schedule_oracles(art: PipelineArtifacts) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# symbolic layer: loop-compressed closed forms vs naive full snapshots
+# execution layer: schedule replay vs the VMs vs generated Python
 # ----------------------------------------------------------------------
-def symbolic_oracles(graph: SDFGraph, schedule: LoopedSchedule) -> List[str]:
-    """:class:`SymbolicTrace` closed forms vs the references, bit-for-bit.
-
-    The symbolic engine only claims coverage of delayless self-loop-free
-    graphs under full topological single appearance schedules; on
-    anything else ``try_build`` declines, the block engine answers
-    instead (checked by the ``trace:`` oracles), and there is nothing
-    to compare.  Where it does claim coverage, the schedule must be
-    valid (the claim behind skipping a replay) and every observable
-    must match the snapshot reference exactly.
-    """
-    from ..sdf.symbolic import SymbolicTrace
-
-    trace = SymbolicTrace.try_build(graph, schedule)
-    if trace is None:
-        return []
-    snapshots = full_trace(graph, schedule)
-    bad: List[str] = []
-    if snapshots[-1] != snapshots[0]:
-        bad.append(
-            f"symb: accepted schedule does not return to its initial "
-            f"state: {snapshots[-1]} != {snapshots[0]}"
-        )
-    for label, got, want in (
-        ("max_tokens", trace.max_tokens(),
-         reference_max_tokens(graph, schedule)),
-        ("coarse_live_intervals", trace.coarse_live_intervals(),
-         reference_coarse_intervals(graph, schedule)),
-        ("max_live_tokens", trace.max_live_tokens(),
-         reference_max_live_tokens(graph, schedule)),
-    ):
-        if got != want:
-            bad.append(
-                f"symb: {label} symbolic result disagrees with "
-                f"reference: {got} != {want}"
-            )
-    return bad
-
-
 def _sequence_actors(graph: SDFGraph):
     """Actor callables for generated modules that check token integrity.
 
@@ -805,10 +765,6 @@ def run_oracles(
          lambda: trace_oracles(art.graph, r.sdppo_schedule, recorder)),
         ("oracle.trace.dppo",
          lambda: trace_oracles(art.graph, r.dppo_schedule, recorder)),
-        ("oracle.symbolic.sdppo",
-         lambda: symbolic_oracles(art.graph, r.sdppo_schedule)),
-        ("oracle.symbolic.dppo",
-         lambda: symbolic_oracles(art.graph, r.dppo_schedule)),
         ("oracle.exec", lambda: execution_oracles(art, recorder=recorder)),
         ("oracle.alloc", lambda: allocation_oracles(art)),
         ("oracle.vectorize",

@@ -4,10 +4,9 @@ Every function here recomputes a quantity the optimized layers produce
 incrementally, using the most direct algorithm available: full
 per-step token snapshots, O(firings x edges) walks, per-step clique
 sums.  Slow and obviously correct — the point is that the code shares
-*nothing* with the block-level replay of :mod:`repro.sdf.simulate` or
-the closed forms of :mod:`repro.sdf.symbolic`, so agreement is
-evidence rather than tautology.  Only suitable for the small graphs
-the harness generates.
+*nothing* with the block-level replay of :mod:`repro.sdf.simulate`, so
+agreement is evidence rather than tautology.  Only suitable for the
+small graphs the harness generates.
 """
 
 from __future__ import annotations

@@ -143,14 +143,21 @@ def _flush_observability(args: argparse.Namespace, recorder) -> None:
         print(f"trace ({fmt}) written to {args.trace}")
 
 
+def _check_memory_budget(args: argparse.Namespace) -> None:
+    """Reject a bad ``--memory-budget`` before any compile or request."""
+    budget = args.memory_budget
+    if budget is None:
+        return
+    if not args.vectorize:
+        raise SystemExit("--memory-budget requires --vectorize")
+    if budget < 0:
+        raise SystemExit(f"--memory-budget must be >= 0, got {budget}")
+
+
 def _cmd_compile(args: argparse.Namespace) -> int:
     from .scheduling.pipeline import implement
 
-    if args.memory_budget is not None and not args.vectorize:
-        raise SystemExit("--memory-budget requires --vectorize")
-    budget = args.memory_budget
-    if budget is not None and budget < 0:
-        raise SystemExit(f"--memory-budget must be >= 0, got {budget}")
+    _check_memory_budget(args)
     graph = _resolve_graph(args.graph)
     recorder = None
     if args.profile or args.trace:
@@ -403,8 +410,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         compile_remote,
     )
 
-    if args.memory_budget is not None and not args.vectorize:
-        raise SystemExit("--memory-budget requires --vectorize")
+    _check_memory_budget(args)
     documents = [to_json(_resolve_graph(spec)) for spec in args.graphs]
     options = {"method": args.method, "seed": args.seed}
     if args.vectorize:
@@ -619,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Generate random consistent SDF graphs, run the full "
             "compilation pipeline on each, and cross-check every layer "
-            "pair (block replay and symbolic forms vs the reference "
+            "pair (block replay vs the reference "
             "trace, scalar vs batched VM vs generated Python, native vs "
             "Python DP, predicted vs realized costs, first-fit vs "
             "verifier vs optimal, serial vs parallel runner).  Failing "

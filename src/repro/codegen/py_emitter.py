@@ -27,12 +27,6 @@ from ..lifetimes.schedule_tree import ScheduleTreeNode
 __all__ = ["emit_python", "compile_python"]
 
 
-def _edge_var(key) -> str:
-    source, sink, index = key
-    suffix = f"_{index}" if index else ""
-    return f"{source}_{sink}{suffix}"
-
-
 def emit_python(
     graph: SDFGraph,
     lifetimes: LifetimeSet,

@@ -188,18 +188,13 @@ def lifetime_for_buffer(
     producer_firings = tree.invocations_per_iteration(first.source, lp)
     size = first.production * producer_firings * first.token_size
 
-    periods = []
-    for node in [lp, *lp.ancestors()]:
-        if node.loop > 1:
-            periods.append((node.body_duration(), node.loop))
-    periods.sort(key=lambda p: p[0])
-
-    return Buffer(tuple(members), lp), PeriodicLifetime(
+    return Buffer(tuple(members), lp), PeriodicLifetime.from_basis(
         name=name,
         size=size,
         start=start,
         duration=stop - start,
-        periods=tuple(periods),
+        basis=[(node.body_duration(), node.loop)
+               for node in (lp, *lp.ancestors())],
         total_span=span,
     )
 

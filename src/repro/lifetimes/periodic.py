@@ -117,10 +117,9 @@ class PeriodicLifetime:
 
         ``basis`` is ``(a_i, loop_i)`` pairs in any order, unit loops
         included — exactly what a walk over a schedule tree's parent
-        set produces (section 8.4), on either the schedule-step or the
-        flat-firing clock.  Unit loops are dropped (they contribute no
-        occurrences) and the rest sorted ascending by ``a_i``, which is
-        the constructor's normal form.
+        set produces (section 8.4).  Unit loops are dropped (they
+        contribute no occurrences) and the rest sorted ascending by
+        ``a_i``, which is the constructor's normal form.
         """
         periods = tuple(
             sorted((p for p in basis if p[1] > 1), key=lambda p: p[0])

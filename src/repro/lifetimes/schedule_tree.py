@@ -15,13 +15,6 @@ three depth-first computations of sections 8.2–8.3:
 * ``dur(v) = loop(v) * (dur(left) + dur(right))``, ``dur(leaf) = 1``;
 * ``start``/``stop`` times of the first iteration of every node;
 * leaf lookup and lowest-common-ancestor queries for buffer lifetimes.
-
-Alongside the paper's abstract schedule-step clock the tree carries a
-second, *firing-time* clock in which each actor firing is one step (so
-a leaf ``4A`` spans 4 firing steps, not 1).  ``fdur``/``fstart`` mirror
-``dur``/``start`` on that clock; they are what the loop-compressed
-symbolic simulation (:mod:`repro.sdf.symbolic`) uses to place buffer
-episodes at exact flat-firing indices without unrolling the schedule.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ class ScheduleTreeNode:
 
     __slots__ = (
         "loop", "actor", "residual", "left", "right", "parent",
-        "dur", "start", "stop", "fdur", "fstart",
+        "dur", "start", "stop",
     )
 
     def __init__(
@@ -63,8 +56,6 @@ class ScheduleTreeNode:
         self.dur = 0
         self.start = 0
         self.stop = 0
-        self.fdur = 0
-        self.fstart = 0
 
     def is_leaf(self) -> bool:
         return self.actor is not None
@@ -78,18 +69,6 @@ class ScheduleTreeNode:
         if self.is_leaf():
             return 1
         return self.dur // self.loop
-
-    def body_firings(self) -> int:
-        """Firings in one iteration of this node's body.
-
-        The firing-time analogue of :meth:`body_duration`: the period
-        constant for buffer episodes measured on the flat-firing clock.
-        For a leaf (one invocation = ``residual`` back-to-back firings)
-        it equals ``residual``.
-        """
-        if self.is_leaf():
-            return self.residual
-        return self.fdur // self.loop
 
     def ancestors(self) -> Iterator["ScheduleTreeNode"]:
         """This node's proper ancestors, nearest first."""
@@ -129,8 +108,6 @@ class ScheduleTree:
         self._set_parents(self.root, None)
         self._compute_durations(self.root)
         self._compute_times(self.root, 0)
-        self._compute_firing_durations(self.root)
-        self._compute_firing_times(self.root, 0)
 
     # ------------------------------------------------------------------
     # construction
@@ -195,21 +172,6 @@ class ScheduleTree:
             self._compute_times(node.left, start)
             self._compute_times(node.right, start + node.left.dur)
 
-    def _compute_firing_durations(self, node: ScheduleTreeNode) -> int:
-        if node.is_leaf():
-            node.fdur = node.residual
-            return node.fdur
-        total = self._compute_firing_durations(node.left)
-        total += self._compute_firing_durations(node.right)
-        node.fdur = node.loop * total
-        return node.fdur
-
-    def _compute_firing_times(self, node: ScheduleTreeNode, start: int) -> None:
-        node.fstart = start
-        if not node.is_leaf():
-            self._compute_firing_times(node.left, start)
-            self._compute_firing_times(node.right, start + node.left.fdur)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -228,10 +190,6 @@ class ScheduleTree:
         """Schedule-step count of one complete period."""
         return self.root.dur
 
-    def total_firings(self) -> int:
-        """Flat firing count of one complete period (firing-time clock)."""
-        return self.root.fdur
-
     def least_parent(self, a: str, b: str) -> ScheduleTreeNode:
         """The *smallest parent* (LCA / innermost common loop) of two actors."""
         ancestors_a = [self.leaf(a)]
@@ -243,14 +201,6 @@ class ScheduleTree:
                 return node
             node = node.parent
         raise ScheduleError(f"no common ancestor of {a!r} and {b!r}")
-
-    def parent_set(self, a: str, b: str) -> List[ScheduleTreeNode]:
-        """The parent set of the pair (section 8.4): the least parent and
-        every ancestor above it, innermost first."""
-        lp = self.least_parent(a, b)
-        nodes = [lp]
-        nodes.extend(lp.ancestors())
-        return nodes
 
     def iter_nodes(self) -> Iterator[ScheduleTreeNode]:
         stack = [self.root]

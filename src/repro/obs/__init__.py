@@ -10,8 +10,8 @@ a recorder holds:
   reproducible;
 * **counters** — cheap additive tallies (DP candidate cells, window
   cache hits/misses, heuristic moves, first-fit placement probes,
-  replayed firing blocks vs symbolic shortcuts, VM firings, allocated
-  words) attached to the span that was open when they were counted.
+  replayed firing blocks, VM firings, allocated words) attached to the
+  span that was open when they were counted.
 
 A single :class:`Recorder` protocol is threaded through the pipeline
 (``implement(recorder=...)``), the allocator, the simulators, the VM

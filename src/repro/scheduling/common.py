@@ -193,30 +193,27 @@ class ChainContext:
                 pair_weights[(source, far)] = (tw, dw, ptw)
 
         # 2D prefix sums over (source position, sink position) of the
-        # edge count, TNSE words and delay words, so crossing sums are
-        # O(1) rectangle queries.  Summing TNSE before dividing by the
+        # TNSE words and delay words, so crossing sums are O(1)
+        # rectangle queries.  Summing TNSE before dividing by the
         # window gcd is exact: g_ij divides q(src) for every source in
         # the window and TNSE(e) is a multiple of q(src), so each
         # tw // g term divides evenly.
         m = self.n + 1
-        cnt = [[0] * m for _ in range(m)]
         tws = [[0] * m for _ in range(m)]
         dws = [[0] * m for _ in range(m)]
         ptws = [[0] * m for _ in range(m)]
         for (src, snk), (tw, dw, ptw) in pair_weights.items():
             ps, pt = self.position[src], self.position[snk]
-            cnt[ps + 1][pt + 1] += 1
             tws[ps + 1][pt + 1] += tw
             dws[ps + 1][pt + 1] += dw
             ptws[ps + 1][pt + 1] += ptw
-        for grid in (cnt, tws, dws, ptws):
+        for grid in (tws, dws, ptws):
             for r in range(1, m):
                 row, prev = grid[r], grid[r - 1]
                 acc = 0
                 for c in range(1, m):
                     acc += row[c]
                     row[c] = acc + prev[c]
-        self._cnt_prefix = cnt
         self._tw_prefix = tws
         self._dw_prefix = dws
         self._ptw_prefix = ptws
@@ -344,14 +341,6 @@ class ChainContext:
             ]
         self._window_costs[i][j] = costs
         return costs
-
-    def has_crossing_edge(self, i: int, j: int, k: int) -> bool:
-        """True if any edge crosses split ``k`` of window ``(i, j)``.
-
-        These are the *internal edges* of the merge in the factoring
-        heuristic of section 5.1.
-        """
-        return self._rect(self._cnt_prefix, i, k, k + 1, j) > 0
 
     def pers_crossing_cost(self, i: int, j: int, k: int) -> int:
         """Persistent part of ``c_ij[k]``: delayed crossing edges only.

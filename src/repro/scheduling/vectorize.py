@@ -26,8 +26,8 @@ pool total stays within ``memory_budget``.  ``memory_budget=None``
 means unconstrained: every safe fission is applied, which on an
 acyclic delay-free SAS degenerates to the flat schedule
 ``(q1 x1)...(qn xn)`` — maximal blocks, maximal buffers, the far end
-of the throughput/memory Pareto frontier that
-``benchmarks/bench_vectorize.py`` sweeps.
+of the throughput/memory Pareto frontier that ``BENCH_PR10.json``
+records (``docs/vectorization.md`` reads it).
 """
 
 from __future__ import annotations

@@ -17,13 +17,9 @@ tracking the token count of every edge, and derives:
 
 One engine replays schedules: :class:`BlockScan` takes one closed-form
 step per firing block (a ``Firing(actor, n)`` leaf visit) and covers
-delays, self-loops, broadcasts, cyclic and non-SAS schedules.  Where
-:meth:`repro.sdf.symbolic.SymbolicTrace.try_build` accepts a schedule
-(delayless, self-loop-free, broadcast-free, full topological SAS),
-``max_tokens``, ``coarse_live_intervals`` and ``max_live_tokens``
-come from its closed forms instead, at a cost independent of the firing
-count.  The choice follows from the input alone.  Naive firing-at-a-time
-references for both live in :mod:`repro.check.reference`.
+delays, self-loops, broadcasts, cyclic and non-SAS schedules.  Every
+observable below comes from it.  A naive firing-at-a-time reference
+lives in :mod:`repro.check.reference`.
 """
 
 from __future__ import annotations
@@ -390,18 +386,6 @@ class BlockScan:
         return peak
 
 
-def _symbolic(graph: SDFGraph, schedule: LoopedSchedule, recorder):
-    """The schedule's :class:`SymbolicTrace`, or None if unsupported."""
-    # Function-level import: repro.sdf.__init__ imports this module, and
-    # symbolic pulls in repro.lifetimes which imports repro.sdf.
-    from .symbolic import SymbolicTrace
-
-    trace = SymbolicTrace.try_build(graph, schedule, recorder=recorder)
-    if trace is not None and recorder is not None:
-        recorder.count("sim.symbolic_shortcuts")
-    return trace
-
-
 def validate_schedule(
     graph: SDFGraph, schedule: LoopedSchedule, recorder=None
 ) -> Dict[str, int]:
@@ -451,9 +435,6 @@ def max_tokens(
     ``max_tokens((A,B)) == 7`` (one delay plus six produced) and for
     S2 = (3A(2B))(2C) it is 3.
     """
-    symbolic = _symbolic(graph, schedule, recorder)
-    if symbolic is not None:
-        return symbolic.max_tokens()
     return BlockScan(graph, schedule, recorder).peaks
 
 
@@ -486,13 +467,7 @@ def coarse_live_intervals(
     including the state after firing ``t`` (with 0 = initial state).
 
     Used by tests to cross-check the schedule-tree lifetime extraction.
-    Schedules the symbolic engine covers enumerate their episodes from
-    the mixed-radix closed form (output-sized); the rest are replayed
-    block by block.
     """
-    symbolic = _symbolic(graph, schedule, recorder)
-    if symbolic is not None:
-        return symbolic.coarse_live_intervals()
     return BlockScan(graph, schedule, recorder).intervals
 
 
@@ -510,14 +485,7 @@ def max_live_tokens(
     sizes of the edges whose episodes cover that step — ground truth
     against which the schedule-tree lifetime extraction and the
     allocators are checked.
-
-    Schedules the symbolic engine covers resolve the peak by a
-    hierarchical range-max over the schedule tree, with no replay and
-    no episode enumeration; the rest are replayed block by block.
     """
-    symbolic = _symbolic(graph, schedule, recorder)
-    if symbolic is not None:
-        return symbolic.max_live_tokens()
     return BlockScan(graph, schedule, recorder).live_peak()
 
 

@@ -79,12 +79,6 @@ class TestCrossingCosts:
                         g, order, i, j, k
                     )
 
-    def test_has_crossing_edge(self):
-        g = diamond()
-        ctx = ChainContext(g, ["A", "B", "C", "D"])
-        assert ctx.has_crossing_edge(0, 3, 0)   # A|BCD crosses A->B, A->C
-        assert ctx.has_crossing_edge(1, 2, 1) is False  # B|C: no B->C edge
-
 
 class TestScheduleReconstruction:
     def test_missing_split_rejected(self):

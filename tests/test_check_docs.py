@@ -1,11 +1,12 @@
 """Tests for the documentation gate (scripts/check_docs.py).
 
 The gate is load-bearing — CI runs it via ``make check-docs`` — so its
-two checkers are pinned here on synthetic markdown: real links/commands
-pass, broken links and phantom flags/subcommands are findings, and
-usage placeholders / pipelines / non-repro lines are skipped rather
-than false-positived.  The final test runs the gate for real over the
-repo's own docs, which must be clean.
+three checkers are pinned here on synthetic text: real links, paths
+and commands pass, broken links, dead paths and phantom
+flags/subcommands are findings, and usage placeholders / globs /
+pipelines / non-repro lines are skipped rather than false-positived.
+The final tests run the gate for real over the repo's own docs and
+sources, which must be clean.
 """
 
 import importlib.util
@@ -55,6 +56,35 @@ class TestLinkChecker:
     def test_finding_carries_line_number(self):
         found = links("line one\n\n[bad](gone.md)\n")
         assert found[0].startswith("docs/fake.md:3:")
+
+
+def paths(text):
+    return list(CHECK.check_paths(FAKE, text))
+
+
+class TestPathChecker:
+    def test_existing_paths_pass(self):
+        assert paths(
+            "`scripts/check_docs.py`, ``docs/cli.md`` and "
+            "`tests/test_check_docs.py::TestPathChecker`"
+        ) == []
+
+    def test_dead_path_is_a_finding(self):
+        found = paths("line one\n\nswept by ``benchmarks/bench_gone.py``\n")
+        assert found == [
+            "docs/fake.md:3: dead path 'benchmarks/bench_gone.py'"
+        ]
+
+    def test_dead_source_file_is_a_finding(self):
+        found = paths("see `src/repro/sdf/gone.py:12`")
+        assert len(found) == 1
+        assert "src/repro/sdf/gone.py" in found[0]
+
+    def test_globs_placeholders_and_other_roots_are_skipped(self):
+        assert paths(
+            "`src/**/*.py` `tests/golden/<name>.txt` `BENCH_PR99.json` "
+            "`/tmp/REPORT.md` `perfbench/`"
+        ) == []
 
 
 def fence(*lines):
@@ -109,4 +139,10 @@ class TestRepoDocsAreClean:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
             assert list(CHECK.check_links(path, text)) == []
+            assert list(CHECK.check_paths(path, text)) == []
             assert list(CHECK.check_commands(path, text, root)) == []
+
+    def test_sources_cite_only_existing_paths(self):
+        for path in CHECK.source_files():
+            with open(path, encoding="utf-8") as handle:
+                assert list(CHECK.check_paths(path, handle.read())) == []

@@ -300,6 +300,29 @@ class TestCompileMemoryBudget:
         assert str(err.value) == "--memory-budget must be >= 0, got -5"
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--vectorize", "--memory-budget", "-5"],
+         "--memory-budget must be >= 0, got -5"),
+        (["--memory-budget", "100"],
+         "--memory-budget requires --vectorize"),
+    ])
+    def test_submit_rejects_budget_before_any_request(
+        self, capsys, monkeypatch, argv, message
+    ):
+        # compile and submit share one check: a bad budget never
+        # reaches the client, so no request is sent.
+        from repro.serve import client
+
+        def no_request(*args, **kwargs):
+            raise AssertionError("submit sent a request")
+
+        monkeypatch.setattr(client, "compile_remote", no_request)
+        monkeypatch.setattr(client, "compile_batch_remote", no_request)
+        with pytest.raises(SystemExit) as err:
+            main(["submit", "cddat", "--url", "http://127.0.0.1:9", *argv])
+        assert str(err.value) == message
+        assert capsys.readouterr().out == ""
+
 
 class TestJobsFlag:
     def test_table1_jobs(self, capsys, monkeypatch):

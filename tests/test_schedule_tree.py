@@ -79,12 +79,6 @@ class TestQueries:
         lp_ac = tree.least_parent("A", "C")
         assert lp_ac is tree.root
 
-    def test_parent_set(self):
-        tree = ScheduleTree(parse_schedule("(2(2A B)(3C))"))
-        ps = tree.parent_set("A", "B")
-        assert ps[0] is tree.least_parent("A", "B")
-        assert ps[-1] is tree.root
-
     def test_invocations_per_iteration(self):
         tree = ScheduleTree(parse_schedule("(2(2(3A) B)(3C))"))
         inner = tree.least_parent("A", "B")

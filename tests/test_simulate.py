@@ -130,29 +130,20 @@ OBSERVABLES = [max_tokens, coarse_live_intervals, max_live_tokens]
 
 
 class TestEngineChoice:
-    """The input alone picks the engine; the recorder shows which ran."""
+    """One engine: every observable replays blocks, whatever the input."""
 
     def test_validate_always_replays_blocks(self):
-        # Even a schedule the closed forms cover is replayed.
         totals = _counters(
             validate_schedule, delayless_fig1(),
             parse_schedule("(3A(2B))(2C)"),
         )
         assert totals["sim.blocks"] == 7
-        assert "sim.symbolic_shortcuts" not in totals
         assert "sim.firings" not in totals
 
     @pytest.mark.parametrize("fn", OBSERVABLES)
-    def test_delayless_topological_sas_takes_the_closed_forms(self, fn):
-        totals = _counters(
-            fn, delayless_fig1(), parse_schedule("(3A(2B))(2C)")
-        )
-        assert totals["sim.symbolic_shortcuts"] == 1
-        assert "sim.blocks" not in totals
-        assert "sim.firings" not in totals
-
-    @pytest.mark.parametrize("fn", OBSERVABLES)
-    @pytest.mark.parametrize("case", ["delay", "self_loop", "two_appearance"])
+    @pytest.mark.parametrize(
+        "case", ["delay", "self_loop", "two_appearance", "topological_sas"]
+    )
     def test_everything_else_replays_blocks(self, fn, case):
         if case == "delay":
             g, s = figure1_graph(), parse_schedule("(3A(2B))(2C)")
@@ -160,12 +151,14 @@ class TestEngineChoice:
             g = delayless_fig1()
             g.add_edge("B", "B", 1, 1, delay=1)
             s = parse_schedule("(3A(2B))(2C)")
-        else:
+        elif case == "two_appearance":
             g, s = delayless_fig1(), parse_schedule("(3A)(3B)(3B)(2C)")
+        else:
+            # Delayless topological SAS: no input skips the replay.
+            g, s = delayless_fig1(), parse_schedule("(3A(2B))(2C)")
         totals = _counters(fn, g, s)
         assert totals["sim.blocks"] >= 3
         assert totals["sim.block_firings"] == 11
-        assert "sim.symbolic_shortcuts" not in totals
         assert "sim.firings" not in totals
 
 

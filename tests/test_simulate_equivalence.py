@@ -1,12 +1,12 @@
-"""Both simulation engines vs the naive reference implementation.
+"""The block-level replay vs the naive reference implementation.
 
 ``repro.sdf.simulate`` answers ``max_tokens`` /
-``coarse_live_intervals`` / ``max_live_tokens`` from the symbolic
-closed forms where they apply and from the block-level replay
-(``BlockScan``) otherwise.  These tests pin both against
-``repro.check.reference``, which materializes the full per-firing token
-state, on the Table 1 systems and on random graphs, so any divergence
-between a fast path and the obvious semantics fails loudly.
+``coarse_live_intervals`` / ``max_live_tokens`` from one engine, the
+block-level replay (``BlockScan``).  These tests pin the public
+observables and the engine itself against ``repro.check.reference``,
+which materializes the full per-firing token state, on the Table 1
+systems and on random graphs, so any divergence between the replay and
+the obvious semantics fails loudly.
 """
 
 import pytest
@@ -54,7 +54,7 @@ def _graphs():
 
 @pytest.mark.parametrize("name,graph", list(_graphs()))
 class TestIncrementalSimulatorEquivalence:
-    """The public observables, whichever engine answers them."""
+    """The public observables, as callers see them."""
 
     def test_max_tokens_matches_reference(self, name, graph):
         for schedule in _schedules(graph):
