@@ -18,6 +18,11 @@ part of the test suite):
 * ``emit/`` — ``emit_c`` (plain and ``instrument=True``) and
   ``emit_python`` sources for satrec, CD-DAT and the two broadcast
   graphs stored in ``graphs/`` (one of them has a delayed group).
+* ``orders_lifetimes.txt`` — RPMC orders for seeds 0, 1 and 7 on
+  seeded random graphs (10–100 actors) and random broadcast graphs
+  (12–36 actors), and for each graph every buffer lifetime
+  ``(name, size, start, duration, periods)`` with ``mco``/``mcp``
+  under the plain and the vectorized schedule.
 
 Usage::
 
@@ -69,6 +74,15 @@ BROADCAST_GRAPHS: Dict[str, Dict[str, object]] = {
     ),
 }
 EMIT_SYSTEMS: Tuple[str, ...] = ("satrec", "cddat") + tuple(BROADCAST_GRAPHS)
+#: RPMC seeds pinned by ``orders_lifetimes.txt``; lifetimes use the first.
+ORDER_SEEDS: Tuple[int, ...] = (0, 1, 7)
+#: ``(generator, num_actors)`` of the ledger's seeded inputs; each graph
+#: is generated with ``seed=num_actors``.
+ORDER_GRAPHS: Tuple[Tuple[str, int], ...] = (
+    ("random_sdf_graph", 10), ("random_sdf_graph", 55),
+    ("random_sdf_graph", 100), ("random_broadcast_sdf_graph", 12),
+    ("random_broadcast_sdf_graph", 24), ("random_broadcast_sdf_graph", 36),
+)
 
 
 def _graph_path(stem: str) -> str:
@@ -168,12 +182,43 @@ def emitted_sources() -> Dict[str, str]:
     return sources
 
 
+def orders_lifetimes() -> str:
+    """RPMC orders and the lifetimes of their plain/vectorized schedules."""
+    from repro.scheduling.pipeline import implement
+    from repro.scheduling.rpmc import rpmc
+    from repro.sdf import random_graphs
+
+    lines: List[str] = []
+    for generator, n in ORDER_GRAPHS:
+        graph = getattr(random_graphs, generator)(n, seed=n)
+        lines.append(f"== {generator}({n}, seed={n})")
+        for seed in ORDER_SEEDS:
+            order = rpmc(graph, seed=seed).order
+            lines.append(f"rpmc seed {seed}: {' '.join(order)}")
+        for vectorize in (False, True):
+            result = implement(
+                graph, seed=ORDER_SEEDS[0], vectorize=vectorize, verify=False
+            )
+            lines.append(
+                f"-- {'vectorized' if vectorize else 'plain'}: "
+                f"mco {result.mco} mcp {result.mcp}"
+            )
+            for lt in result.lifetimes.as_list():
+                periods = "".join(f"({a},{loop})" for a, loop in lt.periods)
+                lines.append(
+                    f"{lt.name} {lt.size} {lt.start} {lt.duration} "
+                    f"{periods or '-'}"
+                )
+    return "\n".join(lines) + "\n"
+
+
 def render(backend: str = "native") -> Dict[str, str]:
     """Every golden file (relative path -> content), graphs excluded."""
     files = {
         "compile.txt": compile_ledger(backend),
         "check_inject.native.txt": check_transcript(native=True),
         "check_inject.python.txt": check_transcript(native=False),
+        "orders_lifetimes.txt": orders_lifetimes(),
     }
     files.update(emitted_sources())
     return files

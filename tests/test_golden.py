@@ -14,7 +14,9 @@ outputs with the current code and require them byte for byte:
   ``make check``) instead;
 * the ``repro check --inject`` transcript, with and without the native
   kernel;
-* the emitted C (plain and instrumented) and Python sources.
+* the emitted C (plain and instrumented) and Python sources;
+* RPMC orders and the plain/vectorized buffer lifetimes of seeded
+  random graphs.
 """
 
 import importlib.util
@@ -55,6 +57,10 @@ def test_check_inject_without_kernel():
     assert GOLDEN.check_transcript(native=False) == GOLDEN.read(
         "check_inject.python.txt"
     )
+
+
+def test_orders_lifetimes():
+    assert GOLDEN.orders_lifetimes() == GOLDEN.read("orders_lifetimes.txt")
 
 
 @pytest.fixture(scope="module")
