@@ -46,12 +46,21 @@ def mcw_optimistic(buffers: Sequence[PeriodicLifetime]) -> int:
     A lower bound on the true MCW: the set of times where the maximum
     overlap occurs always contains *some* occurrence's start, but not
     necessarily an earliest one (figure 20).
+
+    One sweep over the distinct starts in ascending order: a lifetime
+    joins the candidates at its start and leaves once its last stop has
+    passed, so only candidates get the figure 18 test.
     """
+    pending = sorted(buffers, key=lambda b: b.start)
+    active: List[PeriodicLifetime] = []
     best = 0
-    for b in buffers:
-        w = clique_weight_at(buffers, b.start)
-        if w > best:
-            best = w
+    for i, b in enumerate(pending):
+        active.append(b)
+        t = b.start
+        if i + 1 < len(pending) and pending[i + 1].start == t:
+            continue  # the last lifetime starting at t evaluates t
+        active = [x for x in active if x.last_stop > t]
+        best = max(best, sum(x.size for x in active if x.live_at(t)))
     return best
 
 

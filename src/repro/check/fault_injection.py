@@ -527,7 +527,6 @@ def inject_broadcast_stop(
     the resulting placement.  Truncations first-fit never exploits are
     harmless and skipped.
     """
-    from ..lifetimes.intervals import _stop_within
     from ..sdf.random_graphs import random_broadcast_sdf_graph
 
     try:
@@ -553,7 +552,7 @@ def inject_broadcast_stop(
             continue  # delayed buffers span the whole period; no tail
         first = buffer.members[0]
         stops = [
-            _stop_within(tree, buffer.reset, m.sink) for m in buffer.members
+            tree.stop_within(buffer.reset, m.sink) for m in buffer.members
         ]
         shared = lifetimes.lifetimes[first.key]
         if min(stops) >= shared.start + shared.duration:

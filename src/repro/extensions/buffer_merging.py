@@ -64,11 +64,7 @@ def find_merge_candidates(
     tree = lifetimes.tree
 
     def episode_count(edge: Edge) -> int:
-        lp = tree.least_parent(edge.source, edge.sink)
-        count = lp.loop
-        for anc in lp.ancestors():
-            count *= anc.loop
-        return count
+        return tree.least_parent(edge.source, edge.sink).loop_product
 
     used: Set[Tuple[str, str, int]] = set()
     candidates: List[MergeCandidate] = []

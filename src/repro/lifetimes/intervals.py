@@ -10,14 +10,20 @@ the innermost loop holding the source and every sink, found once:
 
 * **start** — the start time of the producing actor's leaf (section 8.3);
 * **stop** — the end of the *last* reader's final firing within one
-  iteration of the least parent, computed by the walk of figure 16
-  (subtracting the durations of right-siblings passed on the way up
-  from the reader's leaf);
+  iteration of the least parent: figure 16's subtraction of the
+  right-sibling durations passed on the way up from the reader's leaf,
+  read off the tree's ``right_sum`` labels
+  (:meth:`ScheduleTree.stop_within`);
 * **size** — the coarse-model array: every token written during one
   live episode (``prod(e)`` times the producer's firings per least-parent
-  body iteration), plus initial tokens, in words;
+  body iteration, a quotient of ``loop_product`` labels), plus initial
+  tokens, in words;
 * **periods** — the ``(a_i, loop_i)`` pairs of the parent-set nodes with
-  non-unit loop factors (section 8.4).
+  non-unit loop factors (section 8.4), memoized per least parent
+  (:meth:`ScheduleTree.periods`).
+
+No step walks the tree per buffer beyond the depth-aligned climb that
+finds the least parent.
 
 The least parent is also where the buffer's linear cursors reset
 (:attr:`Buffer.reset`), which the VMs and both emitters read.
@@ -99,7 +105,8 @@ def extract_lifetimes(
     ``schedule`` must be a single appearance schedule for ``graph``.
     """
     tree = ScheduleTree(schedule)
-    missing = [a for a in graph.actor_names() if a not in tree.actors()]
+    fired = set(tree.actors())
+    missing = [a for a in graph.actor_names() if a not in fired]
     if missing:
         raise ScheduleError(
             f"schedule does not fire actors {missing!r}"
@@ -152,7 +159,7 @@ def lifetime_for_buffer(
         # Every pairwise least parent lies on the source's root path;
         # the set's least parent is the one nearest the root.
         other = tree.least_parent(first.source, m.sink)
-        if any(node is other for node in lp.ancestors()):
+        if other.depth < lp.depth:
             lp = other
 
     if first.delay > 0:
@@ -160,10 +167,7 @@ def lifetime_for_buffer(
         # of the schedule.  We keep the safe envelope: live all period,
         # sized for its peak occupancy (transfer per episode + delay).
         tnse_words = total_tokens_exchanged(first, q) * first.token_size
-        size = (
-            tnse_words // _occurrence_count(lp)
-            + first.delay * first.token_size
-        )
+        size = tnse_words // lp.loop_product + first.delay * first.token_size
         return Buffer(tuple(members), None), PeriodicLifetime(
             name=name,
             size=size,
@@ -174,7 +178,7 @@ def lifetime_for_buffer(
         )
 
     start = tree.leaf(first.source).start
-    stop = max(_stop_within(tree, lp, m.sink) for m in members)
+    stop = max(tree.stop_within(lp, m.sink) for m in members)
     if stop <= start:
         what = (
             f"edge {first}" if first.broadcast is None
@@ -188,47 +192,12 @@ def lifetime_for_buffer(
     producer_firings = tree.invocations_per_iteration(first.source, lp)
     size = first.production * producer_firings * first.token_size
 
-    return Buffer(tuple(members), lp), PeriodicLifetime.from_basis(
+    return Buffer(tuple(members), lp), PeriodicLifetime(
         name=name,
         size=size,
         start=start,
         duration=stop - start,
-        basis=[(node.body_duration(), node.loop)
-               for node in (lp, *lp.ancestors())],
+        periods=tree.periods(lp),
         total_span=span,
     )
 
-
-def _stop_within(
-    tree: ScheduleTree, lp: ScheduleTreeNode, sink: str
-) -> int:
-    """The figure 16 walk, for a sink anywhere under ``lp``.
-
-    Start from the end of one full body iteration of ``lp`` and
-    subtract, walking from the sink's leaf up to ``lp`` (exclusive),
-    the duration of every right sibling passed while ascending from a
-    left child — the work remaining after the sink's final firing of
-    the iteration.  For a plain edge the sink lies under ``lp.right``,
-    and the start value ``lp.start + body_duration`` is exactly
-    ``lp.right.stop``: the paper's walk.
-    """
-    stop = lp.start + lp.body_duration()
-    node = tree.leaf(sink)
-    while node is not lp:
-        parent = node.parent
-        if parent is None:
-            raise ScheduleError(
-                f"sink {sink!r} is not under the least parent"
-            )
-        if parent.left is node:
-            stop -= parent.right.dur
-        node = parent
-    return stop
-
-
-def _occurrence_count(node: ScheduleTreeNode) -> int:
-    """Product of ``loop`` factors of ``node`` and its ancestors."""
-    count = node.loop
-    for anc in node.ancestors():
-        count *= anc.loop
-    return count

@@ -10,16 +10,24 @@ leaf node is one schedule step* (so ``2(A 3B)`` spans 4 time steps).
 This module builds the tree from a :class:`~repro.sdf.schedule.LoopedSchedule`
 (binarizing loop bodies with more than two elements; the paper notes the
 choice of split "will not affect any of the computations"), and runs the
-three depth-first computations of sections 8.2–8.3:
+depth-first computations of sections 8.2–8.3:
 
-* ``dur(v) = loop(v) * (dur(left) + dur(right))``, ``dur(leaf) = 1``;
-* ``start``/``stop`` times of the first iteration of every node;
-* leaf lookup and lowest-common-ancestor queries for buffer lifetimes.
+* ``dur(v) = loop(v) * (dur(left) + dur(right))``, ``dur(leaf) = 1``,
+  bottom-up while the tree is built;
+* one pre-order pass that sets each node's parent and its labels:
+  ``start``/``stop`` (first-iteration times), ``depth``,
+  ``loop_product`` (the loop factors of the node and all its
+  ancestors: its body iterations per period) and ``right_sum`` (the
+  durations of the right siblings passed on the way up to the root).
+
+Lifetime queries are then lookups plus one depth-aligned LCA climb:
+figure 16's stop, firings per body iteration and the section 8.4
+parent-set basis (memoized per node) all read the labels.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..exceptions import ScheduleError
 from ..sdf.schedule import Firing, Loop, LoopedSchedule, ScheduleNode
@@ -38,7 +46,7 @@ class ScheduleTreeNode:
 
     __slots__ = (
         "loop", "actor", "residual", "left", "right", "parent",
-        "dur", "start", "stop",
+        "dur", "start", "stop", "depth", "loop_product", "right_sum",
     )
 
     def __init__(
@@ -52,10 +60,8 @@ class ScheduleTreeNode:
         self.residual = residual
         self.left: Optional[ScheduleTreeNode] = None
         self.right: Optional[ScheduleTreeNode] = None
-        self.parent: Optional[ScheduleTreeNode] = None
-        self.dur = 0
-        self.start = 0
-        self.stop = 0
+        self.dur = 1 if actor is not None else 0
+        # parent, start, stop and the labels: set by ScheduleTree._label
 
     def is_leaf(self) -> bool:
         return self.actor is not None
@@ -69,13 +75,6 @@ class ScheduleTreeNode:
         if self.is_leaf():
             return 1
         return self.dur // self.loop
-
-    def ancestors(self) -> Iterator["ScheduleTreeNode"]:
-        """This node's proper ancestors, nearest first."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.is_leaf():
@@ -105,9 +104,8 @@ class ScheduleTree:
         self.schedule = schedule
         self.root = self._binarize(list(schedule.body), loop=1)
         self._leaves: Dict[str, ScheduleTreeNode] = {}
-        self._set_parents(self.root, None)
-        self._compute_durations(self.root)
-        self._compute_times(self.root, 0)
+        self._periods: Dict[ScheduleTreeNode, tuple] = {}
+        self._label(self.root, None, 0, 1, 0)
 
     # ------------------------------------------------------------------
     # construction
@@ -133,18 +131,30 @@ class ScheduleTree:
                     actor=inner.actor, residual=loop * inner.residual
                 )
             inner.loop *= loop
+            inner.dur *= loop
             return inner
         parent = ScheduleTreeNode(loop=loop)
         # Left-deep binarization: first element vs the rest.  The paper
         # notes the binarization point does not affect the computations.
         parent.left = self._binarize(body[:1], 1)
         parent.right = self._binarize(body[1:], 1)
+        parent.dur = loop * (parent.left.dur + parent.right.dur)
         return parent
 
-    def _set_parents(
-        self, node: ScheduleTreeNode, parent: Optional[ScheduleTreeNode]
+    def _label(
+        self,
+        node: ScheduleTreeNode,
+        parent: Optional[ScheduleTreeNode],
+        start: int,
+        loop_product: int,
+        right_sum: int,
     ) -> None:
         node.parent = parent
+        node.start = start
+        node.stop = start + node.dur
+        node.depth = 0 if parent is None else parent.depth + 1
+        node.loop_product = loop_product * node.loop
+        node.right_sum = right_sum
         if node.is_leaf():
             if node.actor in self._leaves:
                 raise ScheduleError(
@@ -152,25 +162,10 @@ class ScheduleTree:
                 )
             self._leaves[node.actor] = node
             return
-        self._set_parents(node.left, node)
-        self._set_parents(node.right, node)
-
-    def _compute_durations(self, node: ScheduleTreeNode) -> int:
-        if node.is_leaf():
-            node.dur = 1
-            return 1
-        total = self._compute_durations(node.left) + self._compute_durations(
-            node.right
-        )
-        node.dur = node.loop * total
-        return node.dur
-
-    def _compute_times(self, node: ScheduleTreeNode, start: int) -> None:
-        node.start = start
-        node.stop = start + node.dur
-        if not node.is_leaf():
-            self._compute_times(node.left, start)
-            self._compute_times(node.right, start + node.left.dur)
+        self._label(node.left, node, start, node.loop_product,
+                    right_sum + node.right.dur)
+        self._label(node.right, node, start + node.left.dur,
+                    node.loop_product, right_sum)
 
     # ------------------------------------------------------------------
     # queries
@@ -191,16 +186,51 @@ class ScheduleTree:
         return self.root.dur
 
     def least_parent(self, a: str, b: str) -> ScheduleTreeNode:
-        """The *smallest parent* (LCA / innermost common loop) of two actors."""
-        ancestors_a = [self.leaf(a)]
-        ancestors_a.extend(self.leaf(a).ancestors())
-        mark = set(map(id, ancestors_a))
-        node: Optional[ScheduleTreeNode] = self.leaf(b)
-        while node is not None:
-            if id(node) in mark:
-                return node
-            node = node.parent
-        raise ScheduleError(f"no common ancestor of {a!r} and {b!r}")
+        """The *smallest parent* (LCA / innermost common loop) of two
+        actors, by a depth-aligned climb from both leaves."""
+        u, v = self.leaf(a), self.leaf(b)
+        while u.depth > v.depth:
+            u = u.parent
+        while v.depth > u.depth:
+            v = v.parent
+        while u is not v:
+            u, v = u.parent, v.parent
+        return u
+
+    def _leaf_under(
+        self, actor: str, node: ScheduleTreeNode
+    ) -> ScheduleTreeNode:
+        """``actor``'s leaf, which must lie under ``node`` (or be it):
+        first-iteration time ranges nest as the tree does."""
+        leaf = self.leaf(actor)
+        if not node.start <= leaf.start < node.stop:
+            raise ScheduleError(f"{actor!r} is not inside the given node")
+        return leaf
+
+    def stop_within(self, node: ScheduleTreeNode, actor: str) -> int:
+        """Figure 16: the end of ``actor``'s final firing within one body
+        iteration of its ancestor ``node`` -- the body's end less the
+        right siblings passed on the climb from the actor's leaf.
+        """
+        leaf = self._leaf_under(actor, node)
+        return (node.start + node.body_duration()
+                - (leaf.right_sum - node.right_sum))
+
+    def periods(self, node: ScheduleTreeNode) -> Tuple[Tuple[int, int], ...]:
+        """The section 8.4 basis of ``node``: ``(body duration, loop)``
+        for ``node`` and each ancestor with a non-unit loop.
+
+        Body durations grow strictly toward the root, so the pairs come
+        out ascending, as :class:`~repro.lifetimes.periodic.PeriodicLifetime`
+        wants them.  Memoized per node.
+        """
+        basis = self._periods.get(node)
+        if basis is None:
+            basis = () if node.parent is None else self.periods(node.parent)
+            if node.loop > 1:
+                basis = ((node.body_duration(), node.loop),) + basis
+            self._periods[node] = basis
+        return basis
 
     def iter_nodes(self) -> Iterator[ScheduleTreeNode]:
         stack = [self.root]
@@ -218,16 +248,5 @@ class ScheduleTree:
         between the leaf and ``node`` (exclusive).  ``node`` must be an
         ancestor of the actor's leaf (or the leaf itself).
         """
-        leaf = self.leaf(actor)
-        if leaf is node:
-            return leaf.residual
-        count = leaf.residual
-        current = leaf.parent
-        while current is not None and current is not node:
-            count *= current.loop
-            current = current.parent
-        if current is None:
-            raise ScheduleError(
-                f"{actor!r} is not inside the given node"
-            )
-        return count
+        leaf = self._leaf_under(actor, node)
+        return leaf.residual * (leaf.loop_product // node.loop_product)

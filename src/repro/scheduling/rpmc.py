@@ -14,22 +14,27 @@ argues this in section 7).
 Implementation: a legal cut's left set is an *order ideal* (closed under
 predecessors).  Candidate ideals are generated as prefixes of several
 topological orders (the deterministic order plus seeded random ones),
-subject to the classical RPMC balance bound ``|V_L| in [n/3, 2n/3]``
-(relaxed automatically when a graph has no balanced legal cut), then
-improved by greedy boundary moves that preserve legality.  The best cut
-found recurses into both sides.
+subject to the classical RPMC balance bound ``|V_L| in [n/3, 2n/3]``,
+then improved by greedy boundary moves that preserve legality.  The
+best cut found recurses into both sides, one connected component at a
+time (a cut can disconnect a side).
+
+The recursion works on sorted lists of actor indices over one adjacency
+built for the whole graph; a level stamps its actors in a mark array
+instead of copying a subgraph.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from heapq import heappop, heappush
+from math import gcd
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..exceptions import GraphStructureError
 from ..sdf.graph import SDFGraph
 from ..sdf.repetitions import repetitions_vector, total_tokens_exchanged
-from ..sdf.topsort import random_topological_sort
 
 __all__ = ["RPMCResult", "rpmc"]
 
@@ -67,212 +72,215 @@ def rpmc(
         )
     if q is None:
         q = repetitions_vector(graph)
-    rng = random.Random(seed)
-    order = _rpmc_order(graph, q, rng, num_random_orders, recorder)
-    return RPMCResult(order=order)
+    names = graph.actor_names()
+    cutter = _Cutter(graph, q, random.Random(seed), num_random_orders,
+                     recorder)
+    order = cutter.order(list(range(len(names))))
+    return RPMCResult(order=[names[i] for i in order])
 
 
-def _edge_weight(edge, q: Dict[str, int], g: int) -> int:
-    """Cut cost contribution of one crossing edge, in words.
+class _Cutter:
+    """The recursion state: one adjacency and per-level scratch arrays.
 
-    ``TNSE(e) / g`` — the tokens the buffer holds per iteration of the
-    loop factor ``g`` shared by the whole (sub)graph — plus initial
-    tokens.
+    Actors are indices into ``graph.actor_names()``; ``out[a]``/``inn[a]``
+    list ``(neighbour, edge id)`` pairs in edge order, with each edge's
+    ``TNSE``, delay and token size alongside.  A level sets ``mark[a]``
+    to its stamp for each of its actors, and ``left[a]`` too while
+    ``a`` is left of the cut; it writes the other arrays for its own
+    actors and edges before reading them.
     """
-    return (
-        total_tokens_exchanged(edge, q) // g + edge.delay
-    ) * edge.token_size
 
+    def __init__(self, graph: SDFGraph, q: Dict[str, int],
+                 rng: random.Random, num_random_orders: int,
+                 recorder) -> None:
+        names = graph.actor_names()
+        index = {a: i for i, a in enumerate(names)}
+        edges = graph.edge_list()
+        self.out: List[List[Tuple[int, int]]] = [[] for _ in names]
+        self.inn: List[List[Tuple[int, int]]] = [[] for _ in names]
+        for i, e in enumerate(edges):
+            self.out[index[e.source]].append((index[e.sink], i))
+            self.inn[index[e.sink]].append((index[e.source], i))
+        self.tnse = [total_tokens_exchanged(e, q) for e in edges]
+        self.delay = [e.delay for e in edges]
+        self.token_size = [e.token_size for e in edges]
+        self.weight = [0] * len(edges)
+        self.q = [q[a] for a in names]
+        self.rng, self.recorder = rng, recorder
+        self.num_random_orders = num_random_orders
+        self.stamp = 0
+        self.mark, self.left, self.out_sum, self.in_sum, self.indeg = (
+            [0] * len(names) for _ in range(5)
+        )
 
-def _rpmc_order(
-    graph: SDFGraph,
-    q: Dict[str, int],
-    rng: random.Random,
-    num_random_orders: int,
-    recorder=None,
-) -> List[str]:
-    n = graph.num_actors
-    if n <= 1:
-        return graph.actor_names()
-    if n == 2:
-        return graph.topological_order()
-    if recorder is not None:
-        recorder.count("rpmc.cuts")
+    def _enter(self, acts: List[int]) -> int:
+        """Stamp ``acts`` as the current level's actors."""
+        self.stamp += 1
+        for a in acts:
+            self.mark[a] = self.stamp
+        return self.stamp
 
-    from math import gcd
+    def order(self, acts: List[int]) -> List[int]:
+        """RPMC's lexical order of the subgraph induced by ``acts``."""
+        n = len(acts)
+        if n <= 1:
+            return acts
+        s = self._enter(acts)
+        if n == 2:
+            return self._topological(acts, s)
+        if self.recorder is not None:
+            self.recorder.count("rpmc.cuts")
+        mark, weight = self.mark, self.weight
+        out_sum, in_sum = self.out_sum, self.in_sum
+        tnse, delay, token_size = self.tnse, self.delay, self.token_size
 
-    g_all = 0
-    for a in graph.actor_names():
-        g_all = gcd(g_all, q[a])
+        # Cut cost of an edge, in words: TNSE(e) / g -- the tokens the
+        # buffer holds per iteration of the loop factor g shared by the
+        # whole (sub)graph -- plus initial tokens.
+        g = 0
+        for a in acts:
+            g = gcd(g, self.q[a])
+            out_sum[a] = in_sum[a] = 0
+        for a in acts:
+            for b, e in self.out[a]:
+                if mark[b] == s:
+                    w = weight[e] = (tnse[e] // g + delay[e]) * token_size[e]
+                    out_sum[a] += w
+                    in_sum[b] += w
 
-    weight: Dict[Tuple[str, str, int], int] = {
-        e.key: _edge_weight(e, q, g_all) for e in graph.edges()
-    }
+        lo, hi = n // 3, (2 * n) // 3
+        orders = [self._topological(acts, s)]
+        for _ in range(self.num_random_orders):
+            orders.append(self._topological(acts, s, self.rng.randrange))
 
-    lo, hi = n // 3, (2 * n) // 3
-    if lo < 1:
-        lo = 1
-    if hi >= n:
-        hi = n - 1
-    if lo > hi:
-        lo, hi = 1, n - 1
+        # Cutting after a prefix of a topological order, every in-edge
+        # of a placed actor comes from the prefix, so the cut cost is
+        # the running sum of out-weight minus in-weight.
+        best_cost: Optional[int] = None
+        best_order, best_p = orders[0], 0
+        for order in orders:
+            cost = 0
+            for p in range(1, n):
+                a = order[p - 1]
+                cost += out_sum[a] - in_sum[a]
+                if lo <= p <= hi and (best_cost is None or cost < best_cost):
+                    best_cost, best_order, best_p = cost, order, p
+        left = self.left
+        for a in best_order[:best_p]:
+            left[a] = s
+        self._improve_cut(acts, s, best_p, lo, hi)
+        # Split before recursing: deeper levels overwrite ``left``.
+        left_acts = [a for a in acts if left[a] == s]
+        right_acts = [a for a in acts if left[a] != s]
+        return self._components(left_acts) + self._components(right_acts)
 
-    orders = [graph.topological_order()]
-    for _ in range(num_random_orders):
-        orders.append(random_topological_sort(graph, rng))
+    def _components(self, acts: List[int]) -> List[int]:
+        """Order each connected component of ``acts`` in turn (a cut can
+        disconnect a side), in the order of their first actors."""
+        if len(acts) <= 1:
+            return acts
+        s = self._enter(acts)
+        mark = self.mark
+        components: List[List[int]] = []
+        for start in acts:
+            if mark[start] != s:
+                continue
+            mark[start] = -s  # visited
+            comp = [start]
+            for a in comp:  # grows while it is scanned
+                for b, _ in self.out[a] + self.inn[a]:
+                    if mark[b] == s:
+                        mark[b] = -s
+                        comp.append(b)
+            components.append(sorted(comp))
+        if len(components) == 1:
+            return self.order(acts)
+        return [a for comp in components for a in self.order(comp)]
 
-    # Per-actor aggregates so the prefix sweep below touches each edge a
-    # constant number of times per order instead of re-building Edge
-    # lists: total outgoing weight, and (source, weight) pairs in.
-    out_sum: Dict[str, int] = {a: 0 for a in graph.actor_names()}
-    in_pairs: Dict[str, List[Tuple[str, int]]] = {
-        a: [] for a in graph.actor_names()
-    }
-    for e in graph.edges():
-        w = weight[e.key]
-        out_sum[e.source] += w
-        in_pairs[e.sink].append((e.source, w))
+    def _topological(
+        self, acts: List[int], s: int,
+        draw: Optional[Callable[[int], int]] = None,
+    ) -> List[int]:
+        """A topological order of the level's subgraph.
 
-    best_cost: Optional[int] = None
-    best_left: Optional[Set[str]] = None
-    for order in orders:
-        position = {a: i for i, a in enumerate(order)}
-        # Cut after prefix of size p: cost = sum of weights of edges from
-        # positions < p to positions >= p.  Sweep p and track incrementally.
-        cost = 0
-        # Edge contributes while source placed and sink not.
-        for p in range(1, n):
-            a = order[p - 1]
-            cost += out_sum[a]
-            for src, w in in_pairs[a]:
-                if position[src] < p - 1:
-                    cost -= w
-            # `a` itself just moved left; subtract edges into `a` from the left.
-            if lo <= p <= hi and (best_cost is None or cost < best_cost):
-                best_cost = cost
-                best_left = set(order[:p])
-
-    if best_left is None:  # no prefix satisfied bounds (tiny graphs)
-        order = orders[0]
-        best_left = set(order[: max(1, n // 2)])
-
-    best_left = _improve_cut(graph, weight, best_left, lo, hi, recorder=recorder)
-
-    left_names = [a for a in graph.actor_names() if a in best_left]
-    right_names = [a for a in graph.actor_names() if a not in best_left]
-    left_sub = graph.subgraph(left_names)
-    right_sub = graph.subgraph(right_names)
-    left_order = _rpmc_components(left_sub, q, rng, num_random_orders, recorder)
-    right_order = _rpmc_components(right_sub, q, rng, num_random_orders, recorder)
-    return left_order + right_order
-
-
-def _rpmc_components(
-    graph: SDFGraph,
-    q: Dict[str, int],
-    rng: random.Random,
-    num_random_orders: int,
-    recorder=None,
-) -> List[str]:
-    """Recurse per connected component (cuts can disconnect a side).
-
-    Components are emitted in an order consistent with the original
-    graph's topology among themselves; within a component RPMC recurses.
-    Component-local repetitions keep the gcd normalization meaningful.
-    """
-    if graph.num_actors <= 1:
-        return graph.actor_names()
-    components = _connected_components(graph)
-    if len(components) == 1:
-        return _rpmc_order(graph, q, rng, num_random_orders, recorder)
-    result: List[str] = []
-    for comp in components:
-        sub = graph.subgraph(comp)
-        result.extend(_rpmc_order(sub, q, rng, num_random_orders, recorder))
-    return result
-
-
-def _connected_components(graph: SDFGraph) -> List[List[str]]:
-    seen: Set[str] = set()
-    components: List[List[str]] = []
-    for start in graph.actor_names():
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b in graph.successors(a) + graph.predecessors(a):
-                if b not in seen:
-                    seen.add(b)
-                    comp.append(b)
-                    stack.append(b)
-        components.append(comp)
-    return components
-
-
-def _improve_cut(
-    graph: SDFGraph,
-    weight: Dict[Tuple[str, str, int], int],
-    left: Set[str],
-    lo: int,
-    hi: int,
-    max_passes: int = 4,
-    recorder=None,
-) -> Set[str]:
-    """Greedy boundary improvement preserving legality and size bounds.
-
-    A node may move right if none of its successors is in the left set;
-    it may move left if all of its predecessors are.  Each pass applies
-    the single best strictly improving move until none exists.  A move's
-    cost delta touches only the moved node's own edges, so it is
-    evaluated in O(deg) rather than by recomputing the whole cut.
-    """
-    out_w: Dict[str, List[Tuple[str, int]]] = {a: [] for a in graph.actor_names()}
-    in_w: Dict[str, List[Tuple[str, int]]] = {a: [] for a in graph.actor_names()}
-    for e in graph.edges():
-        w = weight[e.key]
-        out_w[e.source].append((e.sink, w))
-        in_w[e.sink].append((e.source, w))
-
-    for _ in range(max_passes):
-        best_delta = 0
-        best_move: Optional[Tuple[str, bool]] = None  # (actor, to_left)
-        for a in graph.actor_names():
-            if a in left:
-                if len(left) - 1 < lo:
-                    continue
-                if any(s in left for s, _ in out_w[a]):
-                    continue
-                # All of a's out-edges stop crossing; in-edges from the
-                # remaining left set start crossing.
-                delta = sum(w for p, w in in_w[a] if p in left) - sum(
-                    w for _, w in out_w[a]
-                )
-                if delta < best_delta:
-                    best_delta = delta
-                    best_move = (a, False)
+        Without ``draw``, Kahn's algorithm popping the lowest index, as
+        :meth:`SDFGraph.topological_order` does.  With it, the draws and
+        swaps of :func:`repro.sdf.topsort.random_topological_sort`.
+        """
+        mark, out, indeg = self.mark, self.out, self.indeg
+        for a in acts:
+            indeg[a] = 0
+        for a in acts:
+            for b, _ in out[a]:
+                if mark[b] == s:
+                    indeg[b] += 1
+        ready = [a for a in acts if indeg[a] == 0]  # sorted: a heap
+        order: List[int] = []
+        push = heappush if draw is None else list.append
+        while ready:
+            if draw is None:
+                a = heappop(ready)
             else:
-                if len(left) + 1 > hi:
-                    continue
-                if any(p not in left for p, _ in in_w[a]):
-                    continue
-                # All of a's in-edges stop crossing; out-edges to the
-                # right start crossing.
-                delta = sum(w for s, w in out_w[a] if s not in left) - sum(
-                    w for _, w in in_w[a]
-                )
+                i = draw(len(ready))
+                ready[i], ready[-1] = ready[-1], ready[i]
+                a = ready.pop()
+            order.append(a)
+            for b, _ in out[a]:
+                if mark[b] == s:
+                    indeg[b] -= 1
+                    if indeg[b] == 0:
+                        push(ready, b)
+        return order
+
+    def _improve_cut(
+        self, acts: List[int], s: int, size: int, lo: int, hi: int,
+        max_passes: int = 4,
+    ) -> None:
+        """Greedy boundary improvement preserving legality and size bounds.
+
+        A node may move right if none of its successors is in the left
+        set; it may move left if all of its predecessors are.  Each
+        pass applies the single best strictly improving move until none
+        exists.  A move's cost delta touches only the moved node's own
+        edges, so it is evaluated in O(deg) rather than by recomputing
+        the whole cut.
+        """
+        mark, left, weight = self.mark, self.left, self.weight
+        for _ in range(max_passes):
+            best_delta = 0
+            best_actor = -1
+            for a in acts:
+                if left[a] == s:
+                    if size - 1 < lo or any(
+                        left[b] == s for b, _ in self.out[a]
+                    ):
+                        continue
+                    # All of a's out-edges stop crossing; in-edges from
+                    # the remaining left set start crossing.
+                    delta = sum(
+                        weight[e] for b, e in self.inn[a] if left[b] == s
+                    ) - self.out_sum[a]
+                else:
+                    if size + 1 > hi or any(
+                        mark[b] == s and left[b] != s for b, _ in self.inn[a]
+                    ):
+                        continue
+                    # All of a's in-edges stop crossing; out-edges to the
+                    # right start crossing.
+                    delta = sum(
+                        weight[e] for b, e in self.out[a]
+                        if mark[b] == s and left[b] != s
+                    ) - self.in_sum[a]
                 if delta < best_delta:
                     best_delta = delta
-                    best_move = (a, True)
-        if best_move is None:
-            break
-        actor, to_left = best_move
-        if recorder is not None:
-            recorder.count("rpmc.moves")
-        if to_left:
-            left.add(actor)
-        else:
-            left.discard(actor)
-    return left
+                    best_actor = a
+            if best_actor < 0:
+                break
+            if self.recorder is not None:
+                self.recorder.count("rpmc.moves")
+            if left[best_actor] == s:
+                left[best_actor] = 0
+                size -= 1
+            else:
+                left[best_actor] = s
+                size += 1

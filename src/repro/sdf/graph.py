@@ -26,6 +26,7 @@ sequence — essential for reproducible schedules and benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import GraphStructureError
@@ -531,20 +532,21 @@ class SDFGraph:
         Deterministic: ties are broken by actor insertion order.
         Raises :class:`GraphStructureError` if the graph has a cycle.
         """
-        indeg = {a: 0 for a in self._actors}
-        for e in self.edges():
-            indeg[e.sink] += 1
-        ready = [a for a in self._actors if indeg[a] == 0]
+        names = list(self._actors)
+        position = {a: i for i, a in enumerate(names)}
+        indeg = [0] * len(names)
+        for k in self._edges:
+            indeg[position[k[1]]] += 1
+        ready = [i for i, d in enumerate(indeg) if d == 0]  # sorted: a heap
         order: List[str] = []
-        position = {a: i for i, a in enumerate(self._actors)}
         while ready:
-            ready.sort(key=position.__getitem__)
-            a = ready.pop(0)
+            a = names[heappop(ready)]
             order.append(a)
-            for e in self.out_edges(a):
-                indeg[e.sink] -= 1
-                if indeg[e.sink] == 0:
-                    ready.append(e.sink)
+            for k in self._out[a]:
+                i = position[k[1]]
+                indeg[i] -= 1
+                if indeg[i] == 0:
+                    heappush(ready, i)
         if len(order) != len(self._actors):
             raise GraphStructureError(
                 f"graph {self.name!r} contains a cycle"

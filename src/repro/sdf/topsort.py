@@ -51,8 +51,6 @@ def random_topological_sort(
     """
     rng = rng or random.Random()
     indeg = {a: 0 for a in graph.actor_names()}
-    # Walk raw adjacency keys (key[1] is the sink) — this sampler sits
-    # inside RPMC's per-level loop, so avoid materializing Edge lists.
     out_keys = graph._out
     for keys in out_keys.values():
         for k in keys:

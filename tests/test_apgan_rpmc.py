@@ -136,6 +136,53 @@ class TestRPMC:
         # the RPMC order is sane.
         assert order == ["A", "B", "C", "D"]
 
+    def test_pinned_cuts_moves_and_order(self, monkeypatch):
+        """Counters and order of one seeded graph, pinned.
+
+        At this seed the recursion takes one greedy boundary move and
+        some cuts leave a side disconnected, so the per-component
+        recursion runs too.
+        """
+        import importlib
+
+        from repro.obs.recorder import TraceRecorder
+
+        rpmc_module = importlib.import_module("repro.scheduling.rpmc")
+
+        sides = []
+        real = rpmc_module._Cutter._components
+
+        def components(cutter, acts):
+            sides.append(list(acts))
+            return real(cutter, acts)
+
+        monkeypatch.setattr(rpmc_module._Cutter, "_components", components)
+        g = random_sdf_graph(20, seed=0)
+        rec = TraceRecorder()
+        order = rpmc(g, seed=0, recorder=rec).order
+        assert rec.counter_totals() == {"rpmc.cuts": 6, "rpmc.moves": 1}
+        assert order == [
+            "n0", "n18", "n6", "n15", "n1", "n13", "n12", "n17", "n7",
+            "n9", "n2", "n10", "n19", "n11", "n5", "n3", "n16", "n4",
+            "n8", "n14",
+        ]
+        names = g.actor_names()
+        disconnected = [
+            side for side in sides
+            if not g.subgraph([names[i] for i in side]).is_connected()
+        ]
+        assert disconnected
+
+    def test_pinned_boundary_move_tie(self):
+        """Two boundary moves tie on cost here; the first actor wins."""
+        from repro.obs.recorder import TraceRecorder
+
+        g = random_sdf_graph(8, seed=8, extra_edge_fraction=0.0)
+        rec = TraceRecorder()
+        order = rpmc(g, seed=7, recorder=rec).order
+        assert rec.counter_totals() == {"rpmc.cuts": 3, "rpmc.moves": 1}
+        assert order == ["n5", "n0", "n3", "n1", "n6", "n4", "n2", "n7"]
+
     def test_dag_schedules_through_dppo(self):
         for seed in range(6):
             g = random_sdf_graph(12, seed=100 + seed)
