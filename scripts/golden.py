@@ -9,8 +9,11 @@ part of the test suite):
   run's ``CompilationReport.canonical()``, for the 15 Table 1 systems
   and CD-DAT, each run plain with ``--check`` (scalar VM), with
   ``--vectorize --check`` (batched VM) and with ``--method apgan``.  The
-  same file must come out under ``--backend python`` and
-  ``--backend native``.
+  same file must come out under ``--backend python``,
+  ``--backend native`` and ``--backend auto``.  The auto leg runs in a
+  fresh interpreter, so the systems before the first one of
+  ``repro.native.CROSSOVER_ACTORS`` actors run the scalar DP and the
+  rest the kernel that system loads.
 * ``check_inject.native.txt`` / ``check_inject.python.txt`` — the
   transcript of ``repro check --trials 25 --inject --families
   acyclic,broadcast,cyclic``, with the native kernel and with
@@ -41,6 +44,7 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 from typing import Dict, Iterator, List, Tuple
 
@@ -146,6 +150,27 @@ def compile_ledger(backend: str) -> str:
     finally:
         pipeline.implement = real
     return "".join(chunks)
+
+
+def fresh_compile_ledger(backend: str) -> str:
+    """:func:`compile_ledger` in a new interpreter; "" if it fails.
+
+    A fresh process has not loaded the native kernel, which is what
+    ``--backend auto`` decides on.
+    """
+    code = (
+        "import runpy, sys\n"
+        f"ledger = runpy.run_path({os.path.abspath(__file__)!r})"
+        "['compile_ledger']\n"
+        f"sys.stdout.write(ledger({backend!r}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return ""
+    return proc.stdout
 
 
 def check_transcript(native: bool) -> str:
@@ -266,6 +291,8 @@ def main(argv: List[str] = None) -> int:
     ]
     if compile_ledger("python") != read("compile.txt"):
         differing.append("compile.txt (--backend python)")
+    if fresh_compile_ledger("auto") != read("compile.txt"):
+        differing.append("compile.txt (--backend auto)")
     for relative in differing:
         print(f"differs: {relative}")
     return 1 if differing else 0

@@ -27,6 +27,10 @@ Commands
 ``dot``
     Emit a Graphviz rendering of a system or graph file.
 
+Only ``compile``'s handler lives in this module, beside the full
+parser; every other subcommand's handler is in
+:mod:`repro.cli_commands`, imported when :func:`main` dispatches to it.
+
 Examples
 --------
 .. code-block:: bash
@@ -46,8 +50,6 @@ Examples
 from __future__ import annotations
 
 import argparse
-import os
-import sys
 from typing import List, Optional
 
 from .apps import TABLE1_SYSTEMS, table1_graph
@@ -55,28 +57,6 @@ from .exceptions import GraphStructureError, SDFError
 from .sdf.graph import SDFGraph
 
 __all__ = ["main"]
-
-
-def _apply_jobs(args: argparse.Namespace) -> Optional[int]:
-    """Resolve the ``--jobs`` flag with flag > ``REPRO_JOBS`` precedence.
-
-    Validates the value eagerly (so ``--jobs -2`` fails with a clean
-    error before any work) and exports it to ``REPRO_JOBS`` for the
-    rest of the process, so every nested ``parallel_map`` — including
-    ones the subcommand does not thread ``jobs`` into explicitly —
-    sees the same setting.
-    """
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        return None
-    from .experiments.runner import effective_jobs
-
-    try:
-        effective_jobs(jobs)
-    except ValueError as exc:
-        raise SystemExit(f"--jobs: {exc}")
-    os.environ["REPRO_JOBS"] = str(jobs)
-    return jobs
 
 
 def _extra_systems():
@@ -115,14 +95,6 @@ def _resolve_graph(spec: str) -> SDFGraph:
         f"unknown system {spec!r}; use a name from 'systems', "
         f"{sorted(extra)}, or a .json graph file"
     )
-
-
-def _cmd_systems(_: argparse.Namespace) -> int:
-    for name in TABLE1_SYSTEMS:
-        graph = table1_graph(name)
-        print(f"{name:>12}  {graph.num_actors:>4} actors "
-              f"{graph.num_edges:>4} edges")
-    return 0
 
 
 def _flush_observability(args: argparse.Namespace, recorder) -> None:
@@ -218,306 +190,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from .experiments.table1 import format_table1, run_table1
-
-    jobs = _apply_jobs(args)
-    systems = args.systems or [
-        n for n in TABLE1_SYSTEMS if not n.endswith("5d")
-    ]
-    print(format_table1(run_table1(systems, seed=args.seed, jobs=jobs)))
-    return 0
-
-
-def _cmd_fig25(args: argparse.Namespace) -> int:
-    from .experiments.fig25 import format_fig25, run_fig25
-
-    systems = args.systems or [
-        n for n in TABLE1_SYSTEMS if not n.endswith("5d")
-    ]
-    print(format_fig25(run_fig25(systems, seed=args.seed)))
-    return 0
-
-
-def _cmd_fig26(args: argparse.Namespace) -> int:
-    from .experiments.homogeneous_exp import (
-        format_fig26,
-        run_homogeneous_experiment,
-    )
-
-    points = tuple(
-        (m, n)
-        for m, n in (p.split("x") for p in args.points)
-    ) if args.points else ((2, 3), (3, 4), (4, 6), (6, 8))
-    points = tuple((int(m), int(n)) for m, n in points)
-    print(format_fig26(run_homogeneous_experiment(points=points)))
-    return 0
-
-
-def _cmd_fig27(args: argparse.Namespace) -> int:
-    from .experiments.random_graphs import (
-        format_fig27,
-        run_random_graph_experiment,
-    )
-
-    jobs = _apply_jobs(args)
-    print(
-        format_fig27(
-            run_random_graph_experiment(
-                sizes=tuple(args.sizes),
-                graphs_per_size=args.count,
-                seed=args.seed,
-                jobs=jobs,
-            )
-        )
-    )
-    return 0
-
-
-def _cmd_satrec(_: argparse.Namespace) -> int:
-    from .experiments.satrec_comparison import (
-        format_satrec,
-        run_satrec_comparison,
-    )
-
-    print(format_satrec(run_satrec_comparison()))
-    return 0
-
-
-def _cmd_cddat(_: argparse.Namespace) -> int:
-    from .experiments.cddat_io import run_cddat_io
-
-    r = run_cddat_io()
-    print(f"CD-DAT input buffering over a {r.period_samples}-sample period:")
-    print(f"  flat SAS:   {r.flat_backlog} samples")
-    print(f"  nested SAS: {r.nested_backlog} samples")
-    print(f"  nested schedule: {r.nested_schedule}")
-    return 0
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    from .check import run_check
-
-    recorder = None
-    if args.trace:
-        from . import obs
-
-        recorder = obs.TraceRecorder()
-    report = run_check(
-        trials=args.trials,
-        seed=args.seed,
-        inject=args.inject,
-        shrink=not args.no_shrink,
-        recorder=recorder,
-        families=tuple(
-            f.strip() for f in args.families.split(",") if f.strip()
-        ),
-        backend=args.backend,
-    )
-    for line in report.summary_lines():
-        print(line)
-    if recorder is not None:
-        from .obs import write_trace
-
-        fmt = write_trace(recorder, args.trace, fmt=args.trace_format)
-        print(f"trace ({fmt}) written to {args.trace}")
-    if report.ok:
-        print("check: OK")
-        return 0
-    print("check: FAILED", file=sys.stderr)
-    return 1
-
-
-def _cmd_dot(args: argparse.Namespace) -> int:
-    from .sdf.io import to_dot
-
-    sys.stdout.write(to_dot(_resolve_graph(args.graph)))
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from .experiments.report import generate_report
-
-    text = generate_report(seed=args.seed)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print(f"report written to {args.output}")
-    else:
-        print(text)
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the long-lived compile server until SIGTERM/SIGINT drain."""
-    import signal
-    import threading
-
-    from .serve import ArtifactCache, CompileServer, CompileService
-
-    cache = None if args.no_cache else ArtifactCache(args.cache_dir)
-    server = CompileServer(
-        CompileService(cache=cache),
-        host=args.host,
-        port=args.port,
-        workers=args.threads,
-        processes=args.workers,
-        queue_limit=args.queue_limit,
-        request_timeout=args.timeout,
-        trace_path=args.trace,
-        trace_format=args.trace_format,
-        quiet=args.quiet,
-    )
-    drainers: List[threading.Thread] = []
-
-    def _on_signal(signum, frame):
-        thread = threading.Thread(target=server.drain)
-        thread.start()
-        drainers.append(thread)
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-    pool = (
-        f"farm {server.farm.size}"
-        if server.farm is not None
-        else f"threads {server.workers}"
-    )
-    print(
-        f"serving on {server.url} "
-        f"(cache: {'disabled' if cache is None else cache.root}, "
-        f"{pool}, queue limit {server.queue_limit})",
-        flush=True,
-    )
-    server.serve_forever()
-    for thread in drainers:
-        thread.join()
-    server.drain()  # no-op if a signal already drained
-    if args.trace:
-        print(f"trace written to {args.trace}")
-    print("drained cleanly", flush=True)
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    """Submit graphs to a running server; print/save the reports."""
-    import json as _json
-
-    from .sdf.io import to_json
-    from .serve.client import (
-        BatchItemError,
-        ServeClientError,
-        compile_batch_remote,
-        compile_remote,
-    )
-
-    _check_memory_budget(args)
-    documents = [to_json(_resolve_graph(spec)) for spec in args.graphs]
-    options = {"method": args.method, "seed": args.seed}
-    if args.vectorize:
-        # Only sent when requested: a plain submit keeps the exact
-        # pre-vectorization request shape (and cache key).
-        options["vectorize"] = True
-        options["memory_budget"] = args.memory_budget
-    try:
-        if len(documents) == 1:
-            results = [
-                compile_remote(
-                    documents[0], url=args.url, options=options,
-                    use_cache=not args.no_cache, timeout=args.timeout,
-                    retries=args.retries,
-                )
-            ]
-        else:
-            results = compile_batch_remote(
-                documents, url=args.url, options=options,
-                use_cache=not args.no_cache,
-                timeout=args.timeout, retries=args.retries,
-            )
-    except ServeClientError as exc:
-        raise SystemExit(f"submit failed: {exc}") from None
-    failures = 0
-    for spec, (report, status) in zip(args.graphs, results):
-        if isinstance(report, BatchItemError):
-            failures += 1
-            print(f"{spec}: error {report.code}: {report.message}")
-            print()
-            continue
-        for line in report.summary_lines():
-            print(line)
-        print(f"cache:      {status} "
-              f"({1000 * report.wall_s:.1f} ms server-side)")
-        print()
-    if args.output:
-        payload = [
-            r.to_json() if not isinstance(r, BatchItemError)
-            else {"status": "error", "code": r.code, "error": r.message}
-            for r, _ in results
-        ]
-        with open(args.output, "w") as handle:
-            _json.dump(
-                payload[0] if len(payload) == 1 else payload,
-                handle, indent=2, sort_keys=True,
-            )
-            handle.write("\n")
-        print(f"reports written to {args.output}")
-    if failures:
-        print(f"{failures} of {len(results)} graphs failed")
-        return 1
-    return 0
-
-
-def _cmd_resize(args: argparse.Namespace) -> int:
-    """Live-resize a running server's compile farm."""
-    from .serve.client import ServeClientError, resize_remote
-
-    try:
-        info = resize_remote(
-            args.workers, url=args.url, timeout=args.timeout
-        )
-    except ServeClientError as exc:
-        raise SystemExit(f"resize failed: {exc}") from None
-    print(
-        f"farm resized {info.get('previous')} -> {info.get('size')} "
-        f"(+{info.get('added', 0)}/-{info.get('removed', 0)} workers, "
-        f"{info.get('alive')}/{info.get('size')} alive)"
-    )
-    return 0
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or maintain the on-disk artifact cache."""
-    from .serve import ArtifactCache
-
-    cache = ArtifactCache(args.cache_dir)
-    if args.cache_command == "stats":
-        stats = cache.stats()
-        print(f"cache root: {stats['root']}")
-        print(f"entries:    {stats['entries']}")
-        print(f"bytes:      {stats['bytes']}")
-        for kind in sorted(stats["kinds"]):
-            k = stats["kinds"][kind]
-            print(
-                f"{kind + ':':<12}{k['entries']} "
-                f"entr{'y' if k['entries'] == 1 else 'ies'}, "
-                f"{k['bytes']} bytes"
-            )
-        return 0
-    if args.cache_command == "gc":
-        max_age_s = (
-            args.max_age_days * 86400.0
-            if args.max_age_days is not None else None
-        )
-        removed = cache.gc(
-            max_entries=args.max_entries, max_age_s=max_age_s
-        )
-        print(f"removed {removed} entr{'y' if removed == 1 else 'ies'}")
-        return 0
-    removed = cache.clear()
-    print(f"removed {removed} entr{'y' if removed == 1 else 'ies'}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
+    from .native import CROSSOVER_ACTORS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -528,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("systems", help="list built-in benchmark systems")
-    p.set_defaults(func=_cmd_systems)
 
     p = sub.add_parser("compile", help="run the full flow on a graph")
     p.add_argument("graph", help="system name or .json graph file")
@@ -539,9 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend", default="auto", choices=["auto", "python", "native"],
         help="kernel backend for the chain DP (auto: "
-             "the cc-compiled native kernel when a compiler is available, "
-             "silently falling back to python; results are "
-             "bit-identical either way)",
+             "the cc-compiled native kernel for graphs of at least "
+             f"{CROSSOVER_ACTORS} actors, where loading it pays, python "
+             "below; native: "
+             "always the kernel; both silently fall back to python "
+             "without a compiler; results are bit-identical either way)",
     )
     p.add_argument(
         "--vectorize", action="store_true",
@@ -564,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--profile", action="store_true",
-        help="print per-stage wall time (session, native.resolve, "
+        help="print per-stage wall time (session, native.resolve "
+             "when the kernel is resolved, "
              "topsort, dppo, sdppo, vectorize, lifetimes, wig, "
              "first_fit, clique, bmlb, verify) and the work counter "
              "totals",
@@ -580,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "chrome", "jsonl"],
         help="trace file format (auto: by FILE extension)",
     )
-    p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("table1", help="regenerate Table 1")
     p.add_argument("--systems", nargs="*", default=None)
@@ -589,19 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes (overrides REPRO_JOBS; 0 = all cores)",
     )
-    p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("fig25", help="regenerate figure 25")
     p.add_argument("--systems", nargs="*", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_fig25)
 
     p = sub.add_parser("fig26", help="regenerate figure 26")
     p.add_argument(
         "--points", nargs="*", default=None, metavar="MxN",
         help="e.g. 3x4 6x8",
     )
-    p.set_defaults(func=_cmd_fig26)
 
     p = sub.add_parser("fig27", help="regenerate figure 27")
     p.add_argument("--sizes", nargs="*", type=int, default=[20, 50])
@@ -611,13 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes (overrides REPRO_JOBS; 0 = all cores)",
     )
-    p.set_defaults(func=_cmd_fig27)
 
     p = sub.add_parser("satrec", help="satellite receiver comparison")
-    p.set_defaults(func=_cmd_satrec)
 
     p = sub.add_parser("cddat", help="CD-DAT input buffering comparison")
-    p.set_defaults(func=_cmd_cddat)
 
     p = sub.add_parser(
         "check",
@@ -666,11 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-format", default="auto",
         choices=["auto", "chrome", "jsonl"],
     )
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("dot", help="emit Graphviz DOT for a graph")
     p.add_argument("graph", help="system name or .json graph file")
-    p.set_defaults(func=_cmd_dot)
 
     p = sub.add_parser(
         "serve",
@@ -729,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true",
         help="suppress per-request access logging",
     )
-    p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
         "submit",
@@ -780,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap the shared pool of the vectorized schedule at WORDS "
              "(requires --vectorize)",
     )
-    p.set_defaults(func=_cmd_submit)
 
     p = sub.add_parser(
         "resize",
@@ -806,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=60.0, metavar="SECONDS",
         help="client-side request timeout",
     )
-    p.set_defaults(func=_cmd_resize)
 
     p = sub.add_parser(
         "cache",
@@ -824,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache directory (default: $REPRO_CACHE_DIR or "
              "~/.cache/repro)",
     )
-    c.set_defaults(func=_cmd_cache)
     c = cache_sub.add_parser("gc", help="expire cache entries")
     c.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -839,28 +503,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-age-days", type=float, default=None, metavar="DAYS",
         help="remove entries older than DAYS days",
     )
-    c.set_defaults(func=_cmd_cache)
     c = cache_sub.add_parser("clear", help="remove every cache entry")
     c.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="cache directory (default: $REPRO_CACHE_DIR or "
              "~/.cache/repro)",
     )
-    c.set_defaults(func=_cmd_cache)
 
     p = sub.add_parser(
         "report", help="regenerate the full evaluation as Markdown"
     )
     p.add_argument("--output", "-o", metavar="FILE", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_report)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if args.command == "compile":
+        return _cmd_compile(args)
+    # Every other handler loads only when dispatched to.
+    from . import cli_commands
+
+    return getattr(cli_commands, "cmd_" + args.command)(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

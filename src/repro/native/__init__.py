@@ -8,6 +8,18 @@ into a small shared object, content-addressed in the artifact cache
 via ctypes, and dispatches to it behind ``backend="auto"|"python"|"native"`` at the
 ``implement``/``CompilationSession`` level.
 
+Loading costs a cold process about 30 ms (``ctypes``, the artifact
+cache, a ``cc --version`` probe and the ``dlopen``), more than the
+scalar DP costs below about 60 actors.  So ``backend="auto"`` in
+:func:`~repro.scheduling.pipeline.implement` asks :func:`kernel_pays`
+first: the kernel is loaded for a graph of at least
+:data:`CROSSOVER_ACTORS` actors, and used for any graph once this
+process has loaded it; otherwise the scalar DP runs and nothing here
+beyond this ``__init__`` is imported.  ``"native"`` always loads it.
+Processes that compile many graphs load it up front: each serving
+shard (:class:`~repro.serve.farm.ShardCore`) and the ``repro``
+sweep commands (``table1``, ``fig25``, ``fig27``, ``report``).
+
 The contract is *bit-identity*: the native kernel produces exactly the
 bytes the scalar Python DP produces (same first-minimum tie-breaks,
 same exact integer arithmetic, same factoring decisions), pinned by
@@ -15,10 +27,33 @@ the differential harness across the acyclic, broadcast, and cyclic
 trial families and by a dedicated ``native_kernel`` fault-injection
 class.  When no compiler is available (or ``$REPRO_NATIVE=0``) every
 entry point silently takes the Python path — zero behavior change,
-counted as ``native.fallback`` via :mod:`repro.obs`.
+counted as ``native.fallback`` via :mod:`repro.obs`.  A load that
+:func:`kernel_pays` skips is not a fallback and is not counted.
 """
 
+import sys
+
 from .._lazy import attach
+
+#: Actor count from which ``backend="auto"`` loads the kernel into a
+#: process that has not loaded it yet.  Below it the scalar DP costs
+#: less than a cold load (``docs/architecture.md``, "Native kernels",
+#: has the measurements).
+CROSSOVER_ACTORS = 60
+
+
+def kernel_pays(actors: int) -> bool:
+    """Whether ``backend="auto"`` should resolve the kernel for a graph.
+
+    True for a graph of at least :data:`CROSSOVER_ACTORS` actors, or
+    when this process has already loaded the kernel.  Never imports
+    the kernel bindings (nor ``ctypes``) itself.
+    """
+    if actors >= CROSSOVER_ACTORS:
+        return True
+    kernels = sys.modules.get(__name__ + ".kernels")
+    return kernels is not None and kernels.loaded()
+
 
 __getattr__, __dir__, __all__ = attach(__name__, globals(), {
     "BACKENDS": ".kernels",
@@ -35,4 +70,4 @@ __getattr__, __dir__, __all__ = attach(__name__, globals(), {
     "native_enabled": ".build",
     "reset": ".kernels",
     "resolve_backend": ".kernels",
-})
+}, extra=("CROSSOVER_ACTORS", "kernel_pays"))

@@ -34,6 +34,7 @@ __all__ = [
     "NativeKernels",
     "get_kernels",
     "kernel_fault",
+    "loaded",
     "reset",
     "resolve_backend",
 ]
@@ -224,6 +225,11 @@ def get_kernels(recorder=None) -> Optional[NativeKernels]:
                 except Exception:
                     _KERNELS = False
     return _KERNELS if isinstance(_KERNELS, NativeKernels) else None
+
+
+def loaded() -> bool:
+    """Whether this process holds a loaded kernel (no build or load)."""
+    return isinstance(_KERNELS, NativeKernels)
 
 
 def reset() -> None:

@@ -31,6 +31,7 @@ from ..lifetimes.periodic import DEFAULT_OCCURRENCE_CAP
 from ..allocation.clique import mcw_optimistic, mcw_pessimistic
 from ..allocation.first_fit import Allocation, allocate
 from ..allocation.verify import verify_allocation
+from ..native import kernel_pays
 from ..obs.recorder import active as _active_recorder
 from .dppo import dppo
 from .rpmc import rpmc
@@ -187,12 +188,18 @@ def implement(
         ``None`` takes the uninstrumented code path.
     backend:
         Kernel backend for the DPPO/SDPPO chain DP: ``"python"`` runs
-        the scalar recurrence only; ``"native"`` and ``"auto"`` run the
-        cc-compiled DP kernel (:mod:`repro.native`) when a compiler is
-        available — bit-identical results, with a silent fall-through
-        to Python (counted as ``native.fallback``) otherwise.  ``None`` (the
-        default) inherits the session's backend, itself ``"auto"`` by
-        default.  The section 6 chain DP always runs in Python.
+        the scalar recurrence only; ``"native"`` runs the cc-compiled
+        DP kernel (:mod:`repro.native`), loading it if this process
+        has not; ``"auto"`` runs the kernel only where loading it pays
+        (:func:`repro.native.kernel_pays`: a graph of at least
+        :data:`repro.native.CROSSOVER_ACTORS` actors, or a process that
+        has already loaded it) and the scalar DP otherwise, without a
+        ``native.resolve`` stage.  Results are bit-identical either
+        way; a kernel that cannot be built or loaded is a silent
+        fall-through to Python, counted as ``native.fallback``.
+        ``None`` (the default) inherits the session's backend, itself
+        ``"auto"`` by default.  The section 6 chain DP always runs in
+        Python.
     vectorize:
         Run the blocking pass (:mod:`repro.scheduling.vectorize`) on
         the SDPPO schedule and carry the *blocked* schedule through
@@ -241,7 +248,9 @@ def implement(
                 session = CompilationSession(graph)
         q = session.q
         requested = backend if backend is not None else session.backend
-        if requested == "python":
+        if requested == "python" or (
+            requested in (None, "auto") and not kernel_pays(graph.num_actors)
+        ):
             eff_backend = "python"
         else:
             # The first call in a process imports, probes and loads the

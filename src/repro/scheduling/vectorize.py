@@ -33,7 +33,7 @@ records (``docs/vectorization.md`` reads it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..allocation.first_fit import FirstFitResult, allocate
 from ..exceptions import SDFError
@@ -111,18 +111,18 @@ def _hoist(loop: Loop) -> List[ScheduleNode]:
 
 def fission_candidates(
     graph: SDFGraph, schedule: LoopedSchedule
-) -> List[LoopedSchedule]:
+) -> Iterator[LoopedSchedule]:
     """Every schedule reachable from ``schedule`` by one safe fission.
 
-    Candidates are returned normalized (unit loops collapsed, nested
-    single-child loops merged) and in a deterministic tree-walk order.
+    Candidates are yielded normalized (unit loops collapsed, nested
+    single-child loops merged) and in a deterministic tree-walk order,
+    each built only when the caller asks for it.
     """
-    results: List[LoopedSchedule] = []
 
     def walk(
         nodes: Tuple[ScheduleNode, ...],
         rebuild: Callable[[List[ScheduleNode]], LoopedSchedule],
-    ) -> None:
+    ) -> Iterator[LoopedSchedule]:
         for idx, node in enumerate(nodes):
             if not isinstance(node, Loop):
                 continue
@@ -130,7 +130,7 @@ def fission_candidates(
                 spliced = (
                     list(nodes[:idx]) + _hoist(node) + list(nodes[idx + 1:])
                 )
-                results.append(rebuild(spliced))
+                yield rebuild(spliced)
 
             def rebuild_child(
                 body: List[ScheduleNode],
@@ -145,13 +145,12 @@ def fission_candidates(
                     + list(nodes[idx + 1:])
                 )
 
-            walk(node.body, rebuild_child)
+            yield from walk(node.body, rebuild_child)
 
-    walk(
+    return walk(
         schedule.body,
         lambda body: LoopedSchedule(body).normalized(),
     )
-    return results
 
 
 def dispatch_blocks(
@@ -296,10 +295,10 @@ def vectorize_schedule(
         # end.  Candidate order cannot change the fixed point (each
         # fission only exposes, never forecloses, further safe ones).
         while True:
-            candidates = fission_candidates(graph, current)
-            if not candidates:
+            first = next(fission_candidates(graph, current), None)
+            if first is None:
                 break
-            current = candidates[0]
+            current = first
             steps += 1
         if steps:
             lifetimes, allocation = costed(current)

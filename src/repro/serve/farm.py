@@ -197,6 +197,12 @@ class ShardCore:
         #: Long-lived counters-only recorder; totals ship with "stats".
         self.counters = obs.TraceRecorder()
         self._lock = threading.Lock()
+        # Misses are mostly graphs below native.CROSSOVER_ACTORS, where
+        # one cold process would not load the kernel; a shard compiles
+        # many, so it loads the kernel once, before its first compile.
+        from ..native import get_kernels
+
+        get_kernels()
 
     def _count(self, name: str, recorder=None) -> None:
         with self._lock:

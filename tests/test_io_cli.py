@@ -254,8 +254,15 @@ class TestCompileProfile:
     def test_profile_rows_are_the_traced_implement_children(
         self, tmp_path, capsys
     ):
+        # A graph at the crossover resolves the kernel whether or not
+        # an earlier test loaded it, so the stage order is fixed.
+        from repro.native import CROSSOVER_ACTORS
+        from repro.sdf.random_graphs import random_sdf_graph
+
+        graph = str(tmp_path / "big.json")
+        save_graph(random_sdf_graph(CROSSOVER_ACTORS, seed=1), graph)
         trace = str(tmp_path / "t.jsonl")
-        assert main(["compile", "satrec", "--profile",
+        assert main(["compile", graph, "--profile",
                      "--trace", trace]) == 0
         rows = self._profile_rows(capsys.readouterr().out)
         names = [row.split(":")[0].strip() for row in rows]

@@ -117,13 +117,25 @@ class TestBitIdentity:
                 assert _implement_signature(rp) == _implement_signature(rn)
 
     def test_native_counters_and_auto_dispatch(self):
+        # At the crossover, "auto" loads the kernel whatever this
+        # process has loaded before (the autouse fixture forgets it).
         rec = obs.TraceRecorder()
-        graph = random_sdf_graph(12, seed=2)
+        graph = random_sdf_graph(native.CROSSOVER_ACTORS, seed=2)
         implement(graph, "apgan", backend="auto", recorder=rec)
         totals = rec.counter_totals()
         assert totals.get("native.dp", 0) >= 1
         # First-fit has one (Python) implementation; no native arm.
         assert "native.first_fit" not in totals
+        assert "native.fallback" not in totals
+
+    def test_auto_below_the_crossover_uses_a_loaded_kernel(self):
+        assert get_kernels() is not None
+        assert native.kernel_pays(1)
+        rec = obs.TraceRecorder()
+        implement(random_sdf_graph(12, seed=2), "apgan", backend="auto",
+                  recorder=rec)
+        totals = rec.counter_totals()
+        assert totals.get("native.dp", 0) >= 1
         assert "native.fallback" not in totals
 
     def test_backend_none_defaults_to_session(self):

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro import native
 from repro.apps.ptolemy_demos import cd_to_dat
 from repro.check.fault_injection import inject_cache_corrupt
 from repro.check.oracles import build_artifacts
@@ -672,6 +673,45 @@ class TestBatchThreadPath:
             assert stats["inflight"] == 0
         finally:
             server.drain(timeout=10)
+
+
+class TestKernelPreload:
+    @pytest.mark.skipif(
+        native.find_compiler() is None or not native.native_enabled(),
+        reason="native kernels unavailable (no cc, or REPRO_NATIVE=0)",
+    )
+    def test_small_served_miss_counts_native_dp(self, tmp_path):
+        # A fresh interpreter: the test process may have loaded the
+        # kernel already.  The server loads it before its first compile,
+        # so a miss below the crossover still runs it.
+        from .test_cold_imports import _run
+
+        run = _run(
+            "import json\n"
+            "from repro.apps import table1_graph\n"
+            "from repro.sdf.io import to_json\n"
+            "from repro.serve import ArtifactCache, CompileServer,"
+            " CompileService\n"
+            "from repro.serve.client import compile_remote\n"
+            f"cache, trace = {str(tmp_path / 'c')!r}, "
+            f"{str(tmp_path / 't.jsonl')!r}\n"
+            "server = CompileServer(CompileService(cache=ArtifactCache(cache)),"
+            " port=0, quiet=True, trace_path=trace).start()\n"
+            "graph = table1_graph('satrec')\n"
+            "_, status = compile_remote(to_json(graph), url=server.url)\n"
+            "server.drain(timeout=10)\n"
+            "counters = {}\n"
+            "for line in open(trace):\n"
+            "    row = json.loads(line)\n"
+            "    if row['type'] == 'counter':\n"
+            "        counters[row['name']] = row['total']\n"
+            "print(json.dumps({'actors': graph.num_actors,"
+            " 'status': status, 'counters': counters}))\n"
+        )
+        assert run["actors"] < native.CROSSOVER_ACTORS
+        assert run["status"] == "miss"
+        assert run["counters"].get("native.dp", 0) >= 1
+        assert "native.fallback" not in run["counters"]
 
 
 class TestCacheCorruptInjection:

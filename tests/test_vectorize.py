@@ -117,7 +117,7 @@ class TestFissionCandidates:
 
     def test_backward_edge_has_no_candidates(self):
         g = feedback_graph()
-        assert fission_candidates(g, parse_schedule("(2A(2B))")) == []
+        assert list(fission_candidates(g, parse_schedule("(2A(2B))"))) == []
 
 
 class TestVectorizePass:
