@@ -10,6 +10,7 @@ clique weight of the WIG lower-bounds the achievable allocation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set
 
@@ -46,10 +47,16 @@ def build_intersection_graph(
     """Build the WIG of an enumerated instance of buffer lifetimes.
 
     Follows the sweep of figure 19's ``buildIntersectionGraph``: sort by
-    earliest start, and for each buffer test only candidates whose
-    earliest start precedes this buffer's last stop (others cannot
-    intersect).  Each candidate pair is decided by the periodic
-    intersection test (:meth:`PeriodicLifetime.overlaps`).
+    earliest start, and for each buffer ``bi`` test only candidates
+    ``bj`` whose earliest start precedes ``bi``'s last stop (others
+    cannot intersect).  The sort already decides most candidates:
+    ``bj`` is live at ``bj.start``, so the pair overlaps when that lies
+    in ``bi``'s first occurrence (always, for a non-periodic ``bi``),
+    and when both lifetimes exceed ``occurrence_cap`` (their solid
+    envelopes then meet at ``bj.start``).  Only the remaining pairs run
+    the periodic intersection test (:meth:`PeriodicLifetime.overlaps`).
+    Each adjacency set receives its members in the order a pairwise
+    sweep adds them, so iterating it gives the same order too.
 
     Zero-size buffers participate normally; they cost nothing to place
     but keep the instance aligned with the graph's edge set.
@@ -57,15 +64,21 @@ def build_intersection_graph(
     n = len(buffers)
     neighbors: List[Set[int]] = [set() for _ in range(n)]
     order = sorted(range(n), key=lambda i: buffers[i].start)
-    for a_pos in range(n):
-        i = order[a_pos]
+    starts = [buffers[i].start for i in order]
+    for a_pos, i in enumerate(order):
         bi = buffers[i]
-        for b_pos in range(a_pos + 1, n):
-            j = order[b_pos]
+        hi = bisect_left(starts, bi.last_stop, a_pos + 1)
+        first = bisect_left(starts, bi.start + bi.duration, a_pos + 1, hi)
+        row = neighbors[i]
+        for j in order[a_pos + 1:first]:  # bj starts in bi's first occurrence
+            row.add(j)
+            neighbors[j].add(i)
+        dense = bi.num_occurrences > occurrence_cap
+        for j in order[first:hi]:
             bj = buffers[j]
-            if bj.start >= bi.last_stop:
-                break  # sorted by start: nothing later can intersect bi
-            if bi.overlaps(bj, occurrence_cap=occurrence_cap):
-                neighbors[i].add(j)
+            if (
+                dense and bj.num_occurrences > occurrence_cap
+            ) or bi.overlaps(bj, occurrence_cap=occurrence_cap):
+                row.add(j)
                 neighbors[j].add(i)
     return IntersectionGraph(buffers=list(buffers), neighbors=neighbors)

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..exceptions import SDFError
+from ..lifetimes.intervals import extract_lifetimes
 from ..sdf.random_graphs import random_sdf_graph
 from ..sdf.schedule import Firing, Loop, LoopedSchedule, ScheduleNode
 from ..sdf.simulate import validate_schedule
-from ..allocation.first_fit import Allocation, first_fit
+from ..allocation.first_fit import Allocation, allocate, first_fit
 from ..allocation.verify import verify_allocation
 from ..codegen.vm import SharedMemoryVM
 from .oracles import PipelineArtifacts, build_artifacts
@@ -734,14 +735,16 @@ def inject_vectorize_overrun(
         art.graph, art.result.sdppo_schedule, art.q,
         occurrence_cap=art.occurrence_cap,
     )
-    if (
-        vec.cost is None
-        or vec.baseline_cost is None
-        or vec.steps == 0
-        or vec.cost <= vec.baseline_cost
-    ):
+    if vec.cost is None or vec.steps == 0:
         return None
-    forged = replace(vec, memory_budget=vec.baseline_cost)
+    # An unconstrained pass that blocked does not cost its baseline.
+    lifetimes = extract_lifetimes(art.graph, vec.baseline_schedule, art.q)
+    baseline_cost = allocate(
+        lifetimes.as_list(), occurrence_cap=art.occurrence_cap
+    ).best.total
+    if vec.cost <= baseline_cost:
+        return None
+    forged = replace(vec, memory_budget=baseline_cost)
     violations = vectorize_violations(
         art.graph, forged, art.q, occurrence_cap=art.occurrence_cap
     )
@@ -751,7 +754,7 @@ def inject_vectorize_overrun(
         graph_seed=art.seed,
         caught=caught,
         detail=(
-            f"claimed budget {vec.baseline_cost} on a blocking costing "
+            f"claimed budget {baseline_cost} on a blocking costing "
             f"{vec.cost} words; {len(violations)} violation(s) reported"
         ),
     )

@@ -21,7 +21,8 @@ time (a cut can disconnect a side).
 
 The recursion works on sorted lists of actor indices over one adjacency
 built for the whole graph; a level stamps its actors in a mark array
-instead of copying a subgraph.
+instead of copying a subgraph, and scans its edges once for the cut
+weights and the successor lists all its topological orders share.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ class _Cutter:
     list ``(neighbour, edge id)`` pairs in edge order, with each edge's
     ``TNSE``, delay and token size alongside.  A level sets ``mark[a]``
     to its stamp for each of its actors, and ``left[a]`` too while
-    ``a`` is left of the cut; it writes the other arrays for its own
-    actors and edges before reading them.
+    ``a`` is left of the cut, and ``pos[a]`` to ``a``'s position in
+    the level's sorted actor list; it writes the other arrays for its
+    own actors and edges before reading them.
     """
 
     def __init__(self, graph: SDFGraph, q: Dict[str, int],
@@ -106,10 +108,14 @@ class _Cutter:
         self.token_size = [e.token_size for e in edges]
         self.weight = [0] * len(edges)
         self.q = [q[a] for a in names]
-        self.rng, self.recorder = rng, recorder
+        # ``rng.randrange(n)`` is ``_randbelow(n)``: draws of
+        # ``n.bit_length()`` bits until one is below ``n``.  The Kahn
+        # passes inline that loop over the bound ``getrandbits``, so the
+        # stream, and every order, matches ``randrange`` draw for draw.
+        self.getrandbits, self.recorder = rng.getrandbits, recorder
         self.num_random_orders = num_random_orders
         self.stamp = 0
-        self.mark, self.left, self.out_sum, self.in_sum, self.indeg = (
+        self.mark, self.left, self.out_sum, self.in_sum, self.pos = (
             [0] * len(names) for _ in range(5)
         )
 
@@ -126,11 +132,52 @@ class _Cutter:
         if n <= 1:
             return acts
         s = self._enter(acts)
+        succ, indeg = self._level(acts, s)
         if n == 2:
-            return self._topological(acts, s)
+            return [acts[i] for i in self._kahn(succ, indeg)]
         if self.recorder is not None:
             self.recorder.count("rpmc.cuts")
-        mark, weight = self.mark, self.weight
+        out_sum, in_sum = self.out_sum, self.in_sum
+
+        lo, hi = n // 3, (2 * n) // 3
+        orders = [self._kahn(succ, indeg)]
+        for _ in range(self.num_random_orders):
+            orders.append(self._kahn(succ, indeg, self.getrandbits))
+        # Dead from here on: keep it off the stack of the recursion below.
+        del succ, indeg
+
+        # Cutting after a prefix of a topological order, every in-edge
+        # of a placed actor comes from the prefix, so the cut cost is
+        # the running sum of out-weight minus in-weight.
+        net = [out_sum[a] - in_sum[a] for a in acts]
+        best_cost: Optional[int] = None
+        best_order, best_p = orders[0], 0
+        for order in orders:
+            cost = 0
+            for p in range(1, n):
+                cost += net[order[p - 1]]
+                if lo <= p <= hi and (best_cost is None or cost < best_cost):
+                    best_cost, best_order, best_p = cost, order, p
+        left = self.left
+        for i in best_order[:best_p]:
+            left[acts[i]] = s
+        self._improve_cut(acts, s, best_p, lo, hi)
+        # Split before recursing: deeper levels overwrite ``left``.
+        left_acts = [a for a in acts if left[a] == s]
+        right_acts = [a for a in acts if left[a] != s]
+        return self._components(left_acts) + self._components(right_acts)
+
+    def _level(
+        self, acts: List[int], s: int
+    ) -> Tuple[List[List[int]], List[int]]:
+        """The level's cut weights and its adjacency, in one edge scan.
+
+        Writes ``weight``, ``out_sum`` and ``in_sum`` for the level's
+        edges and actors, and returns successor lists and in-degrees
+        over positions in ``acts`` (sorted, so a position compares like
+        its actor index), in edge order, parallel edges included.
+        """
+        mark, pos, weight = self.mark, self.pos, self.weight
         out_sum, in_sum = self.out_sum, self.in_sum
         tnse, delay, token_size = self.tnse, self.delay, self.token_size
 
@@ -138,41 +185,23 @@ class _Cutter:
         # buffer holds per iteration of the loop factor g shared by the
         # whole (sub)graph -- plus initial tokens.
         g = 0
-        for a in acts:
+        for i, a in enumerate(acts):
             g = gcd(g, self.q[a])
             out_sum[a] = in_sum[a] = 0
-        for a in acts:
+            pos[a] = i
+        succ: List[List[int]] = [[] for _ in acts]
+        indeg = [0] * len(acts)
+        for i, a in enumerate(acts):
+            nxt = succ[i]
             for b, e in self.out[a]:
                 if mark[b] == s:
+                    j = pos[b]
+                    nxt.append(j)
+                    indeg[j] += 1
                     w = weight[e] = (tnse[e] // g + delay[e]) * token_size[e]
                     out_sum[a] += w
                     in_sum[b] += w
-
-        lo, hi = n // 3, (2 * n) // 3
-        orders = [self._topological(acts, s)]
-        for _ in range(self.num_random_orders):
-            orders.append(self._topological(acts, s, self.rng.randrange))
-
-        # Cutting after a prefix of a topological order, every in-edge
-        # of a placed actor comes from the prefix, so the cut cost is
-        # the running sum of out-weight minus in-weight.
-        best_cost: Optional[int] = None
-        best_order, best_p = orders[0], 0
-        for order in orders:
-            cost = 0
-            for p in range(1, n):
-                a = order[p - 1]
-                cost += out_sum[a] - in_sum[a]
-                if lo <= p <= hi and (best_cost is None or cost < best_cost):
-                    best_cost, best_order, best_p = cost, order, p
-        left = self.left
-        for a in best_order[:best_p]:
-            left[a] = s
-        self._improve_cut(acts, s, best_p, lo, hi)
-        # Split before recursing: deeper levels overwrite ``left``.
-        left_acts = [a for a in acts if left[a] == s]
-        right_acts = [a for a in acts if left[a] != s]
-        return self._components(left_acts) + self._components(right_acts)
+        return succ, indeg
 
     def _components(self, acts: List[int]) -> List[int]:
         """Order each connected component of ``acts`` in turn (a cut can
@@ -197,39 +226,44 @@ class _Cutter:
             return self.order(acts)
         return [a for comp in components for a in self.order(comp)]
 
-    def _topological(
-        self, acts: List[int], s: int,
-        draw: Optional[Callable[[int], int]] = None,
+    @staticmethod
+    def _kahn(
+        succ: List[List[int]], indeg: List[int],
+        getrandbits: Optional[Callable[[int], int]] = None,
     ) -> List[int]:
-        """A topological order of the level's subgraph.
+        """A topological order of a level, as positions in its ``acts``.
 
-        Without ``draw``, Kahn's algorithm popping the lowest index, as
-        :meth:`SDFGraph.topological_order` does.  With it, the draws and
-        swaps of :func:`repro.sdf.topsort.random_topological_sort`.
+        Without ``getrandbits``, Kahn's algorithm popping the lowest
+        position, as :meth:`SDFGraph.topological_order` does.  With it,
+        the draws and swaps of
+        :func:`repro.sdf.topsort.random_topological_sort`, one
+        ``randrange(len(ready))`` draw per pop.
         """
-        mark, out, indeg = self.mark, self.out, self.indeg
-        for a in acts:
-            indeg[a] = 0
-        for a in acts:
-            for b, _ in out[a]:
-                if mark[b] == s:
-                    indeg[b] += 1
-        ready = [a for a in acts if indeg[a] == 0]  # sorted: a heap
+        deg = indeg[:]
+        ready = [i for i, d in enumerate(deg) if d == 0]  # sorted: a heap
         order: List[int] = []
-        push = heappush if draw is None else list.append
+        if getrandbits is None:
+            while ready:
+                i = heappop(ready)
+                order.append(i)
+                for j in succ[i]:
+                    deg[j] -= 1
+                    if deg[j] == 0:
+                        heappush(ready, j)
+            return order
         while ready:
-            if draw is None:
-                a = heappop(ready)
-            else:
-                i = draw(len(ready))
-                ready[i], ready[-1] = ready[-1], ready[i]
-                a = ready.pop()
-            order.append(a)
-            for b, _ in out[a]:
-                if mark[b] == s:
-                    indeg[b] -= 1
-                    if indeg[b] == 0:
-                        push(ready, b)
+            n = len(ready)
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            ready[r], ready[-1] = ready[-1], ready[r]
+            i = ready.pop()
+            order.append(i)
+            for j in succ[i]:
+                deg[j] -= 1
+                if deg[j] == 0:
+                    ready.append(j)
         return order
 
     def _improve_cut(

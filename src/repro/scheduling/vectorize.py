@@ -193,7 +193,11 @@ class VectorizeResult:
     safe); ``cost``/``baseline_cost`` are the honest re-costed pool
     totals in words, or ``None`` when the schedule shape does not
     support costing (non-SAS cyclic expansions — the pass then returns
-    the identity).  ``lifetimes``/``allocation`` are ``schedule``'s
+    the identity).  An unconstrained pass (``memory_budget=None``)
+    allocates only the schedule it returns, so ``baseline_cost`` is
+    also ``None`` when it applied a fission; a caller that needs it
+    costs ``baseline_schedule`` with ``extract_lifetimes`` and
+    ``allocate``.  ``lifetimes``/``allocation`` are ``schedule``'s
     costing, which ``implement`` reuses (``None`` when ``cost`` is).
     ``blocks``/``firings`` describe one period of the blocked schedule;
     ``steps`` counts the fissions applied.
@@ -245,7 +249,8 @@ def vectorize_schedule(
     budget below the cheapest blocking returns the schedule unchanged
     (the identity pass).  With ``memory_budget=None`` every safe
     fission is applied without per-step costing (the order cannot
-    affect the fixed point) and only the final schedule is costed.
+    affect the fixed point) and only the final schedule is costed: the
+    baseline is then costed only when no fission applied.
 
     When at least one fission was applied, the result's schedule is
     validated by a token replay
@@ -270,7 +275,7 @@ def vectorize_schedule(
         )
 
     try:
-        lifetimes, allocation = costed(base)
+        lifetimes = extract_lifetimes(graph, base, q)
     except SDFError:
         # The cost model needs a single appearance schedule; cyclic
         # expansions that stay non-SA cannot be re-costed, so the pass
@@ -285,7 +290,6 @@ def vectorize_schedule(
             baseline_blocks=base_blocks,
         )
 
-    baseline_cost = allocation.best.total
     current = base
     current_blocks = base_blocks
     steps = 0
@@ -301,8 +305,12 @@ def vectorize_schedule(
             current = first
             steps += 1
         if steps:
-            lifetimes, allocation = costed(current)
-    else:
+            lifetimes = extract_lifetimes(graph, current, q)
+    # Unconstrained, this costs only the schedule returned: no budget
+    # needs the baseline's cost.  Under a budget it is the baseline.
+    allocation = allocate(lifetimes.as_list(), occurrence_cap=occurrence_cap)
+    baseline_cost = None if steps else allocation.best.total
+    if memory_budget is not None:
         while True:
             # Only the best fitting candidate's costing is kept: the
             # least (blocks, cost, text) key.

@@ -111,6 +111,10 @@ class CompileOptions:
         Unknown keys raise ``ValueError`` (a typo'd option silently
         ignored would silently mis-key the cache), as does an unknown
         ``backend`` value or a ``memory_budget`` without ``vectorize``.
+        So does an ``occurrence_cap`` outside
+        ``1..DEFAULT_OCCURRENCE_CAP``: lifetimes materialize up to that
+        many occurrence starts each, so an unbounded cap would let one
+        request spend a worker's memory.
         """
         data = dict(data or {})
         known = {
@@ -136,6 +140,12 @@ class CompileOptions:
         budget = kwargs.get("memory_budget")
         if budget is not None and budget < 0:
             raise ValueError(f"memory_budget must be >= 0, got {budget}")
+        cap = kwargs.get("occurrence_cap")
+        if cap is not None and not 1 <= cap <= DEFAULT_OCCURRENCE_CAP:
+            raise ValueError(
+                f"occurrence_cap must be in 1..{DEFAULT_OCCURRENCE_CAP}, "
+                f"got {cap}"
+            )
         return CompileOptions(**kwargs)
 
 

@@ -1,10 +1,12 @@
 """Tests for the WIG, first-fit allocation, and clique bounds (section 9)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import AllocationError
-from repro.lifetimes.periodic import PeriodicLifetime
+from repro.lifetimes.periodic import DEFAULT_OCCURRENCE_CAP, PeriodicLifetime
 from repro.allocation.clique import (
     clique_weight_at,
     mcw_exact_occurrences,
@@ -43,6 +45,80 @@ class TestIntersectionGraph:
         wig = build_intersection_graph(buffers)
         assert wig.degree(0) == 2
         assert wig.degree(1) == 1
+
+
+def random_lifetime(rng, name):
+    """A solid or nested-periodic lifetime; starts collide often."""
+    periods = []
+    a = rng.randint(1, 6)
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):
+        loop = rng.randint(2, 4)
+        periods.append((a, loop))
+        a = a * (loop - 1) + rng.randint(0, 4)
+    duration = rng.randint(1, periods[0][0] if periods else 30)
+    return PeriodicLifetime(
+        name, rng.randint(0, 4), rng.randrange(20), duration,
+        periods=tuple(periods),
+    )
+
+
+def all_pairs_wig(buffers, occurrence_cap=DEFAULT_OCCURRENCE_CAP):
+    """Every pair through ``overlaps``, inserted in start order."""
+    order = sorted(range(len(buffers)), key=lambda i: buffers[i].start)
+    neighbors = [set() for _ in buffers]
+    for a_pos, i in enumerate(order):
+        for j in order[a_pos + 1:]:
+            if buffers[i].overlaps(buffers[j], occurrence_cap=occurrence_cap):
+                neighbors[i].add(j)
+                neighbors[j].add(i)
+    return neighbors
+
+
+class TestIntersectionGraphSweep:
+    """The sweep's shortcuts against brute-force ``overlaps``."""
+
+    @pytest.mark.parametrize("cap", [DEFAULT_OCCURRENCE_CAP, 4, 1])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_all_pairs_overlaps(self, seed, cap):
+        rng = random.Random(seed)
+        buffers = [
+            random_lifetime(rng, f"b{i}") for i in range(rng.randint(2, 40))
+        ]
+        wig = build_intersection_graph(buffers, occurrence_cap=cap)
+        reference = all_pairs_wig(buffers, occurrence_cap=cap)
+        assert wig.neighbors == reference
+        # Same insertion order too: set iteration order, which
+        # fault injection's edge shuffle reads, follows it.
+        assert [list(n) for n in wig.neighbors] == [
+            list(n) for n in reference
+        ]
+
+    def test_equal_starts_are_adjacent(self):
+        buffers = [
+            PeriodicLifetime("p", 1, 3, 1, periods=((4, 2),)),
+            solid("s", 1, 3, 1),
+            PeriodicLifetime("q", 1, 3, 2, periods=((2, 3),)),
+        ]
+        wig = build_intersection_graph(buffers)
+        assert wig.num_edges() == 3
+
+    def test_touching_half_open_ends_are_not_adjacent(self):
+        periodic = PeriodicLifetime("p", 1, 0, 2, periods=((4, 3),))
+        assert periodic.last_stop == 10
+        for first in (solid("s", 1, 0, 10), periodic):
+            wig = build_intersection_graph([first, solid("t", 1, 10, 3)])
+            assert not wig.are_adjacent(0, 1)
+            assert wig.neighbors == all_pairs_wig(wig.buffers)
+
+    def test_cap_one_compares_solid_envelopes(self):
+        # Interleaved occurrences never meet; with cap 1 both lifetimes
+        # are too dense to enumerate and their envelopes overlap.
+        a = PeriodicLifetime("a", 1, 0, 2, periods=((4, 3),))
+        b = PeriodicLifetime("b", 1, 2, 2, periods=((4, 3),))
+        assert not build_intersection_graph([a, b]).are_adjacent(0, 1)
+        wig = build_intersection_graph([a, b], occurrence_cap=1)
+        assert wig.are_adjacent(0, 1)
+        assert wig.neighbors == all_pairs_wig([a, b], occurrence_cap=1)
 
 
 class TestFirstFit:

@@ -1,5 +1,7 @@
 """Tests for the APGAN and RPMC topological-sort heuristics."""
 
+import random
+
 import pytest
 
 from repro.exceptions import GraphStructureError
@@ -10,7 +12,7 @@ from repro.sdf.simulate import validate_schedule
 from repro.sdf.topsort import is_topological_order
 from repro.scheduling.apgan import apgan
 from repro.scheduling.dppo import dppo
-from repro.scheduling.rpmc import rpmc
+from repro.scheduling.rpmc import _Cutter, rpmc
 
 
 def cd_dat_like():
@@ -189,6 +191,26 @@ class TestRPMC:
             order = rpmc(g, seed=seed).order
             result = dppo(g, order)
             validate_schedule(g, result.schedule)
+
+
+class TestRPMCDraws:
+    """The Kahn passes' inline draw is ``randrange``, draw for draw."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20261017])
+    def test_inline_draw_matches_randrange(self, seed):
+        for n in range(1, 71):
+            rng, ref = random.Random(seed), random.Random(seed)
+            # On an antichain every pop draws over all ready positions,
+            # so the order spells out randrange(n), ..., randrange(1).
+            order = _Cutter._kahn([[] for _ in range(n)], [0] * n,
+                                  rng.getrandbits)
+            ready, expected = list(range(n)), []
+            while ready:
+                i = ref.randrange(len(ready))
+                ready[i], ready[-1] = ready[-1], ready[i]
+                expected.append(ready.pop())
+            assert order == expected
+            assert rng.getstate() == ref.getstate()
 
 
 class TestHeuristicQuality:

@@ -13,6 +13,7 @@ from repro import native
 from repro.apps.ptolemy_demos import cd_to_dat
 from repro.check.fault_injection import inject_cache_corrupt
 from repro.check.oracles import build_artifacts
+from repro.lifetimes.periodic import DEFAULT_OCCURRENCE_CAP
 from repro.scheduling.pipeline import implement
 from repro.sdf.graph import SDFGraph
 from repro.sdf.io import to_json
@@ -193,6 +194,21 @@ class TestCompileOptions:
         options = CompileOptions(method="apgan", seed=3)
         assert CompileOptions.from_dict(options.as_dict()) == options
 
+    @pytest.mark.parametrize("cap", [0, -1, DEFAULT_OCCURRENCE_CAP + 1,
+                                     10 ** 9])
+    def test_occurrence_cap_out_of_range_rejected(self, cap):
+        with pytest.raises(ValueError) as err:
+            CompileOptions.from_dict({"occurrence_cap": cap})
+        assert str(err.value) == (
+            f"occurrence_cap must be in 1..{DEFAULT_OCCURRENCE_CAP}, "
+            f"got {cap}"
+        )
+
+    @pytest.mark.parametrize("cap", [1, DEFAULT_OCCURRENCE_CAP])
+    def test_occurrence_cap_bounds_accepted(self, cap):
+        options = CompileOptions.from_dict({"occurrence_cap": cap})
+        assert options.occurrence_cap == cap
+
 
 class TestCompileService:
     def test_miss_then_hit_bit_identical(self, tmp_path):
@@ -305,6 +321,17 @@ class TestCompileServer:
                 options={"bogus": 1},
             )
         assert err.value.status == 400
+
+    def test_huge_occurrence_cap_400(self, live_server):
+        with pytest.raises(ServeClientError) as err:
+            compile_remote(
+                to_json(small_graph()), url=live_server.url,
+                options={"occurrence_cap": 10 ** 9},
+            )
+        assert err.value.status == 400
+        message = str(err.value)
+        assert "occurrence_cap must be in 1..4096, got 1000000000" in message
+        assert "\n" not in message
 
     def test_unknown_path_404(self, live_server):
         payload = get_json(live_server.url, "/nope")

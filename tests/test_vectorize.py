@@ -556,13 +556,14 @@ def _count_allocation_work(monkeypatch):
 class TestSingleAllocation:
     """A vectorized compile allocates each schedule it keeps once."""
 
-    def test_unconstrained_satrec_allocates_twice(self, monkeypatch):
+    def test_unconstrained_satrec_allocates_once(self, monkeypatch):
         calls = _count_allocation_work(monkeypatch)
         result = implement(satellite_receiver(), vectorize=True)
         assert result.vectorize.steps > 0
-        # The unblocked baseline and the blocked schedule, once each.
+        # Lifetimes of the unblocked baseline (the SA check) and of the
+        # blocked schedule; only the blocked schedule is allocated.
         assert calls == {"extract_lifetimes": 2,
-                         "build_intersection_graph": 2}
+                         "build_intersection_graph": 1}
 
     def test_no_safe_fission_allocates_once(self, monkeypatch):
         # q = A:1, B:2: the schedule A(2B) has no loop to fission.
@@ -590,3 +591,69 @@ class TestSingleAllocation:
         implement(g, vectorize=True, recorder=recorder)
         probes = recorder.counter_totals()["first_fit.probes"]
         assert probes == fresh.ffdur.probes + fresh.ffstart.probes > 0
+
+
+class TestVectorizeCosting:
+    """Which schedules a pass allocates, counted at ``allocate``."""
+
+    @staticmethod
+    def _count_allocate(monkeypatch):
+        import importlib
+
+        vectorize_module = importlib.import_module(
+            "repro.scheduling.vectorize"
+        )
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return allocate(*args, **kwargs)
+
+        monkeypatch.setattr(vectorize_module, "allocate", counting)
+        return calls
+
+    @pytest.mark.parametrize("factory", [satellite_receiver, cd_to_dat])
+    def test_unconstrained_allocates_the_blocked_schedule_once(
+        self, factory, monkeypatch
+    ):
+        g = factory()
+        q = repetitions_vector(g)
+        result = implement(g, "rpmc", verify=False)
+        calls = self._count_allocate(monkeypatch)
+        vec = vectorize_schedule(g, result.sdppo_schedule, q)
+        assert vec.steps > 0
+        assert len(calls) == 1
+        assert calls[0] == vec.lifetimes.as_list()
+        assert vec.baseline_cost is None
+        assert vec.cost == vec.allocation.best.total
+
+    @pytest.mark.parametrize("factory, calls_at_budget", [
+        (satellite_receiver, (5, 5, 11, 11)),
+        (cd_to_dat, (5, 8, 10, 11)),
+    ])
+    def test_budgeted_allocations_unchanged(
+        self, factory, calls_at_budget, monkeypatch
+    ):
+        # Baseline plus every candidate of every greedy step: budgets 0,
+        # 1x, 1.5x and 2x the baseline pool total.
+        g = factory()
+        q = repetitions_vector(g)
+        result = implement(g, "rpmc", verify=False)
+        total = result.allocation.total
+        calls = self._count_allocate(monkeypatch)
+        for budget, expected in zip(
+            (0, total, 3 * total // 2, 2 * total), calls_at_budget
+        ):
+            calls.clear()
+            vec = vectorize_schedule(g, result.sdppo_schedule, q,
+                                     memory_budget=budget)
+            assert len(calls) == expected, budget
+            assert vec.baseline_cost == total
+
+    def test_no_safe_fission_costs_the_baseline(self, monkeypatch):
+        g = feedback_graph()
+        calls = self._count_allocate(monkeypatch)
+        vec = vectorize_schedule(g, parse_schedule("(2A(2B))"))
+        assert vec.steps == 0
+        assert len(calls) == 1
+        assert vec.cost == vec.baseline_cost is not None
