@@ -10,8 +10,9 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Tier-1 suite, the golden output ledger under both DP backends
-# (tier-1 runs its native leg), and the differential checking harness
+# Tier-1 suite, the golden output ledger with the kernel loaded, under
+# REPRO_NATIVE=0 and in a fresh interpreter (tier-1 runs the first of
+# these legs), and the differential checking harness
 # (25 random graphs cycling through the acyclic/broadcast/cyclic
 # families, every cross-layer oracle, fault-injection self-test
 # included).

@@ -9,9 +9,9 @@ part of the test suite):
   run's ``CompilationReport.canonical()``, for the 15 Table 1 systems
   and CD-DAT, each run plain with ``--check`` (scalar VM), with
   ``--vectorize --check`` (batched VM) and with ``--method apgan``.  The
-  same file must come out under ``--backend python``,
-  ``--backend native`` and ``--backend auto``.  The auto leg runs in a
-  fresh interpreter, so the systems before the first one of
+  same file must come out of three legs (:data:`COMPILE_LEGS`): with
+  the native kernel loaded first, under ``REPRO_NATIVE=0``, and in a
+  fresh interpreter, where the systems before the first one of
   ``repro.native.CROSSOVER_ACTORS`` actors run the scalar DP and the
   rest the kernel that system loads.
 * ``check_inject.native.txt`` / ``check_inject.python.txt`` — the
@@ -87,6 +87,10 @@ ORDER_GRAPHS: Tuple[Tuple[str, int], ...] = (
     ("random_sdf_graph", 100), ("random_broadcast_sdf_graph", 12),
     ("random_broadcast_sdf_graph", 24), ("random_broadcast_sdf_graph", 36),
 )
+#: The ``compile.txt`` legs, by the label a ``differs:`` line names.
+COMPILE_LEGS: Tuple[str, ...] = (
+    "kernel loaded", "REPRO_NATIVE=0", "fresh interpreter",
+)
 
 
 def _graph_path(stem: str) -> str:
@@ -116,7 +120,7 @@ def _cli(argv: List[str]) -> str:
     return out.getvalue()
 
 
-def compile_ledger(backend: str) -> str:
+def compile_ledger() -> str:
     """Every pinned ``repro compile`` run: stdout and report digest."""
     from repro.artifacts.report import CompilationReport
     from repro.scheduling import pipeline
@@ -135,9 +139,7 @@ def compile_ledger(backend: str) -> str:
         for system in SYSTEMS:
             for mode in MODES:
                 del results[:]
-                stdout = _cli(
-                    ["compile", system, *mode, "--backend", backend]
-                )
+                stdout = _cli(["compile", system, *mode])
                 (result,) = results
                 report = CompilationReport.from_result(result, system)
                 digest = hashlib.sha256(
@@ -152,17 +154,17 @@ def compile_ledger(backend: str) -> str:
     return "".join(chunks)
 
 
-def fresh_compile_ledger(backend: str) -> str:
+def fresh_compile_ledger() -> str:
     """:func:`compile_ledger` in a new interpreter; "" if it fails.
 
-    A fresh process has not loaded the native kernel, which is what
-    ``--backend auto`` decides on.
+    A fresh process has not loaded the native kernel, so each compile
+    loads it only where :func:`repro.native.kernel_pays` says so.
     """
     code = (
         "import runpy, sys\n"
         f"ledger = runpy.run_path({os.path.abspath(__file__)!r})"
         "['compile_ledger']\n"
-        f"sys.stdout.write(ledger({backend!r}))\n"
+        "sys.stdout.write(ledger())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True
@@ -173,10 +175,28 @@ def fresh_compile_ledger(backend: str) -> str:
     return proc.stdout
 
 
+def compile_leg(leg: str) -> str:
+    """``compile.txt`` as rendered by one of :data:`COMPILE_LEGS`."""
+    if leg == "kernel loaded":
+        from repro.native import get_kernels
+
+        get_kernels()
+        return compile_ledger()
+    if leg == "REPRO_NATIVE=0":
+        with _environ("REPRO_NATIVE", "0"):
+            return compile_ledger()
+    if leg == "fresh interpreter":
+        return fresh_compile_ledger()
+    raise ValueError(f"unknown compile leg {leg!r}")
+
+
 def check_transcript(native: bool) -> str:
-    """The ``repro check --inject`` transcript, with or without kernel."""
+    """The ``repro check --inject`` transcript, with or without kernel.
+
+    ``repro check`` loads the kernel itself where one builds.
+    """
     if native:
-        return _cli([*CHECK_ARGV, "--backend", "native"])
+        return _cli(list(CHECK_ARGV))
     with _environ("REPRO_NATIVE", "0"):
         return _cli(list(CHECK_ARGV))
 
@@ -237,10 +257,9 @@ def orders_lifetimes() -> str:
     return "\n".join(lines) + "\n"
 
 
-def render(backend: str = "native") -> Dict[str, str]:
-    """Every golden file (relative path -> content), graphs excluded."""
+def render() -> Dict[str, str]:
+    """Every golden file but ``compile.txt`` and the graphs, by path."""
     files = {
-        "compile.txt": compile_ledger(backend),
         "check_inject.native.txt": check_transcript(native=True),
         "check_inject.python.txt": check_transcript(native=False),
         "orders_lifetimes.txt": orders_lifetimes(),
@@ -280,19 +299,20 @@ def main(argv: List[str] = None) -> int:
     args = parser.parse_args(argv)
     if args.write:
         _write_graphs()
+        _write("compile.txt", compile_leg(COMPILE_LEGS[0]))
         for relative, text in render().items():
             _write(relative, text)
         print(f"golden files written to {os.path.relpath(GOLDEN, REPO)}")
         return 0
     differing = [
+        f"compile.txt ({leg})" for leg in COMPILE_LEGS
+        if compile_leg(leg) != read("compile.txt")
+    ]
+    differing += [
         relative for relative, text in render().items()
         if not os.path.exists(os.path.join(GOLDEN, relative))
         or read(relative) != text
     ]
-    if compile_ledger("python") != read("compile.txt"):
-        differing.append("compile.txt (--backend python)")
-    if fresh_compile_ledger("auto") != read("compile.txt"):
-        differing.append("compile.txt (--backend auto)")
     for relative in differing:
         print(f"differs: {relative}")
     return 1 if differing else 0

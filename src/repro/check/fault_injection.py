@@ -655,29 +655,23 @@ def inject_native_kernel(
     art: PipelineArtifacts, rng: random.Random
 ) -> Optional[InjectionOutcome]:
     """Arm a fault inside the compiled DP kernel; the differential
-    comparison against the Python pipeline must notice.
+    comparison against the Python DP must notice.
 
     The ``dp_cell`` fault skews one cell of the DP cost table, the shape
     of a real kernel bug (a bad index or combiner in the C loop).
-    Caught means the faulted native run's outputs differ from the clean
-    pipeline's — exactly what the ``oracle.native`` bit-identity
+    Caught means the faulted kernel's DPPO/SDPPO outputs differ from
+    the Python DP's — exactly what the ``oracle.native`` bit-identity
     comparison checks on every trial.  Without a usable kernel (no
     compiler, ``REPRO_NATIVE=0``) the armed contract is the *fallback*:
-    a native-requested compile must silently produce the Python result
-    bit for bit.
+    a kernel-requested DP must silently produce the Python result bit
+    for bit.
     """
     from ..native import get_kernels, kernel_fault
-    from ..scheduling.pipeline import implement
-    from .oracles import _result_signature
+    from .oracles import _dp_signature
 
-    reference = _result_signature(art.result)
+    reference = _dp_signature(art, "python")
     if get_kernels() is None:
-        alt = implement(
-            art.graph, art.method, seed=art.seed,
-            occurrence_cap=art.occurrence_cap, verify=False,
-            backend="native",
-        )
-        identical = _result_signature(alt) == reference
+        identical = _dp_signature(art, "native") == reference
         return InjectionOutcome(
             mutation="native_kernel",
             graph_seed=art.seed,
@@ -688,12 +682,7 @@ def inject_native_kernel(
             ),
         )
     with kernel_fault("dp_cell"):
-        mutated = implement(
-            art.graph, art.method, seed=art.seed,
-            occurrence_cap=art.occurrence_cap, verify=False,
-            backend="native",
-        )
-    skewed = _result_signature(mutated)
+        skewed = _dp_signature(art, "native")
     differing = sorted(k for k in reference if skewed[k] != reference[k])
     caught = bool(differing)
     return InjectionOutcome(

@@ -237,11 +237,10 @@ def _violations_for(
     seed: int,
     occurrence_cap: int,
     recorder=None,
-    backend: str = "auto",
 ) -> List[str]:
     art = build_artifacts(
         graph, method=method, seed=seed, occurrence_cap=occurrence_cap,
-        recorder=recorder, backend=backend,
+        recorder=recorder,
     )
     return run_oracles(art, recorder=recorder)
 
@@ -279,7 +278,6 @@ def run_check(
     shrink: bool = True,
     recorder=None,
     families: Tuple[str, ...] = DEFAULT_FAMILIES,
-    backend: str = "auto",
 ) -> CheckReport:
     """Run the full differential check and return the evidence.
 
@@ -302,17 +300,17 @@ def run_check(
         Optional :class:`repro.obs.Recorder`; each trial runs under a
         span (with the graph seed and method as attributes, oracle
         groups nested below), so the exported trace shows which
-        backend/oracle dominated the run.
+        oracle dominated the run.
     families:
         Which trial families to cycle through (trial ``i`` draws
         ``families[i % len(families)]``); any non-empty subset of
         :data:`DEFAULT_FAMILIES`.
-    backend:
-        Kernel backend the trial pipelines compile with (``"auto"``,
-        ``"python"``, or ``"native"``).  Whenever native kernels are
-        actually available the ``oracle.native`` group re-runs each
-        trial on the *other* backend and pins bit-identity regardless
-        of this setting.
+
+    The trial pipelines pick their DP kernel as
+    :func:`~repro.scheduling.pipeline.implement` does; ``repro check``
+    loads the kernel first, so with a compiler every trial compiles on
+    it, and the ``oracle.native`` group reruns each trial's DPs on the
+    Python recurrence and pins bit-identity.
     """
     if not families:
         raise ValueError("families must be non-empty")
@@ -353,7 +351,6 @@ def run_check(
                 )
             return _violations_for(
                 candidate, method, seed, occurrence_cap, recorder=rec,
-                backend=backend,
             )
 
         try:

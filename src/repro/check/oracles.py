@@ -24,7 +24,10 @@ from ..sdf.simulate import (
 from ..sdf.repetitions import repetitions_vector
 from ..lifetimes.intervals import extract_lifetimes
 from ..lifetimes.periodic import DEFAULT_OCCURRENCE_CAP
+from ..scheduling.common import ChainContext
+from ..scheduling.dppo import dppo
 from ..scheduling.pipeline import ImplementationResult, implement
+from ..scheduling.sdppo import sdppo
 from ..allocation.first_fit import allocate, first_fit
 from ..allocation.optimal import optimal_allocation
 from ..allocation.verify import verify_allocation
@@ -68,7 +71,6 @@ class PipelineArtifacts:
     occurrence_cap: int
     result: ImplementationResult
     q: Dict[str, int]
-    backend: str = "auto"
 
 
 def build_artifacts(
@@ -77,12 +79,11 @@ def build_artifacts(
     seed: int = 0,
     occurrence_cap: int = DEFAULT_OCCURRENCE_CAP,
     recorder: Optional[object] = None,
-    backend: str = "auto",
 ) -> PipelineArtifacts:
     """Run the full compilation flow and bundle everything checkable."""
     result = implement(
         graph, method, seed=seed, occurrence_cap=occurrence_cap,
-        verify=False, recorder=recorder, backend=backend,
+        verify=False, recorder=recorder,
     )
     return PipelineArtifacts(
         graph=graph,
@@ -91,7 +92,6 @@ def build_artifacts(
         occurrence_cap=occurrence_cap,
         result=result,
         q=repetitions_vector(graph),
-        backend=backend,
     )
 
 
@@ -495,60 +495,52 @@ def broadcast_oracles(art: PipelineArtifacts) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# native layer: cc-compiled kernels vs the Python pipeline, bit for bit
+# native layer: the cc-compiled DP kernel vs the Python DP, bit for bit
 # ----------------------------------------------------------------------
-def _result_signature(r: ImplementationResult) -> Dict[str, object]:
-    """Every output of one ``implement`` run, as comparable plain data."""
+def _dp_signature(
+    art: PipelineArtifacts, backend: str
+) -> Dict[str, object]:
+    """DPPO and SDPPO (EQ 5) over the artifact's order on one DP backend.
+
+    Every later pipeline stage is a deterministic function of these
+    schedules, so a kernel fault that reaches any output of the flow
+    shows in one of these four fields.
+    """
+    order = art.result.order
+    context = ChainContext(art.graph, order, q=art.q)
+    d = dppo(art.graph, order, art.q, context=context, backend=backend)
+    s = sdppo(art.graph, order, art.q, context=context, backend=backend)
     return {
-        "order": list(r.order),
-        "dppo_cost": r.dppo_cost,
-        "dppo_schedule": str(r.dppo_schedule),
-        "sdppo_cost": r.sdppo_cost,
-        "sdppo_schedule": str(r.sdppo_schedule),
-        "mco": r.mco,
-        "mcp": r.mcp,
-        "ffdur_total": r.ffdur_total,
-        "ffstart_total": r.ffstart_total,
-        "offsets": dict(r.allocation.offsets),
-        "alloc_total": r.allocation.total,
-        "bmlb": r.bmlb,
+        "dppo_cost": d.cost,
+        "dppo_schedule": str(d.schedule),
+        "sdppo_cost": s.cost,
+        "sdppo_schedule": str(s.schedule),
     }
 
 
 def native_oracles(art: PipelineArtifacts) -> List[str]:
-    """The bit-identity contract: native and Python pipelines agree.
+    """The bit-identity contract: the kernel and Python DPs agree.
 
-    Recompiles the artifact's graph with the *other* kernel backend and
-    compares every pipeline output field.  When no native kernel is
-    available (no compiler, ``REPRO_NATIVE=0``) both runs would take
-    the Python path and the comparison is vacuous, so it is skipped —
-    the fallback path itself is exercised by the ``native_kernel``
-    fault-injection class and the compiler-less tests.
+    Runs DPPO and SDPPO over the artifact's order on the kernel and on
+    the scalar recurrence and compares them field by field.  When no
+    native kernel is available (no compiler, ``REPRO_NATIVE=0``) both
+    runs would take the Python path and the comparison is vacuous, so
+    it is skipped — the fallback path itself is exercised by the
+    ``native_kernel`` fault-injection class and the compiler-less
+    tests.
     """
     from ..native import get_kernels
 
     if get_kernels() is None:
         return []
-    native_run = art.backend != "python"
-    other = "python" if native_run else "native"
-    alt = implement(
-        art.graph, art.method, seed=art.seed,
-        occurrence_cap=art.occurrence_cap, verify=False, backend=other,
-    )
-    mine = _result_signature(art.result)
-    theirs = _result_signature(alt)
-    bad = []
-    for field in mine:
-        if mine[field] != theirs[field]:
-            a, b = (
-                (mine[field], theirs[field]) if native_run
-                else (theirs[field], mine[field])
-            )
-            bad.append(
-                f"native: {field} differs between backends: "
-                f"native {a!r} != python {b!r}"
-            )
-    return bad
+    native = _dp_signature(art, "native")
+    python = _dp_signature(art, "python")
+    return [
+        f"native: {field} differs between backends: "
+        f"native {native[field]!r} != python {python[field]!r}"
+        for field in native
+        if native[field] != python[field]
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -141,7 +141,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     try:
         result = implement(
             graph, args.method, seed=args.seed,
-            recorder=recorder, backend=args.backend,
+            recorder=recorder,
             vectorize=args.vectorize, memory_budget=args.memory_budget,
         )
     except SDFError as exc:
@@ -191,8 +191,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .native import CROSSOVER_ACTORS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -210,15 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", default="rpmc", choices=["rpmc", "apgan", "natural"]
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--backend", default="auto", choices=["auto", "python", "native"],
-        help="kernel backend for the chain DP (auto: "
-             "the cc-compiled native kernel for graphs of at least "
-             f"{CROSSOVER_ACTORS} actors, where loading it pays, python "
-             "below; native: "
-             "always the kernel; both silently fall back to python "
-             "without a compiler; results are bit-identical either way)",
-    )
     p.add_argument(
         "--vectorize", action="store_true",
         help="block consecutive firings into counted firing blocks "
@@ -321,12 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
             "comma-separated trial families to cycle through "
             "(acyclic, broadcast, cyclic)"
         ),
-    )
-    p.add_argument(
-        "--backend", default="auto", choices=["auto", "python", "native"],
-        help="kernel backend for the chain DP the trial pipelines "
-             "compile with; when the native kernel is available the "
-             "oracle.native group cross-checks both backends regardless",
     )
     p.add_argument(
         "--trace", metavar="FILE", default=None,

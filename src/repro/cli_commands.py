@@ -50,10 +50,10 @@ def cmd_systems(_: argparse.Namespace) -> int:
 def _load_kernel() -> None:
     """Load the native kernel before a command that compiles many graphs.
 
-    ``backend="auto"`` loads it for one compile only from
-    ``native.CROSSOVER_ACTORS`` actors up; the Table 1 and figure
-    25/27 sweeps compile dozens of smaller graphs, which together
-    repay the load.
+    A single compile loads it only from ``native.CROSSOVER_ACTORS``
+    actors up; the Table 1 and figure 25/27 sweeps and the ``check``
+    trials compile dozens of smaller graphs, which together repay the
+    load.
     """
     from .native import get_kernels
 
@@ -143,6 +143,7 @@ def cmd_cddat(_: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     from .check import run_check
 
+    _load_kernel()
     recorder = None
     if args.trace:
         from . import obs
@@ -157,7 +158,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         families=tuple(
             f.strip() for f in args.families.split(",") if f.strip()
         ),
-        backend=args.backend,
     )
     for line in report.summary_lines():
         print(line)

@@ -4,21 +4,23 @@ The chain DP (DPPO's EQ 2 and SDPPO's EQ 5, including the
 episodic/persistent split for delayed graphs) is the compile path's
 inner loop.  This package compiles it once with the system C compiler
 into a small shared object, content-addressed in the artifact cache
-(keyed by kernel source + compiler identity + cflags + ABI), loads it
-via ctypes, and dispatches to it behind ``backend="auto"|"python"|"native"`` at the
-``implement``/``CompilationSession`` level.
+(keyed by kernel source + compiler identity + cflags + ABI), and loads
+it via ctypes.  No option selects it: the graph does.
 
 Loading costs a cold process about 30 ms (``ctypes``, the artifact
 cache, a ``cc --version`` probe and the ``dlopen``), more than the
-scalar DP costs below about 60 actors.  So ``backend="auto"`` in
-:func:`~repro.scheduling.pipeline.implement` asks :func:`kernel_pays`
-first: the kernel is loaded for a graph of at least
-:data:`CROSSOVER_ACTORS` actors, and used for any graph once this
-process has loaded it; otherwise the scalar DP runs and nothing here
-beyond this ``__init__`` is imported.  ``"native"`` always loads it.
-Processes that compile many graphs load it up front: each serving
-shard (:class:`~repro.serve.farm.ShardCore`) and the ``repro``
-sweep commands (``table1``, ``fig25``, ``fig27``, ``report``).
+scalar DP costs below about 60 actors.  So
+:func:`~repro.scheduling.pipeline.implement` asks :func:`kernel_pays`:
+the kernel is loaded for a graph of at least :data:`CROSSOVER_ACTORS`
+actors, and used for any graph once this process has loaded it;
+otherwise the scalar DP runs and nothing here beyond this
+``__init__`` is imported.  Processes that compile many graphs load it
+up front with :func:`get_kernels`: each serving shard
+(:class:`~repro.serve.farm.ShardCore`) and the ``repro`` commands
+``check``, ``table1``, ``fig25``, ``fig27`` and ``report``.  The
+kernel-level ``dppo``/``sdppo(..., backend=...)`` keyword, resolved by
+:func:`resolve_backend`, reaches either DP directly; the differential
+harness and the benchmark's traced replay use it.
 
 The contract is *bit-identity*: the native kernel produces exactly the
 bytes the scalar Python DP produces (same first-minimum tie-breaks,
@@ -35,15 +37,15 @@ import sys
 
 from .._lazy import attach
 
-#: Actor count from which ``backend="auto"`` loads the kernel into a
-#: process that has not loaded it yet.  Below it the scalar DP costs
+#: Actor count from which a compile loads the kernel into a process
+#: that has not loaded it yet.  Below it the scalar DP costs
 #: less than a cold load (``docs/architecture.md``, "Native kernels",
 #: has the measurements).
 CROSSOVER_ACTORS = 60
 
 
 def kernel_pays(actors: int) -> bool:
-    """Whether ``backend="auto"`` should resolve the kernel for a graph.
+    """Whether a compile of a graph of ``actors`` should use the kernel.
 
     True for a graph of at least :data:`CROSSOVER_ACTORS` actors, or
     when this process has already loaded the kernel.  Never imports

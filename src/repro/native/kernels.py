@@ -39,7 +39,8 @@ __all__ = [
     "resolve_backend",
 ]
 
-#: The dispatch vocabulary accepted everywhere a backend is chosen.
+#: The values :func:`resolve_backend` accepts (the kernel-level
+#: ``dppo``/``sdppo`` keyword).
 BACKENDS = ("auto", "python", "native")
 
 _FACTORING_CODES = {"auto": 0, "always": 1, "never": 2}

@@ -135,7 +135,6 @@ def implement(
     session: Optional[CompilationSession] = None,
     trusted_order: bool = False,
     recorder=None,
-    backend: Optional[str] = None,
     vectorize: bool = False,
     memory_budget: Optional[int] = None,
 ) -> ImplementationResult:
@@ -148,6 +147,16 @@ def implement(
     deterministic given ``(graph, method, seed)``; the compilation
     service (:mod:`repro.serve`) relies on that to cache results
     content-addressed.
+
+    The graph picks the DPPO/SDPPO chain DP: the cc-compiled kernel
+    (:mod:`repro.native`) where loading it pays
+    (:func:`repro.native.kernel_pays`: a graph of at least
+    :data:`repro.native.CROSSOVER_ACTORS` actors, or a process that
+    has already loaded it, in a ``native.resolve`` stage), the scalar
+    recurrence otherwise.  Results are bit-identical either way; a
+    kernel that cannot be built or loaded is a silent fall-through to
+    Python, counted as ``native.fallback``.  The section 6 chain DP
+    always runs in Python.
 
     Parameters
     ----------
@@ -186,20 +195,6 @@ def implement(
         ``repro compile --profile`` and ``--trace``.  A stage that
         raises still closes its span, with ``error`` set.  The default
         ``None`` takes the uninstrumented code path.
-    backend:
-        Kernel backend for the DPPO/SDPPO chain DP: ``"python"`` runs
-        the scalar recurrence only; ``"native"`` runs the cc-compiled
-        DP kernel (:mod:`repro.native`), loading it if this process
-        has not; ``"auto"`` runs the kernel only where loading it pays
-        (:func:`repro.native.kernel_pays`: a graph of at least
-        :data:`repro.native.CROSSOVER_ACTORS` actors, or a process that
-        has already loaded it) and the scalar DP otherwise, without a
-        ``native.resolve`` stage.  Results are bit-identical either
-        way; a kernel that cannot be built or loaded is a silent
-        fall-through to Python, counted as ``native.fallback``.
-        ``None`` (the default) inherits the session's backend, itself
-        ``"auto"`` by default.  The section 6 chain DP always runs in
-        Python.
     vectorize:
         Run the blocking pass (:mod:`repro.scheduling.vectorize`) on
         the SDPPO schedule and carry the *blocked* schedule through
@@ -247,20 +242,17 @@ def implement(
             with _stage(recorder, "session"):
                 session = CompilationSession(graph)
         q = session.q
-        requested = backend if backend is not None else session.backend
-        if requested == "python" or (
-            requested in (None, "auto") and not kernel_pays(graph.num_actors)
-        ):
-            eff_backend = "python"
-        else:
+        kernel = "python"
+        if kernel_pays(graph.num_actors):
             # The first call in a process imports, probes and loads the
-            # kernels: a stage of its own, not orphan time in implement.
+            # kernel: a stage of its own, not orphan time in implement.
             with _stage(recorder, "native.resolve"):
-                from ..native import resolve_backend
+                from ..native import get_kernels
 
-                eff_backend, _ = resolve_backend(
-                    requested, recorder=recorder
-                )
+                if get_kernels(recorder=recorder) is not None:
+                    kernel = "native"
+                elif recorder is not None:
+                    recorder.count("native.fallback")
         if order is not None:
             chosen = list(order)
             method = "given"
@@ -280,11 +272,11 @@ def implement(
         dp_cells = n * (n * n - 1) // 6
         with _stage(recorder, "dppo"):
             dppo_result = dppo(
-                graph, chosen, q, context=context, backend=eff_backend
+                graph, chosen, q, context=context, backend=kernel
             )
             if recorder is not None:
                 recorder.count("dp.cells", dp_cells)
-                if eff_backend == "native" and context.use_native:
+                if kernel == "native" and context.use_native:
                     recorder.count("native.dp")
         with _stage(recorder, "sdppo") as meta:
             if use_chain_dp and session.chain_order is not None:
@@ -309,14 +301,14 @@ def implement(
             else:
                 meta["dp"] = "eq5"
                 sdppo_result = sdppo(
-                    graph, chosen, q, context=context, backend=eff_backend
+                    graph, chosen, q, context=context, backend=kernel
                 )
                 sdppo_cost, sdppo_schedule = (
                     sdppo_result.cost, sdppo_result.schedule
                 )
                 if recorder is not None:
                     recorder.count("dp.cells", dp_cells)
-                    if eff_backend == "native" and context.use_native:
+                    if kernel == "native" and context.use_native:
                         recorder.count("native.dp")
             if recorder is not None:
                 recorder.count("chain.window_hits", context.window_hits)
@@ -421,7 +413,6 @@ def implement_best(
     verify: bool = True,
     session: Optional[CompilationSession] = None,
     recorder=None,
-    backend: Optional[str] = None,
 ) -> BestResult:
     """Run both topological-sort methods; the Table 1 row for a system.
 
@@ -435,11 +426,11 @@ def implement_best(
         rpmc=implement(
             graph, "rpmc", seed=seed, use_chain_dp=use_chain_dp,
             occurrence_cap=occurrence_cap, verify=verify, session=session,
-            recorder=recorder, backend=backend,
+            recorder=recorder,
         ),
         apgan=implement(
             graph, "apgan", seed=seed, use_chain_dp=use_chain_dp,
             occurrence_cap=occurrence_cap, verify=verify, session=session,
-            recorder=recorder, backend=backend,
+            recorder=recorder,
         ),
     )

@@ -209,7 +209,7 @@ class _Cutter:
         if len(acts) <= 1:
             return acts
         s = self._enter(acts)
-        mark = self.mark
+        mark, out, inn = self.mark, self.out, self.inn
         components: List[List[int]] = []
         for start in acts:
             if mark[start] != s:
@@ -217,10 +217,11 @@ class _Cutter:
             mark[start] = -s  # visited
             comp = [start]
             for a in comp:  # grows while it is scanned
-                for b, _ in self.out[a] + self.inn[a]:
-                    if mark[b] == s:
-                        mark[b] = -s
-                        comp.append(b)
+                for edges in (out[a], inn[a]):
+                    for b, _ in edges:
+                        if mark[b] == s:
+                            mark[b] = -s
+                            comp.append(b)
             components.append(sorted(comp))
         if len(components) == 1:
             return self.order(acts)

@@ -51,12 +51,13 @@ class CompilationSession:
     of shipping cached state around.)
     """
 
-    def __init__(self, graph: SDFGraph, backend: str = "auto") -> None:
+    #: Always ``"auto"``: :func:`~repro.scheduling.pipeline.implement`
+    #: lets the graph pick the DP kernel.  Kept for the benchmark's
+    #: traced replay, which passes it to ``repro.native.resolve_backend``.
+    backend = "auto"
+
+    def __init__(self, graph: SDFGraph) -> None:
         self.graph = graph
-        #: Requested kernel backend ("auto", "python" or "native") for
-        #: trials run through this session; :func:`implement` resolves
-        #: it once per call against compiler availability.
-        self.backend = backend
         #: The repetitions vector, solved once per graph.
         self.q: Dict[str, int] = repetitions_vector(graph)
         #: (source, sink) -> (TNSE words, delay words, delayed-edge

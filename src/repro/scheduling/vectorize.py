@@ -160,7 +160,7 @@ def dispatch_blocks(
 
     A *dispatch block* is one visit to a ``Firing`` leaf: the generated
     loop nest reaches the leaf and fires its actor ``count`` times back
-    to back (one batched call in the vectorized backends).  The block
+    to back (one op in :class:`~repro.codegen.BatchedVM`).  The block
     factor of an actor is the largest such ``count`` — for a SAS, the
     one leaf's count.  ``firings / blocks`` is the amortization the
     blocking buys over firing-at-a-time dispatch.

@@ -447,7 +447,7 @@ class _BatchBody:
         item = {
             "graph": request["graphs"][index],
             "options": request.get("options") or {},
-            "cache": bool(request.get("cache", True)),
+            "cache": request.get("cache", True),
         }
         faults = request.get("faults")
         if faults is not None and faults[index]:
@@ -460,6 +460,14 @@ def _load_object(raw: bytes) -> Dict[str, Any]:
     if not isinstance(request, dict):
         raise ValueError("request body must be a JSON object")
     return request
+
+
+def _cache_flag(request: Dict[str, Any]) -> bool:
+    """The request's ``cache`` field: a JSON boolean, ``true`` if absent."""
+    cache = request.get("cache", True)
+    if not isinstance(cache, bool):
+        raise ValueError(f"cache must be a JSON boolean, got {cache!r}")
+    return cache
 
 
 #: One-line payload shapes quoted by missing-field errors, so a 400
@@ -756,10 +764,7 @@ class CompileServer:
         """Route one ``/compile`` request."""
         options = CompileOptions.from_dict(request.get("options"))
         document = _require(request, "graph", "/compile")
-        caching = (
-            bool(request.get("cache", True))
-            and self.service.cache is not None
-        )
+        caching = _cache_flag(request) and self.service.cache is not None
         key = cache_key(document, options.key_dict()) if caching else ""
         return _Memo(key, self._route(document))
 
@@ -870,10 +875,7 @@ class CompileServer:
                 "'graphs' must be a list of graph documents"
             )
         options = CompileOptions.from_dict(request.get("options"))
-        caching = (
-            bool(request.get("cache", True))
-            and self.service.cache is not None
-        )
+        caching = _cache_flag(request) and self.service.cache is not None
         faults = request.get("faults")
         if faults is not None and (
             not isinstance(faults, list)

@@ -46,32 +46,40 @@ from ..artifacts import ArtifactCache, CompilationReport, cache_key
 __all__ = ["CompileOptions", "CompileService"]
 
 
+#: Each compile option's JSON type: ``bool`` fields take only ``true``
+#: or ``false`` and ``int`` fields only integers (never a boolean), so
+#: a request cannot compile, and be cached, under a value it did not
+#: send (``"false"`` read as true, ``2.9`` as 2).
+_OPTION_TYPES = {
+    "method": str,
+    "seed": int,
+    "use_chain_dp": bool,
+    "occurrence_cap": int,
+    "vectorize": bool,
+    "memory_budget": int,
+}
+_JSON_TYPE_NAMES = {str: "string", int: "integer", bool: "boolean"}
+
+
 @dataclass(frozen=True)
 class CompileOptions:
     """The strategy knobs of one compile request.
 
     ``method``/``seed``/``use_chain_dp``/``occurrence_cap`` are exactly
     the :func:`~repro.scheduling.pipeline.implement` arguments that
-    change the result; they form the cache key (:meth:`key_dict`).
-    ``backend`` selects the kernel implementation — native kernels are
-    bit-identical to the Python path by contract, so it is transported
-    with the request (:meth:`as_dict`) but deliberately *excluded* from
-    the key: a native compile and a Python compile of the same request
-    share one cache entry instead of fragmenting the cache.
-
-    ``vectorize``/``memory_budget`` run the blocking pass
-    (:mod:`repro.scheduling.vectorize`).  Unlike ``backend`` they
-    *change the artifact* (the blocked schedule carries different
-    lifetimes and a different allocation), so they are part of the
-    cache key: a vectorized compile and a plain compile of the same
-    document must never share an entry.
+    change the result; ``vectorize``/``memory_budget`` run the blocking
+    pass (:mod:`repro.scheduling.vectorize`), which changes the artifact
+    too (the blocked schedule carries different lifetimes and a
+    different allocation).  All of them form the cache key
+    (:meth:`key_dict`): a vectorized compile and a plain compile of the
+    same document never share an entry.  The DP kernel is not an
+    option: the graph picks it, with bit-identical results.
     """
 
     method: str = "rpmc"
     seed: int = 0
     use_chain_dp: bool = True
     occurrence_cap: int = DEFAULT_OCCURRENCE_CAP
-    backend: str = "auto"
     vectorize: bool = False
     memory_budget: Optional[int] = None
 
@@ -79,74 +87,56 @@ class CompileOptions:
         if self.memory_budget is not None and not self.vectorize:
             raise ValueError("memory_budget requires vectorize")
 
-    def as_dict(self) -> Dict[str, Any]:
-        """The JSON-ready transport form (includes ``backend``)."""
+    def key_dict(self) -> Dict[str, Any]:
+        """The JSON-ready form, which is also the cache-key form."""
         return {
             "method": self.method,
             "seed": self.seed,
             "use_chain_dp": self.use_chain_dp,
             "occurrence_cap": self.occurrence_cap,
-            "backend": self.backend,
             "vectorize": self.vectorize,
             "memory_budget": self.memory_budget,
         }
-
-    def key_dict(self) -> Dict[str, Any]:
-        """The cache-key form: only the result-changing options.
-
-        ``backend`` is omitted — all backends produce bit-identical
-        reports, a contract pinned by the differential harness
-        (``oracle.native``) and the fallback tests.
-        ``vectorize``/``memory_budget`` stay in: they change the
-        report's schedule, lifetimes and allocation.
-        """
-        data = self.as_dict()
-        del data["backend"]
-        return data
 
     @staticmethod
     def from_dict(data: Optional[Dict[str, Any]]) -> "CompileOptions":
         """Build options from a request's ``options`` object.
 
         Unknown keys raise ``ValueError`` (a typo'd option silently
-        ignored would silently mis-key the cache), as does an unknown
-        ``backend`` value or a ``memory_budget`` without ``vectorize``.
-        So does an ``occurrence_cap`` outside
+        ignored would silently mis-key the cache), as does a value of
+        the wrong JSON type (:data:`_OPTION_TYPES`; ``memory_budget``
+        may also be ``null``) or a ``memory_budget`` without
+        ``vectorize``.  So does an ``occurrence_cap`` outside
         ``1..DEFAULT_OCCURRENCE_CAP``: lifetimes materialize up to that
         many occurrence starts each, so an unbounded cap would let one
         request spend a worker's memory.
         """
         data = dict(data or {})
-        known = {
-            "method": str,
-            "seed": int,
-            "use_chain_dp": bool,
-            "occurrence_cap": int,
-            "backend": str,
-            "vectorize": bool,
-            "memory_budget": lambda v: None if v is None else int(v),
-        }
-        unknown = sorted(set(data) - set(known))
+        unknown = sorted(set(data) - set(_OPTION_TYPES))
         if unknown:
             raise ValueError(f"unknown compile options: {unknown}")
-        kwargs = {
-            name: cast(data[name])
-            for name, cast in known.items()
-            if name in data
-        }
-        backend = kwargs.get("backend")
-        if backend is not None and backend not in ("auto", "python", "native"):
-            raise ValueError(f"unknown backend {backend!r}")
-        budget = kwargs.get("memory_budget")
+        for name, value in data.items():
+            kind = _OPTION_TYPES[name]
+            if value is None and name == "memory_budget":
+                continue
+            # bool is a subclass of int: an int field must refuse it.
+            if not isinstance(value, kind) or (
+                kind is int and isinstance(value, bool)
+            ):
+                raise ValueError(
+                    f"{name} must be a JSON {_JSON_TYPE_NAMES[kind]}, "
+                    f"got {value!r}"
+                )
+        budget = data.get("memory_budget")
         if budget is not None and budget < 0:
             raise ValueError(f"memory_budget must be >= 0, got {budget}")
-        cap = kwargs.get("occurrence_cap")
+        cap = data.get("occurrence_cap")
         if cap is not None and not 1 <= cap <= DEFAULT_OCCURRENCE_CAP:
             raise ValueError(
                 f"occurrence_cap must be in 1..{DEFAULT_OCCURRENCE_CAP}, "
                 f"got {cap}"
             )
-        return CompileOptions(**kwargs)
+        return CompileOptions(**data)
 
 
 class CompileService:
@@ -268,7 +258,6 @@ class CompileService:
             occurrence_cap=options.occurrence_cap,
             session=session,
             recorder=recorder,
-            backend=options.backend,
             vectorize=options.vectorize,
             memory_budget=options.memory_budget,
         )

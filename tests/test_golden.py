@@ -7,11 +7,11 @@ outputs with the current code and require them byte for byte:
 * ``repro compile`` stdout and ``canonical()`` report digests for the
   Table 1 systems and CD-DAT (plain ``--check`` on the scalar VM,
   ``--vectorize --check`` on the batched VM, ``--method apgan``), run
-  with ``--backend native``: the C kernel where one builds, the Python
-  DP where none does (no compiler, ``REPRO_NATIVE=0``).  On a host
-  with a kernel the explicit ``--backend python`` leg costs more than
-  this whole file, so it runs in ``python scripts/golden.py`` (and
-  ``make check``) instead;
+  with the native kernel loaded first: the C kernel where one builds,
+  the Python DP where none does (no compiler, ``REPRO_NATIVE=0``).  On
+  a host with a kernel the ``REPRO_NATIVE=0`` leg costs more than this
+  whole file, so it runs in ``python scripts/golden.py`` (and
+  ``make check``) instead, with the fresh-interpreter leg;
 * the ``repro check --inject`` transcript, with and without the native
   kernel;
 * the emitted C (plain and instrumented) and Python sources;
@@ -40,7 +40,7 @@ GOLDEN = _load()
 
 
 def test_compile_ledger():
-    assert GOLDEN.compile_ledger("native") == GOLDEN.read("compile.txt")
+    assert GOLDEN.compile_leg("kernel loaded") == GOLDEN.read("compile.txt")
 
 
 def test_check_inject_with_kernel():

@@ -1,11 +1,13 @@
 """The native kernel layer: bit-identity, dispatch, fallback, caching.
 
 The contract under test is strict: with a compiler present, every
-``backend="native"`` result is byte-for-byte identical to the Python
-paths — DP tables, split/factoring decisions, schedules, allocations,
-full ``implement`` outputs.  Without one (or with ``REPRO_NATIVE=0``),
-every entry point silently takes the Python path, observable only as a
-single ``native.fallback`` counter.  Kernel binaries are
+kernel result is byte-for-byte identical to the Python paths — DP
+tables, split/factoring decisions, schedules, allocations, full
+``implement`` outputs.  ``implement`` takes no switch between the two:
+tests reach the Python DP under ``REPRO_NATIVE=0`` and the kernel once
+``get_kernels()`` has loaded it.  Without a compiler (or with
+``REPRO_NATIVE=0``), every entry point silently takes the Python path,
+observable only as a single ``native.fallback`` counter.  Kernel binaries are
 content-addressed in the artifact cache, digest-verified on read, and
 rebuilt (never served) when corrupt.
 """
@@ -44,6 +46,13 @@ def _reset_native_loader():
     env); forget it afterwards so later tests re-probe cleanly."""
     yield
     native.reset()
+
+
+def _python_dp(monkeypatch, run):
+    """``run()`` with the native layer disabled: the Python DP."""
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_NATIVE", "0")
+        return run()
 
 
 def _implement_signature(result):
@@ -108,12 +117,17 @@ class TestBitIdentity:
             bn, sn, fn = kernels.dp_over_context(ctx, shared=True)
             assert (bn, sn, fn) == (sp.b, sp.split, sp.factored)
 
-    def test_implement_end_to_end(self):
+    def test_implement_end_to_end(self, monkeypatch):
+        assert get_kernels() is not None
         for graph in (cd_to_dat(), satellite_receiver(),
                       random_sdf_graph(20, seed=9)):
             for method in ("rpmc", "apgan"):
-                rp = implement(graph, method, seed=1, backend="python")
-                rn = implement(graph, method, seed=1, backend="native")
+                rec = obs.TraceRecorder()
+                rp = _python_dp(
+                    monkeypatch, lambda: implement(graph, method, seed=1)
+                )
+                rn = implement(graph, method, seed=1, recorder=rec)
+                assert rec.counter_totals().get("native.dp", 0) >= 1
                 assert _implement_signature(rp) == _implement_signature(rn)
 
     def test_native_counters_and_auto_dispatch(self):
@@ -121,7 +135,7 @@ class TestBitIdentity:
         # process has loaded before (the autouse fixture forgets it).
         rec = obs.TraceRecorder()
         graph = random_sdf_graph(native.CROSSOVER_ACTORS, seed=2)
-        implement(graph, "apgan", backend="auto", recorder=rec)
+        implement(graph, "apgan", recorder=rec)
         totals = rec.counter_totals()
         assert totals.get("native.dp", 0) >= 1
         # First-fit has one (Python) implementation; no native arm.
@@ -132,32 +146,25 @@ class TestBitIdentity:
         assert get_kernels() is not None
         assert native.kernel_pays(1)
         rec = obs.TraceRecorder()
-        implement(random_sdf_graph(12, seed=2), "apgan", backend="auto",
-                  recorder=rec)
+        implement(random_sdf_graph(12, seed=2), "apgan", recorder=rec)
         totals = rec.counter_totals()
         assert totals.get("native.dp", 0) >= 1
         assert "native.fallback" not in totals
-
-    def test_backend_none_defaults_to_session(self):
-        from repro.scheduling.session import CompilationSession
-        graph = cd_to_dat()
-        session = CompilationSession(graph, backend="python")
-        rec = obs.TraceRecorder()
-        implement(graph, "apgan", session=session, recorder=rec)
-        assert "native.dp" not in rec.counter_totals()
 
 
 # -- fallback without a usable compiler ---------------------------------
 
 class TestFallback:
     def test_env_disable_is_silent_and_bit_identical(self, monkeypatch):
-        graph = cd_to_dat()
-        reference = implement(graph, "apgan", backend="python")
+        # At the crossover the compile asks for the kernel; disabled,
+        # it falls back to the Python DP, counted once.
+        graph = random_sdf_graph(native.CROSSOVER_ACTORS, seed=2)
+        reference = implement(graph, "apgan")
         monkeypatch.setenv("REPRO_NATIVE", "0")
         native.reset()
         assert get_kernels() is None
         rec = obs.TraceRecorder()
-        result = implement(graph, "apgan", backend="native", recorder=rec)
+        result = implement(graph, "apgan", recorder=rec)
         assert _implement_signature(result) == _implement_signature(reference)
         totals = rec.counter_totals()
         assert totals["native.fallback"] == 1
@@ -188,7 +195,7 @@ class TestFallback:
     def test_native_oracles_vacuous_without_kernels(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         native.reset()
-        art = build_artifacts(cd_to_dat(), "apgan", backend="native")
+        art = build_artifacts(cd_to_dat(), "apgan")
         assert native_oracles(art) == []
 
 
@@ -234,40 +241,66 @@ class TestKernelCache:
 
 class TestCompileOptionsBackend:
     def test_round_trip_and_validation(self):
-        options = CompileOptions.from_dict({"backend": "native"})
-        assert options.backend == "native"
-        assert CompileOptions.from_dict(options.as_dict()).backend == "native"
-        with pytest.raises(ValueError):
-            CompileOptions.from_dict({"backend": "fortran"})
+        # The kernel is not a compile option.
+        for backend in ("auto", "python", "native"):
+            with pytest.raises(ValueError) as err:
+                CompileOptions.from_dict({"backend": backend})
+            assert str(err.value) == "unknown compile options: ['backend']"
 
     def test_backend_excluded_from_cache_key(self):
-        document = to_json(cd_to_dat())
-        keys = {
-            cache_key(document, CompileOptions(backend=b).key_dict())
-            for b in ("auto", "python", "native")
-        }
-        assert len(keys) == 1
+        # Pinned: the default options key the same entry as before the
+        # option left, so existing on-disk cache entries stay valid.
         assert "backend" not in CompileOptions().key_dict()
-        assert CompileOptions().as_dict()["backend"] == "auto"
+        key = cache_key(
+            to_json(cd_to_dat()), CompileOptions().key_dict(),
+            version="1.0.0",
+        )
+        assert key == (
+            "f10921c1737e7e062cd734dd2a4679622e741510569bf4a6ff50928ef6f6bf87"
+        )
 
 
 # -- CLI ----------------------------------------------------------------
 
 class TestCli:
-    def test_compile_backend_python(self, capsys):
-        assert main(["compile", "cddat", "--backend", "python"]) == 0
+    def test_compile_backend_python(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        assert main(["compile", "cddat"]) == 0
         assert "shared" in capsys.readouterr().out.lower()
 
     @requires_cc
-    def test_compile_backend_native(self, capsys):
-        python_out = None
-        for backend in ("python", "native"):
-            assert main(["compile", "cddat", "--backend", backend]) == 0
-            out = capsys.readouterr().out
-            if python_out is None:
-                python_out = out
-            else:
-                assert out == python_out
+    def test_compile_backend_native(self, monkeypatch, capsys):
+        assert _python_dp(
+            monkeypatch, lambda: main(["compile", "cddat"])
+        ) == 0
+        python_out = capsys.readouterr().out
+        assert get_kernels() is not None
+        assert main(["compile", "cddat"]) == 0
+        assert capsys.readouterr().out == python_out
+
+    @pytest.mark.parametrize("command", ["compile", "check"])
+    def test_backend_flag_rejected(self, command, capsys):
+        argv = [command, "cddat"] if command == "compile" else [command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--backend", "native"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_check_loads_the_kernel_first(self, monkeypatch, capsys):
+        # Like the sweeps, ``repro check`` loads the kernel before its
+        # first trial, so every trial compiles on it where one builds.
+        from repro.check import CheckReport
+
+        native.reset()
+        loaded_at_start = []
+
+        def run_check(**kwargs):
+            loaded_at_start.append(native.kernels.loaded())
+            return CheckReport(trials=0, seed=0)
+
+        monkeypatch.setattr("repro.check.run_check", run_check)
+        assert main(["check", "--trials", "1"]) == 0
+        assert loaded_at_start == [get_kernels() is not None]
 
     @requires_cc
     def test_cache_stats_prints_kinds(self, tmp_path, capsys):
@@ -294,9 +327,10 @@ class TestHarnessIntegration:
     @requires_cc
     def test_kernel_fault_changes_results(self):
         graph = random_sdf_graph(8, seed=6)
-        reference = implement(graph, "apgan", verify=False, backend="native")
+        assert get_kernels() is not None
+        reference = implement(graph, "apgan", verify=False)
         with kernel_fault("dp_cell"):
-            skewed = implement(graph, "apgan", verify=False, backend="native")
+            skewed = implement(graph, "apgan", verify=False)
         assert (
             skewed.dppo_cost != reference.dppo_cost
             or skewed.sdppo_cost != reference.sdppo_cost
@@ -306,5 +340,6 @@ class TestHarnessIntegration:
                 pass
 
     def test_run_check_native_backend(self):
-        report = run_check(trials=4, seed=11, backend="native")
+        get_kernels()
+        report = run_check(trials=4, seed=11)
         assert report.ok, report.format()

@@ -191,8 +191,15 @@ class TestCompileOptions:
             CompileOptions.from_dict({"methd": "rpmc"})
 
     def test_round_trip(self):
-        options = CompileOptions(method="apgan", seed=3)
-        assert CompileOptions.from_dict(options.as_dict()) == options
+        for options in (
+            CompileOptions(),
+            CompileOptions(method="apgan", seed=3),
+            CompileOptions(
+                use_chain_dp=False, occurrence_cap=7, vectorize=True,
+                memory_budget=0,
+            ),
+        ):
+            assert CompileOptions.from_dict(options.key_dict()) == options
 
     @pytest.mark.parametrize("cap", [0, -1, DEFAULT_OCCURRENCE_CAP + 1,
                                      10 ** 9])
@@ -208,6 +215,30 @@ class TestCompileOptions:
     def test_occurrence_cap_bounds_accepted(self, cap):
         options = CompileOptions.from_dict({"occurrence_cap": cap})
         assert options.occurrence_cap == cap
+
+    @pytest.mark.parametrize("name, value, kind", [
+        ("vectorize", "false", "boolean"),
+        ("vectorize", 0, "boolean"),
+        ("use_chain_dp", "true", "boolean"),
+        ("use_chain_dp", 1, "boolean"),
+        ("seed", 2.9, "integer"),
+        ("seed", True, "integer"),
+        ("seed", "3", "integer"),
+        ("seed", None, "integer"),
+        ("occurrence_cap", 64.0, "integer"),
+        ("memory_budget", "7", "integer"),
+        ("memory_budget", False, "integer"),
+        ("method", 5, "string"),
+    ])
+    def test_wrong_json_type_rejected(self, name, value, kind):
+        # Validated, never cast: a cast would compile (and cache) a
+        # request under a value it did not send.
+        data = {name: value}
+        if name == "memory_budget":
+            data["vectorize"] = True
+        with pytest.raises(ValueError) as err:
+            CompileOptions.from_dict(data)
+        assert str(err.value) == f"{name} must be a JSON {kind}, got {value!r}"
 
 
 class TestCompileService:
@@ -332,6 +363,35 @@ class TestCompileServer:
         message = str(err.value)
         assert "occurrence_cap must be in 1..4096, got 1000000000" in message
         assert "\n" not in message
+
+    @pytest.mark.parametrize("path", ["/compile", "/batch"])
+    @pytest.mark.parametrize("fields, message", [
+        ({"options": {"vectorize": "false"}},
+         "vectorize must be a JSON boolean, got 'false'"),
+        ({"options": {"seed": 2.9}}, "seed must be a JSON integer, got 2.9"),
+        ({"options": {"seed": True}}, "seed must be a JSON integer, got True"),
+        ({"options": {"vectorize": True, "memory_budget": "7"}},
+         "memory_budget must be a JSON integer, got '7'"),
+        ({"cache": "false"}, "cache must be a JSON boolean, got 'false'"),
+        ({"options": {"backend": "native"}},
+         "unknown compile options: ['backend']"),
+    ])
+    def test_mistyped_field_400(self, live_server, path, fields, message):
+        document = to_json(small_graph())
+        body = (
+            {"graph": document} if path == "/compile"
+            else {"graphs": [document]}
+        )
+        body.update(fields)
+        with pytest.raises(ServeClientError) as err:
+            serve_client._post(live_server.url, path, body)
+        assert err.value.status == 400
+        assert message in str(err.value)
+        assert "\n" not in str(err.value)
+        # Rejected before dispatch: nothing compiled, nothing cached.
+        stats = get_json(live_server.url, "/stats")
+        assert stats["server"]["misses"] == 0
+        assert stats["cache"]["entries"] == 0
 
     def test_unknown_path_404(self, live_server):
         payload = get_json(live_server.url, "/nope")
