@@ -26,6 +26,13 @@ part of the test suite):
   (12–36 actors), and for each graph every buffer lifetime
   ``(name, size, start, duration, periods)`` with ``mco``/``mcp``
   under the plain and the vectorized schedule.
+* ``chain_dp.txt`` — the chain DP at ``graph.topological_order()`` for
+  seeds 0–11 of four generators (the check harness's delayed split
+  chains, acyclic and broadcast trial graphs, and delayless random
+  graphs of 10–65 actors): the DPPO cost and schedule, and the SDPPO
+  cost, schedule and per-window ``factored`` flags under each
+  factoring policy.  Rendered with the Python DP and with the native
+  kernel (:data:`CHAIN_DP_BACKENDS`); both must match the one file.
 
 Usage::
 
@@ -87,6 +94,10 @@ ORDER_GRAPHS: Tuple[Tuple[str, int], ...] = (
     ("random_sdf_graph", 100), ("random_broadcast_sdf_graph", 12),
     ("random_broadcast_sdf_graph", 24), ("random_broadcast_sdf_graph", 36),
 )
+#: Seeds of each ``chain_dp.txt`` generator.
+CHAIN_DP_SEEDS = range(12)
+#: The ``chain_dp.txt`` legs: the ``dppo``/``sdppo`` ``backend`` keyword.
+CHAIN_DP_BACKENDS: Tuple[str, ...] = ("python", "native")
 #: The ``compile.txt`` legs, by the label a ``differs:`` line names.
 COMPILE_LEGS: Tuple[str, ...] = (
     "kernel loaded", "REPRO_NATIVE=0", "fresh interpreter",
@@ -257,8 +268,51 @@ def orders_lifetimes() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _chain_dp_graphs() -> Iterator[Tuple[str, object]]:
+    from repro.check.harness import (
+        broadcast_trial_graph,
+        delayed_split_chain,
+        trial_graph,
+    )
+    from repro.sdf.random_graphs import random_sdf_graph
+
+    for generator in (delayed_split_chain, trial_graph, broadcast_trial_graph):
+        for seed in CHAIN_DP_SEEDS:
+            yield f"{generator.__name__}({seed})", generator(seed)
+    for seed in CHAIN_DP_SEEDS:
+        n = 10 + 5 * seed
+        yield f"random_sdf_graph({n}, seed={seed})", random_sdf_graph(
+            n, seed=seed
+        )
+
+
+def chain_dp(backend: str) -> str:
+    """DPPO and SDPPO (every factoring policy) on seeded graphs."""
+    from repro.scheduling.dppo import dppo
+    from repro.scheduling.sdppo import sdppo
+
+    lines: List[str] = []
+    for label, graph in _chain_dp_graphs():
+        order = graph.topological_order()
+        lines.append(f"== {label}: {' '.join(order)}")
+        result = dppo(graph, order, backend=backend)
+        lines.append(f"dppo {result.cost} {result.schedule}")
+        for factoring in ("auto", "always", "never"):
+            result = sdppo(graph, order, factoring=factoring, backend=backend)
+            flags = "".join(
+                "1" if result.factored[key] else "0"
+                for key in sorted(result.factored)
+            )
+            lines.append(
+                f"sdppo {factoring} {result.cost} {result.schedule} "
+                f"factored {flags or '-'}"
+            )
+    return "\n".join(lines) + "\n"
+
+
 def render() -> Dict[str, str]:
-    """Every golden file but ``compile.txt`` and the graphs, by path."""
+    """Every golden file but ``compile.txt``, ``chain_dp.txt`` and the
+    graphs, by path."""
     files = {
         "check_inject.native.txt": check_transcript(native=True),
         "check_inject.python.txt": check_transcript(native=False),
@@ -300,6 +354,7 @@ def main(argv: List[str] = None) -> int:
     if args.write:
         _write_graphs()
         _write("compile.txt", compile_leg(COMPILE_LEGS[0]))
+        _write("chain_dp.txt", chain_dp(CHAIN_DP_BACKENDS[0]))
         for relative, text in render().items():
             _write(relative, text)
         print(f"golden files written to {os.path.relpath(GOLDEN, REPO)}")
@@ -307,6 +362,10 @@ def main(argv: List[str] = None) -> int:
     differing = [
         f"compile.txt ({leg})" for leg in COMPILE_LEGS
         if compile_leg(leg) != read("compile.txt")
+    ]
+    differing += [
+        f"chain_dp.txt ({backend})" for backend in CHAIN_DP_BACKENDS
+        if chain_dp(backend) != read("chain_dp.txt")
     ]
     differing += [
         relative for relative, text in render().items()

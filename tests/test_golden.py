@@ -16,7 +16,10 @@ outputs with the current code and require them byte for byte:
   kernel;
 * the emitted C (plain and instrumented) and Python sources;
 * RPMC orders and the plain/vectorized buffer lifetimes of seeded
-  random graphs.
+  random graphs;
+* DPPO and SDPPO (every factoring policy) on seeded graphs, most of
+  them with delayed edges, through the Python DP and, where one loads,
+  the native kernel.
 """
 
 import importlib.util
@@ -61,6 +64,16 @@ def test_check_inject_without_kernel():
 
 def test_orders_lifetimes():
     assert GOLDEN.orders_lifetimes() == GOLDEN.read("orders_lifetimes.txt")
+
+
+@pytest.mark.parametrize("backend", GOLDEN.CHAIN_DP_BACKENDS)
+def test_chain_dp(backend):
+    if backend == "native":
+        from repro.native import get_kernels
+
+        if get_kernels() is None:
+            pytest.skip("no native kernel (no C compiler or REPRO_NATIVE=0)")
+    assert GOLDEN.chain_dp(backend) == GOLDEN.read("chain_dp.txt")
 
 
 @pytest.fixture(scope="module")
