@@ -1,8 +1,8 @@
 """cc-compiled native kernel for the scheduler's hot core.
 
-The chain DP (DPPO's EQ 2 and SDPPO's EQ 5, including the
-episodic/persistent split for delayed graphs) is the compile path's
-inner loop.  This package compiles it once with the system C compiler
+The chain DP (:func:`repro.scheduling.common.chain_dp`, the one
+episodic/persistent recurrence behind DPPO's EQ 2 and SDPPO's EQ 5) is
+the compile path's inner loop.  This package compiles it once with the system C compiler
 into a small shared object, content-addressed in the artifact cache
 (keyed by kernel source + compiler identity + cflags + ABI), and loads
 it via ctypes.  No option selects it: the graph does.

@@ -3,8 +3,8 @@
 :class:`NativeKernels` wraps the loaded library with a Python-shaped
 entry point mirroring the pure path it replaces:
 :meth:`NativeKernels.dp_over_context` returns the ``(b, split,
-factored)`` triple the scalar DP in :func:`repro.scheduling.dppo.dppo`
-and :func:`repro.scheduling.sdppo.sdppo` builds.
+factored)`` triple the scalar DP :func:`repro.scheduling.common.chain_dp`
+builds.
 
 Loading is memoized per process (one ``dlopen`` however many
 ``implement`` calls run) behind :func:`get_kernels`; a failed build is
@@ -108,7 +108,7 @@ class NativeKernels:
         lib.repro_dp.argtypes = (
             ctypes.c_int64,
             i64p, i64p, i64p, i64p,
-            ctypes.c_int32, ctypes.c_int32, ctypes.c_int32,
+            ctypes.c_int32, ctypes.c_int32,
             i64p, i64p, u8p, i64p, i64p,
         )
 
@@ -148,9 +148,10 @@ class NativeKernels:
     ) -> Tuple[
         List[List[int]], Dict[Tuple[int, int], int], Dict[Tuple[int, int], bool]
     ]:
-        """EQ 2 / EQ 5 DP in C: ``(b rows, split, factored)``.
+        """The chain DP in C: ``(b rows, split, factored)``.
 
-        The caller must have checked ``context.use_native`` (the int64
+        It mirrors :func:`~repro.scheduling.common.chain_dp`.  The
+        caller must have checked ``context.use_native`` (the int64
         overflow guard); results are bit-identical to the scalar DP.
         """
         n = context.n
@@ -161,10 +162,9 @@ class NativeKernels:
         factored_arr = (ctypes.c_uint8 * cells)()
         ep = (ctypes.c_int64 * cells)()
         pers = (ctypes.c_int64 * cells)()
-        pers_split = 1 if (shared and context.has_delays) else 0
         rc = self._lib.repro_dp(
             n, pt, pd, pp, g,
-            1 if shared else 0, pers_split, _FACTORING_CODES[factoring],
+            1 if shared else 0, _FACTORING_CODES[factoring],
             b, split_arr, factored_arr, ep, pers,
         )
         if rc != 0:

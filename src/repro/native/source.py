@@ -1,12 +1,13 @@
 """The C source for the native chain-DP kernel.
 
 ``repro_dp`` mirrors, statement for statement, the pure-Python chain
-DP of :func:`repro.scheduling.dppo.dppo` and
-:func:`repro.scheduling.sdppo.sdppo`: the O(n^3) recurrence over a
-:class:`ChainContext` (EQ 2 non-shared sum combiner, EQ 5 shared max
-combiner, and the shared episodic/persistent split for delayed graphs),
-including the crossing-cost window evaluation as inline
-prefix-rectangle queries and the section 5.1 auto-factoring decision.
+DP :func:`repro.scheduling.common.chain_dp`: the one O(n^3) recurrence
+over a :class:`ChainContext` that splits every window cost into an
+episodic part (combined with ``max``) and a persistent part (summed) —
+EQ 5 with the delayed edges persistent under the shared model, EQ 2
+with every buffer persistent under the non-shared one — including the
+crossing-cost window evaluation as inline prefix-rectangle queries and
+the section 5.1 auto-factoring decision.
 
 Bit-identity contract
 ---------------------
@@ -31,7 +32,7 @@ __all__ = ["KERNEL_SOURCE", "KERNEL_ABI_VERSION"]
 #: Bumped whenever an exported signature changes shape; the loader
 #: refuses a binary whose baked-in version disagrees (belt-and-braces
 #: on top of content addressing).
-KERNEL_ABI_VERSION = 2
+KERNEL_ABI_VERSION = 3
 
 KERNEL_SOURCE = r"""
 /* repro native kernel: the chain DP.
@@ -47,7 +48,7 @@ KERNEL_SOURCE = r"""
 
 #include <stdint.h>
 
-#define REPRO_ABI_VERSION 2
+#define REPRO_ABI_VERSION 3
 
 int64_t repro_abi_version(void) { return REPRO_ABI_VERSION; }
 
@@ -57,27 +58,25 @@ int64_t repro_abi_version(void) { return REPRO_ABI_VERSION; }
     ((P)[((r1) + 1) * (m) + (c1) + 1] - (P)[(r0) * (m) + (c1) + 1]   \
      - (P)[((r1) + 1) * (m) + (c0)] + (P)[(r0) * (m) + (c0)])
 
-/* The chain DP of dppo/sdppo.
+/* The chain DP of repro.scheduling.common.chain_dp.
  *
  *   n          actors in the lexical order
  *   pt, pd, pp (n+1)^2 row-major prefix grids: TNSE words, delay
  *              words, delayed-edge TNSE words
  *   g          n*n row-major window gcd table g[i][j]
- *   shared     0 = EQ 2 (sum combiner), 1 = EQ 5 (max combiner)
- *   pers_split 1 = shared DP with delayed edges: split costs into
- *              episodic (max) and persistent (sum) components
+ *   shared     0 = EQ 2 (every buffer persistent), 1 = EQ 5 (only
+ *              delayed-edge buffers persistent)
  *   factoring  0 = auto (factor iff crossing cost > 0), 1 = always,
  *              2 = never
  *   b          out n*n cost table (caller-zeroed)
  *   split      out n*n chosen split k per window (i, j)
  *   factored   out n*n factoring flags (shared only)
  *   ep, pers   n*n caller-zeroed scratch: episodic/persistent tables
- *              (used only when pers_split)
  */
 int repro_dp(int64_t n,
              const int64_t *pt, const int64_t *pd, const int64_t *pp,
              const int64_t *g,
-             int32_t shared, int32_t pers_split, int32_t factoring,
+             int32_t shared, int32_t factoring,
              int64_t *b, int64_t *split, uint8_t *factored,
              int64_t *ep, int64_t *pers)
 {
@@ -90,23 +89,16 @@ int repro_dp(int64_t n,
             int64_t j = i + L - 1;
             int64_t gg = g[i * n + j];
             int64_t best = 0, best_cost = 0, best_k = -1;
+            int64_t p_cross, np;
             for (k = i; k < j; k++) {
                 int64_t tw = RECT(pt, m, i, k, k + 1, j);
                 int64_t dw = RECT(pd, m, i, k, k + 1, j);
                 int64_t cost = tw / gg + dw;
-                int64_t total;
-                if (pers_split) {
-                    int64_t el = ep[i * n + k];
-                    int64_t er = ep[(k + 1) * n + j];
-                    total = (el > er ? el : er)
-                            + pers[i * n + k] + pers[(k + 1) * n + j]
-                            + cost;
-                } else {
-                    int64_t bl = b[i * n + k];
-                    int64_t br = b[(k + 1) * n + j];
-                    total = (shared ? (bl > br ? bl : br) : bl + br)
-                            + cost;
-                }
+                int64_t el = ep[i * n + k];
+                int64_t er = ep[(k + 1) * n + j];
+                int64_t total = (el > er ? el : er)
+                                + pers[i * n + k] + pers[(k + 1) * n + j]
+                                + cost;
                 /* strict < after the first candidate: first minimum,
                  * matching list.index(min(...)). */
                 if (best_k < 0 || total < best) {
@@ -117,21 +109,19 @@ int repro_dp(int64_t n,
             }
             b[i * n + j] = best;
             split[i * n + j] = best_k;
-            if (pers_split) {
-                int64_t ptw = RECT(pp, m, i, best_k, best_k + 1, j);
-                int64_t dwb = RECT(pd, m, i, best_k, best_k + 1, j);
-                int64_t np = pers[i * n + best_k]
-                             + pers[(best_k + 1) * n + j]
-                             + ptw / gg + dwb;
-                pers[i * n + j] = np;
-                ep[i * n + j] = best - np;
-            }
             if (shared) {
+                p_cross = RECT(pp, m, i, best_k, best_k + 1, j) / gg
+                          + RECT(pd, m, i, best_k, best_k + 1, j);
                 factored[i * n + j] = (uint8_t)(
                     factoring == 1 ? 1
                     : factoring == 2 ? 0
                     : (best_cost > 0));
+            } else {
+                p_cross = best_cost;
             }
+            np = pers[i * n + best_k] + pers[(best_k + 1) * n + j] + p_cross;
+            pers[i * n + j] = np;
+            ep[i * n + j] = best - np;
         }
     }
     return 0;

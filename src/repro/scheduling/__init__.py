@@ -12,8 +12,8 @@ __getattr__, __dir__, __all__ = attach(__name__, globals(), {
     "schedule_cyclic": ".cyclic",
     "strongly_connected_components": ".cyclic",
     "ChainContext": ".common",
-    "SplitTable": ".common",
     "build_schedule_from_splits": ".common",
+    "chain_dp": ".common",
     "DPPOResult": ".dppo",
     "dppo": ".dppo",
     "SDPPOResult": ".sdppo",

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..exceptions import GraphStructureError
 from ..sdf.graph import SDFGraph
 from ..sdf.schedule import LoopedSchedule
-from .common import ChainContext, SplitTable, build_schedule_from_splits
+from .common import ChainContext, build_schedule_from_splits
 
 __all__ = ["CostTriple", "ChainSDPPOResult", "chain_sdppo", "combine_triples"]
 
@@ -235,8 +235,9 @@ def chain_sdppo(
                 # A delayed crossing edge's circular buffer is live for
                 # the whole period: it takes no part in the episodic
                 # overlap cases, it simply adds to the persistent total.
-                c_total = context.single_crossing_edge_cost(i, j, k)
-                p_cross = context.pers_single_crossing_edge_cost(i, j, k)
+                # On a chain, edge (k, k+1) is the only edge crossing k.
+                c_total = context.crossing_cost(i, j, k)
+                p_cross = context.pers_crossing_cost(i, j, k)
                 c_epi = c_total - p_cross
                 r_left = context.window_gcd(i, k) // g_ij
                 r_right = context.window_gcd(k + 1, j) // g_ij
@@ -259,9 +260,7 @@ def chain_sdppo(
     )
     split, factored = {}, {}
     _collect_splits(cells, (0, n - 1), best_index, split, factored)
-    schedule = build_schedule_from_splits(
-        context, SplitTable(split=split, factored=factored)
-    )
+    schedule = build_schedule_from_splits(context, split, factored)
     return ChainSDPPOResult(
         cost=root[best_index].triple.mid + root[best_index].pers,
         schedule=schedule,

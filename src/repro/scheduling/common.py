@@ -8,8 +8,11 @@ of a split combine.  This module provides the common machinery:
 * :class:`ChainContext` — the lexical order, repetitions, per-window
   gcds ``g[i][j] = gcd(q_i..q_j)``, and incremental split-crossing cost
   sums (EQ 3/4);
+* :func:`chain_dp` — the one recurrence both run, with every window
+  cost split into an episodic part (combined with ``max``) and a
+  persistent part (summed);
 * :func:`build_schedule_from_splits` — reconstruct the nested looped
-  schedule from a table of optimal split points, applying the factoring
+  schedule from the optimal split points, applying the factoring
   decision recorded per window.
 
 Positions are 0-based; a *window* ``(i, j)`` covers actors
@@ -18,9 +21,8 @@ Positions are 0-based; a *window* ``(i, j)`` covers actors
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import GraphStructureError, ScheduleError
 from ..sdf.graph import SDFGraph
@@ -31,7 +33,7 @@ from ..sdf.topsort import is_topological_order
 __all__ = [
     "ChainContext",
     "build_schedule_from_splits",
-    "SplitTable",
+    "chain_dp",
     "aggregate_pair_weights",
     "broadcast_group_weights",
 ]
@@ -45,8 +47,8 @@ def aggregate_pair_weights(
     Parallel edges are summed.  The third component restricts the first
     to edges carrying initial tokens — the *persistent* edges whose
     circular buffers stay live across the whole period and therefore
-    cannot share memory with anything (see EQ 5's episodic/persistent
-    split in :func:`repro.scheduling.sdppo.sdppo`).
+    cannot share memory with anything (see the episodic/persistent
+    split of EQ 5 in :func:`chain_dp`).
 
     Order-invariant, so a compilation session computes it once per graph
     and every per-order :class:`ChainContext` reuses it.
@@ -217,10 +219,6 @@ class ChainContext:
         self._tw_prefix = tws
         self._dw_prefix = dws
         self._ptw_prefix = ptws
-        #: Whether any edge carries initial tokens — when false the
-        #: persistent component of every crossing cost is zero and the
-        #: shared DP reduces to the plain EQ 5 recurrence.
-        self.has_delays = dws[self.n][self.n] > 0
         self._scan_arrays: Optional[tuple] = None
         #: Whether the cc-compiled DP kernel may run.  It accumulates
         #: in int64, so contexts whose costs could overflow (bounded by
@@ -360,39 +358,108 @@ class ChainContext:
         dw = self._rect(self._dw_prefix, i, k, k + 1, j)
         return ptw // g + dw
 
-    def single_crossing_edge_cost(self, i: int, j: int, k: int) -> int:
-        """Crossing cost when the graph is a chain: the one edge (k, k+1)."""
-        g = self._g[i][j]
-        tw = self._rect(self._tw_prefix, k, k, k + 1, k + 1)
-        dw = self._rect(self._dw_prefix, k, k, k + 1, k + 1)
-        return tw // g + dw
 
-    def pers_single_crossing_edge_cost(self, i: int, j: int, k: int) -> int:
-        """Persistent part of the chain crossing cost for edge (k, k+1)."""
-        g = self._g[i][j]
-        ptw = self._rect(self._ptw_prefix, k, k, k + 1, k + 1)
-        dw = self._rect(self._dw_prefix, k, k, k + 1, k + 1)
-        return ptw // g + dw
+def chain_dp(
+    context: ChainContext,
+    shared: bool,
+    factoring: str = "auto",
+    backend: str = "python",
+) -> Tuple[
+    List[List[int]], Dict[Tuple[int, int], int], Dict[Tuple[int, int], bool]
+]:
+    """The chain DP of EQ 2 and EQ 5: ``(b rows, split, factored)``.
 
+    One recurrence serves both models.  Every window cost is split into
+    an episodic part ``ep`` (buffers whose lifetimes the two halves of
+    a split never share, combined with ``max``) and a persistent part
+    ``pers`` (buffers live across both halves, always summed)::
 
-@dataclass
-class SplitTable:
-    """Optimal split points and factoring decisions from a DP run.
+        b[i, j] = min_k  max(ep[i, k], ep[k+1, j])
+                         + pers[i, k] + pers[k+1, j] + c_ij[k]
 
-    ``split[(i, j)]`` is the chosen ``k`` for window ``(i, j)``;
-    ``factored[(i, j)]`` records whether the merge at that window
-    introduced a common loop factor (always true for DPPO; per the
-    section 5.1 heuristic for SDPPO).
+    and the chosen split adds its persistent crossing words to
+    ``pers[i, j]``.  Under the shared model (EQ 5) those are the
+    delayed edges' words, :meth:`ChainContext.pers_crossing_cost`: a
+    delayed edge's circular buffer carries its ``del(e)`` tokens across
+    the period boundary, so it can never overlay anything.  On a
+    delayless graph every ``pers`` is zero and this is EQ 5's
+    ``max(b[i, k], b[k+1, j]) + c_ij[k]``.  Under the non-shared model
+    (EQ 2) every buffer is persistent: the whole ``c_ij[k]`` is added,
+    every ``ep`` is zero, and this is ``b[i, k] + b[k+1, j] + c_ij[k]``.
+
+    The split scan keeps the first minimum.  ``factored`` records the
+    section 5.1 decision per window under the shared model — with
+    ``factoring="auto"``, factor iff the merge has internal
+    (split-crossing) edges, ``"always"`` or ``"never"`` otherwise — and
+    is empty under the non-shared model, whose every merge factors.
+
+    ``backend`` other than ``"python"`` runs the cc-compiled kernel
+    (:meth:`repro.native.kernels.NativeKernels.dp_over_context`) when
+    ``context.use_native`` holds and the kernel loads, bit-identical to
+    the recurrence here; otherwise this falls through to it silently.
     """
+    if backend != "python" and context.use_native:
+        from ..native import resolve_backend
 
-    split: Dict[Tuple[int, int], int]
-    factored: Dict[Tuple[int, int], bool]
+        _, kernels = resolve_backend(backend)
+        if kernels is not None:
+            return kernels.dp_over_context(context, shared, factoring)
+    n = context.n
+    # The episodic and persistent tables, each kept both row-major and
+    # transposed so the split scan zips contiguous slices: the left
+    # halves [i][i..j-1] and the right halves T[j][i+1..j].
+    b = [[0] * n for _ in range(n)]
+    ep = [[0] * n for _ in range(n)]
+    epT = [[0] * n for _ in range(n)]
+    pers = [[0] * n for _ in range(n)]
+    persT = [[0] * n for _ in range(n)]
+    split: Dict[Tuple[int, int], int] = {}
+    factored: Dict[Tuple[int, int], bool] = {}
+    for length in range(2, n + 1):
+        for i in range(0, n - length + 1):
+            j = i + length - 1
+            costs = context.crossing_costs_for_window(i, j)
+            epi, epj = ep[i], epT[j]
+            pi, pj = pers[i], persT[j]
+            candidates = [
+                (x if x > y else y) + pl + pr + c
+                for x, y, pl, pr, c in zip(
+                    epi[i:j], epj[i + 1 : j + 1], pi[i:j], pj[i + 1 : j + 1],
+                    costs,
+                )
+            ]
+            best = min(candidates)
+            best_k = i + candidates.index(best)
+            cost = costs[best_k - i]
+            if shared:
+                p_cross = context.pers_crossing_cost(i, j, best_k)
+                # Crossing costs are strictly positive whenever a
+                # crossing edge exists, so a zero cost means the halves
+                # are independent; unfactored, their buffers stay
+                # disjoint (figure 7(a) vs 7(b)).
+                factored[(i, j)] = (
+                    cost > 0 if factoring == "auto" else factoring == "always"
+                )
+            else:
+                p_cross = cost
+            new_pers = pi[best_k] + pj[best_k + 1] + p_cross
+            b[i][j] = best
+            pi[j] = pj[i] = new_pers
+            epi[j] = epj[i] = best - new_pers
+            split[(i, j)] = best_k
+    return b, split, factored
 
 
 def build_schedule_from_splits(
-    context: ChainContext, table: SplitTable
+    context: ChainContext,
+    split: Dict[Tuple[int, int], int],
+    factored: Dict[Tuple[int, int], bool],
 ) -> LoopedSchedule:
-    """Reconstruct the nested SAS from a split table (section 4).
+    """Reconstruct the nested SAS from the optimal splits (section 4).
+
+    ``split[(i, j)]`` is the chosen ``k`` for window ``(i, j)``;
+    ``factored[(i, j)]`` whether the merge there introduces the common
+    loop factor (a window it omits factors, as DPPO's every merge does).
 
     The window ``(i, j)`` executes ``g_ij`` times per schedule period;
     nested inside an enclosing loop that already supplies
@@ -407,10 +474,10 @@ def build_schedule_from_splits(
             count = context.rep(i) // enclosing
             return Firing(context.actor(i), count)
         key = (i, j)
-        if key not in table.split:
+        if key not in split:
             raise ScheduleError(f"split table missing window {key}")
-        k = table.split[key]
-        if table.factored.get(key, True):
+        k = split[key]
+        if factored.get(key, True):
             g = context.window_gcd(i, j)
             factor = g // enclosing
             inner = g

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sdf.graph import SDFGraph
 from ..sdf.schedule import LoopedSchedule
-from .common import ChainContext, SplitTable, build_schedule_from_splits
+from .common import ChainContext, build_schedule_from_splits, chain_dp
 
 __all__ = ["DPPOResult", "dppo"]
 
@@ -41,10 +41,9 @@ class DPPOResult:
         The order-optimal nested single appearance schedule.
     order:
         The lexical order the optimization was performed over.
-    table:
-        The full DP cost table ``b[(i, j)]`` (useful for diagnostics and
-        for the optimality proofs exercised in tests); derived on demand
-        from the raw DP rows so the hot path never pays for it.
+    b:
+        The DP cost rows: ``b[i][j]`` is the optimal cost of window
+        ``(i, j)``.
     split:
         The chosen split ``k`` per window ``(i, j)``.
     """
@@ -54,13 +53,6 @@ class DPPOResult:
     order: List[str]
     b: List[List[int]]
     split: Dict[Tuple[int, int], int]
-
-    @property
-    def table(self) -> Dict[Tuple[int, int], int]:
-        n = len(self.b)
-        return {
-            (i, j): self.b[i][j] for i in range(n) for j in range(i, n)
-        }
 
 
 def dppo(
@@ -77,11 +69,12 @@ def dppo(
     (e.g. from a compilation session) so DPPO and SDPPO runs over the
     same order share one precomputation.
 
-    ``backend`` selects the DP implementation: ``"python"`` (the
-    default) runs the scalar recurrence below, ``"native"`` or
-    ``"auto"`` the cc-compiled kernel where available and eligible —
-    bit-identical results either way, with a silent fall-through to
-    the Python path when the kernel cannot run.
+    The DP is :func:`~repro.scheduling.common.chain_dp` under the
+    non-shared model, where every buffer is persistent.  ``backend``
+    is its keyword: ``"python"`` (the default) runs the scalar
+    recurrence, ``"native"`` or ``"auto"`` the cc-compiled kernel where
+    available and eligible — bit-identical results either way, with a
+    silent fall-through to the Python path when the kernel cannot run.
 
     Examples
     --------
@@ -101,42 +94,10 @@ def dppo(
     """
     if context is None:
         context = ChainContext(graph, order, q)
-    n = context.n
-    b = split = None
-    if backend != "python" and context.use_native:
-        from ..native import resolve_backend
-
-        _, kernels = resolve_backend(backend)
-        if kernels is not None:
-            b, split, _ = kernels.dp_over_context(context, shared=False)
-    if b is None:
-        # b[i][j] = optimal cost of window (i, j), kept both row-major
-        # and transposed so the split scan zips two contiguous slices:
-        # the left halves b[i][i..j-1] and the right halves b[i+1..j][j].
-        b = [[0] * n for _ in range(n)]
-        bT = [[0] * n for _ in range(n)]
-        split = {}
-        for length in range(2, n + 1):
-            for i in range(0, n - length + 1):
-                j = i + length - 1
-                costs = context.crossing_costs_for_window(i, j)
-                bi = b[i]
-                candidates = [
-                    x + y + c
-                    for x, y, c in zip(bi[i:j], bT[j][i + 1 : j + 1], costs)
-                ]
-                best = min(candidates)
-                bi[j] = best
-                bT[j][i] = best
-                split[(i, j)] = i + candidates.index(best)
-
-    factored = {key: True for key in split}
-    schedule = build_schedule_from_splits(
-        context, SplitTable(split=split, factored=factored)
-    )
+    b, split, _ = chain_dp(context, shared=False, backend=backend)
     return DPPOResult(
-        cost=b[0][n - 1],
-        schedule=schedule,
+        cost=b[0][context.n - 1],
+        schedule=build_schedule_from_splits(context, split, {}),
         order=list(order),
         b=b,
         split=split,

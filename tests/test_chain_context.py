@@ -6,11 +6,7 @@ from repro.exceptions import GraphStructureError, ScheduleError
 from repro.sdf.graph import SDFGraph
 from repro.sdf.random_graphs import random_sdf_graph
 from repro.sdf.repetitions import repetitions_vector, total_tokens_exchanged
-from repro.scheduling.common import (
-    ChainContext,
-    SplitTable,
-    build_schedule_from_splits,
-)
+from repro.scheduling.common import ChainContext, build_schedule_from_splits
 
 
 def diamond():
@@ -85,9 +81,7 @@ class TestScheduleReconstruction:
         g = diamond()
         ctx = ChainContext(g, ["A", "B", "C", "D"])
         with pytest.raises(ScheduleError):
-            build_schedule_from_splits(
-                ctx, SplitTable(split={}, factored={})
-            )
+            build_schedule_from_splits(ctx, {}, {})
 
     def test_unfactored_split_keeps_child_factors(self):
         g = SDFGraph()
@@ -96,11 +90,11 @@ class TestScheduleReconstruction:
         g.add_edge("x", "y", 1, 2)
         # q: u=2, v=1, x=2, y=1 (two disconnected pairs)
         ctx = ChainContext(g, ["u", "v", "x", "y"])
-        table = SplitTable(
-            split={(0, 3): 1, (0, 1): 0, (2, 3): 2},
-            factored={(0, 3): False, (0, 1): True, (2, 3): True},
+        schedule = build_schedule_from_splits(
+            ctx,
+            {(0, 3): 1, (0, 1): 0, (2, 3): 2},
+            {(0, 3): False, (0, 1): True, (2, 3): True},
         )
-        schedule = build_schedule_from_splits(ctx, table)
         from repro.sdf.simulate import validate_schedule
         validate_schedule(g, schedule)
         # The unfactored top split must not wrap a common loop: each

@@ -9,7 +9,7 @@ from repro.sdf.graph import SDFGraph
 from repro.sdf.random_graphs import random_chain_graph, random_sdf_graph
 from repro.sdf.repetitions import repetitions_vector
 from repro.sdf.simulate import buffer_memory_nonshared, validate_schedule
-from repro.scheduling.common import ChainContext, SplitTable, build_schedule_from_splits
+from repro.scheduling.common import ChainContext, build_schedule_from_splits
 from repro.scheduling.dppo import dppo
 from repro.exceptions import GraphStructureError
 
@@ -43,9 +43,7 @@ def brute_force_best(graph, order):
     for tree in all_parenthesizations(0, n - 1):
         split, factored = {}, {}
         tree_to_split_table(tree, 0, n - 1, split, factored)
-        schedule = build_schedule_from_splits(
-            context, SplitTable(split=split, factored=factored)
-        )
+        schedule = build_schedule_from_splits(context, split, factored)
         cost = buffer_memory_nonshared(graph, schedule)
         if best is None or cost < best:
             best = cost
