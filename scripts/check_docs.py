@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Documentation gate: links and paths must resolve, commands must exist.
+"""Documentation gate: links, paths and types must resolve, commands must exist.
 
-Three mechanical checks (run as ``make check-docs``; CI fails the build
-on any finding).  The first two read ``README.md`` and ``docs/*.md``:
+Four mechanical checks (run as ``make check-docs``; CI fails the build
+on any finding).  The first three read ``README.md`` and ``docs/*.md``:
 
 * **Links** — every intra-repo markdown link target (``[text](path)``
   with a relative path, anchors stripped) must name a file or
@@ -16,8 +16,12 @@ on any finding).  The first two read ``README.md`` and ``docs/*.md``:
   be an option that subcommand actually accepts.  A doc that invents a
   flag — or keeps one that was renamed — fails here rather than
   misleading a reader.
+* **Types** — in a "Key data types" table, every backticked name in
+  column 1 must be an attribute of ``repro.<module>`` for one of the
+  backticked modules in column 2, so the table cannot keep listing a
+  deleted class.
 
-The third also reads every ``src/**/*.py`` file:
+The fourth also reads every ``src/**/*.py`` file:
 
 * **Paths** — every backticked repo path (``src/``, ``tests/``,
   ``benchmarks/``, ``scripts/``, ``perfbench/``, ``docs/`` or
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import importlib
 import os
 import re
 import shlex
@@ -52,6 +57,8 @@ PATH_RE = re.compile(
     r"`((?:src|tests|benchmarks|scripts|perfbench|docs|examples)/"
     r"[\w./-]*\.(?:py|md|json|txt))(?:::[\w\[\]-]*|:\d+)?`"
 )
+TICK_RE = re.compile(r"`([^`]+)`")
+TYPE_TABLE_HEADING = "## Key data types"
 FENCE_RE = re.compile(r"```(console|bash)\n(.*?)```", re.S)
 SHELL_OPERATORS = {"|", "||", "&&", "&", ";", ">", ">>", "<", "2>"}
 
@@ -103,6 +110,39 @@ def check_paths(path: str, text: str):
         if not os.path.isfile(os.path.join(REPO, target)):
             line = text.count("\n", 0, match.start()) + 1
             yield f"{rel(path)}:{line}: dead path {target!r}"
+
+
+# ----------------------------------------------------------------------
+# types
+# ----------------------------------------------------------------------
+def _exports(module: str, name: str) -> bool:
+    try:
+        return hasattr(importlib.import_module(f"repro.{module}"), name)
+    except ImportError:
+        return False
+
+
+def check_types(path: str, text: str):
+    """Yield findings for type-table names their modules do not define."""
+    start = text.find(TYPE_TABLE_HEADING)
+    if start < 0:
+        return
+    line = text.count("\n", 0, start) + 1
+    for row in text[start:].splitlines()[1:]:
+        line += 1
+        if row.startswith("#"):
+            break
+        cells = row.split("|")
+        if len(cells) < 4:
+            continue
+        names = TICK_RE.findall(cells[1])
+        modules = TICK_RE.findall(cells[2])
+        for name in names:
+            if not any(_exports(module, name) for module in modules):
+                yield (
+                    f"{rel(path)}:{line}: type {name!r} is not defined in "
+                    f"{', '.join('repro.' + m for m in modules) or 'any module'}"
+                )
 
 
 # ----------------------------------------------------------------------
@@ -190,6 +230,7 @@ def main() -> int:
             text = handle.read()
         findings.extend(check_links(path, text))
         findings.extend(check_paths(path, text))
+        findings.extend(check_types(path, text))
         findings.extend(check_commands(path, text, root))
         checked += 1
     for path in source_files():
@@ -202,8 +243,8 @@ def main() -> int:
         print(f"check-docs: {len(findings)} finding(s) in {checked} file(s)")
         return 1
     print(
-        f"check-docs: OK ({checked} files, links, paths and commands "
-        f"verified)"
+        f"check-docs: OK ({checked} files, links, paths, types and "
+        f"commands verified)"
     )
     return 0
 

@@ -1,9 +1,9 @@
 """Tests for the documentation gate (scripts/check_docs.py).
 
 The gate is load-bearing — CI runs it via ``make check-docs`` — so its
-three checkers are pinned here on synthetic text: real links, paths
-and commands pass, broken links, dead paths and phantom
-flags/subcommands are findings, and usage placeholders / globs /
+four checkers are pinned here on synthetic text: real links, paths,
+types and commands pass, broken links, dead paths, undefined types and
+phantom flags/subcommands are findings, and usage placeholders / globs /
 pipelines / non-repro lines are skipped rather than false-positived.
 The final tests run the gate for real over the repo's own docs and
 sources, which must be clean.
@@ -87,6 +87,45 @@ class TestPathChecker:
         ) == []
 
 
+def types(text):
+    return list(CHECK.check_types(FAKE, text))
+
+
+def type_table(*rows):
+    return (
+        "intro\n\n## Key data types\n\n| Type | Module | Role |\n"
+        "|---|---|---|\n" + "".join(f"{row}\n" for row in rows)
+        + "\n## Next\n\n| `Nowhere` | `sdf.graph` | after the table |\n"
+    )
+
+
+class TestTypeChecker:
+    def test_defined_names_pass(self):
+        assert types(type_table(
+            "| `SDFGraph`, `Edge` | `sdf.graph` | graphs |",
+            "| `SharedMemoryVM`, `BatchedVM` | `codegen.vm`, "
+            "`codegen.batched_vm` | either module may define a name |",
+        )) == []
+
+    def test_missing_name_is_a_finding(self):
+        found = types(type_table(
+            "| `SDFGraph` | `sdf.graph` | graphs |",
+            "| `ChainContext`, `SplitTable` | `scheduling.common` | DP |",
+        ))
+        assert found == [
+            "docs/fake.md:8: type 'SplitTable' is not defined in "
+            "repro.scheduling.common"
+        ]
+
+    def test_unknown_module_is_a_finding(self):
+        found = types(type_table("| `SDFGraph` | `sdf.nowhere` | x |"))
+        assert len(found) == 1
+        assert "repro.sdf.nowhere" in found[0]
+
+    def test_text_without_the_table_is_skipped(self):
+        assert types("| `Nowhere` | `sdf.graph` | not a type table |") == []
+
+
 def fence(*lines):
     return "```console\n" + "\n".join(lines) + "\n```\n"
 
@@ -140,6 +179,7 @@ class TestRepoDocsAreClean:
                 text = handle.read()
             assert list(CHECK.check_links(path, text)) == []
             assert list(CHECK.check_paths(path, text)) == []
+            assert list(CHECK.check_types(path, text)) == []
             assert list(CHECK.check_commands(path, text, root)) == []
 
     def test_sources_cite_only_existing_paths(self):
