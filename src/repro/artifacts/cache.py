@@ -92,6 +92,29 @@ def cache_key(
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _write_atomic(path: str, data: bytes, mode: Optional[int] = None) -> None:
+    """Write ``data`` to ``path`` through a temporary file and ``os.replace``.
+
+    Readers see the old file or the complete new one, never a prefix;
+    ``mode``, when given, is set on the file before it appears.
+    """
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        if mode is not None:
+            os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ArtifactCache:
     """A directory of hash-verified compilation reports.
 
@@ -185,40 +208,14 @@ class ArtifactCache:
         entry valid) second — a crash between the two reads as a miss.
         """
         path = self.kernel_path_for(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.chmod(tmp, 0o755)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _write_atomic(path, data, mode=0o755)
         entry = {
             "key": key,
             "digest": hashlib.sha256(data).hexdigest(),
             "bytes": len(data),
         }
-        meta_path = path + _ENTRY_SUFFIX
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(tmp, meta_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        meta = json.dumps(entry, sort_keys=True).encode("utf-8")
+        _write_atomic(path + _ENTRY_SUFFIX, meta)
         self.writes += 1
         return path
 
@@ -274,25 +271,12 @@ class ArtifactCache:
         and ``os.replace`` so readers only ever see complete entries.
         """
         path = self.path_for(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         entry = {
             "key": key,
             "digest": report.digest(),
             "report": json.loads(report.canonical()),
         }
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _write_atomic(path, json.dumps(entry, sort_keys=True).encode("utf-8"))
         self.writes += 1
         return path
 

@@ -51,12 +51,6 @@ class TwoAppearanceResult:
     split_actor: Optional[str]
     metric: str
 
-    @property
-    def savings_percent(self) -> float:
-        if self.sas_cost == 0:
-            return 0.0
-        return 100.0 * (self.sas_cost - self.cost) / self.sas_cost
-
 
 def two_appearance_search(
     graph: SDFGraph,

@@ -113,17 +113,6 @@ class LoopedSchedule:
         self._firings_per_actor: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-    @staticmethod
-    def from_string(text: str) -> "LoopedSchedule":
-        return parse_schedule(text)
-
-    @staticmethod
-    def single_loop(count: int, body: Sequence[ScheduleNode]) -> "LoopedSchedule":
-        return LoopedSchedule([Loop(count, tuple(body))])
-
-    # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def firing_sequence(self) -> Iterator[str]:

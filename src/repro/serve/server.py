@@ -447,7 +447,6 @@ class _BatchBody:
         item = {
             "graph": request["graphs"][index],
             "options": request.get("options") or {},
-            "cache": request.get("cache", True),
         }
         faults = request.get("faults")
         if faults is not None and faults[index]:

@@ -105,6 +105,46 @@ class TestArtifactCache:
         ]
         assert leftovers == []
 
+    def test_entry_is_sorted_json(self, tmp_path):
+        cache = ArtifactCache(str(tmp_path))
+        path = cache.put("ac" * 32, make_report())
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+
+    def test_kernel_round_trip(self, tmp_path):
+        import hashlib
+
+        cache = ArtifactCache(str(tmp_path))
+        key, data = "ad" * 32, b"\x7fELF not really"
+        path = cache.put_kernel(key, data)
+        assert os.stat(path).st_mode & 0o777 == 0o755
+        with open(path, "rb") as handle:
+            assert handle.read() == data
+        with open(path + ".json", encoding="utf-8") as handle:
+            assert handle.read() == json.dumps({
+                "key": key,
+                "digest": hashlib.sha256(data).hexdigest(),
+                "bytes": len(data),
+            }, sort_keys=True)
+        assert cache.get_kernel(key) == path
+        assert cache.writes == 1 and cache.hits == 1
+
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
+        cache = ArtifactCache(str(tmp_path))
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            cache.put("ae" * 32, make_report())
+        with pytest.raises(OSError):
+            cache.put_kernel("af" * 32, b"binary")
+        left = [names for _, _, names in os.walk(str(tmp_path)) if names]
+        assert left == []
+        assert cache.writes == 0
+
     @pytest.mark.parametrize("mode", ["truncate", "tamper", "garbage"])
     def test_corrupt_entry_evicted_not_served(self, tmp_path, mode):
         cache = ArtifactCache(str(tmp_path))
