@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Documentation gate: links, paths and types must resolve, commands must exist.
+"""Documentation gate: links, paths and types resolve, commands exist.
 
 Four mechanical checks (run as ``make check-docs``; CI fails the build
 on any finding).  The first three read ``README.md`` and ``docs/*.md``:
@@ -139,9 +139,10 @@ def check_types(path: str, text: str):
         modules = TICK_RE.findall(cells[2])
         for name in names:
             if not any(_exports(module, name) for module in modules):
+                where = ", ".join(f"repro.{m}" for m in modules)
                 yield (
                     f"{rel(path)}:{line}: type {name!r} is not defined in "
-                    f"{', '.join('repro.' + m for m in modules) or 'any module'}"
+                    f"{where or 'any module'}"
                 )
 
 

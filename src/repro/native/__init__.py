@@ -2,10 +2,10 @@
 
 The chain DP (:func:`repro.scheduling.common.chain_dp`, the one
 episodic/persistent recurrence behind DPPO's EQ 2 and SDPPO's EQ 5) is
-the compile path's inner loop.  This package compiles it once with the system C compiler
-into a small shared object, content-addressed in the artifact cache
-(keyed by kernel source + compiler identity + cflags + ABI), and loads
-it via ctypes.  No option selects it: the graph does.
+the compile path's inner loop.  This package compiles it once with the
+system C compiler into a small shared object, content-addressed in the
+artifact cache (keyed by kernel source + compiler identity + cflags +
+ABI), and loads it via ctypes.  No option selects it: the graph does.
 
 Loading costs a cold process about 30 ms (``ctypes``, the artifact
 cache, a ``cc --version`` probe and the ``dlopen``), more than the
