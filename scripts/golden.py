@@ -33,6 +33,15 @@ part of the test suite):
   cost, schedule and per-window ``factored`` flags under each
   factoring policy.  Rendered with the Python DP and with the native
   kernel (:data:`CHAIN_DP_BACKENDS`); both must match the one file.
+* ``vm_outcomes.txt`` — the outcome of both shared-memory VMs
+  (``SharedMemoryVM`` and ``BatchedVM``, two periods) on CD-DAT, four
+  Table 1 systems and seeds 0–39 of the check harness's acyclic,
+  broadcast and delayed-chain trial graphs, each compiled plain and
+  vectorized, and run on the clean allocation, on up to
+  :data:`VM_OVERLAYS` forged overlays (a WIG neighbour moved onto a
+  buffer at a seeded word offset) and on up to :data:`VM_SHRINKS`
+  shrunk linear buffers: the firing count, a digest of the per-actor
+  counts and the peak address, or the exact ``CodegenError`` text.
 
 Usage::
 
@@ -98,6 +107,16 @@ ORDER_GRAPHS: Tuple[Tuple[str, int], ...] = (
 CHAIN_DP_SEEDS = range(12)
 #: The ``chain_dp.txt`` legs: the ``dppo``/``sdppo`` ``backend`` keyword.
 CHAIN_DP_BACKENDS: Tuple[str, ...] = ("python", "native")
+#: Named systems of ``vm_outcomes.txt``; the trial graphs follow.
+VM_SYSTEMS: Tuple[str, ...] = (
+    "cddat", "satrec", "qmf23_2d", "16qamModem", "blockVox",
+)
+#: Seeds of each ``vm_outcomes.txt`` trial-graph generator.
+VM_SEEDS = range(40)
+#: Forged overlays and shrunk linear buffers per ``vm_outcomes.txt``
+#: compile, at most.
+VM_OVERLAYS = 3
+VM_SHRINKS = 2
 #: The ``compile.txt`` legs, by the label a ``differs:`` line names.
 COMPILE_LEGS: Tuple[str, ...] = (
     "kernel loaded", "REPRO_NATIVE=0", "fresh interpreter",
@@ -310,6 +329,123 @@ def chain_dp(backend: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _vm_graphs() -> Iterator[Tuple[str, object]]:
+    from repro.check.harness import (
+        broadcast_trial_graph,
+        delayed_split_chain,
+        trial_graph,
+    )
+
+    for stem in VM_SYSTEMS:
+        yield stem, _emit_graph(stem)
+    for generator in (trial_graph, broadcast_trial_graph, delayed_split_chain):
+        for seed in VM_SEEDS:
+            yield f"{generator.__name__}({seed})", generator(seed)
+
+
+def _vm_outcome(vm_class, graph, lifetimes, allocation) -> str:
+    """One VM's two-period run: its counters or its error text."""
+    from repro.exceptions import CodegenError
+
+    try:
+        vm = vm_class(graph, lifetimes, allocation)
+        vm.run(periods=2)
+    except CodegenError as exc:
+        return f"error {exc}"
+    counts = hashlib.sha256(
+        repr(sorted(vm.firings_per_actor.items())).encode("utf-8")
+    ).hexdigest()[:16]
+    return f"firings {vm.firings} counts {counts} peak {vm.peak_address}"
+
+
+def _forged_overlays(result, rng) -> Iterator[Tuple[str, object]]:
+    """Allocations with one WIG neighbour moved onto a buffer.
+
+    The moved buffer lands at a seeded word offset inside its
+    neighbour, and ``total`` grows to cover it, so every buffer stays
+    inside the pool.
+    """
+    from repro.allocation.first_fit import Allocation
+
+    alloc = result.allocation
+    wig = alloc.graph
+    sizes = {b.name: b.size for b in result.lifetimes.as_list()}
+    pairs = [
+        (wig.buffers[i], wig.buffers[j])
+        for i in range(len(wig.buffers))
+        for j in sorted(wig.neighbors[i])
+        if wig.buffers[i].size > 0 and wig.buffers[j].size > 0
+    ]
+    for host, moved in rng.sample(pairs, min(VM_OVERLAYS, len(pairs))):
+        offsets = dict(alloc.offsets)
+        offsets[moved.name] = offsets[host.name] + rng.randrange(host.size)
+        total = max([alloc.total] + [
+            offsets[name] + size for name, size in sizes.items()
+        ])
+        yield (
+            f"overlay {moved.name} at {host.name}+"
+            f"{offsets[moved.name] - offsets[host.name]}",
+            Allocation(offsets=offsets, total=total, order=alloc.order,
+                       graph=wig),
+        )
+
+
+def _shrunk_buffers(result, rng) -> Iterator[Tuple[str, object]]:
+    """Lifetime sets with one linear buffer one word short."""
+    import dataclasses
+
+    lifetimes = result.lifetimes
+    linear = [
+        b for b in lifetimes.buffers
+        if b.members[0].delay == 0
+        and lifetimes.lifetimes[b.members[0].key].size > 1
+    ]
+    for b in rng.sample(linear, min(VM_SHRINKS, len(linear))):
+        lt = lifetimes.lifetimes[b.members[0].key]
+        short = dataclasses.replace(lt, size=lt.size - 1)
+        table = dict(lifetimes.lifetimes)
+        for m in b.members:
+            table[m.key] = short
+        yield (
+            f"shrink {lt.name} to {short.size}",
+            dataclasses.replace(lifetimes, lifetimes=table),
+        )
+
+
+def vm_outcomes() -> str:
+    """Both VMs on clean, overlaid and shrunk programs of seeded graphs."""
+    import random
+
+    from repro.codegen.batched_vm import BatchedVM
+    from repro.codegen.vm import SharedMemoryVM
+    from repro.scheduling.pipeline import implement
+
+    engines = (("scalar", SharedMemoryVM), ("batched", BatchedVM))
+    lines: List[str] = []
+    for label, graph in _vm_graphs():
+        for vectorize in (False, True):
+            result = implement(graph, vectorize=vectorize)
+            rng = random.Random(f"{label} {vectorize}")
+            runs = [("clean", result.lifetimes, result.allocation)]
+            runs += [
+                (name, result.lifetimes, alloc)
+                for name, alloc in _forged_overlays(result, rng)
+            ]
+            runs += [
+                (name, lifetimes, result.allocation)
+                for name, lifetimes in _shrunk_buffers(result, rng)
+            ]
+            lines.append(
+                f"== {label} {'vectorized' if vectorize else 'plain'}"
+            )
+            for name, lifetimes, alloc in runs:
+                lines.append(f"-- {name}")
+                for engine, vm_class in engines:
+                    outcome = _vm_outcome(vm_class, graph, lifetimes, alloc)
+                    lines.append(f"{engine} {outcome}")
+    return "\n".join(lines) + "\n"
+
+
 def render() -> Dict[str, str]:
     """Every golden file but ``compile.txt``, ``chain_dp.txt`` and the
     graphs, by path."""
@@ -317,6 +453,7 @@ def render() -> Dict[str, str]:
         "check_inject.native.txt": check_transcript(native=True),
         "check_inject.python.txt": check_transcript(native=False),
         "orders_lifetimes.txt": orders_lifetimes(),
+        "vm_outcomes.txt": vm_outcomes(),
     }
     files.update(emitted_sources())
     return files

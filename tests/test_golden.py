@@ -19,7 +19,9 @@ outputs with the current code and require them byte for byte:
   random graphs;
 * DPPO and SDPPO (every factoring policy) on seeded graphs, most of
   them with delayed edges, through the Python DP and, where one loads,
-  the native kernel.
+  the native kernel;
+* both shared-memory VMs' outcomes (counters or exact error text) on
+  clean, forged-overlay and shrunk-buffer programs of seeded graphs.
 """
 
 import importlib.util
@@ -74,6 +76,10 @@ def test_chain_dp(backend):
         if get_kernels() is None:
             pytest.skip("no native kernel (no C compiler or REPRO_NATIVE=0)")
     assert GOLDEN.chain_dp(backend) == GOLDEN.read("chain_dp.txt")
+
+
+def test_vm_outcomes():
+    assert GOLDEN.vm_outcomes() == GOLDEN.read("vm_outcomes.txt")
 
 
 @pytest.fixture(scope="module")
