@@ -25,14 +25,13 @@ occupied across the period boundary).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from ..exceptions import CodegenError
 from ..sdf.graph import Edge, SDFGraph
-from ..sdf.repetitions import repetitions_vector
 from ..allocation.first_fit import Allocation
 from ..lifetimes.intervals import LifetimeSet
 from ..lifetimes.schedule_tree import ScheduleTreeNode
+from .layout import lower
 
 __all__ = ["emit_c"]
 
@@ -83,7 +82,7 @@ def emit_c(
     compiler, proves the allocation safe on real hardware (the C-level
     counterpart of :mod:`repro.codegen.vm`).
     """
-    q = repetitions_vector(graph)
+    layout = lower(graph, lifetimes, allocation)
     name = system_name or graph.name
     lines: List[str] = []
     lines.append(f"/* Generated shared-memory implementation of {name!r}.")
@@ -107,48 +106,30 @@ def emit_c(
     lines.append(f"static token_t memory[{max(allocation.total, 1)}];")
     lines.append("")
 
-    buffers = lifetimes.buffers
-    # A buffer's first member stands for its write side: the one output
-    # port of its source, however many sinks read it.
-    firsts = {b.members[0].key for b in buffers}
-
-    def out_ports(actor: str) -> List[Edge]:
-        return [e for e in graph.out_edges(actor) if e.key in firsts]
-
     # One array per physical buffer, named by its first member's
     # lifetime.
-    for b in buffers:
-        e = b.members[0]
-        lt = lifetimes.lifetimes[e.key]
-        try:
-            offset = allocation.offsets[lt.name]
-        except KeyError:
-            raise CodegenError(
-                f"allocation missing buffer {lt.name!r}"
-            ) from None
+    for p in layout.buffers:
         lines.append(
-            f"#define {_buffer_macro(e)} (memory + {offset})"
-            f"  /* {lt.size} words, lifetime {lt} */"
+            f"#define {_buffer_macro(p.first)} (memory + {p.base})"
+            f"  /* {p.size} words, lifetime {p.lifetime} */"
         )
     lines.append("")
 
     # Each buffer owns one write cursor; each member reader keeps its
     # own read cursor over the buffer's array.
-    for b in buffers:
-        lines.append(f"static size_t {_write_cursor(b.members[0], 'wr')} = 0;")
-        for e in b.members:
+    for p in layout.buffers:
+        lines.append(f"static size_t {_write_cursor(p.first, 'wr')} = 0;")
+        for e in p.readers:
             lines.append(f"static size_t {_cursor(e, 'rd')} = 0;")
     if instrument:
-        # Token identities: one id per physical buffer (members share
-        # it — every reader verifies the one write stream).
-        token_id = {
-            e.key: i for i, b in enumerate(buffers) for e in b.members
-        }
-        for b in buffers:
+        # Token identities: one id per physical buffer, its ``eid``
+        # (members share it — every reader verifies the one write
+        # stream).
+        for p in layout.buffers:
             lines.append(
-                f"static long {_write_cursor(b.members[0], 'produced')} = 0;"
+                f"static long {_write_cursor(p.first, 'produced')} = 0;"
             )
-            for e in b.members:
+            for e in p.readers:
                 lines.append(f"static long {_cursor(e, 'consumed')} = 0;")
     lines.append("")
 
@@ -161,18 +142,18 @@ def emit_c(
             lines.append(f"static void fire_{actor}(void)")
             lines.append("{")
             lines.append("    fired++;")
-            for e in graph.in_edges(actor):
+            for e in layout.reads[actor]:
+                placed = layout.placement[e.key]
                 words = e.consumption * e.token_size
-                size = lifetimes.lifetimes[e.key].size
                 rd = _cursor(e, "rd")
                 lines.append(f"    for (int w = 0; w < {words}; ++w) {{")
                 if e.delay > 0:
                     lines.append(
-                        f"        if ({rd} >= {size}) {rd} = 0;"
+                        f"        if ({rd} >= {placed.size}) {rd} = 0;"
                     )
                 lines.append(
                     f"        if ({_buffer_macro(e)}[{rd}] != "
-                    f"TOKEN({token_id[e.key]}, "
+                    f"TOKEN({placed.eid}, "
                     f"{_cursor(e, 'consumed')}++)) {{"
                 )
                 lines.append(
@@ -184,18 +165,18 @@ def emit_c(
                 lines.append("        }")
                 lines.append(f"        {rd}++;")
                 lines.append("    }")
-            for e in out_ports(actor):
+            for placed in layout.writes[actor]:
+                e = placed.first
                 words = e.production * e.token_size
-                size = lifetimes.lifetimes[e.key].size
                 wr = _write_cursor(e, "wr")
                 lines.append(f"    for (int w = 0; w < {words}; ++w) {{")
                 if e.delay > 0:
                     lines.append(
-                        f"        if ({wr} >= {size}) {wr} = 0;"
+                        f"        if ({wr} >= {placed.size}) {wr} = 0;"
                     )
                 lines.append(
                     f"        {_buffer_macro(e)}[{wr}++] = "
-                    f"TOKEN({token_id[e.key]}, "
+                    f"TOKEN({placed.eid}, "
                     f"{_write_cursor(e, 'produced')}++);"
                 )
                 lines.append("    }")
@@ -206,25 +187,12 @@ def emit_c(
         # gets — one input per in-edge, one output per *port* (a
         # broadcast group is a single port however many sinks it has).
         for actor in graph.actor_names():
-            arity = len(graph.in_edges(actor)) + len(out_ports(actor))
+            arity = len(layout.reads[actor]) + len(layout.writes[actor])
             params = ", ".join(f"p{i}" for i in range(arity)) or "void"
             lines.append(
                 f"#define fire_{actor}({params}) /* actor code block */"
             )
     lines.append("")
-
-    # Cursor resets at each buffer's least parent, where each live
-    # episode begins: (write cursor, [read cursors]).  Delayed buffers
-    # have circular cursors and never reset.
-    reset_at: Dict[int, List[Tuple[str, List[str]]]] = {}
-    for b in buffers:
-        if b.reset is not None:
-            reset_at.setdefault(id(b.reset), []).append(
-                (
-                    _write_cursor(b.members[0], "wr"),
-                    [_cursor(m, "rd") for m in b.members],
-                )
-            )
 
     body: List[str] = []
 
@@ -241,31 +209,35 @@ def emit_c(
             if instrument:
                 body.append(f"{inner}fire_{actor}();")
             else:
-                ports = out_ports(actor)
+                # One output per *port*: a buffer's first member stands
+                # for its write side, however many sinks read it.
+                ports = [p.first for p in layout.writes[actor]]
                 args: List[str] = []
-                for e in graph.in_edges(actor):
+                for e in layout.reads[actor]:
                     args.append(f"{_buffer_macro(e)} + {_cursor(e, 'rd')}")
                 for e in ports:
                     args.append(
                         f"{_buffer_macro(e)} + {_write_cursor(e, 'wr')}"
                     )
                 body.append(f"{inner}fire_{actor}({', '.join(args)});")
-                for e in graph.in_edges(actor):
+                for e in layout.reads[actor]:
                     step = e.consumption * e.token_size
                     if e.delay > 0:
-                        size = lifetimes.lifetimes[e.key].size
+                        size = layout.placement[e.key].size
                         body.append(
                             f"{inner}{_cursor(e, 'rd')} = "
                             f"({_cursor(e, 'rd')} + {step}) % {size};"
                         )
                     else:
                         body.append(f"{inner}{_cursor(e, 'rd')} += {step};")
-                for e in ports:
+                for placed in layout.writes[actor]:
+                    e = placed.first
                     step = e.production * e.token_size
                     wr = _write_cursor(e, "wr")
                     if e.delay > 0:
-                        size = lifetimes.lifetimes[e.key].size
-                        body.append(f"{inner}{wr} = ({wr} + {step}) % {size};")
+                        body.append(
+                            f"{inner}{wr} = ({wr} + {step}) % {placed.size};"
+                        )
                     else:
                         body.append(f"{inner}{wr} += {step};")
             body.append(f"{pad}}}")
@@ -281,10 +253,13 @@ def emit_c(
             body.append(f"{pad}{{")
             inner_indent = indent + 1
         inner_pad = "    " * inner_indent
-        for wr, rds in reset_at.get(id(node), ()):
-            body.append(f"{inner_pad}{wr} = 0;")
-            for rd in rds:
-                body.append(f"{inner_pad}{rd} = 0;")
+        # Cursor resets at each buffer's least parent, where each live
+        # episode begins.  Delayed buffers have circular cursors and
+        # never reset.
+        for p in layout.resets(node):
+            body.append(f"{inner_pad}{_write_cursor(p.first, 'wr')} = 0;")
+            for e in p.readers:
+                body.append(f"{inner_pad}{_cursor(e, 'rd')} = 0;")
         emit_node(node.left, inner_indent)
         emit_node(node.right, inner_indent)
         body.append(f"{pad}}}")
@@ -295,7 +270,8 @@ def emit_c(
     # Delayed buffers start with their initial tokens already written;
     # each is preloaded once, in edge order of its first member.
     delayed = [
-        e for e in graph.edges() if e.delay > 0 and e.key in firsts
+        layout.placement[e.key] for e in graph.edges()
+        if e.delay > 0 and layout.placement[e.key].first.key == e.key
     ]
     if delayed:
         lines.append("    /* initial tokens (delays) are assumed to be")
@@ -306,15 +282,16 @@ def emit_c(
     lines.append("")
     lines.append("void init_delays(void)")
     lines.append("{")
-    for e in delayed:
+    for placed in delayed:
+        e = placed.first
         step = e.delay * e.token_size
-        size = lifetimes.lifetimes[e.key].size
+        size = placed.size
         wr = _write_cursor(e, "wr")
         if instrument:
             lines.append(f"    for (int w = 0; w < {step}; ++w) {{")
             lines.append(
                 f"        {_buffer_macro(e)}[w % {size}] = "
-                f"TOKEN({token_id[e.key]}, w);"
+                f"TOKEN({placed.eid}, w);"
             )
             lines.append("    }")
             lines.append(f"    {_write_cursor(e, 'produced')} = {step};")

@@ -18,13 +18,20 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..exceptions import CodegenError
 from ..sdf.graph import SDFGraph
 from ..allocation.first_fit import Allocation
 from ..lifetimes.intervals import LifetimeSet
 from ..lifetimes.schedule_tree import ScheduleTreeNode
+from .layout import Placement, lower
 
 __all__ = ["emit_python", "compile_python"]
+
+
+def _buffer_id(placed: Placement):
+    """A buffer's id in the generated module: a plain edge's key, a
+    broadcast group's ``('bcast', name)``."""
+    first = placed.first
+    return first.key if first.broadcast is None else ("bcast", first.broadcast)
 
 
 def emit_python(
@@ -33,36 +40,26 @@ def emit_python(
     allocation: Allocation,
 ) -> str:
     """Render the shared-memory implementation as a Python module."""
+    layout = lower(graph, lifetimes, allocation)
     lines: List[str] = []
     lines.append('"""Generated shared-memory SDF implementation."""')
     lines.append("")
     lines.append(f"POOL_SIZE = {max(allocation.total, 1)}")
     lines.append("")
-    # Physical buffers (LifetimeSet.buffers): a plain edge's id is its
-    # key, a broadcast group's ('bcast', name); each is written once per
-    # production and read through a per-member cursor.
-    buffer_id = {}
+    # Physical buffers: each is written once per production and read
+    # through a per-member cursor.
     lines.append("BUFFERS = {")
-    for b in lifetimes.buffers:
-        first = b.members[0]
-        bid = first.key if first.broadcast is None else ("bcast", first.broadcast)
-        for m in b.members:
-            buffer_id[m.key] = bid
-        lt = lifetimes.lifetimes[first.key]
-        try:
-            base = allocation.offsets[lt.name]
-        except KeyError:
-            raise CodegenError(f"allocation missing buffer {lt.name!r}") from None
+    for p in layout.buffers:
         lines.append(
-            f"    {bid!r}: dict(base={base}, "
-            f"size={lt.size}, circular={first.delay > 0}),"
+            f"    {_buffer_id(p)!r}: dict(base={p.base}, "
+            f"size={p.size}, circular={p.circular}),"
         )
     lines.append("}")
     lines.append("")
     lines.append("# Read port -> physical buffer (broadcast members share one).")
     lines.append("READERS = {")
     for e in graph.edges():
-        lines.append(f"    {e.key!r}: {buffer_id[e.key]!r},")
+        lines.append(f"    {e.key!r}: {_buffer_id(layout.placement[e.key])!r},")
     lines.append("}")
     lines.append("")
     lines.append("""
@@ -105,16 +102,11 @@ def _read(memory, cursors, key, count):
     # Per-actor firing functions.  Output *ports*: one per buffer the
     # actor writes (a broadcast group's token list is written once into
     # the shared buffer; its first member stands for it).
-    firsts = {b.members[0].key for b in lifetimes.buffers}
     for actor in graph.actor_names():
-        in_edges = graph.in_edges(actor)
-        out_ports = [
-            (buffer_id[e.key], e)
-            for e in graph.out_edges(actor) if e.key in firsts
-        ]
+        out_ports = [(_buffer_id(p), p.first) for p in layout.writes[actor]]
         lines.append(f"def _fire_{actor}(memory, cursors, actors):")
         lines.append("    inputs = []")
-        for e in in_edges:
+        for e in layout.reads[actor]:
             lines.append(
                 f"    inputs.append(_read(memory, cursors, {e.key!r}, "
                 f"{e.consumption * e.token_size}))"
@@ -144,12 +136,6 @@ def _read(memory, cursors, key, count):
 
     # Loop nest from the schedule tree.
     body: List[str] = []
-    reset_keys: Dict[int, List] = {}
-    for b in lifetimes.buffers:
-        if b.reset is not None:
-            reset_keys.setdefault(id(b.reset), []).append(
-                buffer_id[b.members[0].key]
-            )
 
     def emit(node: ScheduleTreeNode, indent: int) -> None:
         pad = "    " * indent
@@ -170,8 +156,8 @@ def _read(memory, cursors, key, count):
         else:
             inner = indent
         inner_pad = "    " * inner
-        for key in reset_keys.get(id(node), ()):
-            body.append(f"{inner_pad}cursors.reset({key!r})")
+        for p in layout.resets(node):
+            body.append(f"{inner_pad}cursors.reset({_buffer_id(p)!r})")
         emit(node.left, inner)
         emit(node.right, inner)
 

@@ -8,16 +8,25 @@ Any unsafe overlay — two time-overlapping buffers sharing addresses —
 corrupts a token and is caught at the consuming firing.
 
 :class:`SharedMemoryVM` performs exactly the memory discipline of the
-generated C code (:mod:`repro.codegen.c_emitter`) over the physical
-buffers of :attr:`LifetimeSet.buffers`.  Each buffer has one write
-cursor and one read cursor per reader edge (one for a plain edge, one
-per member of a broadcast group, which all read the one written
-stream).  Linear cursors reset at each iteration of the buffer's least
-parent; a delayed buffer's cursors are circular.  Each actor's read and
-write ports are resolved once, at construction; a firing reads every
-in-edge in ``in_edges`` order and then writes each buffer it feeds
-once, token by token, so a corruption is reported at the exact firing
-and word that exposes it.
+generated C code (:mod:`repro.codegen.c_emitter`) over the buffers
+placed by :func:`repro.codegen.layout.lower`.  Each buffer counts the
+tokens written to it, and each reader edge (one for a plain edge, one
+per member of a broadcast group, which all read the one written stream)
+the tokens it has read: a whole-run count (``produced``, ``consumed``)
+and a count since the last reset (``wr_k``, ``rd_k``).  A delayed
+buffer is circular, its slot the whole-run count modulo
+``size // token_size``; a linear buffer's slot is the count since its
+least parent last began an iteration.  Every word of a token holds the
+int code ``seq * buffers + eid`` (``eid`` the buffer's position), so a
+code names the one token that may occupy a word.  Memory spans
+``allocation.total`` and every buffer's extent, so a buffer placed past
+the pool shows up as a ``peak_address`` beyond ``allocation.total``.
+
+This VM fires each leaf token by token: a firing reads every in-edge
+in ``in_edges`` order, then writes each buffer it feeds, so a
+corruption is reported at the exact firing and word that exposes it.
+:class:`repro.codegen.batched_vm.BatchedVM` shares everything else and
+fires a leaf as one transfer per contiguous run.
 """
 
 from __future__ import annotations
@@ -30,11 +39,14 @@ from ..sdf.graph import Edge, SDFGraph
 from ..allocation.first_fit import Allocation
 from ..lifetimes.intervals import LifetimeSet
 from ..lifetimes.schedule_tree import ScheduleTreeNode
+from .layout import lower
 
 __all__ = ["SharedMemoryVM", "run_shared_memory_check"]
 
 Key = Tuple[str, str, int]
-_Token = Tuple[Key, int]  # (buffer key, sequence number)
+
+#: ``memory`` value of a never-written word.
+_UNWRITTEN = -1
 
 
 def reader_label(edge: Edge, noun: str = "") -> str:
@@ -48,37 +60,39 @@ def reader_label(edge: Edge, noun: str = "") -> str:
     return f"{noun} {edge}" if noun else str(edge)
 
 
-@dataclass
-class _BufferState:
-    """One physical buffer: its write side and its readers.
+@dataclass(eq=False)
+class _Buffer:
+    """One physical buffer's write side, counters and readers.
 
     ``edge`` is the buffer's first member: it names the buffer in
-    write errors, and its ``key`` identifies every token written.
+    write errors.  ``slots`` is how many whole tokens fit in it.
     """
 
     edge: Edge
-    key: Key
+    eid: int
     base: int
-    size_words: int
+    size: int
     circular: bool
-    readers: List["_ReadPort"] = field(default_factory=list)
-    write_cursor: int = 0
+    token_size: int
+    slots: int
+    readers: List["_Reader"] = field(default_factory=list)
     produced: int = 0
+    wr_k: int = 0
 
-    def reset_cursors(self) -> None:
-        self.write_cursor = 0
+    def reset(self) -> None:
+        self.wr_k = 0
         for reader in self.readers:
-            reader.cursor = 0
+            reader.rd_k = 0
 
 
-@dataclass
-class _ReadPort:
-    """One reader edge's cursor and sequence counter over its buffer."""
+@dataclass(eq=False)
+class _Reader:
+    """One reader edge's counters over its buffer."""
 
     edge: Edge
-    buffer: _BufferState
-    cursor: int = 0
+    buffer: _Buffer
     consumed: int = 0
+    rd_k: int = 0
 
 
 class SharedMemoryVM:
@@ -94,7 +108,8 @@ class SharedMemoryVM:
     ------
     CodegenError
         On any token mismatch (memory corruption through an unsafe
-        overlay) or cursor overrun.
+        overlay), cursor overrun, unbalanced edge, or buffer missing
+        from ``allocation``.
     """
 
     def __init__(
@@ -106,37 +121,39 @@ class SharedMemoryVM:
         self.graph = graph
         self.lifetimes = lifetimes
         self.allocation = allocation
-        self.memory: List[Optional[_Token]] = [None] * max(allocation.total, 1)
-        self._buffers: List[_BufferState] = []
-        self._reset_at: Dict[int, List[_BufferState]] = {}
-        readers: Dict[Key, _ReadPort] = {}
-        writers: Dict[Key, _BufferState] = {}
-        for b in lifetimes.buffers:
-            first = b.members[0]
-            lt = lifetimes.lifetimes[first.key]
-            state = _BufferState(
-                edge=first,
-                key=first.key,
-                base=allocation.offset_of(lt.name),
-                size_words=lt.size,
-                circular=first.delay > 0,
+        layout = lower(graph, lifetimes, allocation)
+        self._buffers: List[_Buffer] = []
+        readers: Dict[Key, _Reader] = {}
+        for p in layout.buffers:
+            ts = p.first.token_size
+            slots = p.size // ts
+            state = _Buffer(
+                p.first, p.eid, p.base, p.size, p.circular, ts,
+                max(slots, 1) if p.circular else slots, [],
             )
-            for m in b.members:
-                readers[m.key] = _ReadPort(edge=m, buffer=state)
-                state.readers.append(readers[m.key])
-            writers[first.key] = state
+            for m in p.readers:
+                reader = readers[m.key] = _Reader(m, state)
+                state.readers.append(reader)
             self._buffers.append(state)
-            if b.reset is not None:
-                self._reset_at.setdefault(id(b.reset), []).append(state)
-        #: Per actor: its read ports in ``in_edges`` order, and each
-        #: buffer it writes, once (a group's first member stands for it).
-        self._ports: Dict[str, Tuple[List[_ReadPort], List[_BufferState]]] = {
-            a: (
-                [readers[e.key] for e in graph.in_edges(a)],
-                [writers[e.key] for e in graph.out_edges(a) if e.key in writers],
-            )
-            for a in graph.actor_names()
+        states = self._buffers
+        self._reset_at: Dict[int, List[_Buffer]] = {
+            node: [states[p.eid] for p in placed]
+            for node, placed in layout.reset_at.items()
         }
+        #: Per actor: its read ports in ``in_edges`` order, and each
+        #: buffer it writes, once.
+        self._ports: Dict[str, Tuple[List[_Reader], List[_Buffer]]] = {
+            a: (
+                [readers[e.key] for e in edges],
+                [states[p.eid] for p in layout.writes[a]],
+            )
+            for a, edges in layout.reads.items()
+        }
+        #: Token code stride: ``seq * stride + eid``.
+        self._stride = max(len(self._buffers), 1)
+        self.memory: List[int] = [_UNWRITTEN] * max(
+            [allocation.total, 1] + [b.base + b.size for b in self._buffers]
+        )
         self.firings = 0
         #: Per-actor firing counts, for differential comparison against
         #: the schedule's flattened firing sequence.
@@ -178,71 +195,92 @@ class SharedMemoryVM:
     # ------------------------------------------------------------------
     def _run_node(self, node: ScheduleTreeNode) -> None:
         if node.is_leaf():
-            for _ in range(node.residual):
-                self._fire(node.actor)
+            self._fire_leaf(node.actor, node.residual)
             return
         for _ in range(node.loop):
             for state in self._reset_at.get(id(node), ()):
-                state.reset_cursors()
+                state.reset()
             self._run_node(node.left)
             self._run_node(node.right)
 
-    def _fire(self, actor: str) -> None:
-        self.firings += 1
-        self.firings_per_actor[actor] += 1
+    def _fire_leaf(self, actor: str, n: int) -> None:
+        """Fire ``actor`` ``n`` times, token by token."""
         reads, writes = self._ports[actor]
-        for port in reads:
-            for _ in range(port.edge.consumption):
-                self._read_token(port)
-        for state in writes:
-            for _ in range(state.edge.production):
-                self._write_token(state)
+        for _ in range(n):
+            self.firings += 1
+            for port in reads:
+                for _ in range(port.edge.consumption):
+                    self._read_token(port)
+            for state in writes:
+                for _ in range(state.edge.production):
+                    self._write_token(state)
+        self.firings_per_actor[actor] += n
 
-    def _write_token(self, state: _BufferState) -> None:
-        words = state.edge.token_size
-        if state.write_cursor + words > state.size_words:
-            if state.circular:
-                state.write_cursor = 0
-            else:
-                raise CodegenError(
-                    f"buffer {state.edge} overruns its array: write cursor "
-                    f"{state.write_cursor} + {words} > {state.size_words} "
-                    f"(firing {self.firings})"
-                )
-        token: _Token = (state.key, state.produced)
-        for w in range(words):
-            self.memory[state.base + state.write_cursor + w] = token
-        state.write_cursor += words
+    def _write_token(self, state: _Buffer) -> None:
+        if state.circular:
+            slot = state.produced % state.slots
+        elif state.wr_k < state.slots:
+            slot = state.wr_k
+        else:
+            raise self._overrun(state, None, self.firings)
+        ts = state.token_size
+        address = state.base + slot * ts
+        code = state.produced * self._stride + state.eid
+        if ts == 1:
+            self.memory[address] = code
+        else:
+            self.memory[address:address + ts] = [code] * ts
         state.produced += 1
-        top = state.base + state.write_cursor
-        if top > self.peak_address:
-            self.peak_address = top
+        state.wr_k += 1
+        if address + ts > self.peak_address:
+            self.peak_address = address + ts
 
-    def _read_token(self, port: _ReadPort) -> None:
+    def _read_token(self, port: _Reader) -> None:
         state = port.buffer
-        words = port.edge.token_size
-        if port.cursor + words > state.size_words:
-            if state.circular:
-                port.cursor = 0
-            else:
-                raise CodegenError(
-                    f"{reader_label(port.edge, 'buffer')} read cursor "
-                    f"overruns: {port.cursor} + {words} > "
-                    f"{state.size_words} (firing {self.firings})"
-                )
-        expected: _Token = (state.key, port.consumed)
-        for w in range(words):
-            actual = self.memory[state.base + port.cursor + w]
-            if actual != expected:
-                raise CodegenError(
-                    f"token corruption on {reader_label(port.edge)}: "
-                    f"expected token #{port.consumed}, found "
-                    f"{actual!r} at address "
-                    f"{state.base + port.cursor + w} "
-                    f"(firing {self.firings}) — unsafe buffer overlay"
-                )
-        port.cursor += words
+        if state.circular:
+            slot = port.consumed % state.slots
+        elif port.rd_k < state.slots:
+            slot = port.rd_k
+        else:
+            raise self._overrun(state, port.edge, self.firings)
+        address = state.base + slot * state.token_size
+        code = port.consumed * self._stride + state.eid
+        memory = self.memory
+        for a in range(address, address + state.token_size):
+            if memory[a] != code:
+                raise self._corrupt(port.edge, port.consumed, a, self.firings)
         port.consumed += 1
+        port.rd_k += 1
+
+    # ------------------------------------------------------------------
+    def _overrun(
+        self, state: _Buffer, reader: Optional[Edge], firing: int
+    ) -> CodegenError:
+        """A linear buffer's write side (or ``reader``) ran off its end."""
+        ts = state.token_size
+        tail = f"{state.slots * ts} + {ts} > {state.size} (firing {firing})"
+        if reader is None:
+            return CodegenError(
+                f"buffer {state.edge} overruns its array: write cursor {tail}"
+            )
+        return CodegenError(
+            f"{reader_label(reader, 'buffer')} read cursor overruns: {tail}"
+        )
+
+    def _corrupt(
+        self, reader: Edge, seq: int, address: int, firing: int
+    ) -> CodegenError:
+        """``reader`` expected its token ``seq`` at ``address``."""
+        code = self.memory[address]
+        found = None
+        if code != _UNWRITTEN:
+            seq_found, eid = divmod(code, self._stride)
+            found = (self._buffers[eid].edge.key, seq_found)
+        return CodegenError(
+            f"token corruption on {reader_label(reader)}: expected token "
+            f"#{seq}, found {found!r} at address {address} (firing {firing}) "
+            f"— unsafe buffer overlay"
+        )
 
     def _check_balance(self) -> None:
         for state in self._buffers:

@@ -9,9 +9,12 @@ from repro.lifetimes.intervals import extract_lifetimes
 from repro.allocation.first_fit import Allocation, ffdur
 from repro.allocation.intersection_graph import build_intersection_graph
 from repro.codegen.c_emitter import emit_c
+from repro.codegen.batched_vm import BatchedVM
 from repro.codegen.vm import SharedMemoryVM, run_shared_memory_check
+from repro.check.oracles import _execution_checks
 from repro.scheduling.pipeline import implement
-from repro.apps import table1_graph
+from repro.sdf.repetitions import repetitions_vector
+from repro.apps import cd_to_dat, table1_graph
 
 from .conftest import build_and_run_c, requires_cc
 
@@ -135,6 +138,47 @@ class TestSharedMemoryVM:
         result = implement(g, "natural")
         assert result.allocation.total >= 6
         run_shared_memory_check(g, result.lifetimes, result.allocation)
+
+
+class TestBufferPastThePool:
+    """A buffer placed past ``allocation.total`` is an overrun the VMs
+    report through ``peak_address``, not a crash."""
+
+    def _short_pool(self):
+        g = cd_to_dat()
+        result = implement(g)
+        alloc = result.allocation
+        short = Allocation(
+            offsets=dict(alloc.offsets),
+            total=alloc.total - 1,
+            order=alloc.order,
+            graph=alloc.graph,
+        )
+        return g, result.lifetimes, short
+
+    @pytest.mark.parametrize("vm_class", [SharedMemoryVM, BatchedVM])
+    def test_vm_reports_peak_past_total(self, vm_class):
+        g, lifetimes, short = self._short_pool()
+        vm = vm_class(g, lifetimes, short)
+        vm.run(periods=2)
+        assert vm.peak_address == short.total + 1
+
+    def test_execution_checks_report_the_overrun(self):
+        g, lifetimes, short = self._short_pool()
+        bad = _execution_checks(g, repetitions_vector(g), lifetimes, short)
+        assert (
+            f"exec: VM wrote up to address {short.total + 1}, past the "
+            f"allocation total {short.total}"
+        ) in bad
+
+    @pytest.mark.parametrize("vm_class", [SharedMemoryVM, BatchedVM])
+    def test_missing_buffer_is_a_codegen_error(self, vm_class):
+        g, result = implemented("4pamxmitrec")
+        bad = Allocation(
+            offsets={}, total=0, order=[], graph=result.allocation.graph
+        )
+        with pytest.raises(CodegenError, match="allocation missing buffer"):
+            vm_class(g, result.lifetimes, bad)
 
 
 @requires_cc
