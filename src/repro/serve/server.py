@@ -1016,8 +1016,13 @@ class CompileServer:
         self, raw: bytes
     ) -> Tuple[int, bytes, Dict[str, str]]:
         try:
-            workers = int(_require(_load_object(raw), "workers", "/resize"))
-        except (ValueError, TypeError) as exc:
+            workers = _require(_load_object(raw), "workers", "/resize")
+            # bool is a subclass of int: a worker count must refuse it.
+            if not isinstance(workers, int) or isinstance(workers, bool):
+                raise ValueError(
+                    f"workers must be a JSON integer, got {workers!r}"
+                )
+        except ValueError as exc:
             return self._err(400, f"bad request: {exc}")
         if self.farm is None:
             return self._err(

@@ -623,6 +623,19 @@ class TestFarmResize:
         assert err.value.status == 400
         assert "missing required field 'workers'" in str(err.value)
 
+    @pytest.mark.parametrize("workers", [True, 2.9, "3"])
+    def test_resize_takes_only_a_json_integer(self, farm_server, workers):
+        with pytest.raises(ServeClientError) as err:
+            serve_client._post(
+                farm_server.url, "/resize", {"workers": workers}
+            )
+        assert err.value.status == 400
+        assert f"workers must be a JSON integer, got {workers!r}" in str(
+            err.value
+        )
+        health = get_json(farm_server.url, "/healthz")
+        assert health["farm"]["size"] == 2
+
     def test_resize_without_farm_is_400(self, tmp_path):
         server = CompileServer(
             CompileService(cache=ArtifactCache(str(tmp_path))),
