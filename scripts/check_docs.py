@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation gate: links, paths and types resolve, commands exist.
 
-Four mechanical checks (run as ``make check-docs``; CI fails the build
+Five mechanical checks (run as ``make check-docs``; CI fails the build
 on any finding).  The first three read ``README.md`` and ``docs/*.md``:
 
 * **Links** — every intra-repo markdown link target (``[text](path)``
@@ -29,6 +29,15 @@ The fourth also reads every ``src/**/*.py`` file:
   a pytest ``::`` node id or ``:line`` suffix is ignored) must name a
   file that exists, so a doc or docstring cannot keep citing a deleted
   file.  Globs and placeholders do not match the pattern.
+
+The fifth reads ``src/**/*.py`` only:
+
+* **Cross-references** — every ``:mod:``, ``:class:``, ``:func:``,
+  ``:meth:``, ``:attr:``, ``:data:`` or ``:exc:`` role whose target is
+  a dotted ``repro.…`` path (a leading ``~`` allowed) must resolve:
+  its longest importable prefix is a module, and each remaining name
+  an attribute of the object before it.  Relative targets
+  (``:func:`main```) are not checked.
 
 Placeholder invocations (any token containing ``<``, ``[``, or ``...``,
 e.g. ``repro <command> [options...]``) are skipped; shell pipelines
@@ -58,6 +67,9 @@ PATH_RE = re.compile(
     r"[\w./-]*\.(?:py|md|json|txt))(?:::[\w\[\]-]*|:\d+)?`"
 )
 TICK_RE = re.compile(r"`([^`]+)`")
+XREF_RE = re.compile(
+    r":(?:mod|class|func|meth|attr|data|exc):`~?(repro(?:\.\w+)+)`"
+)
 TYPE_TABLE_HEADING = "## Key data types"
 FENCE_RE = re.compile(r"```(console|bash)\n(.*?)```", re.S)
 SHELL_OPERATORS = {"|", "||", "&&", "&", ";", ">", ">>", "<", "2>"}
@@ -144,6 +156,32 @@ def check_types(path: str, text: str):
                     f"{rel(path)}:{line}: type {name!r} is not defined in "
                     f"{where or 'any module'}"
                 )
+
+
+# ----------------------------------------------------------------------
+# cross-references
+# ----------------------------------------------------------------------
+def _resolves(target: str) -> bool:
+    parts = target.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for name in parts[i:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def check_xrefs(path: str, text: str):
+    """Yield findings for ``repro.…`` role targets that do not resolve."""
+    for match in XREF_RE.finditer(text):
+        if not _resolves(match.group(1)):
+            line = text.count("\n", 0, match.start()) + 1
+            yield f"{rel(path)}:{line}: unresolved reference {match.group(0)}"
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +274,9 @@ def main() -> int:
         checked += 1
     for path in source_files():
         with open(path, encoding="utf-8") as handle:
-            findings.extend(check_paths(path, handle.read()))
+            text = handle.read()
+        findings.extend(check_paths(path, text))
+        findings.extend(check_xrefs(path, text))
         checked += 1
     for finding in findings:
         print(finding)
@@ -244,8 +284,8 @@ def main() -> int:
         print(f"check-docs: {len(findings)} finding(s) in {checked} file(s)")
         return 1
     print(
-        f"check-docs: OK ({checked} files, links, paths, types and "
-        f"commands verified)"
+        f"check-docs: OK ({checked} files, links, paths, types, "
+        f"commands and cross-references verified)"
     )
     return 0
 

@@ -117,9 +117,11 @@ def canonical_hash(document: Union[SDFGraph, Dict[str, Any]]) -> str:
     """SHA-256 hex digest of :func:`canonical_document`.
 
     The content address of a graph: stable across Python processes,
-    file formatting, and JSON key ordering.  The compilation service's
-    artifact cache (:mod:`repro.serve.cache`) derives its keys from
-    this digest.
+    file formatting, and JSON key ordering.  The compilation service
+    routes each document to its farm shard and keys its session LRU by
+    this digest; the artifact cache's key
+    (:func:`repro.artifacts.cache.cache_key`) hashes the raw document
+    with its options and the package version instead.
     """
     return hashlib.sha256(
         canonical_document(document).encode("utf-8")

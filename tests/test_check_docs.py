@@ -1,9 +1,10 @@
 """Tests for the documentation gate (scripts/check_docs.py).
 
 The gate is load-bearing — CI runs it via ``make check-docs`` — so its
-four checkers are pinned here on synthetic text: real links, paths,
-types and commands pass, broken links, dead paths, undefined types and
-phantom flags/subcommands are findings, and usage placeholders / globs /
+five checkers are pinned here on synthetic text: real links, paths,
+types, commands and docstring cross-references pass, broken links, dead
+paths, undefined types, phantom flags/subcommands and stale references
+are findings, and usage placeholders / globs /
 pipelines / non-repro lines are skipped rather than false-positived.
 The final tests run the gate for real over the repo's own docs and
 sources, which must be clean.
@@ -126,6 +127,33 @@ class TestTypeChecker:
         assert types("| `Nowhere` | `sdf.graph` | not a type table |") == []
 
 
+def xrefs(text):
+    return list(CHECK.check_xrefs(FAKE, text))
+
+
+class TestXrefChecker:
+    def test_resolving_references_pass(self):
+        assert xrefs(
+            ":mod:`repro.codegen.vm` :class:`~repro.sdf.graph.SDFGraph` "
+            ":meth:`repro.sdf.graph.SDFGraph.buffers` "
+            ":data:`repro.native.CROSSOVER_ACTORS`"
+        ) == []
+
+    def test_stale_module_is_a_finding(self):
+        found = xrefs("line one\nsee :mod:`repro.serve.cache` for keys\n")
+        assert found == [
+            "docs/fake.md:2: unresolved reference :mod:`repro.serve.cache`"
+        ]
+
+    def test_stale_attribute_is_a_finding(self):
+        found = xrefs(":meth:`~repro.sdf.graph.SDFGraph.no_such_method`")
+        assert len(found) == 1
+        assert "SDFGraph.no_such_method" in found[0]
+
+    def test_relative_and_foreign_targets_are_skipped(self):
+        assert xrefs(":func:`main` :class:`dict` :mod:`os.path`") == []
+
+
 def fence(*lines):
     return "```console\n" + "\n".join(lines) + "\n```\n"
 
@@ -186,3 +214,8 @@ class TestRepoDocsAreClean:
         for path in CHECK.source_files():
             with open(path, encoding="utf-8") as handle:
                 assert list(CHECK.check_paths(path, handle.read())) == []
+
+    def test_source_cross_references_resolve(self):
+        for path in CHECK.source_files():
+            with open(path, encoding="utf-8") as handle:
+                assert list(CHECK.check_xrefs(path, handle.read())) == []
