@@ -80,23 +80,6 @@ class CompilationSession:
         #: order-independent section 6 DP), flushed by the pipeline.
         self.chain_dp_hits = 0
         self.chain_dp_misses = 0
-        self._graph_digest: Optional[str] = None
-
-    @property
-    def graph_digest(self) -> str:
-        """Content address of this session's graph.
-
-        The SHA-256 of the graph's canonical JSON document
-        (:func:`repro.sdf.io.canonical_hash`) — the same address the
-        service layer uses to key its session LRU and as the graph
-        component of artifact-cache keys, so a session, its cache
-        entries, and its LRU slot always agree on identity.
-        """
-        if self._graph_digest is None:
-            from ..sdf.io import canonical_hash
-
-            self._graph_digest = canonical_hash(self.graph)
-        return self._graph_digest
 
     # ------------------------------------------------------------------
     @property

@@ -60,7 +60,6 @@ parent -> worker                      worker -> parent
                                       items are re-sent with full
                                       documents in a second frame
 ``("stats", rid)``                    ``("stats", rid, payload)``
-``("ping", rid)``                     ``("pong", rid)``
 ``("shutdown",)``                     (worker exits)
 ====================================  ===================================
 
@@ -319,9 +318,7 @@ class _Worker(ShardCore):
             kind = msg[0]
             if kind == "shutdown":
                 return
-            if kind == "ping":
-                self.conn.send(("pong", msg[1]))
-            elif kind == "stats":
+            if kind == "stats":
                 self.conn.send(("stats", msg[1], self._stats()))
             elif kind == "compile_many":
                 self._compile_many(*msg[1:])

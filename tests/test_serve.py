@@ -16,7 +16,7 @@ from repro.check.oracles import build_artifacts
 from repro.lifetimes.periodic import DEFAULT_OCCURRENCE_CAP
 from repro.scheduling.pipeline import implement
 from repro.sdf.graph import SDFGraph
-from repro.sdf.io import to_json
+from repro.sdf.io import canonical_hash, to_json
 from repro.serve import (
     ArtifactCache,
     CompilationReport,
@@ -315,13 +315,12 @@ class TestCompileService:
         service.compile_document(doc, use_cache=False)
         assert len(service._sessions) == 1
 
-    def test_session_lru_key_is_the_session_graph_digest(self):
-        # The LRU key, CompilationSession.graph_digest, and the graph
-        # component of cache keys must all be the same content address.
+    def test_session_lru_key_is_the_canonical_hash(self):
+        # The session LRU is keyed by the graph's content address.
         service = CompileService()
         service.compile_document(to_json(small_graph()), use_cache=False)
         ((digest, session),) = service._sessions.items()
-        assert session.graph_digest == digest
+        assert digest == canonical_hash(session.graph)
 
     def test_batch_preserves_order_and_statuses(self, tmp_path):
         service = CompileService(cache=ArtifactCache(str(tmp_path)))
