@@ -10,27 +10,24 @@ block covers at most a few contiguous runs of words — one for a linear
 buffer, a new one at each wrap of a circular buffer — so its writes
 are one slice assignment per run and its reads one slice comparison
 per run, with a per-word scan only on a mismatch to locate the first
-bad token.  Delayed buffers preload in one write each, and
-``transfers`` counts the block-level reads and writes.
+bad token.  The failing firing of an overrun or a corruption is
+recovered in closed form, so the raise matches the scalar VM's.
+Delayed buffers preload in one write each, and ``transfers`` counts
+the block-level reads and writes.
 
-The observable contract is the scalar VM's: the same ``firings`` and
-``firings_per_actor`` counters, the same ``peak_address`` (a maximum
-over the same set of writes, hence order-independent), and
-:class:`~repro.exceptions.CodegenError` with the scalar VM's message at
-the same failing firing for cursor overruns, token corruption, and
-balance violations.  Blocks of an actor with a self-loop fall back to
-per-firing execution — their reads depend on writes from earlier
-firings of the same block, so the block-wide read-then-write
-reordering would be unsound for them.
+Blocks of an actor with a self-loop run firing-at-a-time: their reads
+depend on writes from earlier firings of the same block, so the
+block-wide read-then-write reordering would be unsound for them.
 
 One deliberate asymmetry: within a block all reads precede all writes
 (that is what makes the block one transfer), so an *unsafe* allocation
 whose corruption window opens mid-block — a write of firing ``i``
 clobbering a cell firing ``i+1`` reads — can go unnoticed here while
 the scalar VM catches it.  On allocations that verify cleanly the two
-VMs are observationally identical; the check harness therefore keeps
-the scalar VM as the corruption oracle and uses this one to check the
-vectorized execution path itself.
+VMs are observationally identical (the same ``firings``,
+``firings_per_actor`` and ``peak_address``); the check harness
+therefore keeps the scalar VM as the corruption oracle and uses this
+one to check the vectorized execution path itself.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ size, write side, readers and reset point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..exceptions import CodegenError
 from ..sdf.graph import Edge, SDFGraph
@@ -35,7 +35,7 @@ class Placement:
     output port of its source) and the name of the buffer.  ``eid`` is
     the buffer's position in :attr:`LifetimeSet.buffers`; ``readers``
     its member edges, one read port each.  A delayed buffer is
-    ``circular`` and has no ``reset`` node.
+    ``circular``; its cursors never reset.
     """
 
     first: Edge
@@ -44,7 +44,6 @@ class Placement:
     base: int
     size: int
     circular: bool
-    reset: Optional[ScheduleTreeNode]
     readers: Tuple[Edge, ...]
 
 
@@ -55,7 +54,8 @@ class Layout:
     ``placement`` maps each member edge's key to its buffer;
     ``reads[actor]`` lists the actor's in-edges in ``in_edges`` order
     and ``writes[actor]`` the buffers it writes, once each, in
-    ``out_edges`` order of their first members.
+    ``out_edges`` order of their first members; ``reset_at`` maps a
+    tree node's ``id`` to the buffers whose least parent it is.
     """
 
     buffers: List[Placement]
@@ -95,7 +95,7 @@ def lower(
                 f"allocation missing buffer {lt.name!r}"
             ) from None
         placed = Placement(
-            first, eid, lt, base, lt.size, first.delay > 0, b.reset, b.members
+            first, eid, lt, base, lt.size, first.delay > 0, b.members
         )
         buffers.append(placed)
         for m in b.members:

@@ -31,7 +31,7 @@ fires a leaf as one transfer per contiguous run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import CodegenError
@@ -39,11 +39,9 @@ from ..sdf.graph import Edge, SDFGraph
 from ..allocation.first_fit import Allocation
 from ..lifetimes.intervals import LifetimeSet
 from ..lifetimes.schedule_tree import ScheduleTreeNode
-from .layout import lower
+from .layout import Key, lower
 
 __all__ = ["SharedMemoryVM", "run_shared_memory_check"]
-
-Key = Tuple[str, str, int]
 
 #: ``memory`` value of a never-written word.
 _UNWRITTEN = -1
@@ -65,7 +63,9 @@ class _Buffer:
     """One physical buffer's write side, counters and readers.
 
     ``edge`` is the buffer's first member: it names the buffer in
-    write errors.  ``slots`` is how many whole tokens fit in it.
+    write errors.  ``slots`` is how many whole tokens fit in it; a
+    circular buffer has at least one, so a forged one shorter than a
+    token wraps in place.
     """
 
     edge: Edge
@@ -75,14 +75,9 @@ class _Buffer:
     circular: bool
     token_size: int
     slots: int
-    readers: List["_Reader"] = field(default_factory=list)
+    readers: List["_Reader"]
     produced: int = 0
     wr_k: int = 0
-
-    def reset(self) -> None:
-        self.wr_k = 0
-        for reader in self.readers:
-            reader.rd_k = 0
 
 
 @dataclass(eq=False)
@@ -199,7 +194,9 @@ class SharedMemoryVM:
             return
         for _ in range(node.loop):
             for state in self._reset_at.get(id(node), ()):
-                state.reset()
+                state.wr_k = 0
+                for reader in state.readers:
+                    reader.rd_k = 0
             self._run_node(node.left)
             self._run_node(node.right)
 

@@ -139,6 +139,15 @@ class TestSharedMemoryVM:
         assert result.allocation.total >= 6
         run_shared_memory_check(g, result.lifetimes, result.allocation)
 
+    @pytest.mark.parametrize("vm_class", [SharedMemoryVM, BatchedVM])
+    def test_missing_buffer_is_a_codegen_error(self, vm_class):
+        g, result = implemented("4pamxmitrec")
+        bad = Allocation(
+            offsets={}, total=0, order=[], graph=result.allocation.graph
+        )
+        with pytest.raises(CodegenError, match="allocation missing buffer"):
+            vm_class(g, result.lifetimes, bad)
+
 
 class TestBufferPastThePool:
     """A buffer placed past ``allocation.total`` is an overrun the VMs
@@ -170,15 +179,6 @@ class TestBufferPastThePool:
             f"exec: VM wrote up to address {short.total + 1}, past the "
             f"allocation total {short.total}"
         ) in bad
-
-    @pytest.mark.parametrize("vm_class", [SharedMemoryVM, BatchedVM])
-    def test_missing_buffer_is_a_codegen_error(self, vm_class):
-        g, result = implemented("4pamxmitrec")
-        bad = Allocation(
-            offsets={}, total=0, order=[], graph=result.allocation.graph
-        )
-        with pytest.raises(CodegenError, match="allocation missing buffer"):
-            vm_class(g, result.lifetimes, bad)
 
 
 @requires_cc
