@@ -42,6 +42,16 @@ part of the test suite):
   buffer at a seeded word offset) and on up to :data:`VM_SHRINKS`
   shrunk linear buffers: the firing count, a digest of the per-actor
   counts and the peak address, or the exact ``CodegenError`` text.
+* ``replay.txt`` — the schedule replay (:mod:`repro.sdf.simulate`) on
+  CD-DAT, satrec and seeds 0–11 of the check harness's acyclic,
+  broadcast, delayed-chain and cyclic trial graphs (the cyclic ones
+  scheduled by ``schedule_cyclic``), each under its SDPPO (or cyclic)
+  schedule, that schedule vectorized and the flat
+  ``assert_deadlock_free`` schedule: ``max_tokens``, a digest of
+  ``coarse_live_intervals``, ``max_live_tokens`` and
+  ``buffer_memory_nonshared``; then, with one seeded leaf dropped, the
+  exact ``validate_schedule`` error text and the block replay's own
+  outcome (its underflow text, or a digest of the final tokens).
 
 Usage::
 
@@ -117,6 +127,8 @@ VM_SEEDS = range(40)
 #: compile, at most.
 VM_OVERLAYS = 3
 VM_SHRINKS = 2
+#: Seeds of each ``replay.txt`` trial-graph generator.
+REPLAY_SEEDS = range(12)
 #: The ``compile.txt`` legs, by the label a ``differs:`` line names.
 COMPILE_LEGS: Tuple[str, ...] = (
     "kernel loaded", "REPRO_NATIVE=0", "fresh interpreter",
@@ -446,6 +458,107 @@ def vm_outcomes() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _replay_graphs() -> Iterator[Tuple[str, object, object]]:
+    """``(label, graph, schedule)`` per graph: its SDPPO schedule, or
+    ``schedule_cyclic``'s for the cyclic family."""
+    from repro.check.harness import (
+        broadcast_trial_graph,
+        cyclic_trial_graph,
+        delayed_split_chain,
+        trial_graph,
+    )
+    from repro.scheduling.cyclic import schedule_cyclic
+    from repro.scheduling.pipeline import implement
+
+    named = [(stem, _emit_graph(stem)) for stem in ("cddat", "satrec")]
+    for generator in (trial_graph, broadcast_trial_graph, delayed_split_chain):
+        named += [(f"{generator.__name__}({s})", generator(s))
+                  for s in REPLAY_SEEDS]
+    for label, graph in named:
+        yield label, graph, implement(graph, verify=False).sdppo_schedule
+    for seed in REPLAY_SEEDS:
+        graph = cyclic_trial_graph(seed)
+        yield (f"cyclic_trial_graph({seed})", graph,
+               schedule_cyclic(graph).schedule)
+
+
+def _drop_leaf(schedule, index: int):
+    """``schedule`` without its ``index``-th ``Firing`` leaf (pre-order);
+    loops left empty go too."""
+    from repro.sdf.schedule import Firing, Loop, LoopedSchedule
+
+    seen = [0]
+
+    def walk(node):
+        if isinstance(node, Firing):
+            seen[0] += 1
+            return None if seen[0] - 1 == index else node
+        body = tuple(c for c in map(walk, node.body) if c is not None)
+        return Loop(node.count, body) if body else None
+
+    return LoopedSchedule([n for n in map(walk, schedule.body) if n])
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:16]
+
+
+def replay() -> str:
+    """Replay observables of seeded schedules, and the errors of each
+    schedule with one leaf dropped."""
+    import random
+
+    from repro.exceptions import SDFError
+    from repro.scheduling.vectorize import vectorize_schedule
+    from repro.sdf.simulate import (
+        BlockScan,
+        assert_deadlock_free,
+        buffer_memory_nonshared,
+        coarse_live_intervals,
+        max_live_tokens,
+        max_tokens,
+        validate_schedule,
+    )
+
+    lines: List[str] = []
+    for label, graph, schedule in _replay_graphs():
+        lines.append(f"== {label}")
+        schedules = (
+            ("schedule", schedule),
+            ("vectorized", vectorize_schedule(graph, schedule).schedule),
+            ("flat", assert_deadlock_free(graph)),
+        )
+        rng = random.Random(label)
+        for name, s in schedules:
+            peaks = " ".join(
+                f"{k[0]}>{k[1]}.{k[2]}={v}"
+                for k, v in sorted(max_tokens(graph, s).items())
+            )
+            intervals = sorted(coarse_live_intervals(graph, s).items())
+            lines.append(
+                f"-- {name} ({s.num_firings()} firings): "
+                f"max_live_tokens {max_live_tokens(graph, s)} "
+                f"buffer_memory_nonshared {buffer_memory_nonshared(graph, s)} "
+                f"intervals {_digest(intervals)}"
+            )
+            lines.append(f"max_tokens {peaks}")
+            index = rng.randrange(sum(s.appearances().values()))
+            dropped = _drop_leaf(s, index)
+            try:
+                validate_schedule(graph, dropped)
+                outcome = "valid"
+            except SDFError as exc:
+                outcome = f"error {exc}"
+            lines.append(f"drop leaf {index}: validate {outcome}")
+            try:
+                tokens = BlockScan(graph, dropped).tokens
+                outcome = f"tokens {_digest(sorted(tokens.items()))}"
+            except SDFError as exc:
+                outcome = f"error {exc}"
+            lines.append(f"drop leaf {index}: replay {outcome}")
+    return "\n".join(lines) + "\n"
+
+
 def render() -> Dict[str, str]:
     """Every golden file but ``compile.txt``, ``chain_dp.txt`` and the
     graphs, by path."""
@@ -453,6 +566,7 @@ def render() -> Dict[str, str]:
         "check_inject.native.txt": check_transcript(native=True),
         "check_inject.python.txt": check_transcript(native=False),
         "orders_lifetimes.txt": orders_lifetimes(),
+        "replay.txt": replay(),
         "vm_outcomes.txt": vm_outcomes(),
     }
     files.update(emitted_sources())

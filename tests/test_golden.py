@@ -21,7 +21,11 @@ outputs with the current code and require them byte for byte:
   them with delayed edges, through the Python DP and, where one loads,
   the native kernel;
 * both shared-memory VMs' outcomes (counters or exact error text) on
-  clean, forged-overlay and shrunk-buffer programs of seeded graphs.
+  clean, forged-overlay and shrunk-buffer programs of seeded graphs;
+* the schedule replay's observables (``max_tokens``, coarse live
+  intervals, the live-array peak, non-shared buffer memory) under the
+  SDPPO or cyclic, vectorized and flat schedules of seeded graphs, and
+  the exact errors of each schedule with one leaf dropped.
 """
 
 import importlib.util
@@ -76,6 +80,10 @@ def test_chain_dp(backend):
         if get_kernels() is None:
             pytest.skip("no native kernel (no C compiler or REPRO_NATIVE=0)")
     assert GOLDEN.chain_dp(backend) == GOLDEN.read("chain_dp.txt")
+
+
+def test_replay():
+    assert GOLDEN.replay() == GOLDEN.read("replay.txt")
 
 
 def test_vm_outcomes():
