@@ -16,11 +16,22 @@ from repro.sdf.graph import SDFGraph
 from repro.sdf.io import from_json, to_json
 from repro.sdf.random_graphs import random_broadcast_sdf_graph
 from repro.sdf.repetitions import is_consistent, repetitions_vector
-from repro.sdf.simulate import buffer_memory_nonshared, max_live_tokens
+from repro.sdf.simulate import (
+    buffer_memory_nonshared,
+    coarse_live_intervals,
+    max_live_tokens,
+    max_tokens,
+)
+from repro.lifetimes.granularity import fine_grained_peak
 from repro.scheduling.pipeline import implement
 from repro.allocation.verify import verify_allocation
 from repro.codegen.vm import SharedMemoryVM
 from repro.codegen.c_emitter import emit_c
+from repro.check.harness import (
+    broadcast_trial_graph,
+    delayed_split_chain,
+    trial_graph,
+)
 from repro.check.oracles import broadcast_oracles, build_artifacts
 
 from .conftest import build_and_run_c, requires_cc
@@ -35,6 +46,52 @@ def diamond(delay: int = 0) -> SDFGraph:
     g.add_edge("A", "T", 1, 2)
     g.add_edge("B", "T", 1, 1)
     return g
+
+
+def solo_groups(graph: SDFGraph) -> SDFGraph:
+    """``graph`` with every plain non-self-loop edge tagged as a
+    one-member broadcast group of its own."""
+    tagged = SDFGraph(graph.name)
+    for a in graph.actors():
+        tagged.add_actor(a.name, a.execution_time)
+    for i, e in enumerate(graph.edges()):
+        solo = e.broadcast is None and not e.is_self_loop()
+        tagged.add_edge(
+            e.source, e.sink, e.production, e.consumption,
+            delay=e.delay, token_size=e.token_size,
+            broadcast=f"solo{i}" if solo else e.broadcast,
+        )
+    return tagged
+
+
+def _observables(graph: SDFGraph, vectorize: bool):
+    r = implement(graph, vectorize=vectorize)
+    s = r.vectorize.schedule if vectorize else r.sdppo_schedule
+    return (
+        r.dppo_cost, str(r.dppo_schedule), r.sdppo_cost,
+        str(r.sdppo_schedule), r.ffdur_total, r.ffstart_total,
+        max_tokens(graph, s), coarse_live_intervals(graph, s),
+        max_live_tokens(graph, s), buffer_memory_nonshared(graph, s),
+        fine_grained_peak(graph, s),
+    )
+
+
+class TestOneMemberGroup:
+    """A one-member broadcast group is a plain edge: every layer below
+    the graph gives it the same schedules, costs and replay."""
+
+    @pytest.mark.parametrize("vectorize", [False, True])
+    @pytest.mark.parametrize(
+        "generator", [trial_graph, delayed_split_chain, broadcast_trial_graph]
+    )
+    def test_matches_plain_edge(self, generator, vectorize):
+        for seed in range(40):
+            graph = generator(seed)
+            tagged = solo_groups(graph)
+            assert tagged.broadcast_names() or not graph.edges()
+            assert _observables(tagged, vectorize) == _observables(
+                graph, vectorize
+            ), f"{generator.__name__}({seed})"
 
 
 class TestGraphAPI:
