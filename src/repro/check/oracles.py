@@ -31,7 +31,7 @@ from ..scheduling.sdppo import sdppo
 from ..allocation.first_fit import allocate, first_fit
 from ..allocation.optimal import optimal_allocation
 from ..allocation.verify import verify_allocation
-from ..codegen.py_emitter import compile_python
+from ..codegen.py_emitter import buffer_id, compile_python
 from ..codegen.vm import SharedMemoryVM
 from .reference import (
     full_trace,
@@ -178,22 +178,20 @@ def _sequence_actors(graph: SDFGraph):
     Every produced word is the tuple ``(buffer identity, token sequence,
     word index)``; every consumer asserts it reads exactly the words its
     producer wrote, in order — the generated-code analogue of the VM's
-    token check.  The buffer identity is the edge key for an ordinary
-    edge and the *first member's* edge key for a broadcast group (the
-    group's one physical stream, written once per firing and expected
-    identically by every member sink).  Returns ``(actors, state)``
-    where ``state`` tracks per-actor firing counts, per-buffer produce
-    counters and per-edge consume counters.
+    token check.  The buffer identity is the key of the buffer's first
+    member (:meth:`SDFGraph.buffers`): a plain edge's own key, and for
+    a broadcast group the one stream written once per firing and
+    expected identically by every member sink.  Returns
+    ``(actors, state)`` where ``state`` tracks per-actor firing counts,
+    per-buffer produce counters and per-edge consume counters.
     """
-    first_of = {
-        name: members[0]
-        for name, members in graph.broadcast_groups().items()
-    }
-    produced = {
-        e.key: e.delay for e in graph.edges() if e.broadcast is None
-    }
-    for first in first_of.values():
+    ident: Dict[Tuple[str, str, int], Tuple[str, str, int]] = {}
+    produced = {}
+    for members in graph.buffers():
+        first = members[0]
         produced[first.key] = first.delay
+        for m in members:
+            ident[m.key] = first.key
     state = {
         "fired": {a: 0 for a in graph.actor_names()},
         "produced": produced,
@@ -202,29 +200,20 @@ def _sequence_actors(graph: SDFGraph):
 
     def make_fire(actor: str) -> Callable:
         ins = graph.in_edges(actor)
-        # Output *ports*: one per ordinary edge, one per broadcast
-        # group — matching the generated module's firing signature.
-        out_ports = []
-        seen = set()
-        for e in graph.out_edges(actor):
-            if e.broadcast is None:
-                out_ports.append((e.key, e))
-            elif e.broadcast not in seen:
-                seen.add(e.broadcast)
-                out_ports.append((first_of[e.broadcast].key, e))
+        # Output *ports*: one per buffer written, its first member's
+        # edge — matching the generated module's firing signature.
+        out_ports = [
+            e for e in graph.out_edges(actor) if ident[e.key] == e.key
+        ]
 
         def fire(inputs: List[List[object]]) -> List[List[object]]:
             state["fired"][actor] += 1
             for e, words in zip(ins, inputs):
-                ident = (
-                    e.key if e.broadcast is None
-                    else first_of[e.broadcast].key
-                )
                 for i in range(e.consumption):
                     seq = state["consumed"][e.key]
                     state["consumed"][e.key] += 1
                     for w in range(e.token_size):
-                        expected = (ident, seq, w)
+                        expected = (ident[e.key], seq, w)
                         actual = words[i * e.token_size + w]
                         if actual != expected:
                             raise AssertionError(
@@ -233,13 +222,13 @@ def _sequence_actors(graph: SDFGraph):
                                 f"{expected}, got {actual!r}"
                             )
             outputs: List[List[object]] = []
-            for ident, e in out_ports:
+            for e in out_ports:
                 words: List[object] = []
                 for _ in range(e.production):
-                    seq = state["produced"][ident]
-                    state["produced"][ident] += 1
+                    seq = produced[e.key]
+                    produced[e.key] += 1
                     words.extend(
-                        (ident, seq, w) for w in range(e.token_size)
+                        (e.key, seq, w) for w in range(e.token_size)
                     )
                 outputs.append(words)
             return outputs
@@ -253,29 +242,18 @@ def _sequence_actors(graph: SDFGraph):
 def _module_preloads(graph: SDFGraph) -> Dict:
     """Initial-token word lists keyed by generated-module buffer ids.
 
-    Ordinary delayed edges preload under their edge key; a delayed
-    broadcast group preloads *once* under ``('bcast', name)`` with the
-    first member's key as token identity.
+    A delayed buffer preloads *once* (a broadcast group's members share
+    its delay tokens), with its first member's key as token identity.
     """
-    preloads = {}
-    for e in graph.edges():
-        if e.delay == 0 or e.broadcast is not None:
-            continue
-        preloads[e.key] = [
-            (e.key, seq, w)
-            for seq in range(e.delay)
-            for w in range(e.token_size)
-        ]
-    for name, members in graph.broadcast_groups().items():
-        first = members[0]
-        if first.delay == 0:
-            continue
-        preloads[("bcast", name)] = [
+    return {
+        buffer_id(first): [
             (first.key, seq, w)
             for seq in range(first.delay)
             for w in range(first.token_size)
         ]
-    return preloads
+        for first in (members[0] for members in graph.buffers())
+        if first.delay > 0
+    }
 
 
 def _execution_checks(

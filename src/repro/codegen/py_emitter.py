@@ -18,19 +18,19 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..sdf.graph import SDFGraph
+from ..sdf.graph import Edge, SDFGraph
 from ..allocation.first_fit import Allocation
 from ..lifetimes.intervals import LifetimeSet
 from ..lifetimes.schedule_tree import ScheduleTreeNode
-from .layout import Placement, lower
+from .layout import lower
 
-__all__ = ["emit_python", "compile_python"]
+__all__ = ["buffer_id", "emit_python", "compile_python"]
 
 
-def _buffer_id(placed: Placement):
-    """A buffer's id in the generated module: a plain edge's key, a
-    broadcast group's ``('bcast', name)``."""
-    first = placed.first
+def buffer_id(first: Edge):
+    """The generated module's id of the buffer whose first member is
+    ``first``: a plain edge's key, a broadcast group's
+    ``('bcast', name)``."""
     return first.key if first.broadcast is None else ("bcast", first.broadcast)
 
 
@@ -51,7 +51,7 @@ def emit_python(
     lines.append("BUFFERS = {")
     for p in layout.buffers:
         lines.append(
-            f"    {_buffer_id(p)!r}: dict(base={p.base}, "
+            f"    {buffer_id(p.first)!r}: dict(base={p.base}, "
             f"size={p.size}, circular={p.circular}),"
         )
     lines.append("}")
@@ -59,7 +59,8 @@ def emit_python(
     lines.append("# Read port -> physical buffer (broadcast members share one).")
     lines.append("READERS = {")
     for e in graph.edges():
-        lines.append(f"    {e.key!r}: {_buffer_id(layout.placement[e.key])!r},")
+        first = layout.placement[e.key].first
+        lines.append(f"    {e.key!r}: {buffer_id(first)!r},")
     lines.append("}")
     lines.append("")
     lines.append("""
@@ -103,7 +104,9 @@ def _read(memory, cursors, key, count):
     # actor writes (a broadcast group's token list is written once into
     # the shared buffer; its first member stands for it).
     for actor in graph.actor_names():
-        out_ports = [(_buffer_id(p), p.first) for p in layout.writes[actor]]
+        out_ports = [
+            (buffer_id(p.first), p.first) for p in layout.writes[actor]
+        ]
         lines.append(f"def _fire_{actor}(memory, cursors, actors):")
         lines.append("    inputs = []")
         for e in layout.reads[actor]:
@@ -157,7 +160,7 @@ def _read(memory, cursors, key, count):
             inner = indent
         inner_pad = "    " * inner
         for p in layout.resets(node):
-            body.append(f"{inner_pad}cursors.reset({_buffer_id(p)!r})")
+            body.append(f"{inner_pad}cursors.reset({buffer_id(p.first)!r})")
         emit(node.left, inner)
         emit(node.right, inner)
 

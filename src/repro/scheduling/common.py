@@ -34,79 +34,49 @@ __all__ = [
     "ChainContext",
     "build_schedule_from_splits",
     "chain_dp",
-    "aggregate_pair_weights",
-    "broadcast_group_weights",
+    "buffer_weights",
 ]
 
 
-def aggregate_pair_weights(
-    graph: SDFGraph, q: Dict[str, int]
-) -> Dict[Tuple[str, str], Tuple[int, int, int]]:
-    """Per actor pair: ``(TNSE words, delay words, delayed-edge TNSE words)``.
+#: Per physical buffer: ``(source, sinks, (tw, dw, ptw))``.
+BufferWeights = List[Tuple[str, Tuple[str, ...], Tuple[int, int, int]]]
 
-    Parallel edges are summed.  The third component restricts the first
-    to edges carrying initial tokens — the *persistent* edges whose
-    circular buffers stay live across the whole period and therefore
-    cannot share memory with anything (see the episodic/persistent
-    split of EQ 5 in :func:`chain_dp`).
 
-    Order-invariant, so a compilation session computes it once per graph
-    and every per-order :class:`ChainContext` reuses it.
+def buffer_weights(graph: SDFGraph, q: Dict[str, int]) -> BufferWeights:
+    """Per physical buffer (:meth:`SDFGraph.buffers`): ``(source, sinks,
+    (TNSE words, delay words, delayed-buffer TNSE words))``.
 
-    Broadcast members are *excluded*: a group owns one shared buffer,
-    counted once, so its weight enters the DP as a single virtual edge
-    whose sink position depends on the order — see
-    :func:`broadcast_group_weights` and the folding in
-    :class:`ChainContext`.
+    Members of a buffer share source, production, delay and token size,
+    so they all have the first member's TNSE: the buffer's weight,
+    counted once.  A plain edge is a buffer with one sink.  The third
+    component restricts the first to buffers carrying initial tokens —
+    the *persistent* buffers whose circular arrays stay live across the
+    whole period and therefore cannot share memory with anything (see
+    the episodic/persistent split of EQ 5 in :func:`chain_dp`).
+
+    Order-invariant, so a compilation session computes it once per
+    graph; the sink that carries the weight depends on the order and is
+    resolved per :class:`ChainContext`.
     """
-    weights: Dict[Tuple[str, str], Tuple[int, int, int]] = {}
-    for e in graph.edges():
-        if e.broadcast is not None:
-            continue
-        tw = total_tokens_exchanged(e, q) * e.token_size
-        dw = e.delay * e.token_size
-        ptw = tw if e.delay > 0 else 0
-        prev = weights.get((e.source, e.sink))
-        if prev is not None:
-            tw += prev[0]
-            dw += prev[1]
-            ptw += prev[2]
-        weights[(e.source, e.sink)] = (tw, dw, ptw)
-    return weights
-
-
-def broadcast_group_weights(
-    graph: SDFGraph, q: Dict[str, int]
-) -> Dict[str, Tuple[str, Tuple[str, ...], Tuple[int, int, int]]]:
-    """Per broadcast group: ``(source, sinks, (tw, dw, ptw))``.
-
-    Members of a group share source, production, delay, and token size,
-    so they all have the same TNSE — the weight of the one shared
-    buffer, counted once.  Order-invariant (cached per session); the
-    position of the virtual edge carrying the weight is order-dependent
-    and resolved per :class:`ChainContext`.
-    """
-    weights: Dict[str, Tuple[str, Tuple[str, ...], Tuple[int, int, int]]] = {}
-    for name, members in graph.broadcast_groups().items():
+    weights: BufferWeights = []
+    for members in graph.buffers():
         first = members[0]
         tw = total_tokens_exchanged(first, q) * first.token_size
-        dw = first.delay * first.token_size
-        ptw = tw if first.delay > 0 else 0
-        weights[name] = (
+        weights.append((
             first.source,
             tuple(m.sink for m in members),
-            (tw, dw, ptw),
-        )
+            (tw, first.delay * first.token_size, tw if first.delay else 0),
+        ))
     return weights
 
 
 class ChainContext:
     """Precomputed quantities for DP over a lexical order.
 
-    A broadcast group enters the weight tables as one *virtual edge*
-    from its source to the member sink at the greatest order position,
-    carrying the group's weight once.  This is exact for the DP cost
-    models: within any window, the first split separating the source
+    Each physical buffer enters the weight tables once, as an edge from
+    its source to its sink at the greatest order position (a plain
+    edge's own sink).  For a broadcast group this is exact for the DP
+    cost models: within any window, the first split separating the source
     from *any* member sink also separates it from the farthest one
     (windows are contiguous and every sink is after the source), and
     window nesting makes inner gcds multiples of outer gcds, so
@@ -127,14 +97,10 @@ class ChainContext:
         own generators produced (RPMC, APGAN, the topsort samplers); a
         :class:`~repro.scheduling.session.CompilationSession` sets this
         for every trial of a search.
-    pair_weights:
-        Precomputed ``(source, sink) -> (tnse words, delay words,
-        delayed-edge tnse words)`` with parallel edges aggregated
-        (broadcast members excluded), as built once per graph by a
-        compilation session; computed here when absent.
-    broadcast_weights:
-        Precomputed per-group weights from
-        :func:`broadcast_group_weights`; computed here when absent.
+    weights:
+        Precomputed per-buffer weights from :func:`buffer_weights`, as
+        built once per graph by a compilation session; computed here
+        when absent.
     """
 
     def __init__(
@@ -143,10 +109,7 @@ class ChainContext:
         order: Sequence[str],
         q: Optional[Dict[str, int]] = None,
         trusted: bool = False,
-        pair_weights: Optional[Dict[Tuple[str, str], Tuple[int, int, int]]] = None,
-        broadcast_weights: Optional[
-            Dict[str, Tuple[str, Tuple[str, ...], Tuple[int, int, int]]]
-        ] = None,
+        weights: Optional[BufferWeights] = None,
     ) -> None:
         if sorted(order) != sorted(graph.actor_names()):
             raise GraphStructureError(
@@ -175,40 +138,25 @@ class ChainContext:
                 row[j] = acc
             self._g.append(row)
 
-        if pair_weights is None:
-            pair_weights = aggregate_pair_weights(graph, self.q)
-        if broadcast_weights is None:
-            broadcast_weights = broadcast_group_weights(graph, self.q)
-        if broadcast_weights:
-            # Fold each broadcast group in as a virtual edge to the
-            # member sink farthest along *this* order (see class
-            # docstring for why this is exact).  pair_weights itself is
-            # order-invariant session state and must not be mutated.
-            pair_weights = dict(pair_weights)
-            for source, sinks, (tw, dw, ptw) in broadcast_weights.values():
-                far = max(sinks, key=lambda s: self.position[s])
-                prev = pair_weights.get((source, far))
-                if prev is not None:
-                    tw, dw, ptw = (
-                        tw + prev[0], dw + prev[1], ptw + prev[2]
-                    )
-                pair_weights[(source, far)] = (tw, dw, ptw)
-
         # 2D prefix sums over (source position, sink position) of the
         # TNSE words and delay words, so crossing sums are O(1)
         # rectangle queries.  Summing TNSE before dividing by the
         # window gcd is exact: g_ij divides q(src) for every source in
         # the window and TNSE(e) is a multiple of q(src), so each
         # tw // g term divides evenly.
+        if weights is None:
+            weights = buffer_weights(graph, self.q)
+        position = self.position
         m = self.n + 1
         tws = [[0] * m for _ in range(m)]
         dws = [[0] * m for _ in range(m)]
         ptws = [[0] * m for _ in range(m)]
-        for (src, snk), (tw, dw, ptw) in pair_weights.items():
-            ps, pt = self.position[src], self.position[snk]
-            tws[ps + 1][pt + 1] += tw
-            dws[ps + 1][pt + 1] += dw
-            ptws[ps + 1][pt + 1] += ptw
+        for src, sinks, (tw, dw, ptw) in weights:
+            ps = position[src] + 1
+            pt = max(position[s] for s in sinks) + 1
+            tws[ps][pt] += tw
+            dws[ps][pt] += dw
+            ptws[ps][pt] += ptw
         for grid in (tws, dws, ptws):
             for r in range(1, m):
                 row, prev = grid[r], grid[r - 1]

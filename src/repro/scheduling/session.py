@@ -7,7 +7,7 @@ row.  Everything that depends only on the graph is identical across
 those trials:
 
 * the repetitions vector (balance-equation solve);
-* per-edge TNSE/delay word weights, aggregated per actor pair;
+* per-buffer TNSE/delay word weights;
 * the chain test (``chain_order``) and, for chain graphs, the entire
   order-independent precise DP of section 6;
 * the BMLB lower bound.
@@ -24,17 +24,13 @@ get a fresh session per call, which preserves the original semantics.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..sdf.bounds import bmlb
 from ..sdf.graph import SDFGraph
 from ..sdf.repetitions import repetitions_vector
 from .chain_sdppo import ChainSDPPOResult, chain_sdppo
-from .common import (
-    ChainContext,
-    aggregate_pair_weights,
-    broadcast_group_weights,
-)
+from .common import BufferWeights, ChainContext, buffer_weights
 
 __all__ = ["CompilationSession"]
 
@@ -60,18 +56,9 @@ class CompilationSession:
         self.graph = graph
         #: The repetitions vector, solved once per graph.
         self.q: Dict[str, int] = repetitions_vector(graph)
-        #: (source, sink) -> (TNSE words, delay words, delayed-edge
-        #: TNSE words), parallel edges aggregated; reused by every
+        #: Per-buffer (source, sinks, weights), reused by every
         #: per-order ChainContext.
-        self.pair_weights: Dict[Tuple[str, str], Tuple[int, int, int]] = (
-            aggregate_pair_weights(graph, self.q)
-        )
-        #: Broadcast-group weights (one shared buffer each), folded
-        #: into every per-order context as an order-dependent virtual
-        #: edge to the farthest member sink.
-        self.broadcast_weights: Dict[
-            str, Tuple[str, Tuple[str, ...], Tuple[int, int, int]]
-        ] = broadcast_group_weights(graph, self.q)
+        self.weights: BufferWeights = buffer_weights(graph, self.q)
         self._chain_order: Optional[List[str]] = None
         self._chain_checked = False
         self._chain_result: Optional[ChainSDPPOResult] = None
@@ -104,8 +91,7 @@ class CompilationSession:
             order,
             q=self.q,
             trusted=trusted,
-            pair_weights=self.pair_weights,
-            broadcast_weights=self.broadcast_weights,
+            weights=self.weights,
         )
 
     def chain_sdppo_result(self) -> ChainSDPPOResult:

@@ -141,19 +141,14 @@ class BlockScan:
         Coarse-model live episodes per edge (logical token counts, so
         broadcast members appear per edge).
     episodes:
-        ``(edge key, start, stop, array words)`` per episode.  A
-        delayless episode's array holds everything transferred during
-        it (tokens at start plus tokens produced); a delayed edge's
-        buffer is circular, so it needs only its peak occupancy.
-    group_episodes:
-        ``(group, start, stop, words)`` per broadcast-group episode:
-        the group's one physical buffer is live while any member holds
-        tokens, production is counted once, and occupancy is the max
-        member count (the union of unread suffixes of one stream is the
-        largest suffix).
-    member_keys:
-        Edge keys of all broadcast members, whose per-edge episodes
-        :meth:`live_peak` replaces with their group's.
+        ``(first member key, start, stop, array words)`` per episode of
+        each physical buffer (:meth:`SDFGraph.buffers`; a plain edge is
+        a buffer with one member).  A buffer is live while any member
+        holds tokens, its production is counted once, and its
+        occupancy is the max member count.  A delayless episode's array
+        holds everything transferred during it (tokens at start plus
+        tokens produced); a delayed buffer is circular, so it needs
+        only its peak occupancy.
     """
 
     def __init__(
@@ -170,47 +165,42 @@ class BlockScan:
         out_edges = {a: graph.out_edges(a) for a in graph.actor_names()}
 
         intervals: Dict[Key, List[Tuple[int, int]]] = {k: [] for k in by_key}
-        episodes: List[Tuple[Key, int, int, int]] = []
-        # Per-edge open episode: start time, tokens present at the
-        # start, tokens produced since, and peak occupancy.  Edges with
-        # initial tokens start live at time 0.
-        open_at: Dict[Key, Optional[int]] = {}
-        start_count: Dict[Key, int] = {}
-        produced: Dict[Key, int] = {}
-        peak_occ: Dict[Key, int] = {}
-        for k, e in by_key.items():
-            open_at[k] = 0 if e.delay > 0 else None
-            start_count[k] = e.delay
-            produced[k] = 0
-            peak_occ[k] = e.delay
-
-        groups = graph.broadcast_groups()
-        group_keys = {
-            name: [m.key for m in members] for name, members in groups.items()
+        # Per-edge open interval start; edges with initial tokens start
+        # live at time 0.
+        edge_open: Dict[Key, Optional[int]] = {
+            k: 0 if e.delay > 0 else None for k, e in by_key.items()
         }
-        group_episodes: List[Tuple[str, int, int, int]] = []
-        g_open: Dict[str, Optional[int]] = {}
-        g_start: Dict[str, int] = {}
-        g_produced: Dict[str, int] = {}
-        g_peak: Dict[str, int] = {}
-        for name, members in groups.items():
-            first = members[0]
-            g_open[name] = 0 if first.delay > 0 else None
-            g_start[name] = first.delay
-            g_produced[name] = 0
-            g_peak[name] = first.delay
 
-        def group_words(name: str) -> int:
-            first = groups[name][0]
+        # Per-buffer open episode: start time, tokens present at the
+        # start, tokens produced since, and peak occupancy (the max over
+        # members: the union of unread suffixes of one stream is the
+        # largest suffix).  A plain edge is a buffer with one member.
+        buffers = graph.buffers()
+        b_open: List[Optional[int]] = [
+            0 if m[0].delay > 0 else None for m in buffers
+        ]
+        b_start = [m[0].delay for m in buffers]
+        b_produced = [0] * len(buffers)
+        b_peak = list(b_start)
+        episodes: List[Tuple[Key, int, int, int]] = []
+
+        def words(b: int) -> int:
+            first = buffers[b][0]
             if first.delay > 0:
-                return g_peak[name] * first.token_size
-            return (g_start[name] + g_produced[name]) * first.token_size
+                return b_peak[b] * first.token_size
+            return (b_start[b] + b_produced[b]) * first.token_size
 
-        def episode_words(k: Key) -> int:
-            e = by_key[k]
-            if e.delay > 0:
-                return peak_occ[k] * e.token_size
-            return (start_count[k] + produced[k]) * e.token_size
+        # Per actor: ``(buffer, member keys, tokens written per firing)``
+        # of every buffer it writes or reads, in buffer order.
+        touched: Dict[str, List[Tuple[int, List[Key], int]]] = {
+            a: [] for a in in_edges
+        }
+        for b, members in enumerate(buffers):
+            first = members[0]
+            keys = [m.key for m in members]
+            touched[first.source].append((b, keys, first.production))
+            for sink in {m.sink for m in members} - {first.source}:
+                touched[sink].append((b, keys, 0))
 
         tokens = self.tokens
         peaks = self.peaks
@@ -285,93 +275,57 @@ class BlockScan:
                 if cand > peaks[k]:
                     peaks[k] = cand
 
-            # Episode transitions, on post-firing states (a self-loop
-            # that transits zero mid-firing does not end its episode):
-            # outs open/peak before ins close.
+            # Transitions on post-firing states (a self-loop that
+            # transits zero mid-firing does not end its episode).
             for e in outs:
-                k = e.key
-                if open_at[k] is None:
-                    # A dead edge holds zero tokens; the first firing's
-                    # production revives it at time t0.
-                    open_at[k] = t0
-                    start_count[k] = 0
-                    produced[k] = n * e.production
-                    peak_occ[k] = max(v1[k], tokens[k])
-                else:
-                    produced[k] += n * e.production
-                    cand = max(v1[k], tokens[k])
-                    if cand > peak_occ[k]:
-                        peak_occ[k] = cand
+                if edge_open[e.key] is None:
+                    edge_open[e.key] = t0
             for e in ins:
                 k = e.key
-                if tokens[k] == 0 and open_at[k] is not None:
-                    s = open_at[k]
-                    intervals[k].append((s, t))
-                    episodes.append((k, s, t, episode_words(k)))
-                    open_at[k] = None
-                    produced[k] = 0
-                    peak_occ[k] = 0
-
-            # Group transitions: occupancy is the max of the members'
-            # linears, so its peak also sits at an endpoint.
-            touched_groups = {e.broadcast for e in outs if e.broadcast}
-            touched_groups.update(e.broadcast for e in ins if e.broadcast)
-            for name in touched_groups:
-                keys = group_keys[name]
-                occ1 = max(v1.get(k, tokens[k]) for k in keys)
-                occn = max(tokens[k] for k in keys)
-                first = groups[name][0]
-                inc = n * first.production if actor == first.source else 0
-                if g_open[name] is None:
+                if tokens[k] == 0 and edge_open[k] is not None:
+                    intervals[k].append((edge_open[k], t))
+                    edge_open[k] = None
+            # A buffer's occupancy is the max of its members' linears,
+            # so its peak also sits at an endpoint.  A dead buffer holds
+            # zero tokens; the first firing's production revives it.
+            for b, keys, step in touched[actor]:
+                occn = max([tokens[k] for k in keys])
+                occ = max([v1.get(k, tokens[k]) for k in keys])
+                if occn > occ:
+                    occ = occn
+                if b_open[b] is None:
                     if occn > 0:
-                        g_open[name] = t0
-                        g_start[name] = 0
-                        g_produced[name] = inc
-                        g_peak[name] = max(occ1, occn)
+                        b_open[b] = t0
+                        b_start[b] = 0
+                        b_produced[b] = n * step
+                        b_peak[b] = occ
                 else:
-                    g_produced[name] += inc
-                    cand = max(occ1, occn)
-                    if cand > g_peak[name]:
-                        g_peak[name] = cand
+                    b_produced[b] += n * step
+                    if occ > b_peak[b]:
+                        b_peak[b] = occ
                     if occn == 0:
-                        s = g_open[name]
-                        group_episodes.append((name, s, t, group_words(name)))
-                        g_open[name] = None
-                        g_produced[name] = 0
-                        g_peak[name] = 0
+                        episodes.append((keys[0], b_open[b], t, words(b)))
+                        b_open[b] = None
+                        b_produced[b] = 0
+                        b_peak[b] = 0
 
-        for k in by_key:
-            if open_at[k] is not None:
-                s = open_at[k]
+        for k, s in edge_open.items():
+            if s is not None:
                 intervals[k].append((s, t))
-                episodes.append((k, s, t, episode_words(k)))
-        for name in groups:
-            if g_open[name] is not None:
-                s = g_open[name]
-                group_episodes.append((name, s, t, group_words(name)))
+        for b, s in enumerate(b_open):
+            if s is not None:
+                episodes.append((buffers[b][0].key, s, t, words(b)))
         self.intervals = intervals
         self.episodes = episodes
-        self.group_episodes = group_episodes
-        self.member_keys = frozenset(
-            k for keys in group_keys.values() for k in keys
-        )
         if recorder is not None:
             recorder.count("sim.blocks", self.blocks)
             recorder.count("sim.block_firings", self.firings)
 
     def live_peak(self) -> int:
-        """Peak over time of the summed live episode arrays, in words.
-
-        Broadcast member episodes are logical views of one shared
-        buffer, so their group's merged episodes stand in for them.
-        """
+        """Peak over time of the summed live buffer episode arrays, in
+        words."""
         events: List[Tuple[int, int]] = []  # (time, +size/-size)
-        for k, s, t, size in self.episodes:
-            if k in self.member_keys:
-                continue
-            events.append((s, size))
-            events.append((t, -size))
-        for _, s, t, size in self.group_episodes:
+        for _, s, t, size in self.episodes:
             events.append((s, size))
             events.append((t, -size))
         # Intervals are half-open: a buffer dying at firing t frees its
