@@ -8,7 +8,8 @@ pool at the offsets first-fit chose.
 
 :func:`emit_c` renders that output as self-contained C:
 
-* one ``static token_t memory[TOTAL]`` pool;
+* one ``static token_t memory[...]`` pool, sized by the layout's
+  ``extent`` (``allocation.total`` unless a buffer lies past it);
 * a ``#define`` per physical buffer (:attr:`LifetimeSet.buffers`) for
   its base offset;
 * one write cursor per buffer and one read cursor per reader edge (a
@@ -103,7 +104,7 @@ def emit_c(
         lines.append("")
         lines.append("typedef int token_t;")
     lines.append("")
-    lines.append(f"static token_t memory[{max(allocation.total, 1)}];")
+    lines.append(f"static token_t memory[{layout.extent}];")
     lines.append("")
 
     # One array per physical buffer, named by its first member's

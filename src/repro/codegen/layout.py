@@ -56,6 +56,9 @@ class Layout:
     and ``writes[actor]`` the buffers it writes, once each, in
     ``out_edges`` order of their first members; ``reset_at`` maps a
     tree node's ``id`` to the buffers whose least parent it is.
+    ``extent`` is the pool's size in words: ``allocation.total``, at
+    least 1, and past every buffer, so a buffer placed past the pool
+    stays addressable (and shows up as an address beyond ``total``).
     """
 
     buffers: List[Placement]
@@ -63,6 +66,7 @@ class Layout:
     reads: Dict[str, List[Edge]]
     writes: Dict[str, List[Placement]]
     reset_at: Dict[int, List[Placement]]
+    extent: int
 
     def resets(self, node: ScheduleTreeNode) -> Sequence[Placement]:
         """The buffers whose linear cursors reset at each iteration of
@@ -111,4 +115,5 @@ def lower(
             writer[k] for k in (e.key for e in graph.out_edges(a))
             if k in writer
         ]
-    return Layout(buffers, placement, reads, writes, reset_at)
+    extent = max([allocation.total, 1] + [p.base + p.size for p in buffers])
+    return Layout(buffers, placement, reads, writes, reset_at, extent)

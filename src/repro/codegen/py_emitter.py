@@ -44,7 +44,7 @@ def emit_python(
     lines: List[str] = []
     lines.append('"""Generated shared-memory SDF implementation."""')
     lines.append("")
-    lines.append(f"POOL_SIZE = {max(allocation.total, 1)}")
+    lines.append(f"POOL_SIZE = {layout.extent}")
     lines.append("")
     # Physical buffers: each is written once per production and read
     # through a per-member cursor.

@@ -18,9 +18,10 @@ buffer is circular, its slot the whole-run count modulo
 ``size // token_size``; a linear buffer's slot is the count since its
 least parent last began an iteration.  Every word of a token holds the
 int code ``seq * buffers + eid`` (``eid`` the buffer's position), so a
-code names the one token that may occupy a word.  Memory spans
-``allocation.total`` and every buffer's extent, so a buffer placed past
-the pool shows up as a ``peak_address`` beyond ``allocation.total``.
+code names the one token that may occupy a word.  Memory spans the
+layout's ``extent``, which covers ``allocation.total`` and every
+buffer, so a buffer placed past the pool shows up as a
+``peak_address`` beyond ``allocation.total``.
 
 This VM fires each leaf token by token: a firing reads every in-edge
 in ``in_edges`` order, then writes each buffer it feeds, so a
@@ -146,9 +147,7 @@ class SharedMemoryVM:
         }
         #: Token code stride: ``seq * stride + eid``.
         self._stride = max(len(self._buffers), 1)
-        self.memory: List[int] = [_UNWRITTEN] * max(
-            [allocation.total, 1] + [b.base + b.size for b in self._buffers]
-        )
+        self.memory: List[int] = [_UNWRITTEN] * layout.extent
         self.firings = 0
         #: Per-actor firing counts, for differential comparison against
         #: the schedule's flattened firing sequence.

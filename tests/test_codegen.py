@@ -11,7 +11,12 @@ from repro.allocation.intersection_graph import build_intersection_graph
 from repro.codegen.c_emitter import emit_c
 from repro.codegen.batched_vm import BatchedVM
 from repro.codegen.vm import SharedMemoryVM, run_shared_memory_check
-from repro.check.oracles import _execution_checks
+from repro.check.oracles import (
+    _execution_checks,
+    _module_preloads,
+    _sequence_actors,
+)
+from repro.codegen.py_emitter import compile_python
 from repro.scheduling.pipeline import implement
 from repro.sdf.repetitions import repetitions_vector
 from repro.apps import cd_to_dat, table1_graph
@@ -175,10 +180,24 @@ class TestBufferPastThePool:
     def test_execution_checks_report_the_overrun(self):
         g, lifetimes, short = self._short_pool()
         bad = _execution_checks(g, repetitions_vector(g), lifetimes, short)
-        assert (
+        assert bad == [
             f"exec: VM wrote up to address {short.total + 1}, past the "
             f"allocation total {short.total}"
-        ) in bad
+        ]
+
+    def test_generated_module_runs_to_completion(self):
+        g, lifetimes, short = self._short_pool()
+        module = compile_python(g, lifetimes, short)
+        assert module["POOL_SIZE"] == short.total + 1
+        actors, state = _sequence_actors(g)
+        module["run"](actors, periods=2, preloads=_module_preloads(g))
+        q = repetitions_vector(g)
+        assert state["fired"] == {a: 2 * q[a] for a in q}
+
+    def test_emitted_c_covers_every_buffer(self):
+        g, lifetimes, short = self._short_pool()
+        assert short.total == 256
+        assert "static token_t memory[257];" in emit_c(g, lifetimes, short)
 
 
 @requires_cc
