@@ -15,11 +15,16 @@ tracking the token count of every edge, and derives:
 * deadlock detection for arbitrary (possibly cyclic) graphs, via greedy
   symbolic execution.
 
-One engine replays schedules: :class:`BlockScan` takes one closed-form
-step per firing block (a ``Firing(actor, n)`` leaf visit) and covers
-delays, self-loops, broadcasts, cyclic and non-SAS schedules.  Every
-observable below comes from it.  A naive firing-at-a-time reference
-lives in :mod:`repro.check.reference`.
+One engine replays schedules here: :class:`BlockScan` takes one
+closed-form step per firing block (a ``Firing(actor, n)`` leaf visit)
+and covers delays, self-loops, broadcasts, cyclic and non-SAS
+schedules.  Every observable below comes from it, with one code path
+per physical buffer (:meth:`SDFGraph.buffers`; a plain edge is a
+buffer with one member).  Two firing-at-a-time replays live elsewhere:
+the naive reference of :mod:`repro.check.reference`, which judges this
+engine, and the one in :mod:`repro.lifetimes.granularity`, which keeps
+the token state after every firing for the granularity sweep and
+:func:`~repro.lifetimes.granularity.fine_grained_peak`.
 """
 
 from __future__ import annotations
@@ -289,8 +294,14 @@ class BlockScan:
             # so its peak also sits at an endpoint.  A dead buffer holds
             # zero tokens; the first firing's production revives it.
             for b, keys, step in touched[actor]:
-                occn = max([tokens[k] for k in keys])
-                occ = max([v1.get(k, tokens[k]) for k in keys])
+                occn = occ = 0
+                for k in keys:
+                    x = tokens[k]
+                    if x > occn:
+                        occn = x
+                    x = v1.get(k, x)
+                    if x > occ:
+                        occ = x
                 if occn > occ:
                     occ = occn
                 if b_open[b] is None:
