@@ -151,9 +151,8 @@ class BlockScan:
         a buffer with one member).  A buffer is live while any member
         holds tokens, its production is counted once, and its
         occupancy is the max member count.  A delayless episode's array
-        holds everything transferred during it (tokens at start plus
-        tokens produced); a delayed buffer is circular, so it needs
-        only its peak occupancy.
+        holds every token produced during it; a delayed buffer is
+        circular, so it needs only its peak occupancy.
     """
 
     def __init__(
@@ -176,24 +175,24 @@ class BlockScan:
             k: 0 if e.delay > 0 else None for k, e in by_key.items()
         }
 
-        # Per-buffer open episode: start time, tokens present at the
-        # start, tokens produced since, and peak occupancy (the max over
-        # members: the union of unread suffixes of one stream is the
-        # largest suffix).  A plain edge is a buffer with one member.
+        # Per-buffer open episode: start time, tokens produced since,
+        # and peak occupancy (the max over members: the union of unread
+        # suffixes of one stream is the largest suffix).  A plain edge
+        # is a buffer with one member.  A delayed buffer starts live at
+        # time 0; a delayless one holds no tokens when an episode opens.
         buffers = graph.buffers()
         b_open: List[Optional[int]] = [
             0 if m[0].delay > 0 else None for m in buffers
         ]
-        b_start = [m[0].delay for m in buffers]
         b_produced = [0] * len(buffers)
-        b_peak = list(b_start)
+        b_peak = [m[0].delay for m in buffers]
         episodes: List[Tuple[Key, int, int, int]] = []
 
         def words(b: int) -> int:
             first = buffers[b][0]
             if first.delay > 0:
                 return b_peak[b] * first.token_size
-            return (b_start[b] + b_produced[b]) * first.token_size
+            return b_produced[b] * first.token_size
 
         # Per actor: ``(buffer, member keys, tokens written per firing)``
         # of every buffer it writes or reads, in buffer order.
@@ -307,7 +306,6 @@ class BlockScan:
                 if b_open[b] is None:
                     if occn > 0:
                         b_open[b] = t0
-                        b_start[b] = 0
                         b_produced[b] = n * step
                         b_peak[b] = occ
                 else:
